@@ -8,6 +8,7 @@ from .errors import (
     EigFailure,
     HrnrError,
     InsufficientDimension,
+    InvariantViolation,
     ModelFormatError,
     NoSeparatingAngle,
     NotContraction,

@@ -33,6 +33,7 @@ from .errors import (
     CoincidentEndpoints,
     HrnrError,
     InsufficientDimension,
+    InvariantViolation,
     ModelFormatError,
     NoSeparatingAngle,
     NotContraction,
@@ -134,8 +135,8 @@ def _cmd_member(args) -> int:
 
 def _cmd_selfadjoint(args) -> int:
     model = _as_model(_load(args.input))
-    a, b = selfadjoint_interval(model, args.k)
-    print(jsonio.dumps({"k": args.k, "interval": [a, b]}))
+    interval = selfadjoint_interval(model, args.k)  # None: the levels cross
+    print(jsonio.dumps({"k": args.k, "interval": None if interval is None else list(interval)}))
     return 0
 
 
@@ -145,7 +146,9 @@ def _cmd_dilate(args) -> int:
     if args.check:
         n = T.shape[0]
         U = art.matrix
-        assert np.linalg.norm(U.conj().T @ U - np.eye(2 * n)) <= 1e-9
+        residual = np.linalg.norm(U.conj().T @ U - np.eye(2 * n))
+        if not residual <= 1e-9:
+            raise InvariantViolation(f"dilation is not unitary (residual {residual:.2e})")
     print(jsonio.dumps(jsonio.dilation_to_obj(art)))
     return 0
 

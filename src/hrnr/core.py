@@ -152,6 +152,9 @@ def critical_directions(
         if key not in seen:
             seen.add(key)
             out.append((vx, vy))
+    if not out:
+        # no breakpoint: the dimension does not depend on the direction
+        out.append(trig_dir(0.0))
     arr = np.asarray(out, dtype=np.float64)
     return arr[:, 0], arr[:, 1]
 

@@ -22,6 +22,7 @@ from .errors import (
     AtomNotStrictContraction,
     CoincidentEndpoints,
     EigFailure,
+    InvariantViolation,
     NoSeparatingAngle,
     NotContraction,
     NotOnSegment,
@@ -150,7 +151,8 @@ def scalar_dilation(
     t = min(1.0, t)
     q = np.array([[math.sqrt(t), -math.sqrt(1.0 - t)], [math.sqrt(1.0 - t), math.sqrt(t)]])
     U = q @ np.diag([xi, eta]).astype(complex) @ q.T
-    assert abs(U[0, 0] - d) <= 10 * eps * max(1.0, abs(d))
+    if abs(U[0, 0] - d) > 10 * eps * max(1.0, abs(d)):
+        raise InvariantViolation(f"top-left entry {U[0, 0]} misses d = {d}")
     return U
 
 
@@ -303,10 +305,14 @@ def excluding_certificate(
         xi = _second_circle_intersection(eta, loc)
         t = abs(loc - eta) / abs(xi - eta)
         s_xi = nx * (xi.real - lam.real) + ny * (xi.imag - lam.imag)
-        assert s_xi >= -eps * scale, "chord endpoint left the witness plane"
+        if s_xi < -eps * scale:
+            raise InvariantViolation("chord endpoint left the witness plane")
         entries.extend([(loc, xi, eta, t)] * mult)
         total += mult
-    assert total == int(dim), "witness dimension must be exactly the atom count"
+    if total != int(dim):
+        raise InvariantViolation(
+            f"witness dimension {dim} is not the atom count {total} inside the plane"
+        )
 
     beta = (-math.atan2(ny, nx)) % (2 * math.pi)
     mu = math.cos(beta) * lam.real - math.sin(beta) * lam.imag
@@ -556,9 +562,8 @@ def dilation_intersection(
         best = np.minimum(best, _support_levels(np.linalg.eigvals(U), k, xis))
 
     block_levels = _block_dilation_planes(T, k, xis, tol)
-    if block_levels is not None:
-        mask = ~np.isnan(block_levels)
-        best[mask] = np.minimum(best[mask], block_levels[mask])
+    mask = ~np.isnan(block_levels)
+    best[mask] = np.minimum(best[mask], block_levels[mask])
 
     planes = []
     for xi, h in zip(xis, best):

@@ -17,6 +17,11 @@ class EigFailure(HrnrError):
     """Underlying eigensolver failed to converge."""
 
 
+class InvariantViolation(HrnrError):
+    """A computed object failed a check it must pass (e.g. a dilation is not
+    unitary); raised instead of ``assert`` so the check survives ``python -O``."""
+
+
 class UncertainGeometry(HrnrError):
     """A sign test fell inside the tolerance band and no rule resolves it."""
 

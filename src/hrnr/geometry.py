@@ -158,18 +158,6 @@ def hchp_member(
     return Verdict.IN if s > 0.0 else Verdict.OUT
 
 
-def closed_member(
-    P: ClosedHalfPlane, z: complex, tol: TolerancePolicy = DEFAULT_TOL
-) -> Verdict:
-    """Membership in a closed half plane; the eps band counts as on-line."""
-    z = require_finite(z)
-    nx, ny = P.normal
-    s = nx * (z.real - P.anchor.real) + ny * (z.imag - P.anchor.imag)
-    if s >= -tol.eps_geom * math.hypot(nx, ny):
-        return Verdict.IN
-    return Verdict.OUT
-
-
 @dataclass(frozen=True)
 class ConvexPolygon:
     """Convex polygon as a CCW vertex tuple; may be empty, a point or a segment."""

@@ -28,9 +28,19 @@ def _mult(val) -> float:
         return INF
     try:
         m = int(val)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"bad multiplicity {val!r}") from exc
+    if m < 1:
+        raise ModelFormatError(f"multiplicity must be at least 1, got {val!r}")
     return float(m)
+
+
+def _objects(doc: dict, key: str) -> list[dict]:
+    """The list of JSON objects under doc[key] (absent: empty)."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ModelFormatError(f'"{key}" must be a list of objects')
+    return entries
 
 
 def parse_document(text: str):
@@ -63,6 +73,8 @@ def matrix_from_obj(doc: dict) -> np.ndarray:
         raise ModelFormatError("matrix entries must be [re, im] pairs") from exc
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ModelFormatError("matrix must be square")
+    if not np.isfinite(M).all():
+        raise ModelFormatError("non-finite matrix entries")
     return M
 
 
@@ -72,10 +84,13 @@ def model_from_obj(doc: dict) -> SpectralMeasureModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError('"model" document needs a numeric "support_radius"') from exc
     atoms = []
-    for a in doc.get("atoms", []):
-        atoms.append(Atom(_pt(a["point"]), _mult(a["mult"])))
+    for a in _objects(doc, "atoms"):
+        try:
+            atoms.append(Atom(_pt(a["point"]), _mult(a["mult"])))
+        except KeyError as exc:
+            raise ModelFormatError(f"atom {a!r} lacks {exc}") from exc
     pieces = []
-    for p in doc.get("pieces", []):
+    for p in _objects(doc, "pieces"):
         kind = p.get("type")
         try:
             if kind == "segment":
@@ -91,7 +106,7 @@ def model_from_obj(doc: dict) -> SpectralMeasureModel:
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"bad piece {p!r}: {exc}") from exc
     families = []
-    for f in doc.get("families", []):
+    for f in _objects(doc, "families"):
         try:
             prefix = tuple((_pt(e["point"]), int(e["mult"])) for e in f.get("prefix", []))
             families.append(
@@ -103,7 +118,7 @@ def model_from_obj(doc: dict) -> SpectralMeasureModel:
                     int(f.get("tail_mult", 1)),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"bad family {f!r}: {exc}") from exc
     try:
         return SpectralMeasureModel(tuple(atoms), tuple(pieces), tuple(families), radius)

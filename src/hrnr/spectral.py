@@ -45,7 +45,6 @@ INF = math.inf
 # Flavor indices for the direction sweep.
 HAP, HAM, HBP, HBM, CA, CB, OA, OB = range(8)
 
-_PARALLEL_EPS = 1e-12
 _MAX_PREFIX = 10_000
 
 
@@ -519,7 +518,6 @@ def dim_ran_open(
 class RealFamily:
     prefix: tuple[tuple[float, float], ...]  # (position, mult)
     limit: float
-    side: str  # "above" | "below" | "at"
 
 
 @dataclass(frozen=True)
@@ -548,25 +546,10 @@ def pushforward(model: SpectralMeasureModel, theta: float) -> RealSpectralModel:
     intervals = []
     for p in model.pieces:
         intervals.append(_piece_interval(p, theta, c, s))
-    families = []
-    for f in model.families:
-        cdir = math.cos(theta + f.approach_angle)
-        sdir = math.sin(theta + f.approach_angle)
-        if abs(cdir) > _PARALLEL_EPS:
-            side = "above" if cdir > 0 else "below"
-        elif f.approach_side == "on":
-            side = "at"
-        elif f.approach_side == "above":
-            side = "above" if -sdir > 0 else "below"
-        else:
-            side = "above" if sdir > 0 else "below"
-        families.append(
-            RealFamily(
-                tuple((_proj(p, c, s), float(m)) for p, m in f.prefix),
-                _proj(f.limit, c, s),
-                side,
-            )
-        )
+    families = [
+        RealFamily(tuple((_proj(p, c, s), float(m)) for p, m in f.prefix), _proj(f.limit, c, s))
+        for f in model.families
+    ]
     return RealSpectralModel(
         tuple(atoms), tuple(intervals), tuple(families), model.support_radius
     )
@@ -628,14 +611,7 @@ def lambda_k_inf(rm: RealSpectralModel, k: int) -> float:
     mirrored = RealSpectralModel(
         tuple((-x, m) for x, m in rm.atoms),
         tuple((-b, -a) for a, b in rm.intervals),
-        tuple(
-            RealFamily(
-                tuple((-x, m) for x, m in f.prefix),
-                -f.limit,
-                {"above": "below", "below": "above", "at": "at"}[f.side],
-            )
-            for f in rm.families
-        ),
+        tuple(RealFamily(tuple((-x, m) for x, m in f.prefix), -f.limit) for f in rm.families),
         rm.support_radius,
     )
     return -lambda_k_sup(mirrored, k)

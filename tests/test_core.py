@@ -28,6 +28,7 @@ from hrnr import (
     region,
     selfadjoint_interval,
 )
+from hrnr.core import critical_directions
 from hrnr.errors import InsufficientDimension
 from hrnr.presets import (
     HERMITIAN_VALUES,
@@ -76,6 +77,18 @@ class TestMember:
             member_infinity(m, 0j)
         with pytest.raises(ValueError):
             member(m, 0, 0j)
+
+    def test_anchor_is_only_support_point(self):
+        # no breakpoint direction exists; without the fallback grid the sweep
+        # must still look at one direction and agree with the default
+        m = SpectralMeasureModel(atoms=(Atom(0.5 + 0j, 2.0),), support_radius=1.0)
+        vx, vy = critical_directions(m, 0.5 + 0j, n_fallback=0)
+        assert vx.shape == vy.shape == (1,)
+        for k in (1, 2):
+            want = member(m, k, 0.5 + 0j).value
+            assert want is Verdict.IN
+            assert member(m, k, 0.5 + 0j, n_fallback=0).value is want
+        assert member(m, 1, 0.4 + 0j, n_fallback=0).value is Verdict.OUT
 
     def test_against_subset_hull_oracle(self, rng):
         # brute-force subset hulls decide membership for normal matrices

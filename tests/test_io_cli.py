@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -65,6 +66,7 @@ class TestModelJson:
             '{"no_kind": 1}',
             '{"kind": "model"}',
             '{"kind": "matrix", "data": [[[0, 0]], [[0, 0]]]}',
+            '{"kind": "matrix", "data": [[["nan", 0]]]}',
             '{"kind": "model", "support_radius": 1.0, "pieces": [{"type": "blob"}]}',
             '{"kind": "model", "support_radius": 1.0, "atoms": [{"point": [0], "mult": 1}]}',
         ],
@@ -205,6 +207,39 @@ class TestCli:
         path2 = tmp_path / "expansive.json"
         path2.write_text(jsonio.dumps(jsonio.matrix_to_obj(np.diag([2.0, 0.0]))))
         assert main(["dilate", "--input", str(path2)]) == 2
+
+    @pytest.mark.parametrize(
+        "command,doc,code",
+        [
+            # levels cross: selfadjoint_interval reports the empty range
+            (
+                ["selfadjoint", "-k", "2"],
+                {"atoms": [{"point": [0, 0], "mult": 1}, {"point": [1, 0], "mult": 1}]},
+                0,
+            ),
+            (["member", "-k", "1", "--point", "0,0"], {"atoms": [{"mult": 1}]}, 1),
+            (["member", "-k", "1", "--point", "0,0"], {"pieces": [5]}, 1),
+            (["member", "-k", "1", "--point", "0,0"], {"atoms": [{"point": [0, 0], "mult": 0}]}, 1),
+        ],
+    )
+    def test_exit_code_contract(self, tmp_path, capsys, command, doc, code):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"kind": "model", "support_radius": 2.0, **doc}))
+        assert main([command[0], "--input", str(path), *command[1:]]) == code
+        out = capsys.readouterr()
+        if code == 0:
+            assert json.loads(out.out)["interval"] is None
+        else:
+            assert out.err.startswith("error: ")
+
+    def test_dilate_check_failure(self, monkeypatch, matrix_file, capsys):
+        def broken(T, alpha):
+            art = hrnr.halmos(T, alpha)
+            return dataclasses.replace(art, matrix=2 * art.matrix)
+
+        monkeypatch.setattr("hrnr.cli.halmos", broken)
+        assert main(["dilate", "--input", matrix_file, "--check"]) == 2
+        assert capsys.readouterr().err.startswith("error: dilation is not unitary")
 
     def test_matrix_required(self, model_file, capsys):
         assert main(["dilate", "--input", model_file]) == 1

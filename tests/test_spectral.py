@@ -249,16 +249,6 @@ class TestPushforward:
         assert rm.intervals[0] == pytest.approx((min(proj), max(proj)))
         assert rm.intervals[0][1] == pytest.approx(math.sqrt(2) / 2)
 
-    def test_family_side_at(self):
-        fam = SequenceFamily(
-            tuple((complex(-1.0 / n, 0), 1) for n in range(2, 30)), 0j, math.pi, "on", 1
-        )
-        m = SpectralMeasureModel(families=(fam,), support_radius=1.0)
-        rm = pushforward(m, math.pi / 2)
-        assert rm.families[0].side == "at"
-        rm0 = pushforward(m, 0.0)
-        assert rm0.families[0].side == "below"
-
     def test_consistency_with_closed_dims(self, rng):
         # sup{b : dim E{Re(e^{i t} z) >= b} >= k} matches the scan, atom models
         for _ in range(10):
