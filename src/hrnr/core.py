@@ -5,9 +5,11 @@ A point lambda belongs to the rank-k range iff every half closed-half plane
 anchored at lambda captures measure of dimension >= k.  The dimension, as a
 function of the line direction at a fixed anchor, is piecewise constant with
 breakpoints only at a finite set of critical directions (toward atoms, piece
-extremities, family limits, arc tangents, approach angles); membership is
-decided by sweeping those directions, the midpoints between them, and a
-fixed fallback grid.
+extremities, family limits and prefix points, approach angles, and tangents
+to arcs and to the circle inside which a family tail stays unresolved);
+membership is decided by sweeping those directions and the midpoints between
+them, which together represent every cell on which each flavor's dimension
+is constant.
 """
 
 from __future__ import annotations
@@ -100,10 +102,9 @@ def critical_directions(
     model: SpectralMeasureModel,
     anchor: complex,
     extra_angles: tuple[float, ...] = (),
-    n_fallback: int = 64,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical direction vectors of every breakpoint line through anchor,
-    plus midpoints between consecutive breakpoints and a fallback grid."""
+    plus the midpoints between consecutive breakpoints."""
     vecs: list[tuple[float, float]] = []
 
     def add_point(p: complex):
@@ -123,7 +124,7 @@ def critical_directions(
         elif isinstance(piece, Arc):
             for t in (piece.theta0, piece.theta1):
                 add_point(piece.center + piece.radius * complex(*snap_dir(math.cos(t), math.sin(t))))
-            _add_tangents(vecs, anchor, piece)
+            _add_tangents(vecs, anchor, piece.center, piece.radius)
         else:
             for v in piece.polygon.vertices:
                 add_point(v)
@@ -132,19 +133,19 @@ def critical_directions(
         for p, _ in fam.prefix:
             add_point(p)
         add_angle(fam.approach_angle)
+        if fam.prefix:
+            # the tail counts as zero only on lines clearing the limit by
+            # twice the last prefix distance (see spectral._add_tail_masks)
+            _add_tangents(vecs, anchor, fam.limit, 2 * fam.min_prefix_distance)
     for phi in extra_angles:
         add_angle(phi)
 
     angles = sorted({math.atan2(vy, vx) % math.pi for vx, vy in vecs})
-    mids = []
     for i in range(len(angles)):
         a0 = angles[i]
         a1 = angles[(i + 1) % len(angles)] if i + 1 < len(angles) else angles[0] + math.pi
         if a1 - a0 > 1e-12:
-            mids.append(0.5 * (a0 + a1))
-    grid = [math.pi * j / n_fallback for j in range(n_fallback)] if n_fallback else []
-    for phi in mids + grid:
-        vecs.append(trig_dir(phi))
+            vecs.append(trig_dir(0.5 * (a0 + a1)))
 
     out, seen = [], set()
     for vx, vy in vecs:
@@ -159,16 +160,17 @@ def critical_directions(
     return arr[:, 0], arr[:, 1]
 
 
-def _add_tangents(vecs, anchor: complex, arc: Arc):
-    rel = arc.center - anchor
+def _add_tangents(vecs, anchor: complex, center: complex, radius: float):
+    """Directions of the lines through anchor tangent to the circle."""
+    rel = center - anchor
     d = abs(rel)
     if d == 0.0:
         return
-    if abs(d - arc.radius) <= _TANGENT_SLACK * max(1.0, arc.radius):
+    if abs(d - radius) <= _TANGENT_SLACK * max(1.0, radius):
         vecs.append(canonical_dir(-rel.imag, rel.real))
-    if d > arc.radius:
+    if d > radius:
         beta = math.atan2(rel.imag, rel.real)
-        delta = math.asin(min(1.0, arc.radius / d))
+        delta = math.asin(min(1.0, radius / d))
         for phi in (beta + delta, beta - delta):
             vecs.append(trig_dir(phi))
 
@@ -185,12 +187,34 @@ def _witness_from(sweep, flavor: int, i: int, anchor: complex) -> HalfClosedHalf
     )
 
 
+def sweep_decision(sweep, flavors, k: float) -> tuple[Verdict, int | None, int | None]:
+    """The decision over the planes of the given flavors in a sweep.
+
+    OUT with (flavor, direction index) of the first plane whose dimension is
+    certainly below k, ordered by (hi, unsure, flavor, index); IN when every
+    plane is certainly at least k; UNCERTAIN otherwise.
+    """
+    lo, hi, fz = sweep.lo[flavors], sweep.hi[flavors], sweep.fuzzy[flavors]
+    # a fuzzy surplus is finite, so it never reaches an infinite rank
+    below = np.isfinite(hi) if k == INF else (~fz) & (hi < k)
+    if below.any():
+        r, i = np.nonzero(below)
+        unsure = fz[r, i] | (lo[r, i] != hi[r, i])
+        j = np.lexsort((i, r, unsure, hi[r, i]))[0]
+        return Verdict.OUT, flavors[r[j]], int(i[j])
+    if bool((lo >= k).all()):
+        return Verdict.IN, None, None
+    return Verdict.UNCERTAIN, None, None
+
+
+_HCHP = [HAP, HAM, HBP, HBM]
+
+
 def member(
     model: SpectralMeasureModel,
     k,
     lam: complex,
     tol: TolerancePolicy = DEFAULT_TOL,
-    n_fallback: int = 64,
 ) -> MembershipVerdict:
     """Decide lambda against the rank-k range by the critical-direction sweep.
 
@@ -199,35 +223,20 @@ def member(
     """
     kf = _check_rank(model, k)
     lam = complex(lam)
-    vx, vy = critical_directions(model, lam, n_fallback=n_fallback)
+    vx, vy = critical_directions(model, lam)
     sweep = direction_sweep(model, lam, vx, vy, tol)
-    lo, hi, fz = sweep.lo[:4], sweep.hi[:4], sweep.fuzzy[:4]
-
-    if kf == INF:
-        below = np.isfinite(hi)
-    else:
-        below = (~fz) & (hi < kf)
-    if below.any():
-        cand = np.argwhere(below)
-        order = sorted(
-            (hi[f, i], bool(fz[f, i]) or lo[f, i] != hi[f, i], f, i) for f, i in cand
-        )
-        _, _, f, i = order[0]
-        return MembershipVerdict(
-            Verdict.OUT, _witness_from(sweep, f, i, lam), float(hi[f, i])
-        )
-    if bool((lo >= kf).all()):
-        return MembershipVerdict(Verdict.IN)
-    return MembershipVerdict(Verdict.UNCERTAIN)
+    value, f, i = sweep_decision(sweep, _HCHP, kf)
+    if value is Verdict.OUT:
+        return MembershipVerdict(value, _witness_from(sweep, f, i, lam), float(sweep.hi[f, i]))
+    return MembershipVerdict(value)
 
 
 def member_infinity(
     model: SpectralMeasureModel,
     lam: complex,
     tol: TolerancePolicy = DEFAULT_TOL,
-    n_fallback: int = 64,
 ) -> MembershipVerdict:
-    return member(model, RANK_INF, lam, tol, n_fallback)
+    return member(model, RANK_INF, lam, tol)
 
 
 def region(
@@ -307,23 +316,21 @@ def is_boundary(
     k: int,
     lam: complex,
     tol: TolerancePolicy = DEFAULT_TOL,
-    n_fallback: int = 64,
 ) -> BoundaryKind:
     """For members: boundary iff some open half plane at lambda is deficient."""
-    verdict = member(model, k, lam, tol, n_fallback)
-    if verdict.value is Verdict.OUT:
-        return BoundaryKind.NOT_MEMBER
-    if verdict.value is Verdict.UNCERTAIN:
-        raise UncertainGeometry("membership itself is uncertain at this point")
+    kf = _check_rank(model, k)
     lam = complex(lam)
-    vx, vy = critical_directions(model, lam, n_fallback=n_fallback)
+    vx, vy = critical_directions(model, lam)
     sweep = direction_sweep(model, lam, vx, vy, tol)
-    lo = sweep.lo[[OA, OB]]
-    hi = sweep.hi[[OA, OB]]
-    fz = sweep.fuzzy[[OA, OB]]
-    if bool((((~fz) & (hi < k))).any()):
+    value, _, _ = sweep_decision(sweep, _HCHP, kf)
+    if value is Verdict.OUT:
+        return BoundaryKind.NOT_MEMBER
+    if value is Verdict.UNCERTAIN:
+        raise UncertainGeometry("membership itself is uncertain at this point")
+    value, _, _ = sweep_decision(sweep, [OA, OB], kf)
+    if value is Verdict.OUT:
         return BoundaryKind.BOUNDARY_IN
-    if bool((lo >= k).all()):
+    if value is Verdict.IN:
         return BoundaryKind.INTERIOR
     raise UncertainGeometry("open-side dimensions are unresolved at this point")
 

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import RegionEstimate, critical_directions, member
+from .core import RegionEstimate, critical_directions, member, sweep_decision
 from .errors import (
     AtomNotStrictContraction,
     CoincidentEndpoints,
@@ -230,26 +230,19 @@ def _closed_plane_from(sweep, flavor: int, i: int, anchor: complex) -> ClosedHal
     return ClosedHalfPlane(anchor, math.atan2(ny, nx) % (2 * math.pi), normal=(nx, ny))
 
 
-def _closed_witness_sweep(model, lam, k, tol, extra_angles=(), n_fallback=64):
+def _closed_witness_sweep(model, lam, k, tol, extra_angles=()):
     """Scan closed half planes through lam over critical directions.
 
     Returns (witness_plane, dim) if some plane has dim < k certainly,
     ("none", None) if every tested plane is certainly >= k, and
     ("unresolved", None) otherwise.
     """
-    vx, vy = critical_directions(model, lam, extra_angles=extra_angles, n_fallback=n_fallback)
+    vx, vy = critical_directions(model, lam, extra_angles=extra_angles)
     sweep = direction_sweep(model, lam, vx, vy, tol)
-    lo = sweep.lo[[CA, CB]]
-    hi = sweep.hi[[CA, CB]]
-    fz = sweep.fuzzy[[CA, CB]]
-    below = (~fz) & (hi < k)
-    if below.any():
-        cand = np.argwhere(below)
-        order = sorted((hi[r, i], lo[r, i] != hi[r, i], r, i) for r, i in cand)
-        _, _, r, i = order[0]
-        flavor = CA if r == 0 else CB
-        return _closed_plane_from(sweep, flavor, i, lam), float(hi[r, i])
-    if bool((lo >= k).all()):
+    value, flavor, i = sweep_decision(sweep, [CA, CB], k)
+    if value is Verdict.OUT:
+        return _closed_plane_from(sweep, flavor, i, lam), float(sweep.hi[flavor, i])
+    if value is Verdict.IN:
         return "none", None
     return "unresolved", None
 
@@ -347,14 +340,15 @@ def wu_check(
     deficient *closed* half plane through it."""
     if model.max_abs() >= 1.0 + tol.eps_geom:
         raise NotStrictContraction("spectral mass leaves the closed unit disk")
-    support_pts = [a.location for a in model.atoms]
-    for fam in model.families:
-        support_pts.extend(p for p, _ in fam.prefix)
+    px, py, _ = model._point_data
+    samples = _edge_samples(region_est.polygon, samples_per_edge)
+    zs = np.array([z for z, _ in samples], dtype=complex)
+    near = np.hypot(zs.real[:, None] - px, zs.imag[:, None] - py) <= 10 * tol.eps_geom
     evidence = []
     saw_failure = False
     saw_unresolved = False
-    for z, edge_angle in _edge_samples(region_est.polygon, samples_per_edge):
-        if any(abs(z - p) <= 10 * tol.eps_geom for p in support_pts):
+    for (z, edge_angle), skip in zip(samples, near.any(axis=1)):
+        if skip:
             # inside the tolerance ball of an eigenvalue: unresolvable artifact
             continue
         try:

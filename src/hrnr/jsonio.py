@@ -16,23 +16,32 @@ from .spectral import INF, Arc, Atom, Region, Segment, SequenceFamily, SpectralM
 def _pt(val) -> complex:
     try:
         x, y = float(val[0]), float(val[1])
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
         raise ModelFormatError(f"expected a [x, y] pair, got {val!r}") from exc
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ModelFormatError(f"non-finite coordinates in {val!r}")
     return complex(x, y)
 
 
-def _mult(val) -> float:
-    if val == "inf":
-        return INF
-    try:
-        m = int(val)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"bad multiplicity {val!r}") from exc
-    if m < 1:
+def _count(val) -> int:
+    """A finite multiplicity: a JSON integer >= 1 or an integral float such
+    as 2.0; booleans, strings and fractions are malformed."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ModelFormatError(f"bad multiplicity {val!r}")
+    if isinstance(val, float) and not (math.isfinite(val) and val.is_integer()):
+        raise ModelFormatError(f"multiplicity must be an integer, got {val!r}")
+    if val < 1:
         raise ModelFormatError(f"multiplicity must be at least 1, got {val!r}")
-    return float(m)
+    try:
+        float(val)  # weights are summed as floats
+    except OverflowError as exc:
+        raise ModelFormatError("multiplicity too large for a float") from exc
+    return int(val)
+
+
+def _mult(val) -> float:
+    """An atom multiplicity: a finite count or "inf"."""
+    return INF if val == "inf" else float(_count(val))
 
 
 def _objects(doc: dict, key: str) -> list[dict]:
@@ -51,7 +60,7 @@ def parse_document(text: str):
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise ModelFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ModelFormatError('document must be an object with a "kind" field')
@@ -69,7 +78,7 @@ def matrix_from_obj(doc: dict) -> np.ndarray:
     try:
         rows = [[complex(float(e[0]), float(e[1])) for e in row] for row in data]
         M = np.asarray(rows, dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
         raise ModelFormatError("matrix entries must be [re, im] pairs") from exc
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ModelFormatError("matrix must be square")
@@ -81,7 +90,7 @@ def matrix_from_obj(doc: dict) -> np.ndarray:
 def model_from_obj(doc: dict) -> SpectralMeasureModel:
     try:
         radius = float(doc["support_radius"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError('"model" document needs a numeric "support_radius"') from exc
     atoms = []
     for a in _objects(doc, "atoms"):
@@ -103,19 +112,19 @@ def model_from_obj(doc: dict) -> SpectralMeasureModel:
                 pieces.append(Region(ConvexPolygon(tuple(_pt(v) for v in p["vertices"]))))
             else:
                 raise ModelFormatError(f"unknown piece type {kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"bad piece {p!r}: {exc}") from exc
     families = []
     for f in _objects(doc, "families"):
         try:
-            prefix = tuple((_pt(e["point"]), int(e["mult"])) for e in f.get("prefix", []))
+            prefix = tuple((_pt(e["point"]), _count(e["mult"])) for e in f.get("prefix", []))
             families.append(
                 SequenceFamily(
                     prefix,
                     _pt(f["limit"]),
                     float(f["approach_angle"]),
                     str(f["approach_side"]),
-                    int(f.get("tail_mult", 1)),
+                    _count(f.get("tail_mult", 1)),
                 )
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import hrnr
+from hrnr.core import critical_directions
+from hrnr.spectral import direction_sweep
 
 
 def haar_unitary(n, rng):
@@ -77,6 +79,23 @@ def random_family(rng, n_prefix=40):
         prefix.append((p, 1))
         rr *= q
     return hrnr.SequenceFamily(tuple(prefix), lim, phi, side, 1)
+
+
+DENSE_ANGLES = tuple(math.pi * j / 4096 for j in range(4096))
+
+
+def dense_member(model, k, lam):
+    """Oracle for ``member``: (verdict, witness_dim) from the same decision
+    over the critical directions plus 4096 evenly spaced angles."""
+    vx, vy = critical_directions(model, lam, extra_angles=DENSE_ANGLES)
+    sweep = direction_sweep(model, lam, vx, vy)
+    lo, hi, fz = sweep.lo[:4], sweep.hi[:4], sweep.fuzzy[:4]
+    below = np.isfinite(hi) if k == hrnr.RANK_INF else (~fz) & (hi < k)
+    if below.any():
+        return hrnr.Verdict.OUT, float(hi[below].min())
+    if (lo >= k).all():
+        return hrnr.Verdict.IN, None
+    return hrnr.Verdict.UNCERTAIN, None
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from hrnr import (
     NotSelfAdjoint,
     RankExceedsDimension,
     Segment,
+    SequenceFamily,
     SpectralMeasureModel,
     Verdict,
     ckz_member,
@@ -38,7 +39,7 @@ from hrnr.presets import (
     infinity_empty_model,
 )
 
-from conftest import random_normal_matrix
+from conftest import dense_member, random_family, random_model, random_normal_matrix
 
 
 class TestMember:
@@ -79,16 +80,54 @@ class TestMember:
             member(m, 0, 0j)
 
     def test_anchor_is_only_support_point(self):
-        # no breakpoint direction exists; without the fallback grid the sweep
-        # must still look at one direction and agree with the default
+        # no breakpoint direction exists; the sweep must still look at one
+        # direction
         m = SpectralMeasureModel(atoms=(Atom(0.5 + 0j, 2.0),), support_radius=1.0)
-        vx, vy = critical_directions(m, 0.5 + 0j, n_fallback=0)
+        vx, vy = critical_directions(m, 0.5 + 0j)
         assert vx.shape == vy.shape == (1,)
         for k in (1, 2):
-            want = member(m, k, 0.5 + 0j).value
-            assert want is Verdict.IN
-            assert member(m, k, 0.5 + 0j, n_fallback=0).value is want
-        assert member(m, 1, 0.4 + 0j, n_fallback=0).value is Verdict.OUT
+            assert member(m, k, 0.5 + 0j).value is Verdict.IN
+        assert member(m, 1, 0.4 + 0j).value is Verdict.OUT
+
+    def test_tail_clearance_tangents(self):
+        # a family tail counts as zero only on lines that clear its limit by
+        # twice the last prefix distance, so the tangents from the anchor to
+        # |z| = 0.6 bound the directions whose planes miss the whole family
+        fam = SequenceFamily(((0.3 + 0j, 1),), 0j, 0.0, "on", 1)
+        m = SpectralMeasureModel(
+            atoms=(Atom(-0.9 - 0.9j, 1),), families=(fam,), support_radius=3.0
+        )
+        lam = 0.4 - 0.5j
+        vx, vy = critical_directions(m, lam)
+        angles = np.arctan2(vy, vx) % math.pi
+        beta = math.atan2(-lam.imag, -lam.real)
+        delta = math.asin(0.6 / abs(lam))
+        for phi in (beta + delta, beta - delta):
+            gap = (angles - phi) % math.pi
+            assert np.minimum(gap, math.pi - gap).min() < 1e-12
+        mv = member(m, 1, lam)
+        assert mv.value is Verdict.OUT
+        assert mv.witness_dim == 0
+        assert dim_ran_hchp(m, mv.witness) == 0
+
+    def test_short_prefixes_against_dense_oracle(self, rng):
+        # 1-3 prefix terms leave a wide circle of unresolved tails around the
+        # limit; queries near it cross its tangents
+        queries = 0
+        while queries < 300:
+            base = random_model(rng, allow_families=False)
+            fam = random_family(rng, n_prefix=int(rng.integers(1, 4)))
+            m = SpectralMeasureModel(base.atoms, base.pieces, (fam,), 3.0)
+            for _ in range(5):
+                k = int(rng.integers(1, 4))
+                lam = fam.limit + complex(*rng.uniform(-0.8, 0.8, 2))
+                mv = member(m, k, lam)
+                want, dim = dense_member(m, k, lam)
+                assert mv.value is want
+                if want is Verdict.OUT:
+                    assert mv.witness_dim == dim
+                    assert dim_ran_hchp(m, mv.witness) == mv.witness_dim < k
+                queries += 1
 
     def test_against_subset_hull_oracle(self, rng):
         # brute-force subset hulls decide membership for normal matrices

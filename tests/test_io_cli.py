@@ -1,9 +1,10 @@
-import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hrnr
 from hrnr import jsonio
@@ -69,11 +70,28 @@ class TestModelJson:
             '{"kind": "matrix", "data": [[["nan", 0]]]}',
             '{"kind": "model", "support_radius": 1.0, "pieces": [{"type": "blob"}]}',
             '{"kind": "model", "support_radius": 1.0, "atoms": [{"point": [0], "mult": 1}]}',
+            '{"kind": "matrix", "data": [[{}]]}',
+            pytest.param(
+                '{"kind": "matrix", "data": [[[1%s, 0]]]}' % ("0" * 400), id="huge-matrix-entry"
+            ),
+            pytest.param(
+                '{"kind": "model", "support_radius": 1%s}' % ("0" * 400), id="huge-support-radius"
+            ),
         ],
     )
     def test_malformed(self, text):
         with pytest.raises(ModelFormatError):
             jsonio.parse_document(text)
+
+
+def _family(mult=1, tail_mult=1):
+    return {
+        "prefix": [{"point": [0.5, 0], "mult": mult}],
+        "limit": [0, 0],
+        "approach_angle": 0.0,
+        "approach_side": "on",
+        "tail_mult": tail_mult,
+    }
 
 
 @pytest.fixture
@@ -220,6 +238,14 @@ class TestCli:
             (["member", "-k", "1", "--point", "0,0"], {"atoms": [{"mult": 1}]}, 1),
             (["member", "-k", "1", "--point", "0,0"], {"pieces": [5]}, 1),
             (["member", "-k", "1", "--point", "0,0"], {"atoms": [{"point": [0, 0], "mult": 0}]}, 1),
+            # multiplicities are JSON integers (or integral floats), never
+            # truncated fractions, booleans or numeric strings
+            (["member", "-k", "1", "--point", "0,0"], {"atoms": [{"point": [0, 0], "mult": 1.5}]}, 1),
+            (["member", "-k", "1", "--point", "0,0"], {"atoms": [{"point": [0, 0], "mult": True}]}, 1),
+            (["member", "-k", "1", "--point", "0,0"], {"atoms": [{"point": [0, 0], "mult": "2"}]}, 1),
+            (["member", "-k", "1", "--point", "0,0"], {"families": [_family(mult=2.7)]}, 1),
+            (["member", "-k", "1", "--point", "0,0"], {"families": [_family(tail_mult=1.9)]}, 1),
+            (["member", "-k", "1", "--point", "0,0"], {"families": [_family(mult="inf")]}, 1),
         ],
     )
     def test_exit_code_contract(self, tmp_path, capsys, command, doc, code):
@@ -232,14 +258,23 @@ class TestCli:
         else:
             assert out.err.startswith("error: ")
 
-    def test_dilate_check_failure(self, monkeypatch, matrix_file, capsys):
-        def broken(T, alpha):
-            art = hrnr.halmos(T, alpha)
-            return dataclasses.replace(art, matrix=2 * art.matrix)
+    def test_integral_float_multiplicities(self):
+        doc = {
+            "kind": "model",
+            "support_radius": 2.0,
+            "atoms": [{"point": [0, 0], "mult": 2.0}],
+            "families": [_family(mult=3.0, tail_mult=2.0)],
+        }
+        model = jsonio.parse_document(json.dumps(doc))
+        assert model.atoms[0].mult == 2
+        assert model.families[0].prefix[0][1] == 3
+        assert model.families[0].tail_mult == 2
 
-        monkeypatch.setattr("hrnr.cli.halmos", broken)
+    def test_dilate_check_failure(self, monkeypatch, matrix_file, capsys):
+        # halmos checks its own residuals; --check adds nothing to that
+        monkeypatch.setattr("hrnr.dilation._sqrt_psd", lambda A: 2 * A)
         assert main(["dilate", "--input", matrix_file, "--check"]) == 2
-        assert capsys.readouterr().err.startswith("error: dilation is not unitary")
+        assert capsys.readouterr().err.startswith("error: dilation residuals too large")
 
     def test_matrix_required(self, model_file, capsys):
         assert main(["dilate", "--input", model_file]) == 1
@@ -264,3 +299,131 @@ class TestCli:
     def test_reproduce_infinity_empty(self, capsys):
         assert main(["reproduce", "infinity-empty"]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Fuzz of the exit-code contract: every document, however malformed, exits
+# with 0, 1, 2 or 3 and never raises out of main
+# ---------------------------------------------------------------------------
+
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from(["", "x", "inf", "nan", "1"]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([10**400, 1.5, 2.7, [], [0], [0, 0, 0], {"a": 0}]),
+)
+
+
+def _or_junk(good, odds):
+    """good, replaced by a junk value about once in ``odds`` draws"""
+    return st.integers(1, odds).flatmap(lambda i: _junk if i == odds else good)
+
+
+_x = st.floats(-0.9, 0.9)
+_xy = st.lists(_x, min_size=2, max_size=2)
+
+
+@st.composite
+def _model_doc(draw):
+    """A well-formed model document, or (half the time) one whose fields
+    may each be replaced by a value of the wrong type or range."""
+    bad = draw(st.booleans())
+
+    def v(good):
+        return draw(_or_junk(good, 3) if bad else good)
+
+    mult = st.one_of(st.integers(1, 3), st.just(2.0))
+    atoms = [
+        {"point": v(_xy), "mult": v(st.one_of(mult, st.just("inf")))}
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    pieces = []
+    for kind in draw(st.lists(st.sampled_from(["segment", "arc", "polygon"]), max_size=2)):
+        if kind == "segment":
+            pieces.append({"type": kind, "a": v(_xy), "b": v(_xy)})
+        elif kind == "arc":
+            t0 = draw(st.floats(0, 6.2))
+            pieces.append(
+                {
+                    "type": kind,
+                    "center": v(st.lists(st.floats(-0.3, 0.3), min_size=2, max_size=2)),
+                    "radius": v(st.floats(0.1, 0.5)),
+                    "theta0": v(st.just(t0)),
+                    "theta1": v(st.floats(0.1, 6.2).map(lambda w: t0 + w)),
+                }
+            )
+        else:
+            r, c = draw(st.floats(0.1, 0.5)), draw(st.floats(-0.3, 0.3))
+            ts = sorted(draw(st.lists(st.floats(0, 6.2), min_size=3, max_size=5)))
+            vertices = [[c + r * math.cos(t), r * math.sin(t)] for t in ts]
+            pieces.append({"type": kind, "vertices": v(st.just(vertices))})
+    families = []
+    if draw(st.booleans()):
+        lim = draw(_xy.map(lambda p: [0.5 * p[0], 0.5 * p[1]]))
+        phi = draw(st.floats(0, 6.2))
+        radii = [0.3 * 0.8**j for j in range(draw(st.integers(0, 3)))]
+        prefix = [
+            {
+                "point": v(st.just([lim[0] + r * math.cos(phi), lim[1] + r * math.sin(phi)])),
+                "mult": v(mult),
+            }
+            for r in radii
+        ]
+        families.append(
+            {
+                "prefix": prefix,
+                "limit": v(st.just(lim)),
+                "approach_angle": v(st.just(phi)),
+                "approach_side": v(st.sampled_from(["above", "below", "on", "sideways"])),
+                "tail_mult": v(mult),
+            }
+        )
+    return {
+        "kind": "model",
+        "support_radius": v(st.floats(1.0, 2.0)),
+        "atoms": v(st.just(atoms)),
+        "pieces": v(st.just(pieces)),
+        "families": v(st.just(families)),
+    }
+
+
+@st.composite
+def _matrix_doc(draw):
+    """Diagonal (normal) or dense matrices, square or not, with entries that
+    may be malformed or non-finite."""
+    n = draw(st.integers(1, 3))
+    entry = _or_junk(_xy, 8)
+    if draw(st.booleans()):
+        z = draw(st.lists(entry, min_size=n, max_size=n))
+        data = [[z[i] if i == j else [0, 0] for j in range(n)] for i in range(n)]
+    else:
+        rows = draw(st.integers(1, 3))
+        data = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=rows, max_size=rows))
+    return {"kind": "matrix", "data": draw(_or_junk(st.just(data), 4))}
+
+
+_COMMANDS = [
+    ["member", "-k", "1", "--point", "0.1,0.2"],
+    ["member", "-k", "2", "--point", "0,0"],
+    ["member", "-k", "inf", "--point", "0.3,0"],
+    ["region", "-k", "1", "--angles", "8"],
+    ["selfadjoint", "-k", "1"],
+    ["dilate", "--alpha", "0.3", "--check"],
+    ["wu-check", "-k", "1", "--angles", "8"],
+    ["conjecture", "-k", "1", "--point", "0.5,0", "--thetas", "8"],
+    ["intersect", "-k", "1", "--alphas", "8", "--samples", "2"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(doc=st.one_of(_model_doc(), _matrix_doc()), command=st.sampled_from(_COMMANDS))
+def test_exit_code_contract_fuzz(fuzz_file, doc, command):
+    fuzz_file.write_text(json.dumps(doc))
+    assert main([command[0], "--input", str(fuzz_file), *command[1:]]) in (0, 1, 2, 3)
