@@ -28,40 +28,10 @@ from .dilation import (
     halmos,
     wu_check,
 )
-from .errors import (
-    AtomNotStrictContraction,
-    CoincidentEndpoints,
-    HrnrError,
-    InsufficientDimension,
-    ModelFormatError,
-    NoSeparatingAngle,
-    NotContraction,
-    NotNormal,
-    NotOnSegment,
-    NotSelfAdjoint,
-    NotStrictContraction,
-    NoWuWitness,
-    RankExceedsDimension,
-    UncertainGeometry,
-)
+from .errors import HrnrError, ModelFormatError, UncertainGeometry
 from .geometry import Verdict
 from .spectral import from_normal_matrix
 from .svgplot import write_region_svg
-
-_PRECONDITION_ERRORS = (
-    NotNormal,
-    NotContraction,
-    NotStrictContraction,
-    RankExceedsDimension,
-    InsufficientDimension,
-    NotSelfAdjoint,
-    NoSeparatingAngle,
-    NoWuWitness,
-    AtomNotStrictContraction,
-    NotOnSegment,
-    CoincidentEndpoints,
-    ValueError,
-)
 
 
 def _parse_point(text: str) -> complex:
@@ -119,7 +89,7 @@ def _cmd_member(args) -> int:
     model = _as_model(_load(args.input))
     z = _parse_point(args.point)
     k = _parse_rank(args.k)
-    mv = member_infinity(model, z) if k == RANK_INF else member(model, k, z)
+    mv = member(model, k, z)
     out = {"point": [z.real, z.imag], "verdict": mv.value.value}
     if mv.witness is not None:
         out["witness"] = {
@@ -402,10 +372,7 @@ def main(argv=None) -> int:
     except UncertainGeometry as exc:
         print(f"uncertain: {exc}", file=sys.stderr)
         return 3
-    except _PRECONDITION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HrnrError as exc:
+    except (HrnrError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

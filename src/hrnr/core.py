@@ -54,9 +54,9 @@ from .spectral import (
     Segment,
     SpectralMeasureModel,
     direction_sweep,
-    from_normal_matrix,
     lambda_k_inf,
     lambda_k_sup,
+    normal_eigvals,
     pushforward,
 )
 
@@ -191,8 +191,9 @@ def sweep_decision(sweep, flavors, k: float) -> tuple[Verdict, int | None, int |
     """The decision over the planes of the given flavors in a sweep.
 
     OUT with (flavor, direction index) of the first plane whose dimension is
-    certainly below k, ordered by (hi, unsure, flavor, index); IN when every
-    plane is certainly at least k; UNCERTAIN otherwise.
+    certainly below k, ordered by (unsure, hi, flavor, index), so a plane
+    whose dimension is exact wins over a bracketed one; IN when every plane
+    is certainly at least k; UNCERTAIN otherwise.
     """
     lo, hi, fz = sweep.lo[flavors], sweep.hi[flavors], sweep.fuzzy[flavors]
     # a fuzzy surplus is finite, so it never reaches an infinite rank
@@ -200,7 +201,7 @@ def sweep_decision(sweep, flavors, k: float) -> tuple[Verdict, int | None, int |
     if below.any():
         r, i = np.nonzero(below)
         unsure = fz[r, i] | (lo[r, i] != hi[r, i])
-        j = np.lexsort((i, r, unsure, hi[r, i]))[0]
+        j = np.lexsort((i, r, hi[r, i], unsure))[0]
         return Verdict.OUT, flavors[r[j]], int(i[j])
     if bool((lo >= k).all()):
         return Verdict.IN, None, None
@@ -357,8 +358,7 @@ def ckz_member(
 ) -> Verdict:
     """Finite-matrix oracle: lambda is in the rank-k range iff it lies in the
     convex hull of every (n-k+1)-subset of the eigenvalues."""
-    from_normal_matrix(M, tol)  # normality / solvability gate
-    eigvals = [complex(v) for v in np.linalg.eigvals(np.asarray(M, dtype=complex))]
+    eigvals = [complex(v) for v in normal_eigvals(M, tol)]
     n = len(eigvals)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}")

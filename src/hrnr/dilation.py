@@ -7,6 +7,12 @@ one-parameter family.  For strict contractions the family
 unitary dilations on the doubled space, so sampling it (plus deterministic
 per-direction block dilations mirroring the equality proof) approximates the
 intersection of the dilations' rank-k ranges.
+
+For a normal contraction T the equality proof is constructive: a point
+outside the closure of the rank-k range is separated from it in some
+direction xi, and the block dilation that splits off the fewer than k
+eigenvalues beyond the separating level through 2x2 scalar dilations, and
+carries the rest by a Halmos block rotated by xi, excludes the point.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .errors import (
     InvariantViolation,
     NoSeparatingAngle,
     NotContraction,
+    NotNormal,
     NotOnSegment,
     NotStrictContraction,
     NoWuWitness,
@@ -46,6 +53,7 @@ from .spectral import (
     SpectralMeasureModel,
     direction_sweep,
     from_normal_matrix,
+    require_normal,
 )
 
 
@@ -107,21 +115,33 @@ def _sqrt_psd(A: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
+def _require_contraction(T: np.ndarray, tol: TolerancePolicy) -> None:
+    norm = _op_norm(T)
+    if norm > 1.0 + tol.eps_eig:
+        raise NotContraction(f"operator norm {norm:.6f} exceeds 1")
+
+
+def _residuals(U: np.ndarray, T: np.ndarray) -> tuple[float, float]:
+    """Unitarity and compression residuals (Frobenius) of a dilation U of T."""
+    n = T.shape[0]
+    unit = float(np.linalg.norm(U.conj().T @ U - np.eye(2 * n), "fro"))
+    comp = float(np.linalg.norm(U[:n, :n] - T, "fro"))
+    return unit, comp
+
+
 def halmos(
     T: np.ndarray, alpha: float = 0.0, tol: TolerancePolicy = DEFAULT_TOL
 ) -> DilationArtifact:
     """Rotated Halmos dilation [[T, -e^{-ia}D_*],[e^{-ia}D, e^{-2ia}T*]]."""
     T = np.asarray(T, dtype=complex)
     n = T.shape[0]
-    if _op_norm(T) > 1.0 + tol.eps_eig:
-        raise NotContraction(f"operator norm {_op_norm(T):.6f} exceeds 1")
+    _require_contraction(T, tol)
     eye = np.eye(n)
     dt = _sqrt_psd(eye - T.conj().T @ T)
     dts = _sqrt_psd(eye - T @ T.conj().T)
     ph = np.exp(-1j * alpha)
     U = np.block([[T, -ph * dts], [ph * dt, ph * ph * T.conj().T]])
-    unit = float(np.linalg.norm(U.conj().T @ U - np.eye(2 * n), "fro"))
-    comp = float(np.linalg.norm(U[:n, :n] - T, "fro"))
+    unit, comp = _residuals(U, T)
     if unit > tol.eps_unitary or comp > tol.eps_unitary:
         raise EigFailure(
             f"dilation residuals too large (unitarity {unit:.2e}, compression {comp:.2e})"
@@ -163,65 +183,40 @@ def excluding_dilation_matrix(
     tol: TolerancePolicy = DEFAULT_TOL,
     n_alpha: int = 720,
 ) -> DilationArtifact:
-    """A rotated Halmos dilation whose rank-k range verifiably excludes lam.
+    """A unitary dilation of the normal contraction T whose rank-k range
+    verifiably excludes lam.
 
-    Grid angles are tried in order of decreasing support margin
-    Re(e^{ia}lam) - lambda_k(Re(e^{ia}T)); each candidate is verified by a
-    membership run on the dilation's own eigenvalue model, because a positive
-    margin against T alone does not bound the doubled spectrum for k >= 2.
+    Of the n_alpha grid directions xi, the one with the largest margin
+    Re(e^{i xi} lam) - lambda_k(Re(e^{i xi} T)) separates lam from the
+    rank-k support level.  The block dilation at xi splits off the
+    eigenvalues beyond the midpoint of that margin (fewer than k of them)
+    through 2x2 scalar dilations and carries the rest by a Halmos block
+    rotated by xi, so at most k - 1 of its eigenvalues project beyond the
+    midpoint; for k = 1 it is the rotated Halmos dilation at xi.  The
+    exclusion is verified by a membership run on the dilation's own
+    eigenvalue model.
     """
     T = np.asarray(T, dtype=complex)
-    n = T.shape[0]
+    _require_contraction(T, tol)
+    vals, V = _unitary_eigendecomposition(T, tol)
+    n = vals.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= {n}")
     lam = complex(lam)
     alphas = 2 * math.pi * np.arange(n_alpha) / n_alpha
-    phases = np.exp(1j * alphas)
-    H = 0.5 * (phases[:, None, None] * T + np.conj(phases)[:, None, None] * T.conj().T)
-    levels = np.linalg.eigvalsh(H)[:, n - k]
-    margins = np.real(phases * lam) - levels
-    order = np.argsort(-margins)
-    if margins[order[0]] <= tol.eps_geom:
-        raise NoSeparatingAngle(
-            f"best margin {margins[order[0]]:.3e} does not clear eps_geom"
-        )
-    for idx in order[:48]:
-        # the margin gates the precondition; exclusion itself is verified on
-        # the dilation's own spectrum, and for k >= 2 the working angle may
-        # sit away from the margin maximizer
-        if margins[idx] <= tol.eps_geom:
-            break
-        art = halmos(T, float(alphas[idx]), tol)
-        model = from_normal_matrix(art.matrix, tol)
-        if member(model, k, lam, tol).value is Verdict.OUT:
-            return art
-    # No rotated Halmos dilation excludes lam (possible for k >= 2): split
-    # off the eigenvalues beyond the separating level through scalar 2x2
-    # dilations instead, which works for every point outside the closure.
-    xi = float(alphas[order[0]])
-    decomp = _unitary_eigendecomposition(T, tol)
-    if decomp is not None:
-        vals, V = decomp
-        c = np.real(np.exp(1j * xi) * vals)
-        cut = levels[order[0]] + 0.5 * margins[order[0]]
-        top = [i for i in range(len(vals)) if c[i] >= cut]
-        if len(top) < k and not any(
-            abs(abs(vals[i]) - 1.0) <= tol.eps_geom for i in top
-        ):
-            U = _assemble_block_dilation(vals, V, xi, top, tol)
-            unit = float(np.linalg.norm(U.conj().T @ U - np.eye(2 * n), "fro"))
-            comp = float(np.linalg.norm(U[:n, :n] - T, "fro"))
-            dvals = np.sqrt(
-                np.clip(np.linalg.eigvalsh(np.eye(n) - T.conj().T @ T), 0.0, None)
-            )
-            art = DilationArtifact(
-                U, xi, unit, comp, int(np.sum(dvals > tol.eps_eig))
-            )
-            if (
-                unit <= tol.eps_unitary
-                and comp <= tol.eps_unitary
-                and member(from_normal_matrix(U, tol), k, lam, tol).value is Verdict.OUT
-            ):
-                return art
-    raise NoSeparatingAngle("no sampled dilation verifiably excludes the point")
+    margins = np.real(np.exp(1j * alphas) * lam) - _support_levels(vals, k, alphas)
+    j = int(np.argmax(margins))
+    if margins[j] <= tol.eps_geom:
+        raise NoSeparatingAngle(f"best margin {margins[j]:.3e} does not clear eps_geom")
+    xi = float(alphas[j])
+    cut = np.real(np.exp(1j * xi) * lam) - 0.5 * margins[j]
+    art = _block_dilation(T, vals, V, xi, np.real(np.exp(1j * xi) * vals) >= cut, tol)
+    excluded = art is not None and (
+        member(from_normal_matrix(art.matrix, tol), k, lam, tol).value is Verdict.OUT
+    )
+    if not excluded:
+        raise NoSeparatingAngle("the block dilation does not verifiably exclude the point")
+    return art
 
 
 def _closed_plane_from(sweep, flavor: int, i: int, anchor: complex) -> ClosedHalfPlane:
@@ -434,81 +429,76 @@ def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _support_levels(eigs: np.ndarray, k: int, xis: np.ndarray) -> np.ndarray:
+    """k-th largest of Re(e^{i xi} eigs) for every xi; -inf when k exceeds
+    the number of eigenvalues."""
+    if k > eigs.shape[0]:
+        return np.full(xis.shape[0], -np.inf)
     proj = np.real(np.exp(1j * xis)[:, None] * eigs[None, :])
     proj.sort(axis=1)
     return proj[:, eigs.shape[0] - k]
 
 
-def _verify_dilation(U: np.ndarray, T: np.ndarray, tol: TolerancePolicy) -> bool:
-    n = T.shape[0]
-    unit = np.linalg.norm(U.conj().T @ U - np.eye(2 * n), "fro")
-    comp = np.linalg.norm(U[:n, :n] - T, "fro")
-    return unit <= tol.eps_unitary and comp <= tol.eps_unitary
-
-
 def _unitary_eigendecomposition(T, tol):
-    """(vals, V) with V unitary, or None when T is not reliably normal."""
-    if np.linalg.norm(T @ T.conj().T - T.conj().T @ T, "fro") > tol.eps_eig * max(
-        1.0, float(np.linalg.norm(T, "fro")) ** 2
-    ):
-        return None
-    vals, vecs = np.linalg.eig(T)
-    u, _, vh = np.linalg.svd(vecs)
+    """(vals, V) with T = V diag(vals) V* and V unitary; NotNormal unless T
+    passes the normality gate."""
+    T = require_normal(T, tol)
+    try:
+        vals, vecs = np.linalg.eig(T)
+        u, _, vh = np.linalg.svd(vecs)
+    except np.linalg.LinAlgError as exc:
+        raise EigFailure(str(exc)) from exc
     return vals, u @ vh
 
 
-def _assemble_block_dilation(vals, V, xi, top, tol):
-    """Unitary dilation splitting off the ``top`` eigenvalues through 2x2
-    scalar dilations and carrying the rest by a rotated Halmos block.
+def _block_dilation(T, vals, V, xi, top, tol) -> DilationArtifact | None:
+    """Unitary dilation of T = V diag(vals) V* splitting off the eigenvalues
+    selected by the mask ``top`` through 2x2 scalar dilations and carrying
+    the rest by a Halmos block rotated by xi; None when its unitarity or
+    compression residual exceeds eps_unitary.
 
-    Every top eigenvalue pairs with the midpoint of the circle arc on the
-    low side of the separating direction xi; the remaining block is rotated
-    so its dilated spectrum stays on the low side as well.
+    Every split-off eigenvalue d pairs with eta = -e^{-i xi}, the lowest
+    point of the unit circle in direction xi, and with the second point
+    where the line through eta and d meets the circle (d itself when d is
+    unimodular); both eigenvalues of the Halmos block of any other
+    eigenvalue d project to Re(e^{i xi} d) in direction xi.
     """
     n = vals.shape[0]
+    ph = np.exp(-1j * xi)
+    eta = -ph
+    defect = np.sqrt(np.clip(1.0 - np.abs(vals) ** 2, 0.0, None))
     U_t = np.zeros((2 * n, 2 * n), dtype=complex)
-    eta = -np.exp(-1j * xi)
-    for i in top:
-        d = complex(vals[i])
-        xi_pt = _second_circle_intersection(eta, d)
-        if abs(xi_pt - eta) <= tol.eps_geom:
-            xi_pt = -eta
-        v2 = scalar_dilation(d, xi_pt, eta, tol)
-        U_t[i, i] = v2[0, 0]
-        U_t[i, n + i] = v2[0, 1]
-        U_t[n + i, i] = v2[1, 0]
-        U_t[n + i, n + i] = v2[1, 1]
-    rest = [i for i in range(n) if i not in top]
-    if rest:
-        lam_rest = vals[rest]
-        defect = np.sqrt(np.clip(1.0 - np.abs(lam_rest) ** 2, 0.0, None))
-        ph = np.exp(-1j * xi)
-        for a, i in enumerate(rest):
-            U_t[i, i] = lam_rest[a]
-            U_t[i, n + i] = -ph * defect[a]
-            U_t[n + i, i] = ph * defect[a]
-            U_t[n + i, n + i] = ph * ph * np.conj(lam_rest[a])
+    for i, d in enumerate(vals):
+        if top[i]:
+            far = _second_circle_intersection(eta, complex(d))
+            if abs(far - eta) <= tol.eps_geom:
+                far = -eta
+            U_t[i::n, i::n] = scalar_dilation(d, far, eta, tol)
+        else:
+            U_t[i::n, i::n] = [[d, -ph * defect[i]], [ph * defect[i], ph * ph * np.conj(d)]]
     big = np.kron(np.eye(2), V)
-    return big @ U_t @ big.conj().T
+    U = big @ U_t @ big.conj().T
+    unit, comp = _residuals(U, T)
+    if unit > tol.eps_unitary or comp > tol.eps_unitary:
+        return None
+    defect_rank = int(np.sum(defect > tol.eps_eig))
+    return DilationArtifact(U, float(xi), unit, comp, defect_rank)
 
 
 def _block_dilation_planes(T, k, xis, tol):
-    """Support levels of per-direction block dilations; NaN where skipped."""
-    decomp = _unitary_eigendecomposition(T, tol)
+    """Support levels of per-direction block dilations that split off the
+    eigenvalues beyond T's k-th level (all of them when k > n); NaN where
+    the dilation fails its residual check or T is not normal."""
     levels = np.full(xis.shape[0], np.nan)
-    if decomp is None:
+    try:
+        vals, V = _unitary_eigendecomposition(T, tol)
+    except NotNormal:
         return levels
-    vals, V = decomp
+    cuts = _support_levels(vals, k, xis)
     for j, xi in enumerate(xis):
         c = np.real(np.exp(1j * xi) * vals)
-        cut_level = np.sort(c)[-k]
-        top = [i for i in range(len(vals)) if c[i] > cut_level + 1e-12]
-        if any(abs(abs(vals[i]) - 1.0) <= tol.eps_geom for i in top):
-            continue
-        U = _assemble_block_dilation(vals, V, xi, top, tol)
-        if not _verify_dilation(U, T, tol):
-            continue
-        levels[j] = _support_levels(np.linalg.eigvals(U), k, np.array([xi]))[0]
+        art = _block_dilation(T, vals, V, xi, c > cuts[j] + 1e-12, tol)
+        if art is not None:
+            levels[j] = _support_levels(np.linalg.eigvals(art.matrix), k, np.array([xi]))[0]
     return levels
 
 
@@ -526,8 +516,7 @@ def dilation_intersection(
     and per-direction block dilations."""
     T = np.asarray(T, dtype=complex)
     n = T.shape[0]
-    if _op_norm(T) > 1.0 + tol.eps_eig:
-        raise NotContraction("operator norm exceeds 1")
+    _require_contraction(T, tol)
     if not 1 <= k <= 2 * n:
         raise ValueError("rank must satisfy 1 <= k <= 2n")
     base = halmos(T, 0.0, tol).matrix
@@ -551,7 +540,7 @@ def dilation_intersection(
         U = base.copy()
         U[:, n:] = U[:, n:] @ W
         U[n:, :] = V @ U[n:, :]
-        if not _verify_dilation(U, T, tol):
+        if max(_residuals(U, T)) > tol.eps_unitary:
             continue
         best = np.minimum(best, _support_levels(np.linalg.eigvals(U), k, xis))
 

@@ -13,29 +13,36 @@ from .geometry import ConvexPolygon
 from .spectral import INF, Arc, Atom, Region, Segment, SequenceFamily, SpectralMeasureModel
 
 
+def _num(val, what: str) -> float:
+    """A finite JSON number; booleans, strings and non-finite or overflowing
+    values are malformed."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ModelFormatError(f"{what} must be a number, got {val!r}")
+    try:
+        x = float(val)
+    except OverflowError as exc:
+        raise ModelFormatError(f"{what} too large for a float") from exc
+    if not math.isfinite(x):
+        raise ModelFormatError(f"non-finite {what} {val!r}")
+    return x
+
+
 def _pt(val) -> complex:
     try:
-        x, y = float(val[0]), float(val[1])
-    except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
+        x, y = val[0], val[1]
+    except (TypeError, IndexError, KeyError) as exc:
         raise ModelFormatError(f"expected a [x, y] pair, got {val!r}") from exc
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise ModelFormatError(f"non-finite coordinates in {val!r}")
-    return complex(x, y)
+    return complex(_num(x, "coordinate"), _num(y, "coordinate"))
 
 
 def _count(val) -> int:
     """A finite multiplicity: a JSON integer >= 1 or an integral float such
     as 2.0; booleans, strings and fractions are malformed."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ModelFormatError(f"bad multiplicity {val!r}")
-    if isinstance(val, float) and not (math.isfinite(val) and val.is_integer()):
+    x = _num(val, "multiplicity")  # weights are summed as floats
+    if not x.is_integer():
         raise ModelFormatError(f"multiplicity must be an integer, got {val!r}")
-    if val < 1:
+    if x < 1:
         raise ModelFormatError(f"multiplicity must be at least 1, got {val!r}")
-    try:
-        float(val)  # weights are summed as floats
-    except OverflowError as exc:
-        raise ModelFormatError("multiplicity too large for a float") from exc
     return int(val)
 
 
@@ -76,22 +83,18 @@ def matrix_from_obj(doc: dict) -> np.ndarray:
     if not isinstance(data, list) or not data:
         raise ModelFormatError('"matrix" document needs a nonempty "data" array')
     try:
-        rows = [[complex(float(e[0]), float(e[1])) for e in row] for row in data]
-        M = np.asarray(rows, dtype=complex)
-    except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
-        raise ModelFormatError("matrix entries must be [re, im] pairs") from exc
+        M = np.asarray([[_pt(e) for e in row] for row in data], dtype=complex)
+    except (TypeError, ValueError) as exc:  # a row that is not a list, or ragged rows
+        raise ModelFormatError("matrix rows must be lists of [re, im] pairs") from exc
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ModelFormatError("matrix must be square")
-    if not np.isfinite(M).all():
-        raise ModelFormatError("non-finite matrix entries")
     return M
 
 
 def model_from_obj(doc: dict) -> SpectralMeasureModel:
-    try:
-        radius = float(doc["support_radius"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError('"model" document needs a numeric "support_radius"') from exc
+    if "support_radius" not in doc:
+        raise ModelFormatError('"model" document needs a numeric "support_radius"')
+    radius = _num(doc["support_radius"], "support_radius")
     atoms = []
     for a in _objects(doc, "atoms"):
         try:
@@ -106,7 +109,12 @@ def model_from_obj(doc: dict) -> SpectralMeasureModel:
                 pieces.append(Segment(_pt(p["a"]), _pt(p["b"])))
             elif kind == "arc":
                 pieces.append(
-                    Arc(_pt(p["center"]), float(p["radius"]), float(p["theta0"]), float(p["theta1"]))
+                    Arc(
+                        _pt(p["center"]),
+                        _num(p["radius"], "radius"),
+                        _num(p["theta0"], "theta0"),
+                        _num(p["theta1"], "theta1"),
+                    )
                 )
             elif kind == "polygon":
                 pieces.append(Region(ConvexPolygon(tuple(_pt(v) for v in p["vertices"]))))
@@ -122,7 +130,7 @@ def model_from_obj(doc: dict) -> SpectralMeasureModel:
                 SequenceFamily(
                     prefix,
                     _pt(f["limit"]),
-                    float(f["approach_angle"]),
+                    _num(f["approach_angle"], "approach_angle"),
                     str(f["approach_side"]),
                     _count(f.get("tail_mult", 1)),
                 )

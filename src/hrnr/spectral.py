@@ -622,10 +622,9 @@ def lambda_k_inf(rm: RealSpectralModel, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def from_normal_matrix(
-    M: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
-) -> SpectralMeasureModel:
-    """Atom model of a normal matrix: clustered eigenvalues with multiplicity."""
+def require_normal(M: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """M as a complex square array; NotNormal unless ||MM* - M*M||_F is
+    within eps_eig * max(1, ||M||_F^2)."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
@@ -633,10 +632,23 @@ def from_normal_matrix(
     comm = np.linalg.norm(M @ M.conj().T - M.conj().T @ M, "fro")
     if comm > tol.eps_eig * max(1.0, fro2):
         raise NotNormal(f"commutator norm {comm:.3e} exceeds tolerance")
+    return M
+
+
+def normal_eigvals(M: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+    """Eigenvalues of a normal matrix (checked by :func:`require_normal`)."""
+    M = require_normal(M, tol)
     try:
-        eigvals = np.linalg.eigvals(M)
+        return np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
+
+
+def from_normal_matrix(
+    M: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
+) -> SpectralMeasureModel:
+    """Atom model of a normal matrix: clustered eigenvalues with multiplicity."""
+    eigvals = normal_eigvals(M, tol)
     atoms = _cluster(eigvals, tol.eps_eig)
     radius = float(max(abs(eigvals))) + 1.0 if len(eigvals) else 1.0
     return SpectralMeasureModel(atoms=atoms, support_radius=radius)

@@ -165,6 +165,19 @@ class TestMemberInfinity:
         m = SpectralMeasureModel(atoms=(Atom(0j, INF),), support_radius=1.0)
         assert member_infinity(m, 0j).value is Verdict.IN
 
+    def test_certain_witness_preferred(self):
+        # a plane through the unresolved tail has dimension [0, 0+]; a plane
+        # of exact dimension 2 also excludes the point and must be the witness
+        fam = SequenceFamily(((-0.29 + 0.01j, 1),), -0.055 - 0.12j, 2.64, "on", 1)
+        m = SpectralMeasureModel(
+            atoms=(Atom(-0.17 + 0.23j, 1), Atom(0.42 + 0.41j, 1)),
+            families=(fam,),
+            support_radius=3.0,
+        )
+        mv = member_infinity(m, 0.085 - 0.225j)
+        assert mv.value is Verdict.OUT
+        assert dim_ran_hchp(m, mv.witness) == mv.witness_dim == 2
+
 
 class TestRegion:
     def test_hermitian_degenerates_to_interval(self):

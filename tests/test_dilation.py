@@ -9,6 +9,7 @@ from hrnr import (
     CoincidentEndpoints,
     NoSeparatingAngle,
     NotContraction,
+    NotNormal,
     NotOnSegment,
     NotStrictContraction,
     NoWuWitness,
@@ -31,7 +32,7 @@ from hrnr import (
 )
 from hrnr.presets import durszt_model, square_region_model
 
-from conftest import random_normal_contraction
+from conftest import random_normal_contraction, random_normal_matrix
 
 
 class TestHalmos:
@@ -144,6 +145,43 @@ class TestExcludingDilation:
         assert art.unitarity_residual <= 1e-10
         assert art.compression_residual <= 1e-10
         assert member(from_normal_matrix(art.matrix), 2, z).value is Verdict.OUT
+
+    def test_not_normal(self):
+        with pytest.raises(NotNormal):
+            excluding_dilation_matrix(np.array([[0, 0.5], [0, 0]], dtype=complex), 1, 0.9 + 0j)
+
+    def test_rank_outside_dimension(self):
+        T = np.diag([0.5, -0.5]).astype(complex)
+        for k in (0, 3):
+            with pytest.raises(ValueError):
+                excluding_dilation_matrix(T, k, 2 + 0j)
+
+    def test_unimodular_eigenvalue(self):
+        # the rank-2 range is {0.5}; the unimodular eigenvalue 1 beyond the
+        # separating level is split off by the 2x2 dilation diag(1, eta)
+        T = np.diag([1, 0.5, -0.5]).astype(complex)
+        art = excluding_dilation_matrix(T, 2, 0.8 + 0j)
+        assert art.unitarity_residual <= 1e-10
+        assert art.compression_residual <= 1e-10
+        assert member(from_normal_matrix(art.matrix), 2, 0.8 + 0j).value is Verdict.OUT
+
+    def test_rank_one_is_rotated_halmos(self, rng):
+        for _ in range(20):
+            T = random_normal_contraction(int(rng.integers(1, 5)), rng)
+            z = 1.2 * np.exp(2j * math.pi * rng.uniform())
+            art = excluding_dilation_matrix(T, 1, z)
+            assert np.abs(art.matrix - halmos(T, art.alpha).matrix).max() <= 1e-12
+
+    def test_rank_three_beyond_support_level(self, rng):
+        for _ in range(10):
+            T, eigs = random_normal_matrix(8, rng, rmax=0.85, rmin=0.05)
+            for xi in rng.uniform(0, 2 * math.pi, 3):
+                h = np.sort(np.real(np.exp(1j * xi) * eigs))[-3]
+                z = complex(np.exp(-1j * xi) * (h + 0.02))
+                art = excluding_dilation_matrix(T, 3, z)
+                assert art.unitarity_residual <= 1e-10
+                assert art.compression_residual <= 1e-10
+                assert member(from_normal_matrix(art.matrix), 3, z).value is Verdict.OUT
 
 
 class TestExcludingCertificate:
@@ -259,6 +297,13 @@ class TestDilationIntersection:
         poly = dilation_intersection(T, 1, n_samples=10, n_alpha=180, seed=3)
         est = region(from_normal_matrix(T), 1, 180)
         assert hausdorff_distance(poly, est.polygon) <= 1e-9
+
+    def test_unimodular_eigenvalue_split_off(self):
+        # the block dilations split off the eigenvalue 1 and pin the
+        # intersection to the rank-2 range {0.5}
+        T = np.diag([1, 0.5, -0.5]).astype(complex)
+        poly = dilation_intersection(T, 2, n_samples=10, n_alpha=90, seed=0)
+        assert max(abs(v - 0.5) for v in poly.vertices) <= 1e-9
 
     def test_contains_compressed_range(self, rng):
         for seed in range(3):

@@ -71,6 +71,7 @@ class TestModelJson:
             '{"kind": "model", "support_radius": 1.0, "pieces": [{"type": "blob"}]}',
             '{"kind": "model", "support_radius": 1.0, "atoms": [{"point": [0], "mult": 1}]}',
             '{"kind": "matrix", "data": [[{}]]}',
+            '{"kind": "matrix", "data": [[["0.5", 0]]]}',
             pytest.param(
                 '{"kind": "matrix", "data": [[[1%s, 0]]]}' % ("0" * 400), id="huge-matrix-entry"
             ),
@@ -246,6 +247,43 @@ class TestCli:
             (["member", "-k", "1", "--point", "0,0"], {"families": [_family(mult=2.7)]}, 1),
             (["member", "-k", "1", "--point", "0,0"], {"families": [_family(tail_mult=1.9)]}, 1),
             (["member", "-k", "1", "--point", "0,0"], {"families": [_family(mult="inf")]}, 1),
+            # numeric fields are JSON numbers, never booleans or numeric strings
+            (
+                ["member", "-k", "1", "--point", "0,0"],
+                {"support_radius": True, "atoms": [{"point": [0, 0], "mult": 1}]},
+                1,
+            ),
+            (
+                ["member", "-k", "1", "--point", "0,0"],
+                {"support_radius": "2", "atoms": [{"point": [0, 0], "mult": 1}]},
+                1,
+            ),
+            (
+                ["member", "-k", "1", "--point", "0,0"],
+                {"atoms": [{"point": ["0.1", False], "mult": 1}]},
+                1,
+            ),
+            (
+                ["member", "-k", "1", "--point", "0,0"],
+                {
+                    "pieces": [
+                        {"type": "arc", "center": [0, 0], "radius": "0.5", "theta0": "0",
+                         "theta1": 1.0}
+                    ]
+                },
+                1,
+            ),
+            (
+                ["member", "-k", "1", "--point", "0,0"],
+                {"families": [dict(_family(), approach_angle="0")]},
+                1,
+            ),
+            # n < k <= 2n: the block dilations split off every eigenvalue
+            (
+                ["intersect", "-k", "3", "--alphas", "8", "--samples", "2"],
+                {"kind": "matrix", "data": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]},
+                0,
+            ),
         ],
     )
     def test_exit_code_contract(self, tmp_path, capsys, command, doc, code):
@@ -254,7 +292,9 @@ class TestCli:
         assert main([command[0], "--input", str(path), *command[1:]]) == code
         out = capsys.readouterr()
         if code == 0:
-            assert json.loads(out.out)["interval"] is None
+            result = json.loads(out.out)
+            if command[0] == "selfadjoint":
+                assert result["interval"] is None
         else:
             assert out.err.startswith("error: ")
 
