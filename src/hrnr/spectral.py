@@ -48,13 +48,21 @@ HAP, HAM, HBP, HBM, CA, CB, OA, OB = range(8)
 _MAX_PREFIX = 10_000
 
 
+def _count(mult, what: str) -> int:
+    """A finite multiplicity as an int; booleans and fractions raise."""
+    try:
+        m = None if isinstance(mult, (bool, np.bool_)) else int(mult)
+    except (TypeError, ValueError, OverflowError):
+        m = None
+    if m is None or m != mult or m < 1:
+        raise ValueError(f"{what} must be a positive integer, got {mult!r}")
+    return m
+
+
 def _check_mult(mult) -> float:
     if mult == INF:
         return INF
-    m = int(mult)
-    if m != mult or m < 1:
-        raise ValueError(f"multiplicity must be a positive integer or inf, got {mult!r}")
-    return float(m)
+    return float(_count(mult, "finite multiplicity"))
 
 
 @dataclass(frozen=True)
@@ -125,16 +133,15 @@ class SequenceFamily:
         require_finite(self.limit, "family limit")
         if self.approach_side not in ("above", "below", "on"):
             raise ValueError("approach_side must be 'above', 'below' or 'on'")
-        if not (isinstance(self.tail_mult, int) and self.tail_mult >= 1):
-            raise ValueError("tail_mult must be a positive integer")
+        object.__setattr__(self, "tail_mult", _count(self.tail_mult, "tail_mult"))
         if len(self.prefix) > _MAX_PREFIX:
             raise ValueError(f"prefix longer than {_MAX_PREFIX} terms")
-        prefix = tuple((require_finite(p), int(m)) for p, m in self.prefix)
+        prefix = tuple(
+            (require_finite(p), _count(m, "prefix multiplicity")) for p, m in self.prefix
+        )
         object.__setattr__(self, "prefix", prefix)
         last = INF
-        for p, m in prefix:
-            if m < 1:
-                raise ValueError("prefix multiplicities must be >= 1")
+        for p, _ in prefix:
             d = abs(p - self.limit)
             if d == 0:
                 raise ValueError("prefix point coincides with the limit")

@@ -38,7 +38,22 @@ class TestModelValidation:
             Atom(0j, 0)
         with pytest.raises(ValueError):
             Atom(0j, 1.5)
+        with pytest.raises(ValueError):
+            Atom(0j, True)
         assert Atom(0j, INF).mult == INF
+
+    @pytest.mark.parametrize(
+        "mult, tail_mult",
+        [(0.5, 1), (1.5, 1), (True, 1), (INF, 1), ("2", 1), (1, True), (1, 1.5), (1, 0)],
+    )
+    def test_family_mult_rejected(self, mult, tail_mult):
+        # fractions and booleans are not truncated to a multiplicity
+        with pytest.raises(ValueError):
+            SequenceFamily(((0.5 + 0j, mult),), 0j, 0.0, "on", tail_mult)
+
+    def test_family_mult_integral(self):
+        fam = SequenceFamily(((0.5 + 0j, 2.0), (0.25 + 0j, np.int64(3))), 0j, 0.0, "on", 4.0)
+        assert fam.prefix == ((0.5 + 0j, 2), (0.25 + 0j, 3)) and fam.tail_mult == 4
 
     def test_segment_positive_length(self):
         with pytest.raises(ValueError):
