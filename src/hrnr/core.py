@@ -30,7 +30,6 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_TOL,
-    ClosedHalfPlane,
     ConvexPolygon,
     HalfClosedHalfPlane,
     TolerancePolicy,
@@ -39,6 +38,7 @@ from .geometry import (
     convex_hull,
     halfplane_intersection,
     snap_dir,
+    support_plane,
     trig_dir,
 )
 from .spectral import (
@@ -256,15 +256,10 @@ def region(
     if model.total_dim < k:
         raise InsufficientDimension(f"rank {k} exceeds total dimension")
     samples = []
-    planes = []
     for j in range(n_angles):
         xi = 2 * math.pi * j / n_angles
-        h = lambda_k_sup(pushforward(model, xi), int(k))
-        samples.append((xi, h))
-        ux, uy = snap_dir(math.cos(xi), -math.sin(xi))
-        planes.append(
-            ClosedHalfPlane(complex(h * ux, h * uy), math.atan2(-uy, -ux), normal=(-ux, -uy))
-        )
+        samples.append((xi, lambda_k_sup(pushforward(model, xi), int(k))))
+    planes = [support_plane(xi, h) for xi, h in samples]
     poly = halfplane_intersection(planes, bound=model.support_radius, tol=tol)
     report = []
     for z in _boundary_points(poly):

@@ -44,7 +44,7 @@ from .geometry import (
     TolerancePolicy,
     Verdict,
     halfplane_intersection,
-    snap_dir,
+    support_plane,
 )
 from .spectral import (
     CA,
@@ -548,10 +548,5 @@ def dilation_intersection(
     mask = ~np.isnan(block_levels)
     best[mask] = np.minimum(best[mask], block_levels[mask])
 
-    planes = []
-    for xi, h in zip(xis, best):
-        ux, uy = snap_dir(math.cos(xi), -math.sin(xi))
-        planes.append(
-            ClosedHalfPlane(complex(h * ux, h * uy), math.atan2(-uy, -ux), normal=(-ux, -uy))
-        )
+    planes = [support_plane(xi, h) for xi, h in zip(xis, best)]
     return halfplane_intersection(planes, bound=_op_norm(T) + 1.0, tol=tol)

@@ -10,8 +10,10 @@ within ``eps_geom`` as unresolvable.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 
 from .errors import UncertainGeometry
 
@@ -282,107 +284,84 @@ def convex_hull(points: list[complex]) -> ConvexPolygon:
     return ConvexPolygon(tuple(complex(*v) for v in verts))
 
 
+def support_plane(xi: float, h: float) -> ClosedHalfPlane:
+    """The closed half plane Re(e^{i xi} z) <= h of a support sample (xi, h)."""
+    ux, uy = snap_dir(math.cos(xi), -math.sin(xi))
+    return ClosedHalfPlane(complex(h * ux, h * uy), math.atan2(-uy, -ux), normal=(-ux, -uy))
+
+
 def halfplane_intersection(
     planes: list[ClosedHalfPlane], bound: float, tol: TolerancePolicy = DEFAULT_TOL
 ) -> ConvexPolygon:
-    """Clip the square box of radius ``bound`` by every closed half plane.
+    """Intersect the square box of radius ``bound`` with every closed half plane.
+
+    The box sides and the planes become lines n.z >= c with unit normals n,
+    sorted by normal angle; at equal angles only the tightest is kept.  One
+    deque pass (the sort-and-deque half-plane intersection, de Berg, Cheong,
+    van Kreveld & Overmars, *Computational Geometry*, 3rd ed., ch. 4 and
+    section 8.2) drops a line only when a vertex lies outside the next line by
+    more than ``eps_geom``, so lines through a vertex stay and zero-width
+    strips survive.  Consecutive vertices within 1e-12 * bound are one
+    vertex, solved from the best-conditioned pair (largest |det|) of the
+    lines that meet there, which keeps corners of axis-aligned lines exact.
 
     Degenerate intersections survive as segments or points; an empty
     intersection gives the empty polygon.
     """
     if not bound > 0:
         raise ValueError("bound must be positive")
-    poly = [
-        complex(-bound, -bound),
-        complex(bound, -bound),
-        complex(bound, bound),
-        complex(-bound, bound),
-    ]
-    eps = tol.eps_geom
+    lines = [(1.0, 0.0, -bound), (0.0, 1.0, -bound), (-1.0, 0.0, -bound), (0.0, -1.0, -bound)]
     for P in planes:
         nx, ny = P.normal
         scale = math.hypot(nx, ny)
-        poly = _clip(poly, P.anchor, nx, ny, eps * scale)
-        if not poly:
+        lines.append((nx / scale, ny / scale, (nx * P.anchor.real + ny * P.anchor.imag) / scale))
+    tightest: dict[float, tuple[float, float, float]] = {}
+    for line in lines:
+        angle = math.atan2(line[1] + 0.0, line[0])  # + 0.0 maps -0.0 to 0.0, so -pi never occurs
+        if angle not in tightest or line[2] > tightest[angle][2]:
+            tightest[angle] = line
+    eps = tol.eps_geom
+
+    def cuts(line, p):
+        return line[0] * p.real + line[1] * p.imag - line[2] < -eps
+
+    dq: deque[tuple[float, float, float]] = deque()
+    for line in (tightest[a] for a in sorted(tightest)):
+        while len(dq) >= 2 and cuts(line, _meet(dq[-2], dq[-1])):
+            dq.pop()
+        while len(dq) >= 2 and cuts(line, _meet(dq[0], dq[1])):
+            dq.popleft()
+        if dq and _det(dq[-1], line) <= 0.0:
+            # the lines between two normals half a turn or more apart were
+            # cut away, so nothing satisfies both sides
             return ConvexPolygon(())
-    poly = [_refine_vertex(v, planes, 1e-11 * bound) for v in poly]
-    return convex_hull(_merge_close(poly, 1e-12 * bound))
+        dq.append(line)
+    while len(dq) >= 3 and cuts(dq[0], _meet(dq[-2], dq[-1])):
+        dq.pop()
+    while len(dq) >= 3 and cuts(dq[-1], _meet(dq[0], dq[1])):
+        dq.popleft()
+    if len(dq) < 3 or _det(dq[-1], dq[0]) <= 0.0:
+        return ConvexPolygon(())
+    m = len(dq)
+    pts = [_meet(dq[i - 1], dq[i]) for i in range(m)]
+    merge = 1e-12 * bound
+    starts = [i for i in range(m) if abs(pts[i] - pts[i - 1]) > merge] or [0]
+    verts = []
+    for s, e in zip(starts, starts[1:] + [starts[0] + m]):
+        # vertices s .. e-1 coincide: lines s-1 .. e-1 meet there
+        run = [dq[j % m] for j in range(s - 1, e)]
+        verts.append(_meet(*max(combinations(run, 2), key=lambda pair: abs(_det(*pair)))))
+    return convex_hull(verts)
 
 
-def _refine_vertex(v: complex, planes: list[ClosedHalfPlane], thresh: float) -> complex:
-    """Re-land a vertex exactly on the constraint lines it activates.
-
-    Interpolated clip crossings carry rounding dirt off their support lines;
-    solving the active pair exactly keeps later on-line sign tests exact.
-    """
-    active = []
-    for P in planes:
-        nx, ny = P.normal
-        sc = math.hypot(nx, ny)
-        s = (nx * (v.real - P.anchor.real) + ny * (v.imag - P.anchor.imag)) / sc
-        if abs(s) <= thresh:
-            active.append((nx / sc, ny / sc, (nx * P.anchor.real + ny * P.anchor.imag) / sc))
-    if not active:
-        return v
-    best = None
-    for i in range(len(active)):
-        for j in range(i + 1, len(active)):
-            det = active[i][0] * active[j][1] - active[i][1] * active[j][0]
-            if best is None or abs(det) > abs(best[0]):
-                best = (det, i, j)
-    if best is not None and abs(best[0]) > 1e-3:
-        det, i, j = best
-        n1x, n1y, c1 = active[i]
-        n2x, n2y, c2 = active[j]
-        return complex((c1 * n2y - c2 * n1y) / det, (n1x * c2 - n2x * c1) / det)
-    nx, ny, c = active[0]
-    s = nx * v.real + ny * v.imag - c
-    return v - s * complex(nx, ny)
+def _det(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
+    return a[0] * b[1] - a[1] * b[0]
 
 
-def _merge_close(pts: list[complex], tol_len: float) -> list[complex]:
-    out: list[list[complex]] = []
-    for p in pts:
-        for cluster in out:
-            if abs(p - cluster[0]) <= tol_len:
-                cluster.append(p)
-                break
-        else:
-            out.append([p])
-    return [sum(c) / len(c) for c in out]
-
-
-def _clip(
-    poly: list[complex], anchor: complex, nx: float, ny: float, slack: float
-) -> list[complex]:
-    if not poly:
-        return []
-    n2 = nx * nx + ny * ny
-
-    def val(p):
-        return nx * (p.real - anchor.real) + ny * (p.imag - anchor.imag)
-
-    def crossing(a, sa, b, sb):
-        if sa == sb:
-            p = b
-        else:
-            p = a + (sa / (sa - sb)) * (b - a)
-        # land the crossing exactly on the line so later sign tests see 0
-        return p - (val(p) / n2) * complex(nx, ny)
-
-    out: list[complex] = []
-    prev = poly[-1]
-    sprev = val(prev)
-    for cur in poly:
-        scur = val(cur)
-        if scur >= -slack:
-            if sprev < -slack:
-                out.append(crossing(prev, sprev, cur, scur))
-            out.append(cur)
-        elif sprev >= -slack:
-            out.append(crossing(prev, sprev, cur, scur))
-        prev, sprev = cur, scur
-    return out
+def _meet(a: tuple[float, float, float], b: tuple[float, float, float]) -> complex:
+    """The point on both lines n.z = c."""
+    det = _det(a, b)
+    return complex((a[2] * b[1] - b[2] * a[1]) / det, (a[0] * b[2] - b[0] * a[2]) / det)
 
 
 def hausdorff_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:

@@ -41,9 +41,10 @@ def atom_side_sweep(px, py, w, vx, vy, eps: float):
     with s = vx*py - vy*px, t = vx*px + vy*py, bucket 0 when s > eps*|v|,
     bucket 1 when s < -eps*|v| and buckets 2-4 only when s == 0 exactly.
     Directions must already be canonicalized.  Weights are multiplicities:
-    positive integers (with sums below 2**53) or +inf.  Every bucket sum is
-    then exact, so it does not depend on the order of summation.  Returns the
-    (m, 6) float64 array of bucket weights, one row per direction.
+    positive integers or +inf, the finite ones totalling below 2**53, which
+    ``SpectralMeasureModel`` enforces.  Every bucket sum is then exact, so it
+    does not depend on the order of summation.  Returns the (m, 6) float64
+    array of bucket weights, one row per direction.
 
     Two paths compute the same array bit for bit.  Below ``SORTED_MIN_PAIRS``
     point-direction pairs the dense body evaluates every pair (O(m n)).  Above

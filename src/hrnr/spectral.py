@@ -47,6 +47,10 @@ HAP, HAM, HBP, HBM, CA, CB, OA, OB = range(8)
 
 _MAX_PREFIX = 10_000
 
+# The sweep kernel sums finite multiplicities as float64; below this total
+# every bucket sum is exact, whatever the order of summation.
+_MAX_FINITE_TOTAL = 2**53
+
 
 def _count(mult, what: str) -> int:
     """A finite multiplicity as an int; booleans and fractions raise."""
@@ -213,6 +217,10 @@ class SpectralMeasureModel:
         slack = self.support_radius + 1e-9
         if self.max_abs() > slack:
             raise ValueError("support exceeds the declared support_radius")
+        finite = sum(int(a.mult) for a in self.atoms if a.mult != INF)
+        finite += sum(m for f in self.families for _, m in f.prefix)
+        if finite >= _MAX_FINITE_TOTAL:
+            raise ValueError(f"finite multiplicities total {finite}, at least 2**53")
 
     def max_abs(self) -> float:
         vals = [abs(a.location) for a in self.atoms]

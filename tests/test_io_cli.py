@@ -284,6 +284,17 @@ class TestCli:
                 {"kind": "matrix", "data": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]},
                 0,
             ),
+            # finite multiplicities totalling 2**53 or more: kernel sums would be inexact
+            (
+                ["member", "-k", "1", "--point", "0,0"],
+                {"atoms": [{"point": [0, 0], "mult": 2**52}, {"point": [0.5, 0], "mult": 2**52}]},
+                1,
+            ),
+            (
+                ["member", "-k", "1", "--point", "0,0"],
+                {"atoms": [{"point": [0, 0], "mult": 2**52}], "families": [_family(mult=2**52)]},
+                1,
+            ),
         ],
     )
     def test_exit_code_contract(self, tmp_path, capsys, command, doc, code):

@@ -55,6 +55,22 @@ class TestModelValidation:
         fam = SequenceFamily(((0.5 + 0j, 2.0), (0.25 + 0j, np.int64(3))), 0j, 0.0, "on", 4.0)
         assert fam.prefix == ((0.5 + 0j, 2), (0.25 + 0j, 3)) and fam.tail_mult == 4
 
+    @pytest.mark.parametrize(
+        "atoms, prefix",
+        [
+            ([(0j, 2**60)], []),
+            ([(0j, 2**52), (0.5j, 2**52)], []),
+            ([(0j, 2**52)], [(0.5 + 0j, 2**52)]),
+        ],
+    )
+    def test_finite_total_below_2_53(self, atoms, prefix):
+        # the sweep kernel's float64 bucket sums are exact only below 2**53
+        fams = (SequenceFamily(tuple(prefix), 0j, 0.0, "on", 1),) if prefix else ()
+        with pytest.raises(ValueError):
+            SpectralMeasureModel(tuple(Atom(z, m) for z, m in atoms), families=fams)
+        ok = SpectralMeasureModel((Atom(0j, 2**52), Atom(0.5j, 2**52 - 1), Atom(0.1j, INF)))
+        assert ok.total_dim == INF
+
     def test_segment_positive_length(self):
         with pytest.raises(ValueError):
             Segment(1j, 1j)
