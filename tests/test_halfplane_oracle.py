@@ -7,7 +7,6 @@ plane sets that ``region`` and ``dilation_intersection`` actually build.
 
 import math
 
-import numpy as np
 import pytest
 
 from hrnr import core, dilation, presets
