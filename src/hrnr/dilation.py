@@ -12,7 +12,8 @@ For a normal contraction T the equality proof is constructive: a point
 outside the closure of the rank-k range is separated from it in some
 direction xi, and the block dilation that splits off the fewer than k
 eigenvalues beyond the separating level through 2x2 scalar dilations, and
-carries the rest by a Halmos block rotated by xi, excludes the point.
+carries the rest by a Halmos block rotated by xi, excludes the point.  That
+construction fixes the spectrum, so its rank-k levels need no eigensolve.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .spectral import (
     CB,
     INF,
     SpectralMeasureModel,
+    dim_ran_closed,
     direction_sweep,
     from_normal_matrix,
     require_normal,
@@ -211,18 +213,9 @@ def excluding_dilation_matrix(
     xi = float(alphas[j])
     cut = np.real(np.exp(1j * xi) * lam) - 0.5 * margins[j]
     art = _block_dilation(T, vals, V, xi, np.real(np.exp(1j * xi) * vals) >= cut, tol)
-    excluded = art is not None and (
-        member(from_normal_matrix(art.matrix, tol), k, lam, tol).value is Verdict.OUT
-    )
-    if not excluded:
+    if art is None or member(from_normal_matrix(art.matrix, tol), k, lam, tol).value is not Verdict.OUT:
         raise NoSeparatingAngle("the block dilation does not verifiably exclude the point")
     return art
-
-
-def _closed_plane_from(sweep, flavor: int, i: int, anchor: complex) -> ClosedHalfPlane:
-    vx, vy = float(sweep.vx[i]), float(sweep.vy[i])
-    nx, ny = (-vy, vx) if flavor == CA else (vy, -vx)
-    return ClosedHalfPlane(anchor, math.atan2(ny, nx) % (2 * math.pi), normal=(nx, ny))
 
 
 def _closed_witness_sweep(model, lam, k, tol, extra_angles=()):
@@ -236,7 +229,10 @@ def _closed_witness_sweep(model, lam, k, tol, extra_angles=()):
     sweep = direction_sweep(model, lam, vx, vy, tol)
     value, flavor, i = sweep_decision(sweep, [CA, CB], k)
     if value is Verdict.OUT:
-        return _closed_plane_from(sweep, flavor, i, lam), float(sweep.hi[flavor, i])
+        vx, vy = float(sweep.vx[i]), float(sweep.vy[i])
+        nx, ny = (-vy, vx) if flavor == CA else (vy, -vx)
+        plane = ClosedHalfPlane(lam, math.atan2(ny, nx) % (2 * math.pi), normal=(nx, ny))
+        return plane, float(sweep.hi[flavor, i])
     if value is Verdict.IN:
         return "none", None
     return "unresolved", None
@@ -261,8 +257,6 @@ def excluding_certificate(
     if plane is not None:
         if abs(_plane_offset(plane, lam)) > tol.eps_geom:
             raise ValueError("supplied plane's line does not pass through the point")
-        from .spectral import dim_ran_closed
-
         dim = dim_ran_closed(model, plane, tol)
         if not dim < k:
             raise NoWuWitness(f"supplied plane has dim {dim}, not below {k}")
@@ -350,10 +344,8 @@ def wu_check(
             mv = member(model, k, z, tol)
         except UncertainGeometry:
             continue
-        if mv.value is Verdict.UNCERTAIN:
-            # within tolerance of the range boundary: carries no evidence
-            continue
         if mv.value is not Verdict.OUT:
+            # a member, or UNCERTAIN within tolerance of the boundary: no evidence
             continue
         extra = (edge_angle,) if edge_angle is not None else ()
         plane, dim = _closed_witness_sweep(model, z, k, tol, extra_angles=extra)
@@ -401,17 +393,17 @@ def conjecture_check(
     This evaluates the conjectured exclusion condition only; nothing is
     asserted about its sufficiency for dilation-range equality.
     """
+    if k < 1 or n_theta < 1:
+        raise ValueError("need k >= 1 and n_theta >= 1")
     T = np.asarray(T, dtype=complex)
     if _op_norm(T) >= 1.0 - tol.eps_eig:
         raise NotStrictContraction("need a strict contraction")
-    n = T.shape[0]
     lam = complex(lam)
     for j in range(n_theta):
         theta = 2 * math.pi * j / n_theta
-        A = np.exp(1j * theta) * T - lam * np.eye(n)
+        A = np.exp(1j * theta) * T - lam * np.eye(T.shape[0])
         S = 0.5 * (A + A.conj().T)
-        count = int(np.sum(np.linalg.eigvalsh(S) >= -tol.eps_eig))
-        if count < k:
+        if np.count_nonzero(np.linalg.eigvalsh(S) >= -tol.eps_eig) < k:
             return ConjectureResult(True, theta)
     return ConjectureResult(False, None)
 
@@ -429,10 +421,7 @@ def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _support_levels(eigs: np.ndarray, k: int, xis: np.ndarray) -> np.ndarray:
-    """k-th largest of Re(e^{i xi} eigs) for every xi; -inf when k exceeds
-    the number of eigenvalues."""
-    if k > eigs.shape[0]:
-        return np.full(xis.shape[0], -np.inf)
+    """k-th largest of Re(e^{i xi} eigs) for every xi (1 <= k <= len(eigs))."""
     proj = np.real(np.exp(1j * xis)[:, None] * eigs[None, :])
     proj.sort(axis=1)
     return proj[:, eigs.shape[0] - k]
@@ -480,26 +469,33 @@ def _block_dilation(T, vals, V, xi, top, tol) -> DilationArtifact | None:
     unit, comp = _residuals(U, T)
     if unit > tol.eps_unitary or comp > tol.eps_unitary:
         return None
-    defect_rank = int(np.sum(defect > tol.eps_eig))
-    return DilationArtifact(U, float(xi), unit, comp, defect_rank)
+    return DilationArtifact(U, float(xi), unit, comp, int(np.sum(defect > tol.eps_eig)))
 
 
-def _block_dilation_planes(T, k, xis, tol):
-    """Support levels of per-direction block dilations that split off the
-    eigenvalues beyond T's k-th level (all of them when k > n); NaN where
-    the dilation fails its residual check or T is not normal."""
-    levels = np.full(xis.shape[0], np.nan)
+def _block_dilation_levels(T, k, xis, tol):
+    """Rank-k levels, per direction xi, of the block dilations that split
+    off the r < k eigenvalues projecting beyond L_k + 1e-12 (all of them
+    when k > n), L_1 >= ... >= L_n being the Re(e^{i xi} d): by the spectra
+    ``_block_dilation`` gives them, L_{r + ceil((k - r) / 2)}, or -1 when
+    k > n.  Residuals change with xi only through rounding, so the dilation
+    at the first direction, checked against eps_unitary less a rounding
+    allowance, gates them all; None when it fails or T is not normal.
+    """
     try:
         vals, V = _unitary_eigendecomposition(T, tol)
     except NotNormal:
-        return levels
-    cuts = _support_levels(vals, k, xis)
-    for j, xi in enumerate(xis):
-        c = np.real(np.exp(1j * xi) * vals)
-        art = _block_dilation(T, vals, V, xi, c > cuts[j] + 1e-12, tol)
-        if art is not None:
-            levels[j] = _support_levels(np.linalg.eigvals(art.matrix), k, np.array([xi]))[0]
-    return levels
+        return None
+    n = vals.shape[0]
+    proj = np.sort(np.real(np.exp(1j * xis)[:, None] * vals[None, :]), axis=1)  # L_j: column n - j
+    cut = proj[0, n - k] + 1e-12 if k <= n else -np.inf
+    art = _block_dilation(T, vals, V, float(xis[0]), np.real(np.exp(1j * xis[0]) * vals) > cut, tol)
+    limit = tol.eps_unitary - 16 * n * np.finfo(float).eps  # less the rounding allowance
+    if art is None or max(art.unitarity_residual, art.compression_residual) > limit:
+        return None
+    if k > n:
+        return np.full(xis.shape[0], -1.0)
+    r = np.count_nonzero(proj > proj[:, n - k, None] + 1e-12, axis=1)
+    return proj[np.arange(xis.shape[0]), n - r - (k - r + 1) // 2]
 
 
 def dilation_intersection(
@@ -513,12 +509,15 @@ def dilation_intersection(
 ) -> ConvexPolygon:
     """Intersect the rank-k region polygons over a family of unitary
     dilations: a rotated-Halmos grid, seeded random (I(+)V)H(I(+)W) samples,
-    and per-direction block dilations."""
+    and per-direction block dilations with closed-form levels, left out when
+    T is not normal or the one block dilation built per T fails its check."""
     T = np.asarray(T, dtype=complex)
     n = T.shape[0]
     _require_contraction(T, tol)
     if not 1 <= k <= 2 * n:
         raise ValueError("rank must satisfy 1 <= k <= 2n")
+    if n_samples < 0 or n_alpha < 0 or n_angles < 1:
+        raise ValueError("need n_samples >= 0, n_alpha >= 0 and n_angles >= 1")
     base = halmos(T, 0.0, tol).matrix
     xis = 2 * math.pi * np.arange(n_angles) / n_angles
     best = np.full(n_angles, np.inf)
@@ -544,9 +543,9 @@ def dilation_intersection(
             continue
         best = np.minimum(best, _support_levels(np.linalg.eigvals(U), k, xis))
 
-    block_levels = _block_dilation_planes(T, k, xis, tol)
-    mask = ~np.isnan(block_levels)
-    best[mask] = np.minimum(best[mask], block_levels[mask])
+    block_levels = _block_dilation_levels(T, k, xis, tol)
+    if block_levels is not None:
+        best = np.minimum(best, block_levels)
 
     planes = [support_plane(xi, h) for xi, h in zip(xis, best)]
     return halfplane_intersection(planes, bound=_op_norm(T) + 1.0, tol=tol)

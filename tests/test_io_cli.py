@@ -95,6 +95,10 @@ def _family(mult=1, tail_mult=1):
     }
 
 
+# diag(0.5, -0.5) as a matrix document: a strict normal contraction
+_HALF_DIAG = {"kind": "matrix", "data": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]}
+
+
 @pytest.fixture
 def matrix_file(tmp_path):
     path = tmp_path / "matrix.json"
@@ -281,7 +285,7 @@ class TestCli:
             # n < k <= 2n: the block dilations split off every eigenvalue
             (
                 ["intersect", "-k", "3", "--alphas", "8", "--samples", "2"],
-                {"kind": "matrix", "data": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]},
+                _HALF_DIAG,
                 0,
             ),
             # finite multiplicities totalling 2**53 or more: kernel sums would be inexact
@@ -295,6 +299,12 @@ class TestCli:
                 {"atoms": [{"point": [0, 0], "mult": 2**52}], "families": [_family(mult=2**52)]},
                 1,
             ),
+            # rank and grid sizes out of range are precondition violations
+            (["conjecture", "-k", "0", "--point", "0,0"], _HALF_DIAG, 2),
+            (["conjecture", "-k", "1", "--point", "0,0", "--thetas", "0"], _HALF_DIAG, 2),
+            (["conjecture", "-k", "1", "--point", "0,0", "--thetas", "-4"], _HALF_DIAG, 2),
+            (["intersect", "-k", "1", "--alphas", "-3", "--samples", "2"], _HALF_DIAG, 2),
+            (["intersect", "-k", "1", "--alphas", "8", "--samples", "-2"], _HALF_DIAG, 2),
         ],
     )
     def test_exit_code_contract(self, tmp_path, capsys, command, doc, code):
