@@ -29,7 +29,7 @@ from .dilation import (
     wu_check,
 )
 from .errors import HrnrError, ModelFormatError, UncertainGeometry
-from .geometry import Verdict
+from .geometry import Verdict, require_finite
 from .spectral import from_normal_matrix
 from .svgplot import write_region_svg
 
@@ -37,9 +37,9 @@ from .svgplot import write_region_svg
 def _parse_point(text: str) -> complex:
     try:
         x, y = text.split(",")
-        return complex(float(x), float(y))
+        return require_finite(complex(float(x), float(y)))
     except ValueError as exc:
-        raise ModelFormatError(f'point must be "x,y" decimals, got {text!r}') from exc
+        raise ModelFormatError(f'point must be "x,y" finite decimals, got {text!r}') from exc
 
 
 def _parse_rank(text: str):

@@ -35,11 +35,13 @@ from .geometry import (
     TolerancePolicy,
     Verdict,
     canonical_dir,
+    canonical_dirs,
     convex_hull,
     halfplane_intersection,
-    snap_dir,
+    require_finite,
     support_plane,
     trig_dir,
+    trig_dirs,
 )
 from .spectral import (
     HAM,
@@ -49,7 +51,6 @@ from .spectral import (
     INF,
     OA,
     OB,
-    Arc,
     Region,
     Segment,
     SpectralMeasureModel,
@@ -86,12 +87,17 @@ class RegionEstimate:
     boundary_report: tuple[tuple[complex, Verdict], ...]
 
 
+def _is_finite_rank(k) -> bool:
+    """k is a positive integer; booleans are not ranks."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1
+
+
 def _check_rank(model: SpectralMeasureModel, k) -> float:
     if k == RANK_INF:
         if model.total_dim != INF:
             raise RankExceedsDimension("rank inf requires an infinite-dimensional model")
         return INF
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
+    if not _is_finite_rank(k):
         raise ValueError(f"rank must be a positive integer or inf, got {k!r}")
     if model.total_dim < k:
         raise RankExceedsDimension(f"rank {k} exceeds total dimension {model.total_dim}")
@@ -104,60 +110,64 @@ def critical_directions(
     extra_angles: tuple[float, ...] = (),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical direction vectors of every breakpoint line through anchor,
-    plus the midpoints between consecutive breakpoints."""
-    vecs: list[tuple[float, float]] = []
+    plus the midpoints between consecutive breakpoints.
 
-    def add_point(p: complex):
-        vx, vy = p.real - anchor.real, p.imag - anchor.imag
-        if vx != 0.0 or vy != 0.0:
-            vecs.append(canonical_dir(vx, vy))
+    The breakpoints come in a fixed order: the model's cached template
+    (``SpectralMeasureModel._direction_template``: atoms, piece extremities,
+    family limits, prefix points and approach directions), taken relative to
+    the anchor with exact zeros dropped, with the tangents from the anchor to
+    each arc circle and tail clearance circle after the entries of their
+    component, then ``extra_angles``, then the midpoints.  Lines whose
+    angles mod pi round to the same 12 decimals keep their first direction.
 
-    def add_angle(phi: float):
-        vecs.append(trig_dir(phi))
-
-    for a in model.atoms:
-        add_point(a.location)
-    for piece in model.pieces:
-        if isinstance(piece, Segment):
-            add_point(piece.a)
-            add_point(piece.b)
-        elif isinstance(piece, Arc):
-            for t in (piece.theta0, piece.theta1):
-                add_point(piece.center + piece.radius * complex(*snap_dir(math.cos(t), math.sin(t))))
-            _add_tangents(vecs, anchor, piece.center, piece.radius)
-        else:
-            for v in piece.polygon.vertices:
-                add_point(v)
-    for fam in model.families:
-        add_point(fam.limit)
-        for p, _ in fam.prefix:
-            add_point(p)
-        add_angle(fam.approach_angle)
-        if fam.prefix:
-            # the tail counts as zero only on lines clearing the limit by
-            # twice the last prefix distance (see spectral._add_tail_masks)
-            _add_tangents(vecs, anchor, fam.limit, 2 * fam.min_prefix_distance)
-    for phi in extra_angles:
-        add_angle(phi)
-
-    angles = sorted({math.atan2(vy, vx) % math.pi for vx, vy in vecs})
-    for i in range(len(angles)):
-        a0 = angles[i]
-        a1 = angles[(i + 1) % len(angles)] if i + 1 < len(angles) else angles[0] + math.pi
-        if a1 - a0 > 1e-12:
-            vecs.append(trig_dir(0.5 * (a0 + a1)))
-
-    out, seen = [], set()
-    for vx, vy in vecs:
-        key = round(math.atan2(vy, vx) % math.pi, 12)
-        if key not in seen:
-            seen.add(key)
-            out.append((vx, vy))
-    if not out:
+    Breakpoint angles come from ``math.atan2``, because ``np.arctan2`` can
+    differ in the last bit and they fix the midpoints.  Rounded angles can
+    only be equal within about 1e-12, so only the angles within 2e-12 of
+    another (midpoint angles located by ``np.arctan2``) are rounded, by
+    Python's ``round`` of the ``math.atan2`` angle: ``np.round`` multiplies
+    by 1e12 first and can round the other way.
+    """
+    (px, py, ppos), (fx, fy, fpos), circles = model._direction_template
+    vx, vy = px - anchor.real, py - anchor.imag
+    nonzero = (vx != 0.0) | (vy != 0.0)
+    tangents, tpos = [], []
+    for center, radius, pos in circles:
+        n = len(tangents)
+        _add_tangents(tangents, anchor, center, radius)
+        tpos += [pos] * (len(tangents) - n)
+    tx, ty = np.array(tangents, dtype=np.float64).reshape(-1, 2).T
+    order = np.argsort(np.concatenate([ppos[nonzero], fpos, tpos]), kind="stable")
+    vx, vy = canonical_dirs(vx[nonzero], vy[nonzero])
+    vx, vy = np.concatenate([vx, fx, tx])[order], np.concatenate([vy, fy, ty])[order]
+    if len(extra_angles):
+        ex, ey = trig_dirs(np.asarray(extra_angles, dtype=np.float64))
+        vx, vy = np.concatenate([vx, ex]), np.concatenate([vy, ey])
+    if not len(vx):
         # no breakpoint: the dimension does not depend on the direction
-        out.append(trig_dir(0.0))
-    arr = np.asarray(out, dtype=np.float64)
-    return arr[:, 0], arr[:, 1]
+        return trig_dirs(np.zeros(1))
+
+    angles = _angles(vx, vy)
+    breaks = np.sort(angles)
+    following = np.concatenate([breaks[1:], breaks[:1] + math.pi])
+    mx, my = trig_dirs((0.5 * (breaks + following))[following - breaks > 1e-12])
+    vx, vy = np.concatenate([vx, mx]), np.concatenate([vy, my])
+
+    # only angles within 2e-12 of another can share a rounded key
+    approx = np.concatenate([angles, np.arctan2(my, mx) % math.pi])
+    by_angle = np.argsort(approx)
+    close = np.flatnonzero(approx[by_angle[1:]] - approx[by_angle[:-1]] <= 2e-12)
+    keep = np.ones(len(vx), dtype=bool)
+    keep[by_angle[close]] = keep[by_angle[close + 1]] = False
+    near = np.flatnonzero(~keep)
+    keys = [round(a, 12) for a in _angles(vx[near], vy[near]).tolist()]
+    first = dict(zip(reversed(keys), reversed(near.tolist())))  # earliest index per key
+    keep[list(first.values())] = True
+    return vx[keep], vy[keep]
+
+
+def _angles(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    """Line angles in [0, pi), by ``math.atan2``."""
+    return np.fromiter(map(math.atan2, vy.tolist(), vx.tolist()), np.float64, len(vx)) % math.pi
 
 
 def _add_tangents(vecs, anchor: complex, center: complex, radius: float):
@@ -223,7 +233,7 @@ def member(
     dimension is certainly below k.
     """
     kf = _check_rank(model, k)
-    lam = complex(lam)
+    lam = require_finite(lam, "point")
     vx, vy = critical_directions(model, lam)
     sweep = direction_sweep(model, lam, vx, vy, tol)
     value, f, i = sweep_decision(sweep, _HCHP, kf)
@@ -251,7 +261,7 @@ def region(
     sampled boundary points pointwise."""
     if n_angles < 8:
         raise ValueError("n_angles must be at least 8")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
+    if not _is_finite_rank(k):
         raise ValueError("region needs a finite rank k >= 1")
     if model.total_dim < k:
         raise InsufficientDimension(f"rank {k} exceeds total dimension")
@@ -295,7 +305,7 @@ def selfadjoint_interval(
         off = [abs(fam.limit.imag)] + [abs(p.imag) for p, _ in fam.prefix]
         if max(off) > eps or abs(math.sin(fam.approach_angle)) > 1e-9 or fam.approach_side != "on":
             raise NotSelfAdjoint("family leaves the real axis")
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
+    if not _is_finite_rank(k):
         raise ValueError("k must be a positive integer")
     if model.total_dim < k:
         raise InsufficientDimension(f"rank {k} exceeds total dimension")
@@ -315,7 +325,7 @@ def is_boundary(
 ) -> BoundaryKind:
     """For members: boundary iff some open half plane at lambda is deficient."""
     kf = _check_rank(model, k)
-    lam = complex(lam)
+    lam = require_finite(lam, "point")
     vx, vy = critical_directions(model, lam)
     sweep = direction_sweep(model, lam, vx, vy, tol)
     value, _, _ = sweep_decision(sweep, _HCHP, kf)

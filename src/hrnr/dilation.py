@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import RegionEstimate, critical_directions, member, sweep_decision
+from .core import _HCHP, RegionEstimate, _check_rank, critical_directions, member, sweep_decision
 from .errors import (
     AtomNotStrictContraction,
     CoincidentEndpoints,
@@ -36,7 +36,6 @@ from .errors import (
     NotOnSegment,
     NotStrictContraction,
     NoWuWitness,
-    UncertainGeometry,
 )
 from .geometry import (
     DEFAULT_TOL,
@@ -218,15 +217,13 @@ def excluding_dilation_matrix(
     return art
 
 
-def _closed_witness_sweep(model, lam, k, tol, extra_angles=()):
-    """Scan closed half planes through lam over critical directions.
+def _closed_witness(sweep, lam, k):
+    """Pick a closed half plane through lam from a sweep at lam.
 
     Returns (witness_plane, dim) if some plane has dim < k certainly,
     ("none", None) if every tested plane is certainly >= k, and
     ("unresolved", None) otherwise.
     """
-    vx, vy = critical_directions(model, lam, extra_angles=extra_angles)
-    sweep = direction_sweep(model, lam, vx, vy, tol)
     value, flavor, i = sweep_decision(sweep, [CA, CB], k)
     if value is Verdict.OUT:
         vx, vy = float(sweep.vx[i]), float(sweep.vy[i])
@@ -236,6 +233,12 @@ def _closed_witness_sweep(model, lam, k, tol, extra_angles=()):
     if value is Verdict.IN:
         return "none", None
     return "unresolved", None
+
+
+def _closed_witness_sweep(model, lam, k, tol):
+    """:func:`_closed_witness` over the critical directions through lam."""
+    vx, vy = critical_directions(model, lam)
+    return _closed_witness(direction_sweep(model, lam, vx, vy, tol), lam, k)
 
 
 def excluding_certificate(
@@ -326,9 +329,16 @@ def wu_check(
 ) -> WuReport:
     """Predict whether the rank-k range equals the intersection of its
     unitary dilations' ranges: every excluded boundary sample must admit a
-    deficient *closed* half plane through it."""
+    deficient *closed* half plane through it.
+
+    Each sample takes one sweep, over the critical directions plus the
+    direction of its edge: the half closed-half planes decide whether it is
+    excluded, and the closed half planes of the same sweep give its
+    witness.
+    """
     if model.max_abs() >= 1.0 + tol.eps_geom:
         raise NotStrictContraction("spectral mass leaves the closed unit disk")
+    kf = _check_rank(model, k)
     px, py, _ = model._point_data
     samples = _edge_samples(region_est.polygon, samples_per_edge)
     zs = np.array([z for z, _ in samples], dtype=complex)
@@ -340,15 +350,13 @@ def wu_check(
         if skip:
             # inside the tolerance ball of an eigenvalue: unresolvable artifact
             continue
-        try:
-            mv = member(model, k, z, tol)
-        except UncertainGeometry:
-            continue
-        if mv.value is not Verdict.OUT:
+        extra = (edge_angle,) if edge_angle is not None else ()
+        vx, vy = critical_directions(model, z, extra_angles=extra)
+        sweep = direction_sweep(model, z, vx, vy, tol)
+        if sweep_decision(sweep, _HCHP, kf)[0] is not Verdict.OUT:
             # a member, or UNCERTAIN within tolerance of the boundary: no evidence
             continue
-        extra = (edge_angle,) if edge_angle is not None else ()
-        plane, dim = _closed_witness_sweep(model, z, k, tol, extra_angles=extra)
+        plane, dim = _closed_witness(sweep, z, kf)
         if isinstance(plane, ClosedHalfPlane):
             evidence.append(WuEvidence(z, plane, dim))
         elif plane == "none":

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
+import numpy as np
+
 from .errors import UncertainGeometry
 
 TWO_PI = 2.0 * math.pi
@@ -81,6 +83,29 @@ def canonical_dir(vx: float, vy: float) -> tuple[float, float]:
 def trig_dir(angle: float) -> tuple[float, float]:
     """Canonical direction vector of a line at the given angle."""
     return canonical_dir(*snap_dir(math.cos(angle), math.sin(angle)))
+
+
+def snap_dirs(vx: np.ndarray, vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`snap_dir`."""
+    # at most one component of a vector is snapped, so both tests can use
+    # the unsnapped magnitudes
+    ax, ay = np.abs(vx), np.abs(vy)
+    return (
+        np.where((ax < _DIR_SNAP * ay) & (vx != 0.0), 0.0, vx),
+        np.where((ay < _DIR_SNAP * ax) & (vy != 0.0), 0.0, vy),
+    )
+
+
+def canonical_dirs(vx: np.ndarray, vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`canonical_dir` for nonzero vectors, with the
+    same signs of zeros."""
+    sign = np.where((vx < 0.0) | ((vx == 0.0) & (vy > 0.0)), -1.0, 1.0)
+    return sign * vx, sign * vy
+
+
+def trig_dirs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`trig_dir`."""
+    return canonical_dirs(*snap_dirs(np.cos(angles), np.sin(angles)))
 
 
 def _unit_normal(angle: float) -> tuple[float, float]:

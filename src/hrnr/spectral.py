@@ -38,6 +38,7 @@ from .geometry import (
     canonical_dir,
     require_finite,
     snap_dir,
+    trig_dir,
 )
 
 INF = math.inf
@@ -253,6 +254,49 @@ class SpectralMeasureModel:
             np.asarray(xs, dtype=np.float64),
             np.asarray(ys, dtype=np.float64),
             np.asarray(ws, dtype=np.float64),
+        )
+
+    @cached_property
+    def _direction_template(self):
+        """The anchor-independent entries of ``core.critical_directions``.
+
+        Entries in sweep order: atom locations; segment ends, snapped arc
+        ends and polygon vertices; family limits, prefixes and approach
+        directions.  Returns the points (taken relative to the anchor per
+        call) and the approach directions (fixed), each with their positions
+        in that order, and the circles whose tangents from the anchor follow
+        the entries before them: every arc, and the clearance circle of
+        every family with a prefix.
+        """
+        entries: list[tuple[complex, bool]] = []  # (value, is a direction)
+        circles: list[tuple[complex, float, float]] = []  # (center, radius, position)
+        for a in self.atoms:
+            entries.append((a.location, False))
+        for piece in self.pieces:
+            if isinstance(piece, Segment):
+                entries += [(piece.a, False), (piece.b, False)]
+            elif isinstance(piece, Arc):
+                for t in (piece.theta0, piece.theta1):
+                    end = piece.center + piece.radius * complex(*snap_dir(math.cos(t), math.sin(t)))
+                    entries.append((end, False))
+                circles.append((piece.center, piece.radius, len(entries) - 0.5))
+            else:
+                entries += [(v, False) for v in piece.polygon.vertices]
+        for fam in self.families:
+            entries.append((fam.limit, False))
+            entries += [(p, False) for p, _ in fam.prefix]
+            entries.append((complex(*trig_dir(fam.approach_angle)), True))
+            if fam.prefix:
+                # the tail counts as zero only on lines clearing the limit by
+                # twice the last prefix distance (see _add_tail_masks)
+                circles.append((fam.limit, 2 * fam.min_prefix_distance, len(entries) - 0.5))
+        z = np.array([v for v, _ in entries], dtype=complex)
+        is_dir = np.array([d for _, d in entries], dtype=bool)
+        pos = np.arange(len(entries), dtype=np.float64)
+        return (
+            (z.real[~is_dir], z.imag[~is_dir], pos[~is_dir]),
+            (z.real[is_dir], z.imag[is_dir], pos[is_dir]),
+            tuple(circles),
         )
 
 

@@ -1,0 +1,163 @@
+"""The per-direction critical-direction builder and the two-sweep Wu loop,
+kept as test oracles.
+
+``critical_directions`` and ``_add_tangents`` are the implementations
+``hrnr.core`` had before the directions were built from a per-model
+template with array operations; ``member`` and ``_closed_witness_sweep`` are
+the library's, run on those directions; ``wu_check`` is the loop that decided
+each boundary sample with a ``member`` sweep followed by a second, closed
+half-plane sweep at the same anchor.  The differential tests compare the
+library against them.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from hrnr.core import _HCHP, MembershipVerdict, _check_rank, _witness_from, sweep_decision
+from hrnr.dilation import WuEvidence, WuReport, WuVerdict, _edge_samples
+from hrnr.errors import NotStrictContraction, UncertainGeometry
+from hrnr.geometry import DEFAULT_TOL, ClosedHalfPlane, Verdict, canonical_dir, snap_dir, trig_dir
+from hrnr.spectral import CA, CB, Arc, Segment, direction_sweep
+
+_TANGENT_SLACK = 1e-7
+
+
+def critical_directions(model, anchor, extra_angles=()):
+    """Canonical direction vectors of every breakpoint line through anchor,
+    plus the midpoints between consecutive breakpoints."""
+    vecs: list[tuple[float, float]] = []
+
+    def add_point(p: complex):
+        vx, vy = p.real - anchor.real, p.imag - anchor.imag
+        if vx != 0.0 or vy != 0.0:
+            vecs.append(canonical_dir(vx, vy))
+
+    def add_angle(phi: float):
+        vecs.append(trig_dir(phi))
+
+    for a in model.atoms:
+        add_point(a.location)
+    for piece in model.pieces:
+        if isinstance(piece, Segment):
+            add_point(piece.a)
+            add_point(piece.b)
+        elif isinstance(piece, Arc):
+            for t in (piece.theta0, piece.theta1):
+                add_point(piece.center + piece.radius * complex(*snap_dir(math.cos(t), math.sin(t))))
+            _add_tangents(vecs, anchor, piece.center, piece.radius)
+        else:
+            for v in piece.polygon.vertices:
+                add_point(v)
+    for fam in model.families:
+        add_point(fam.limit)
+        for p, _ in fam.prefix:
+            add_point(p)
+        add_angle(fam.approach_angle)
+        if fam.prefix:
+            # the tail counts as zero only on lines clearing the limit by
+            # twice the last prefix distance (see spectral._add_tail_masks)
+            _add_tangents(vecs, anchor, fam.limit, 2 * fam.min_prefix_distance)
+    for phi in extra_angles:
+        add_angle(phi)
+
+    angles = sorted({math.atan2(vy, vx) % math.pi for vx, vy in vecs})
+    for i in range(len(angles)):
+        a0 = angles[i]
+        a1 = angles[(i + 1) % len(angles)] if i + 1 < len(angles) else angles[0] + math.pi
+        if a1 - a0 > 1e-12:
+            vecs.append(trig_dir(0.5 * (a0 + a1)))
+
+    out, seen = [], set()
+    for vx, vy in vecs:
+        key = round(math.atan2(vy, vx) % math.pi, 12)
+        if key not in seen:
+            seen.add(key)
+            out.append((vx, vy))
+    if not out:
+        # no breakpoint: the dimension does not depend on the direction
+        out.append(trig_dir(0.0))
+    arr = np.asarray(out, dtype=np.float64)
+    return arr[:, 0], arr[:, 1]
+
+
+def _add_tangents(vecs, anchor: complex, center: complex, radius: float):
+    """Directions of the lines through anchor tangent to the circle."""
+    rel = center - anchor
+    d = abs(rel)
+    if d == 0.0:
+        return
+    if abs(d - radius) <= _TANGENT_SLACK * max(1.0, radius):
+        vecs.append(canonical_dir(-rel.imag, rel.real))
+    if d > radius:
+        beta = math.atan2(rel.imag, rel.real)
+        delta = math.asin(min(1.0, radius / d))
+        for phi in (beta + delta, beta - delta):
+            vecs.append(trig_dir(phi))
+
+
+def member(model, k, lam, tol=DEFAULT_TOL):
+    kf = _check_rank(model, k)
+    lam = complex(lam)
+    vx, vy = critical_directions(model, lam)
+    sweep = direction_sweep(model, lam, vx, vy, tol)
+    value, f, i = sweep_decision(sweep, _HCHP, kf)
+    if value is Verdict.OUT:
+        return MembershipVerdict(value, _witness_from(sweep, f, i, lam), float(sweep.hi[f, i]))
+    return MembershipVerdict(value)
+
+
+def _closed_witness_sweep(model, lam, k, tol, extra_angles=()):
+    vx, vy = critical_directions(model, lam, extra_angles=extra_angles)
+    sweep = direction_sweep(model, lam, vx, vy, tol)
+    value, flavor, i = sweep_decision(sweep, [CA, CB], k)
+    if value is Verdict.OUT:
+        vx, vy = float(sweep.vx[i]), float(sweep.vy[i])
+        nx, ny = (-vy, vx) if flavor == CA else (vy, -vx)
+        plane = ClosedHalfPlane(lam, math.atan2(ny, nx) % (2 * math.pi), normal=(nx, ny))
+        return plane, float(sweep.hi[flavor, i])
+    if value is Verdict.IN:
+        return "none", None
+    return "unresolved", None
+
+
+def wu_check(model, k, region_est, tol=DEFAULT_TOL, samples_per_edge=9):
+    if model.max_abs() >= 1.0 + tol.eps_geom:
+        raise NotStrictContraction("spectral mass leaves the closed unit disk")
+    px, py, _ = model._point_data
+    samples = _edge_samples(region_est.polygon, samples_per_edge)
+    zs = np.array([z for z, _ in samples], dtype=complex)
+    near = np.hypot(zs.real[:, None] - px, zs.imag[:, None] - py) <= 10 * tol.eps_geom
+    evidence = []
+    saw_failure = False
+    saw_unresolved = False
+    for (z, edge_angle), skip in zip(samples, near.any(axis=1)):
+        if skip:
+            continue
+        try:
+            mv = member(model, k, z, tol)
+        except UncertainGeometry:
+            continue
+        if mv.value is not Verdict.OUT:
+            continue
+        extra = (edge_angle,) if edge_angle is not None else ()
+        plane, dim = _closed_witness_sweep(model, z, k, tol, extra_angles=extra)
+        if isinstance(plane, ClosedHalfPlane):
+            evidence.append(WuEvidence(z, plane, dim))
+        elif plane == "none":
+            saw_failure = True
+            evidence.append(
+                WuEvidence(z, None, None, "every critical closed half plane has dim >= k")
+            )
+        else:
+            saw_unresolved = True
+            evidence.append(WuEvidence(z, None, None, "unresolved dimensions"))
+    if saw_failure:
+        verdict = WuVerdict.STRICT_CONTAINMENT_PREDICTED
+    elif saw_unresolved:
+        verdict = WuVerdict.INCONCLUSIVE
+    else:
+        verdict = WuVerdict.EQUALITY_PREDICTED
+    return WuReport(verdict, tuple(evidence))

@@ -78,6 +78,19 @@ class TestMember:
             member_infinity(m, 0j)
         with pytest.raises(ValueError):
             member(m, 0, 0j)
+        # booleans are ints to isinstance, but not ranks
+        with pytest.raises(ValueError):
+            member(m, True, 0j)
+        with pytest.raises(ValueError):
+            selfadjoint_interval(m, True)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, math.nan)])
+    def test_rejects_non_finite_point(self, z):
+        m = SpectralMeasureModel(atoms=(Atom(0j, 2),), support_radius=1.0)
+        with pytest.raises(ValueError):
+            member(m, 1, z)
+        with pytest.raises(ValueError):
+            is_boundary(m, 1, z)
 
     def test_anchor_is_only_support_point(self):
         # no breakpoint direction exists; the sweep must still look at one
@@ -210,6 +223,8 @@ class TestRegion:
             region(m, 3, 16)
         with pytest.raises(ValueError):
             region(m, 1, 4)
+        with pytest.raises(ValueError):
+            region(m, True, 16)
 
 
 class TestSelfAdjointInterval:
