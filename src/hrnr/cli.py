@@ -350,9 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("intersect", help="intersection of dilation ranges")
     add_common(sp)
-    sp.add_argument("--alphas", type=int, default=360)
-    sp.add_argument("--samples", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
+    sampled = " (used only when T is not normal or its block dilation fails its check)"
+    sp.add_argument("--alphas", type=int, default=360, help="rotated-Halmos grid size" + sampled)
+    sp.add_argument("--samples", type=int, default=20, help="random dilation samples" + sampled)
+    sp.add_argument("--seed", type=int, default=0, help="seed of the random samples" + sampled)
     sp.set_defaults(fn=_cmd_intersect)
 
     sp = sub.add_parser("reproduce", help="built-in reproduction pipelines")

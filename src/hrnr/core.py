@@ -54,6 +54,7 @@ from .spectral import (
     Region,
     Segment,
     SpectralMeasureModel,
+    _is_finite_rank,
     direction_sweep,
     lambda_k_inf,
     lambda_k_sup,
@@ -85,11 +86,6 @@ class RegionEstimate:
     support_samples: tuple[tuple[float, float], ...]
     polygon: ConvexPolygon
     boundary_report: tuple[tuple[complex, Verdict], ...]
-
-
-def _is_finite_rank(k) -> bool:
-    """k is a positive integer; booleans are not ranks."""
-    return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1
 
 
 def _check_rank(model: SpectralMeasureModel, k) -> float:
@@ -363,11 +359,11 @@ def ckz_member(
 ) -> Verdict:
     """Finite-matrix oracle: lambda is in the rank-k range iff it lies in the
     convex hull of every (n-k+1)-subset of the eigenvalues."""
+    lam = require_finite(lam, "point")
     eigvals = [complex(v) for v in normal_eigvals(M, tol)]
     n = len(eigvals)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}")
-    lam = complex(lam)
     saw_uncertain = False
     for idx in combinations(range(n), n - k + 1):
         hull = convex_hull([eigvals[i] for i in idx])

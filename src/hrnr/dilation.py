@@ -4,16 +4,18 @@ Every contraction T dilates to a unitary on a doubled space via the Halmos
 block construction; rotating the defect blocks by a phase alpha yields a
 one-parameter family.  For strict contractions the family
 (I (+) V) Halmos(T, 0) (I (+) W) over unitary V, W is exactly the set of all
-unitary dilations on the doubled space, so sampling it (plus deterministic
-per-direction block dilations mirroring the equality proof) approximates the
-intersection of the dilations' rank-k ranges.
+unitary dilations on the doubled space; for a contraction that is not
+normal, sampling it approximates the intersection of the dilations' rank-k
+ranges.
 
 For a normal contraction T the equality proof is constructive: a point
 outside the closure of the rank-k range is separated from it in some
 direction xi, and the block dilation that splits off the fewer than k
 eigenvalues beyond the separating level through 2x2 scalar dilations, and
 carries the rest by a Halmos block rotated by xi, excludes the point.  That
-construction fixes the spectrum, so its rank-k levels need no eigensolve.
+construction fixes the spectrum, so its rank-k levels need no eigensolve,
+and since by interlacing no dilation has a rank-k level below T's own, the
+block dilations alone give the intersection of the dilations' ranges.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .geometry import (
     TolerancePolicy,
     Verdict,
     halfplane_intersection,
+    require_finite,
     support_plane,
 )
 from .spectral import (
@@ -56,6 +59,12 @@ from .spectral import (
     from_normal_matrix,
     require_normal,
 )
+
+# Grid of directions xi searched for the best separating level of a point.
+EXCLUSION_ANGLES = 720
+
+# Grid of support-plane directions of a dilation-range intersection.
+INTERSECTION_ANGLES = 180
 
 
 class WuVerdict(Enum):
@@ -182,12 +191,11 @@ def excluding_dilation_matrix(
     k: int,
     lam: complex,
     tol: TolerancePolicy = DEFAULT_TOL,
-    n_alpha: int = 720,
 ) -> DilationArtifact:
     """A unitary dilation of the normal contraction T whose rank-k range
     verifiably excludes lam.
 
-    Of the n_alpha grid directions xi, the one with the largest margin
+    Of the EXCLUSION_ANGLES grid directions xi, the one with the largest margin
     Re(e^{i xi} lam) - lambda_k(Re(e^{i xi} T)) separates lam from the
     rank-k support level.  The block dilation at xi splits off the
     eigenvalues beyond the midpoint of that margin (fewer than k of them)
@@ -197,14 +205,14 @@ def excluding_dilation_matrix(
     exclusion is verified by a membership run on the dilation's own
     eigenvalue model.
     """
+    lam = require_finite(lam, "point")
     T = np.asarray(T, dtype=complex)
     _require_contraction(T, tol)
     vals, V = _unitary_eigendecomposition(T, tol)
     n = vals.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n}")
-    lam = complex(lam)
-    alphas = 2 * math.pi * np.arange(n_alpha) / n_alpha
+    alphas = 2 * math.pi * np.arange(EXCLUSION_ANGLES) / EXCLUSION_ANGLES
     margins = np.real(np.exp(1j * alphas) * lam) - _support_levels(vals, k, alphas)
     j = int(np.argmax(margins))
     if margins[j] <= tol.eps_geom:
@@ -256,7 +264,7 @@ def excluding_certificate(
     dimension must be certainly below k); otherwise the critical-direction
     sweep picks one.
     """
-    lam = complex(lam)
+    lam = require_finite(lam, "point")
     if plane is not None:
         if abs(_plane_offset(plane, lam)) > tol.eps_geom:
             raise ValueError("supplied plane's line does not pass through the point")
@@ -401,12 +409,12 @@ def conjecture_check(
     This evaluates the conjectured exclusion condition only; nothing is
     asserted about its sufficiency for dilation-range equality.
     """
+    lam = require_finite(lam, "point")
     if k < 1 or n_theta < 1:
         raise ValueError("need k >= 1 and n_theta >= 1")
     T = np.asarray(T, dtype=complex)
     if _op_norm(T) >= 1.0 - tol.eps_eig:
         raise NotStrictContraction("need a strict contraction")
-    lam = complex(lam)
     for j in range(n_theta):
         theta = 2 * math.pi * j / n_theta
         A = np.exp(1j * theta) * T - lam * np.eye(T.shape[0])
@@ -506,29 +514,13 @@ def _block_dilation_levels(T, k, xis, tol):
     return proj[np.arange(xis.shape[0]), n - r - (k - r + 1) // 2]
 
 
-def dilation_intersection(
-    T: np.ndarray,
-    k: int,
-    n_samples: int,
-    n_alpha: int,
-    seed: int = 0,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    n_angles: int = 180,
-) -> ConvexPolygon:
-    """Intersect the rank-k region polygons over a family of unitary
-    dilations: a rotated-Halmos grid, seeded random (I(+)V)H(I(+)W) samples,
-    and per-direction block dilations with closed-form levels, left out when
-    T is not normal or the one block dilation built per T fails its check."""
-    T = np.asarray(T, dtype=complex)
+def _sampled_levels(T, k, xis, n_samples, n_alpha, seed, tol):
+    """Rank-k levels, per direction xi, minimized over a rotated-Halmos grid
+    of n_alpha phases and n_samples seeded random (I(+)V)H(I(+)W) unitary
+    dilations; samples failing the residual check are left out."""
     n = T.shape[0]
-    _require_contraction(T, tol)
-    if not 1 <= k <= 2 * n:
-        raise ValueError("rank must satisfy 1 <= k <= 2n")
-    if n_samples < 0 or n_alpha < 0 or n_angles < 1:
-        raise ValueError("need n_samples >= 0, n_alpha >= 0 and n_angles >= 1")
     base = halmos(T, 0.0, tol).matrix
-    xis = 2 * math.pi * np.arange(n_angles) / n_angles
-    best = np.full(n_angles, np.inf)
+    best = np.full(xis.shape[0], np.inf)
 
     for j in range(n_alpha):
         alpha = 2 * math.pi * j / n_alpha
@@ -550,10 +542,40 @@ def dilation_intersection(
         if max(_residuals(U, T)) > tol.eps_unitary:
             continue
         best = np.minimum(best, _support_levels(np.linalg.eigvals(U), k, xis))
+    return best
 
-    block_levels = _block_dilation_levels(T, k, xis, tol)
-    if block_levels is not None:
-        best = np.minimum(best, block_levels)
 
-    planes = [support_plane(xi, h) for xi, h in zip(xis, best)]
+def dilation_intersection(
+    T: np.ndarray,
+    k: int,
+    n_samples: int,
+    n_alpha: int,
+    seed: int = 0,
+    tol: TolerancePolicy = DEFAULT_TOL,
+) -> ConvexPolygon:
+    """Intersect the rank-k ranges of unitary dilations of the contraction
+    T through their support planes in INTERSECTION_ANGLES directions.
+
+    For a normal T the per-direction block dilations give the planes in
+    closed form.  By interlacing no unitary dilation has a rank-k level
+    below T's own, which the block levels attain to within their 1e-12
+    split threshold, so no other dilation can tighten these planes and
+    they are the whole intersection.  Only when T is not normal, or the one
+    block dilation built per T fails its residual check, do the planes come
+    from a rotated-Halmos grid of n_alpha phases and n_samples random
+    (I(+)V)H(I(+)W) samples drawn from ``seed``; n_alpha, n_samples and
+    seed act on nothing else.
+    """
+    T = np.asarray(T, dtype=complex)
+    n = T.shape[0]
+    _require_contraction(T, tol)
+    if not 1 <= k <= 2 * n:
+        raise ValueError("rank must satisfy 1 <= k <= 2n")
+    if n_samples < 0 or n_alpha < 0:
+        raise ValueError("need n_samples >= 0 and n_alpha >= 0")
+    xis = 2 * math.pi * np.arange(INTERSECTION_ANGLES) / INTERSECTION_ANGLES
+    levels = _block_dilation_levels(T, k, xis, tol)
+    if levels is None:
+        levels = _sampled_levels(T, k, xis, n_samples, n_alpha, seed, tol)
+    planes = [support_plane(xi, h) for xi, h in zip(xis, levels)]
     return halfplane_intersection(planes, bound=_op_norm(T) + 1.0, tol=tol)

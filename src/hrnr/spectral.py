@@ -635,9 +635,14 @@ def _piece_interval(piece: Piece, theta: float, c: float, s: float):
     return (min(xs), max(xs))
 
 
+def _is_finite_rank(k) -> bool:
+    """k is a positive integer; booleans are not ranks."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1
+
+
 def lambda_k_sup(rm: RealSpectralModel, k: int) -> float:
     """sup{ b : dim ran E[b, inf) >= k } by a right-to-left multiplicity scan."""
-    if not (isinstance(k, int) and k >= 1):
+    if not _is_finite_rank(k):
         raise ValueError("k must be a positive integer")
     if rm.total_dim < k:
         raise InsufficientDimension(f"total dimension {rm.total_dim} < k={k}")

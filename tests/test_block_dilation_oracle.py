@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hrnr import dilation
+from hrnr import dilation, matrix_lambda_k
 from hrnr.geometry import DEFAULT_TOL, hausdorff_distance
 
 import block_dilation_oracle as oracle
@@ -113,22 +113,40 @@ def test_gate_residuals_and_levels(rng, monkeypatch):
             assert proj[2 * n - k] == pytest.approx(level, abs=1e-13)
 
 
+def _count_work(monkeypatch):
+    counts = {"block": 0, "eigvals": 0, "halmos": 0}
+    for module, name, key in (
+        (dilation, "_block_dilation", "block"),
+        (np.linalg, "eigvals", "eigvals"),
+        (dilation, "halmos", "halmos"),
+    ):
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _key=key):
+            counts[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
 def test_one_block_dilation_and_no_block_eigensolve(rng, monkeypatch):
-    counts = {"block": 0, "eigvals": 0}
-    real_block, real_eigvals = dilation._block_dilation, np.linalg.eigvals
-
-    def block(*args):
-        counts["block"] += 1
-        return real_block(*args)
-
-    def eigvals(a):
-        counts["eigvals"] += 1
-        return real_eigvals(a)
-
-    monkeypatch.setattr(dilation, "_block_dilation", block)
-    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    # a normal T takes its planes from the block levels alone
+    counts = _count_work(monkeypatch)
     dilation.dilation_intersection(random_normal_contraction(6, rng), 2, 3, 5)
-    assert counts == {"block": 1, "eigvals": 3 + 5}
+    assert counts == {"block": 1, "eigvals": 0, "halmos": 0}
+
+
+def test_non_normal_takes_the_sampled_path(monkeypatch):
+    T = np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex)
+    counts = _count_work(monkeypatch)
+    poly = dilation.dilation_intersection(T, 1, 5, 3)
+    assert counts == {"block": 0, "eigvals": 5 + 3, "halmos": 1}
+    # every dilation's numerical range contains T's
+    verts = np.array(poly.vertices)
+    for xi in XIS:
+        support = np.max(np.real(np.exp(1j * xi) * verts))
+        assert support >= matrix_lambda_k(T, 1, xi) - 1e-12
 
 
 def test_failed_gate_adds_no_block_planes(rng, monkeypatch):

@@ -18,10 +18,15 @@ from hrnr import (
     SpectralMeasureModel,
     Verdict,
     ckz_member,
+    conjecture_check,
     convex_hull,
     decompose_excluding,
     dim_ran_hchp,
+    excluding_certificate,
+    excluding_dilation_matrix,
     from_normal_matrix,
+    hchp_at,
+    hchp_member,
     is_boundary,
     matrix_lambda_k,
     member,
@@ -327,3 +332,24 @@ class TestDecomposeExcluding:
     def test_member_gives_none(self):
         m = SpectralMeasureModel(atoms=(Atom(0j, 1), Atom(1 + 0j, 5)), support_radius=2.0)
         assert decompose_excluding(m, 2, 1 + 0j) is None
+
+
+_DIAG = np.diag([0.5, -0.5j])
+
+_POINT_FUNCTIONS = {
+    "member": lambda z: member(durszt_model(2), 2, z),
+    "is_boundary": lambda z: is_boundary(durszt_model(2), 2, z),
+    "decompose_excluding": lambda z: decompose_excluding(durszt_model(2), 2, z),
+    "excluding_certificate": lambda z: excluding_certificate(durszt_model(2), 2, z),
+    "excluding_dilation_matrix": lambda z: excluding_dilation_matrix(_DIAG, 1, z),
+    "conjecture_check": lambda z: conjecture_check(_DIAG, 1, z, 8),
+    "ckz_member": lambda z: ckz_member(_DIAG, 1, z),
+    "hchp_member": lambda z: hchp_member(hchp_at(0j, 0.0, 1), z),
+}
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf)])
+@pytest.mark.parametrize("name", sorted(_POINT_FUNCTIONS))
+def test_point_functions_reject_non_finite(name, z):
+    with pytest.raises(ValueError, match="point must have finite coordinates"):
+        _POINT_FUNCTIONS[name](z)

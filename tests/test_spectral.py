@@ -317,6 +317,13 @@ class TestLambdaKSup:
         with pytest.raises(InsufficientDimension):
             lambda_k_sup(rm, 3)
 
+    def test_rank_is_an_integer_not_a_bool(self):
+        rm = RealSpectralModel(atoms=((2.0, 3.0), (0.0, 1.0)), support_radius=4.0)
+        for k in (True, False):
+            with pytest.raises(ValueError):
+                lambda_k_sup(rm, k)
+        assert lambda_k_sup(rm, np.int64(2)) == 2.0
+
 
 def test_transform_model_roundtrip(rng):
     m = random_model(rng)
