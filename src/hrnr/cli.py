@@ -42,6 +42,13 @@ def _parse_point(text: str) -> complex:
         raise ModelFormatError(f'point must be "x,y" finite decimals, got {text!r}') from exc
 
 
+def _parse_alpha(text: str) -> float:
+    try:
+        return require_finite(float(text), "alpha").real
+    except ValueError as exc:
+        raise ModelFormatError(f"alpha must be a finite decimal, got {text!r}") from exc
+
+
 def _parse_rank(text: str):
     if text.strip().lower() == "inf":
         return RANK_INF
@@ -111,7 +118,7 @@ def _cmd_selfadjoint(args) -> int:
 
 def _cmd_dilate(args) -> int:
     T = _as_matrix(_load(args.input))
-    art = halmos(T, args.alpha)
+    art = halmos(T, _parse_alpha(args.alpha))
     print(jsonio.dumps(jsonio.dilation_to_obj(art)))
     return 0
 
@@ -328,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dilate", help="rotated Halmos dilation of a matrix")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--alpha", type=float, default=0.0)
+    sp.add_argument("--alpha", default="0", help="rotation phase (finite decimal)")
     sp.add_argument(
         "--check",
         action="store_true",

@@ -32,7 +32,6 @@ from .geometry import (
     DEFAULT_TOL,
     ConvexPolygon,
     HalfClosedHalfPlane,
-    TolerancePolicy,
     Verdict,
     canonical_dir,
     canonical_dirs,
@@ -54,6 +53,7 @@ from .spectral import (
     Region,
     Segment,
     SpectralMeasureModel,
+    _is_count,
     _is_finite_rank,
     direction_sweep,
     lambda_k_inf,
@@ -98,6 +98,12 @@ def _check_rank(model: SpectralMeasureModel, k) -> float:
     if model.total_dim < k:
         raise RankExceedsDimension(f"rank {k} exceeds total dimension {model.total_dim}")
     return float(k)
+
+
+def _check_matrix_rank(k, n: int) -> None:
+    """ValueError unless k is a rank 1 <= k <= n of an n x n matrix."""
+    if not (_is_finite_rank(k) and k <= n):
+        raise ValueError(f"need an integer rank 1 <= k <= {n}, got {k!r}")
 
 
 def critical_directions(
@@ -217,12 +223,7 @@ def sweep_decision(sweep, flavors, k: float) -> tuple[Verdict, int | None, int |
 _HCHP = [HAP, HAM, HBP, HBM]
 
 
-def member(
-    model: SpectralMeasureModel,
-    k,
-    lam: complex,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> MembershipVerdict:
+def member(model: SpectralMeasureModel, k, lam: complex) -> MembershipVerdict:
     """Decide lambda against the rank-k range by the critical-direction sweep.
 
     OUT verdicts carry a witness half closed-half plane whose measure
@@ -231,32 +232,23 @@ def member(
     kf = _check_rank(model, k)
     lam = require_finite(lam, "point")
     vx, vy = critical_directions(model, lam)
-    sweep = direction_sweep(model, lam, vx, vy, tol)
+    sweep = direction_sweep(model, lam, vx, vy)
     value, f, i = sweep_decision(sweep, _HCHP, kf)
     if value is Verdict.OUT:
         return MembershipVerdict(value, _witness_from(sweep, f, i, lam), float(sweep.hi[f, i]))
     return MembershipVerdict(value)
 
 
-def member_infinity(
-    model: SpectralMeasureModel,
-    lam: complex,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> MembershipVerdict:
-    return member(model, RANK_INF, lam, tol)
+def member_infinity(model: SpectralMeasureModel, lam: complex) -> MembershipVerdict:
+    return member(model, RANK_INF, lam)
 
 
-def region(
-    model: SpectralMeasureModel,
-    k: int,
-    n_angles: int,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> RegionEstimate:
+def region(model: SpectralMeasureModel, k: int, n_angles: int) -> RegionEstimate:
     """Closure-level reconstruction: intersect the support half planes
     Re(e^{i xi} mu) <= h(xi) over a uniform direction grid, then classify
     sampled boundary points pointwise."""
-    if n_angles < 8:
-        raise ValueError("n_angles must be at least 8")
+    if not (_is_count(n_angles) and n_angles >= 8):
+        raise ValueError(f"n_angles must be an integer of at least 8, got {n_angles!r}")
     if not _is_finite_rank(k):
         raise ValueError("region needs a finite rank k >= 1")
     if model.total_dim < k:
@@ -266,10 +258,10 @@ def region(
         xi = 2 * math.pi * j / n_angles
         samples.append((xi, lambda_k_sup(pushforward(model, xi), int(k))))
     planes = [support_plane(xi, h) for xi, h in samples]
-    poly = halfplane_intersection(planes, bound=model.support_radius, tol=tol)
+    poly = halfplane_intersection(planes, bound=model.support_radius)
     report = []
     for z in _boundary_points(poly):
-        report.append((z, member(model, int(k), z, tol).value))
+        report.append((z, member(model, int(k), z).value))
     return RegionEstimate(int(k), tuple(samples), poly, tuple(report))
 
 
@@ -280,14 +272,12 @@ def _boundary_points(poly: ConvexPolygon) -> list[complex]:
     return pts
 
 
-def selfadjoint_interval(
-    model: SpectralMeasureModel, k: int, tol: TolerancePolicy = DEFAULT_TOL
-) -> tuple[float, float] | None:
+def selfadjoint_interval(model: SpectralMeasureModel, k: int) -> tuple[float, float] | None:
     """[a, b] with a/b the k-th spectral levels from the left/right; the
     rank-k range of a self-adjoint operator is exactly this interval.
     Returns None when the levels cross (empty range, e.g. k = n with
     distinct simple eigenvalues)."""
-    eps = tol.eps_geom
+    eps = DEFAULT_TOL.eps_geom
     for a in model.atoms:
         if abs(a.location.imag) > eps:
             raise NotSelfAdjoint(f"atom at {a.location} is off the real axis")
@@ -313,17 +303,12 @@ def selfadjoint_interval(
     return (a, b)
 
 
-def is_boundary(
-    model: SpectralMeasureModel,
-    k: int,
-    lam: complex,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> BoundaryKind:
+def is_boundary(model: SpectralMeasureModel, k: int, lam: complex) -> BoundaryKind:
     """For members: boundary iff some open half plane at lambda is deficient."""
     kf = _check_rank(model, k)
     lam = require_finite(lam, "point")
     vx, vy = critical_directions(model, lam)
-    sweep = direction_sweep(model, lam, vx, vy, tol)
+    sweep = direction_sweep(model, lam, vx, vy)
     value, _, _ = sweep_decision(sweep, _HCHP, kf)
     if value is Verdict.OUT:
         return BoundaryKind.NOT_MEMBER
@@ -341,8 +326,7 @@ def matrix_lambda_k(M: np.ndarray, k: int, xi: float) -> float:
     """k-th largest eigenvalue of Re(e^{i xi} M)."""
     M = np.asarray(M, dtype=complex)
     n = M.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}")
+    _check_matrix_rank(k, n)
     H = 0.5 * (np.exp(1j * xi) * M + np.exp(-1j * xi) * M.conj().T)
     try:
         evals = np.linalg.eigvalsh(H)
@@ -351,23 +335,17 @@ def matrix_lambda_k(M: np.ndarray, k: int, xi: float) -> float:
     return float(evals[n - k])
 
 
-def ckz_member(
-    M: np.ndarray,
-    k: int,
-    lam: complex,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> Verdict:
+def ckz_member(M: np.ndarray, k: int, lam: complex) -> Verdict:
     """Finite-matrix oracle: lambda is in the rank-k range iff it lies in the
     convex hull of every (n-k+1)-subset of the eigenvalues."""
     lam = require_finite(lam, "point")
-    eigvals = [complex(v) for v in normal_eigvals(M, tol)]
+    eigvals = [complex(v) for v in normal_eigvals(M)]
     n = len(eigvals)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}")
+    _check_matrix_rank(k, n)
     saw_uncertain = False
     for idx in combinations(range(n), n - k + 1):
         hull = convex_hull([eigvals[i] for i in idx])
-        v = hull.classify(lam, tol)
+        v = hull.classify(lam)
         if v is Verdict.OUT:
             return Verdict.OUT
         if v is Verdict.UNCERTAIN:
@@ -376,16 +354,13 @@ def ckz_member(
 
 
 def decompose_excluding(
-    model: SpectralMeasureModel,
-    k: int,
-    lam: complex,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    model: SpectralMeasureModel, k: int, lam: complex
 ) -> tuple[HalfClosedHalfPlane, int] | None:
     """Witness split for excluded points: H with dim ran E(H) = r < k, so the
     operator decomposes into an (<= k-1)-dimensional block with numerical
     range inside H and a complement block supported in H's complement.
     Returns None when lambda is a member."""
-    verdict = member(model, k, lam, tol)
+    verdict = member(model, k, lam)
     if verdict.value is Verdict.IN:
         return None
     if verdict.value is Verdict.UNCERTAIN:

@@ -26,7 +26,15 @@ from enum import Enum
 
 import numpy as np
 
-from .core import _HCHP, RegionEstimate, _check_rank, critical_directions, member, sweep_decision
+from .core import (
+    _HCHP,
+    RegionEstimate,
+    _check_matrix_rank,
+    _check_rank,
+    critical_directions,
+    member,
+    sweep_decision,
+)
 from .errors import (
     AtomNotStrictContraction,
     CoincidentEndpoints,
@@ -43,7 +51,6 @@ from .geometry import (
     DEFAULT_TOL,
     ClosedHalfPlane,
     ConvexPolygon,
-    TolerancePolicy,
     Verdict,
     halfplane_intersection,
     require_finite,
@@ -54,6 +61,9 @@ from .spectral import (
     CB,
     INF,
     SpectralMeasureModel,
+    _finite_square_matrix,
+    _is_count,
+    _is_finite_rank,
     dim_ran_closed,
     direction_sweep,
     from_normal_matrix,
@@ -65,6 +75,9 @@ EXCLUSION_ANGLES = 720
 
 # Grid of support-plane directions of a dilation-range intersection.
 INTERSECTION_ANGLES = 180
+
+# Interior samples per polygon edge in a Wu check, besides the vertices.
+WU_SAMPLES_PER_EDGE = 9
 
 
 class WuVerdict(Enum):
@@ -125,10 +138,19 @@ def _sqrt_psd(A: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def _require_contraction(T: np.ndarray, tol: TolerancePolicy) -> None:
+def _require_contraction(T: np.ndarray) -> tuple[np.ndarray, float]:
+    """T as a finite complex square array, and its operator norm;
+    NotContraction when the norm exceeds 1 + eps_eig."""
+    T = _finite_square_matrix(T)
     norm = _op_norm(T)
-    if norm > 1.0 + tol.eps_eig:
+    if norm > 1.0 + DEFAULT_TOL.eps_eig:
         raise NotContraction(f"operator norm {norm:.6f} exceeds 1")
+    return T, norm
+
+
+def _within(limit: float, *residuals: float) -> bool:
+    """Every residual is at most limit; a NaN residual is not."""
+    return all(r <= limit for r in residuals)
 
 
 def _residuals(U: np.ndarray, T: np.ndarray) -> tuple[float, float]:
@@ -139,33 +161,30 @@ def _residuals(U: np.ndarray, T: np.ndarray) -> tuple[float, float]:
     return unit, comp
 
 
-def halmos(
-    T: np.ndarray, alpha: float = 0.0, tol: TolerancePolicy = DEFAULT_TOL
-) -> DilationArtifact:
+def halmos(T: np.ndarray, alpha: float = 0.0) -> DilationArtifact:
     """Rotated Halmos dilation [[T, -e^{-ia}D_*],[e^{-ia}D, e^{-2ia}T*]]."""
-    T = np.asarray(T, dtype=complex)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    T, _ = _require_contraction(T)
     n = T.shape[0]
-    _require_contraction(T, tol)
     eye = np.eye(n)
     dt = _sqrt_psd(eye - T.conj().T @ T)
     dts = _sqrt_psd(eye - T @ T.conj().T)
     ph = np.exp(-1j * alpha)
     U = np.block([[T, -ph * dts], [ph * dt, ph * ph * T.conj().T]])
     unit, comp = _residuals(U, T)
-    if unit > tol.eps_unitary or comp > tol.eps_unitary:
+    if not _within(DEFAULT_TOL.eps_unitary, unit, comp):
         raise EigFailure(
             f"dilation residuals too large (unitarity {unit:.2e}, compression {comp:.2e})"
         )
     dvals = np.sqrt(np.clip(np.linalg.eigvalsh(eye - T.conj().T @ T), 0.0, None))
-    return DilationArtifact(U, float(alpha), unit, comp, int(np.sum(dvals > tol.eps_eig)))
+    return DilationArtifact(U, float(alpha), unit, comp, int(np.sum(dvals > DEFAULT_TOL.eps_eig)))
 
 
-def scalar_dilation(
-    d: complex, xi: complex, eta: complex, tol: TolerancePolicy = DEFAULT_TOL
-) -> np.ndarray:
+def scalar_dilation(d: complex, xi: complex, eta: complex) -> np.ndarray:
     """2x2 unitary with top-left entry d and eigenvalues {xi, eta} on the circle."""
-    d, xi, eta = complex(d), complex(xi), complex(eta)
-    eps = tol.eps_geom
+    d, xi, eta = require_finite(d, "d"), require_finite(xi, "xi"), require_finite(eta, "eta")
+    eps = DEFAULT_TOL.eps_geom
     if abs(abs(xi) - 1.0) > eps or abs(abs(eta) - 1.0) > eps:
         raise NotOnSegment("xi and eta must be unimodular")
     chord = xi - eta
@@ -181,17 +200,12 @@ def scalar_dilation(
     t = min(1.0, t)
     q = np.array([[math.sqrt(t), -math.sqrt(1.0 - t)], [math.sqrt(1.0 - t), math.sqrt(t)]])
     U = q @ np.diag([xi, eta]).astype(complex) @ q.T
-    if abs(U[0, 0] - d) > 10 * eps * max(1.0, abs(d)):
+    if not abs(U[0, 0] - d) <= 10 * eps * max(1.0, abs(d)):
         raise InvariantViolation(f"top-left entry {U[0, 0]} misses d = {d}")
     return U
 
 
-def excluding_dilation_matrix(
-    T: np.ndarray,
-    k: int,
-    lam: complex,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> DilationArtifact:
+def excluding_dilation_matrix(T: np.ndarray, k: int, lam: complex) -> DilationArtifact:
     """A unitary dilation of the normal contraction T whose rank-k range
     verifiably excludes lam.
 
@@ -206,21 +220,18 @@ def excluding_dilation_matrix(
     eigenvalue model.
     """
     lam = require_finite(lam, "point")
-    T = np.asarray(T, dtype=complex)
-    _require_contraction(T, tol)
-    vals, V = _unitary_eigendecomposition(T, tol)
-    n = vals.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}")
+    T, _ = _require_contraction(T)
+    vals, V = _unitary_eigendecomposition(T)
+    _check_matrix_rank(k, vals.shape[0])
     alphas = 2 * math.pi * np.arange(EXCLUSION_ANGLES) / EXCLUSION_ANGLES
     margins = np.real(np.exp(1j * alphas) * lam) - _support_levels(vals, k, alphas)
     j = int(np.argmax(margins))
-    if margins[j] <= tol.eps_geom:
+    if margins[j] <= DEFAULT_TOL.eps_geom:
         raise NoSeparatingAngle(f"best margin {margins[j]:.3e} does not clear eps_geom")
     xi = float(alphas[j])
     cut = np.real(np.exp(1j * xi) * lam) - 0.5 * margins[j]
-    art = _block_dilation(T, vals, V, xi, np.real(np.exp(1j * xi) * vals) >= cut, tol)
-    if art is None or member(from_normal_matrix(art.matrix, tol), k, lam, tol).value is not Verdict.OUT:
+    art = _block_dilation(T, vals, V, xi, np.real(np.exp(1j * xi) * vals) >= cut)
+    if art is None or member(from_normal_matrix(art.matrix), k, lam).value is not Verdict.OUT:
         raise NoSeparatingAngle("the block dilation does not verifiably exclude the point")
     return art
 
@@ -243,17 +254,16 @@ def _closed_witness(sweep, lam, k):
     return "unresolved", None
 
 
-def _closed_witness_sweep(model, lam, k, tol):
+def _closed_witness_sweep(model, lam, k):
     """:func:`_closed_witness` over the critical directions through lam."""
     vx, vy = critical_directions(model, lam)
-    return _closed_witness(direction_sweep(model, lam, vx, vy, tol), lam, k)
+    return _closed_witness(direction_sweep(model, lam, vx, vy), lam, k)
 
 
 def excluding_certificate(
     model: SpectralMeasureModel,
     k: int,
     lam: complex,
-    tol: TolerancePolicy = DEFAULT_TOL,
     plane: ClosedHalfPlane | None = None,
 ) -> ExclusionCertificate:
     """Symbolic exclusion of a boundary point: a closed half plane H through
@@ -265,21 +275,22 @@ def excluding_certificate(
     sweep picks one.
     """
     lam = require_finite(lam, "point")
+    _check_rank(model, k)
     if plane is not None:
-        if abs(_plane_offset(plane, lam)) > tol.eps_geom:
+        if abs(_plane_offset(plane, lam)) > DEFAULT_TOL.eps_geom:
             raise ValueError("supplied plane's line does not pass through the point")
-        dim = dim_ran_closed(model, plane, tol)
+        dim = dim_ran_closed(model, plane)
         if not dim < k:
             raise NoWuWitness(f"supplied plane has dim {dim}, not below {k}")
     else:
-        plane, dim = _closed_witness_sweep(model, lam, k, tol)
+        plane, dim = _closed_witness_sweep(model, lam, k)
     if not isinstance(plane, ClosedHalfPlane):
         raise NoWuWitness(
             "no critical-direction closed half plane through the point is deficient"
         )
     nx, ny = plane.normal
     scale = math.hypot(nx, ny)
-    eps = tol.eps_geom
+    eps = DEFAULT_TOL.eps_geom
 
     entries = []
     total = 0
@@ -328,29 +339,25 @@ def _second_circle_intersection(eta: complex, d: complex) -> complex:
     return eta + s * rel
 
 
-def wu_check(
-    model: SpectralMeasureModel,
-    k: int,
-    region_est: RegionEstimate,
-    tol: TolerancePolicy = DEFAULT_TOL,
-    samples_per_edge: int = 9,
-) -> WuReport:
+def wu_check(model: SpectralMeasureModel, k: int, region_est: RegionEstimate) -> WuReport:
     """Predict whether the rank-k range equals the intersection of its
     unitary dilations' ranges: every excluded boundary sample must admit a
     deficient *closed* half plane through it.
 
-    Each sample takes one sweep, over the critical directions plus the
+    The samples are the polygon's vertices and WU_SAMPLES_PER_EDGE interior
+    points of each edge.  Each sample takes one sweep, over the critical directions plus the
     direction of its edge: the half closed-half planes decide whether it is
     excluded, and the closed half planes of the same sweep give its
     witness.
     """
-    if model.max_abs() >= 1.0 + tol.eps_geom:
+    eps = DEFAULT_TOL.eps_geom
+    if model.max_abs() >= 1.0 + eps:
         raise NotStrictContraction("spectral mass leaves the closed unit disk")
     kf = _check_rank(model, k)
     px, py, _ = model._point_data
-    samples = _edge_samples(region_est.polygon, samples_per_edge)
+    samples = _edge_samples(region_est.polygon, WU_SAMPLES_PER_EDGE)
     zs = np.array([z for z, _ in samples], dtype=complex)
-    near = np.hypot(zs.real[:, None] - px, zs.imag[:, None] - py) <= 10 * tol.eps_geom
+    near = np.hypot(zs.real[:, None] - px, zs.imag[:, None] - py) <= 10 * eps
     evidence = []
     saw_failure = False
     saw_unresolved = False
@@ -360,7 +367,7 @@ def wu_check(
             continue
         extra = (edge_angle,) if edge_angle is not None else ()
         vx, vy = critical_directions(model, z, extra_angles=extra)
-        sweep = direction_sweep(model, z, vx, vy, tol)
+        sweep = direction_sweep(model, z, vx, vy)
         if sweep_decision(sweep, _HCHP, kf)[0] is not Verdict.OUT:
             # a member, or UNCERTAIN within tolerance of the boundary: no evidence
             continue
@@ -401,7 +408,6 @@ def conjecture_check(
     k: int,
     lam: complex,
     n_theta: int,
-    tol: TolerancePolicy = DEFAULT_TOL,
 ) -> ConjectureResult:
     """Scan rotations for Re(e^{i theta}T - lam) having fewer than k
     eigenvalues above -eps; reports the first angle where that holds.
@@ -410,16 +416,16 @@ def conjecture_check(
     asserted about its sufficiency for dilation-range equality.
     """
     lam = require_finite(lam, "point")
-    if k < 1 or n_theta < 1:
-        raise ValueError("need k >= 1 and n_theta >= 1")
-    T = np.asarray(T, dtype=complex)
-    if _op_norm(T) >= 1.0 - tol.eps_eig:
+    if not (_is_finite_rank(k) and _is_count(n_theta) and n_theta >= 1):
+        raise ValueError(f"need integers k >= 1 and n_theta >= 1, got {k!r} and {n_theta!r}")
+    T = _finite_square_matrix(T)
+    if _op_norm(T) >= 1.0 - DEFAULT_TOL.eps_eig:
         raise NotStrictContraction("need a strict contraction")
     for j in range(n_theta):
         theta = 2 * math.pi * j / n_theta
         A = np.exp(1j * theta) * T - lam * np.eye(T.shape[0])
         S = 0.5 * (A + A.conj().T)
-        if np.count_nonzero(np.linalg.eigvalsh(S) >= -tol.eps_eig) < k:
+        if np.count_nonzero(np.linalg.eigvalsh(S) >= -DEFAULT_TOL.eps_eig) < k:
             return ConjectureResult(True, theta)
     return ConjectureResult(False, None)
 
@@ -443,10 +449,10 @@ def _support_levels(eigs: np.ndarray, k: int, xis: np.ndarray) -> np.ndarray:
     return proj[:, eigs.shape[0] - k]
 
 
-def _unitary_eigendecomposition(T, tol):
+def _unitary_eigendecomposition(T):
     """(vals, V) with T = V diag(vals) V* and V unitary; NotNormal unless T
     passes the normality gate."""
-    T = require_normal(T, tol)
+    T = require_normal(T)
     try:
         vals, vecs = np.linalg.eig(T)
         u, _, vh = np.linalg.svd(vecs)
@@ -455,7 +461,7 @@ def _unitary_eigendecomposition(T, tol):
     return vals, u @ vh
 
 
-def _block_dilation(T, vals, V, xi, top, tol) -> DilationArtifact | None:
+def _block_dilation(T, vals, V, xi, top) -> DilationArtifact | None:
     """Unitary dilation of T = V diag(vals) V* splitting off the eigenvalues
     selected by the mask ``top`` through 2x2 scalar dilations and carrying
     the rest by a Halmos block rotated by xi; None when its unitarity or
@@ -475,20 +481,20 @@ def _block_dilation(T, vals, V, xi, top, tol) -> DilationArtifact | None:
     for i, d in enumerate(vals):
         if top[i]:
             far = _second_circle_intersection(eta, complex(d))
-            if abs(far - eta) <= tol.eps_geom:
+            if abs(far - eta) <= DEFAULT_TOL.eps_geom:
                 far = -eta
-            U_t[i::n, i::n] = scalar_dilation(d, far, eta, tol)
+            U_t[i::n, i::n] = scalar_dilation(d, far, eta)
         else:
             U_t[i::n, i::n] = [[d, -ph * defect[i]], [ph * defect[i], ph * ph * np.conj(d)]]
     big = np.kron(np.eye(2), V)
     U = big @ U_t @ big.conj().T
     unit, comp = _residuals(U, T)
-    if unit > tol.eps_unitary or comp > tol.eps_unitary:
+    if not _within(DEFAULT_TOL.eps_unitary, unit, comp):
         return None
-    return DilationArtifact(U, float(xi), unit, comp, int(np.sum(defect > tol.eps_eig)))
+    return DilationArtifact(U, float(xi), unit, comp, int(np.sum(defect > DEFAULT_TOL.eps_eig)))
 
 
-def _block_dilation_levels(T, k, xis, tol):
+def _block_dilation_levels(T, k, xis):
     """Rank-k levels, per direction xi, of the block dilations that split
     off the r < k eigenvalues projecting beyond L_k + 1e-12 (all of them
     when k > n), L_1 >= ... >= L_n being the Re(e^{i xi} d): by the spectra
@@ -498,15 +504,15 @@ def _block_dilation_levels(T, k, xis, tol):
     allowance, gates them all; None when it fails or T is not normal.
     """
     try:
-        vals, V = _unitary_eigendecomposition(T, tol)
+        vals, V = _unitary_eigendecomposition(T)
     except NotNormal:
         return None
     n = vals.shape[0]
     proj = np.sort(np.real(np.exp(1j * xis)[:, None] * vals[None, :]), axis=1)  # L_j: column n - j
     cut = proj[0, n - k] + 1e-12 if k <= n else -np.inf
-    art = _block_dilation(T, vals, V, float(xis[0]), np.real(np.exp(1j * xis[0]) * vals) > cut, tol)
-    limit = tol.eps_unitary - 16 * n * np.finfo(float).eps  # less the rounding allowance
-    if art is None or max(art.unitarity_residual, art.compression_residual) > limit:
+    art = _block_dilation(T, vals, V, float(xis[0]), np.real(np.exp(1j * xis[0]) * vals) > cut)
+    limit = DEFAULT_TOL.eps_unitary - 16 * n * np.finfo(float).eps  # less the rounding allowance
+    if art is None or not _within(limit, art.unitarity_residual, art.compression_residual):
         return None
     if k > n:
         return np.full(xis.shape[0], -1.0)
@@ -514,12 +520,12 @@ def _block_dilation_levels(T, k, xis, tol):
     return proj[np.arange(xis.shape[0]), n - r - (k - r + 1) // 2]
 
 
-def _sampled_levels(T, k, xis, n_samples, n_alpha, seed, tol):
+def _sampled_levels(T, k, xis, n_samples, n_alpha, seed):
     """Rank-k levels, per direction xi, minimized over a rotated-Halmos grid
     of n_alpha phases and n_samples seeded random (I(+)V)H(I(+)W) unitary
     dilations; samples failing the residual check are left out."""
     n = T.shape[0]
-    base = halmos(T, 0.0, tol).matrix
+    base = halmos(T, 0.0).matrix
     best = np.full(xis.shape[0], np.inf)
 
     for j in range(n_alpha):
@@ -539,7 +545,7 @@ def _sampled_levels(T, k, xis, n_samples, n_alpha, seed, tol):
         U = base.copy()
         U[:, n:] = U[:, n:] @ W
         U[n:, :] = V @ U[n:, :]
-        if max(_residuals(U, T)) > tol.eps_unitary:
+        if not _within(DEFAULT_TOL.eps_unitary, *_residuals(U, T)):
             continue
         best = np.minimum(best, _support_levels(np.linalg.eigvals(U), k, xis))
     return best
@@ -551,7 +557,6 @@ def dilation_intersection(
     n_samples: int,
     n_alpha: int,
     seed: int = 0,
-    tol: TolerancePolicy = DEFAULT_TOL,
 ) -> ConvexPolygon:
     """Intersect the rank-k ranges of unitary dilations of the contraction
     T through their support planes in INTERSECTION_ANGLES directions.
@@ -566,16 +571,17 @@ def dilation_intersection(
     (I(+)V)H(I(+)W) samples drawn from ``seed``; n_alpha, n_samples and
     seed act on nothing else.
     """
-    T = np.asarray(T, dtype=complex)
+    T, norm = _require_contraction(T)
     n = T.shape[0]
-    _require_contraction(T, tol)
-    if not 1 <= k <= 2 * n:
-        raise ValueError("rank must satisfy 1 <= k <= 2n")
-    if n_samples < 0 or n_alpha < 0:
-        raise ValueError("need n_samples >= 0 and n_alpha >= 0")
+    if not (_is_finite_rank(k) and k <= 2 * n):
+        raise ValueError(f"rank must be an integer with 1 <= k <= 2n, got {k!r}")
+    if not (_is_count(n_samples) and _is_count(n_alpha) and n_samples >= 0 and n_alpha >= 0):
+        raise ValueError(
+            f"need integers n_samples >= 0 and n_alpha >= 0, got {n_samples!r} and {n_alpha!r}"
+        )
     xis = 2 * math.pi * np.arange(INTERSECTION_ANGLES) / INTERSECTION_ANGLES
-    levels = _block_dilation_levels(T, k, xis, tol)
+    levels = _block_dilation_levels(T, k, xis)
     if levels is None:
-        levels = _sampled_levels(T, k, xis, n_samples, n_alpha, seed, tol)
+        levels = _sampled_levels(T, k, xis, n_samples, n_alpha, seed)
     planes = [support_plane(xi, h) for xi, h in zip(xis, levels)]
-    return halfplane_intersection(planes, bound=_op_norm(T) + 1.0, tol=tol)
+    return halfplane_intersection(planes, bound=norm + 1.0)

@@ -44,6 +44,8 @@ class TolerancePolicy:
             raise ValueError("tolerances must be strictly positive")
 
 
+# The fixed tolerances of every sign test, eigenvalue clustering and
+# dilation residual check in the library.
 DEFAULT_TOL = TolerancePolicy()
 
 
@@ -161,9 +163,7 @@ def hchp_at(anchor: complex, normal_angle: float, ray_sign: int) -> HalfClosedHa
     return HalfClosedHalfPlane(complex(anchor), float(normal_angle), int(ray_sign))
 
 
-def hchp_member(
-    H: HalfClosedHalfPlane, z: complex, tol: TolerancePolicy = DEFAULT_TOL
-) -> Verdict:
+def hchp_member(H: HalfClosedHalfPlane, z: complex) -> Verdict:
     """Membership of ``z`` with tolerance-aware open/closed semantics.
 
     Strictly inside the open side -> IN, strictly on the other side -> OUT.
@@ -180,7 +180,7 @@ def hchp_member(
         ux, uy = H.line_dir()
         t = H.ray_sign * (ux * dx + uy * dy)
         return Verdict.IN if t >= 0.0 else Verdict.OUT
-    if abs(s) <= tol.eps_geom * scale:
+    if abs(s) <= DEFAULT_TOL.eps_geom * scale:
         return Verdict.UNCERTAIN
     return Verdict.IN if s > 0.0 else Verdict.OUT
 
@@ -228,16 +228,16 @@ class ConvexPolygon:
         )
         return -d if inside else d
 
-    def classify(self, z: complex, tol: TolerancePolicy = DEFAULT_TOL) -> Verdict:
+    def classify(self, z: complex) -> Verdict:
         """IN strictly inside, OUT strictly outside, boundary handled exactly.
 
         A point exactly on the (closed) boundary is IN; within eps_geom of it
         but not exactly on it is UNCERTAIN.
         """
         sd = self.signed_distance(z)
-        if sd < -tol.eps_geom:
+        if sd < -DEFAULT_TOL.eps_geom:
             return Verdict.IN
-        if sd > tol.eps_geom:
+        if sd > DEFAULT_TOL.eps_geom:
             return Verdict.OUT
         if self._on_boundary_exact(z):
             return Verdict.IN
@@ -315,9 +315,7 @@ def support_plane(xi: float, h: float) -> ClosedHalfPlane:
     return ClosedHalfPlane(complex(h * ux, h * uy), math.atan2(-uy, -ux), normal=(-ux, -uy))
 
 
-def halfplane_intersection(
-    planes: list[ClosedHalfPlane], bound: float, tol: TolerancePolicy = DEFAULT_TOL
-) -> ConvexPolygon:
+def halfplane_intersection(planes: list[ClosedHalfPlane], bound: float) -> ConvexPolygon:
     """Intersect the square box of radius ``bound`` with every closed half plane.
 
     The box sides and the planes become lines n.z >= c with unit normals n,
@@ -345,7 +343,7 @@ def halfplane_intersection(
         angle = math.atan2(line[1] + 0.0, line[0])  # + 0.0 maps -0.0 to 0.0, so -pi never occurs
         if angle not in tightest or line[2] > tightest[angle][2]:
             tightest[angle] = line
-    eps = tol.eps_geom
+    eps = DEFAULT_TOL.eps_geom
 
     def cuts(line, p):
         return line[0] * p.real + line[1] * p.imag - line[2] < -eps

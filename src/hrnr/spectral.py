@@ -34,7 +34,6 @@ from .geometry import (
     ClosedHalfPlane,
     ConvexPolygon,
     HalfClosedHalfPlane,
-    TolerancePolicy,
     canonical_dir,
     require_finite,
     snap_dir,
@@ -358,7 +357,6 @@ def direction_sweep(
     anchor: complex,
     vx: np.ndarray,
     vy: np.ndarray,
-    tol: TolerancePolicy = DEFAULT_TOL,
 ) -> DirectionSweep:
     """Classify the model against every line (vx[i], vy[i]) through anchor.
 
@@ -369,7 +367,7 @@ def direction_sweep(
     vx = np.asarray(vx, dtype=np.float64)
     vy = np.asarray(vy, dtype=np.float64)
     m = vx.shape[0]
-    eps = tol.eps_geom
+    eps = DEFAULT_TOL.eps_geom
     L = np.hypot(vx, vy)
     epsl = eps * L
 
@@ -524,9 +522,9 @@ def _flavor_for(normal: tuple[float, float], hchp_ray: int | None, mode: str):
     return dx, dy, flavor
 
 
-def _dim_range(model, anchor, normal, ray, mode, tol):
+def _dim_range(model, anchor, normal, ray, mode):
     dx, dy, flavor = _flavor_for(normal, ray, mode)
-    sweep = direction_sweep(model, anchor, np.array([dx]), np.array([dy]), tol)
+    sweep = direction_sweep(model, anchor, np.array([dx]), np.array([dy]))
     return sweep.lo[flavor, 0], sweep.hi[flavor, 0], bool(sweep.fuzzy[flavor, 0])
 
 
@@ -538,33 +536,21 @@ def _exact_dim(lo, hi, fz, what) -> float:
     return lo
 
 
-def dim_ran_hchp(
-    model: SpectralMeasureModel,
-    H: HalfClosedHalfPlane,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> float:
+def dim_ran_hchp(model: SpectralMeasureModel, H: HalfClosedHalfPlane) -> float:
     """dim ran E(H) for a half closed-half plane; int-valued float or inf."""
-    lo, hi, fz = _dim_range(model, H.anchor, H.normal, H.ray_sign, "hchp", tol)
+    lo, hi, fz = _dim_range(model, H.anchor, H.normal, H.ray_sign, "hchp")
     return _exact_dim(lo, hi, fz, "dim_ran_hchp")
 
 
-def dim_ran_closed(
-    model: SpectralMeasureModel,
-    P: ClosedHalfPlane,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> float:
+def dim_ran_closed(model: SpectralMeasureModel, P: ClosedHalfPlane) -> float:
     """dim ran E over the closed half plane (full boundary line included)."""
-    lo, hi, fz = _dim_range(model, P.anchor, P.normal, None, "closed", tol)
+    lo, hi, fz = _dim_range(model, P.anchor, P.normal, None, "closed")
     return _exact_dim(lo, hi, fz, "dim_ran_closed")
 
 
-def dim_ran_open(
-    model: SpectralMeasureModel,
-    P: ClosedHalfPlane,
-    tol: TolerancePolicy = DEFAULT_TOL,
-) -> float:
+def dim_ran_open(model: SpectralMeasureModel, P: ClosedHalfPlane) -> float:
     """dim ran E over the *open* side {<z - anchor, n> > 0} of P's line."""
-    lo, hi, fz = _dim_range(model, P.anchor, P.normal, None, "open", tol)
+    lo, hi, fz = _dim_range(model, P.anchor, P.normal, None, "open")
     return _exact_dim(lo, hi, fz, "dim_ran_open")
 
 
@@ -635,9 +621,14 @@ def _piece_interval(piece: Piece, theta: float, c: float, s: float):
     return (min(xs), max(xs))
 
 
+def _is_count(n) -> bool:
+    """n is an integer; booleans are not counts."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _is_finite_rank(k) -> bool:
     """k is a positive integer; booleans are not ranks."""
-    return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and k >= 1
+    return _is_count(k) and k >= 1
 
 
 def lambda_k_sup(rm: RealSpectralModel, k: int) -> float:
@@ -686,34 +677,40 @@ def lambda_k_inf(rm: RealSpectralModel, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def require_normal(M: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
-    """M as a complex square array; NotNormal unless ||MM* - M*M||_F is
-    within eps_eig * max(1, ||M||_F^2)."""
+def _finite_square_matrix(M: np.ndarray) -> np.ndarray:
+    """M as a complex square array; ValueError unless every entry is finite."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix entries must be finite")
+    return M
+
+
+def require_normal(M: np.ndarray) -> np.ndarray:
+    """M as a finite complex square array; NotNormal unless ||MM* - M*M||_F
+    is within eps_eig * max(1, ||M||_F^2)."""
+    M = _finite_square_matrix(M)
     fro2 = float(np.linalg.norm(M, "fro")) ** 2
     comm = np.linalg.norm(M @ M.conj().T - M.conj().T @ M, "fro")
-    if comm > tol.eps_eig * max(1.0, fro2):
+    if comm > DEFAULT_TOL.eps_eig * max(1.0, fro2):
         raise NotNormal(f"commutator norm {comm:.3e} exceeds tolerance")
     return M
 
 
-def normal_eigvals(M: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> np.ndarray:
+def normal_eigvals(M: np.ndarray) -> np.ndarray:
     """Eigenvalues of a normal matrix (checked by :func:`require_normal`)."""
-    M = require_normal(M, tol)
+    M = require_normal(M)
     try:
         return np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
 
 
-def from_normal_matrix(
-    M: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
-) -> SpectralMeasureModel:
+def from_normal_matrix(M: np.ndarray) -> SpectralMeasureModel:
     """Atom model of a normal matrix: clustered eigenvalues with multiplicity."""
-    eigvals = normal_eigvals(M, tol)
-    atoms = _cluster(eigvals, tol.eps_eig)
+    eigvals = normal_eigvals(M)
+    atoms = _cluster(eigvals, DEFAULT_TOL.eps_eig)
     radius = float(max(abs(eigvals))) + 1.0 if len(eigvals) else 1.0
     return SpectralMeasureModel(atoms=atoms, support_radius=radius)
 

@@ -42,13 +42,13 @@ def _block_dilation_planes(T, k, xis, tol):
     the dilation fails its residual check or T is not normal."""
     levels = np.full(xis.shape[0], np.nan)
     try:
-        vals, V = _unitary_eigendecomposition(T, tol)
+        vals, V = _unitary_eigendecomposition(T)
     except NotNormal:
         return levels
     cuts = _support_levels(vals, k, xis)
     for j, xi in enumerate(xis):
         c = np.real(np.exp(1j * xi) * vals)
-        art = _block_dilation(T, vals, V, xi, c > cuts[j] + 1e-12, tol)
+        art = _block_dilation(T, vals, V, xi, c > cuts[j] + 1e-12)
         if art is not None:
             levels[j] = _support_levels(np.linalg.eigvals(art.matrix), k, np.array([xi]))[0]
     return levels
@@ -68,10 +68,10 @@ def dilation_intersection(
     and per-direction block dilations."""
     T = np.asarray(T, dtype=complex)
     n = T.shape[0]
-    _require_contraction(T, tol)
+    _require_contraction(T)
     if not 1 <= k <= 2 * n:
         raise ValueError("rank must satisfy 1 <= k <= 2n")
-    base = halmos(T, 0.0, tol).matrix
+    base = halmos(T, 0.0).matrix
     xis = 2 * math.pi * np.arange(n_angles) / n_angles
     best = np.full(n_angles, np.inf)
 
@@ -101,4 +101,4 @@ def dilation_intersection(
     best[mask] = np.minimum(best[mask], block_levels[mask])
 
     planes = [support_plane(xi, h) for xi, h in zip(xis, best)]
-    return halfplane_intersection(planes, bound=_op_norm(T) + 1.0, tol=tol)
+    return halfplane_intersection(planes, bound=_op_norm(T) + 1.0)

@@ -102,7 +102,7 @@ def member(model, k, lam, tol=DEFAULT_TOL):
     kf = _check_rank(model, k)
     lam = complex(lam)
     vx, vy = critical_directions(model, lam)
-    sweep = direction_sweep(model, lam, vx, vy, tol)
+    sweep = direction_sweep(model, lam, vx, vy)
     value, f, i = sweep_decision(sweep, _HCHP, kf)
     if value is Verdict.OUT:
         return MembershipVerdict(value, _witness_from(sweep, f, i, lam), float(sweep.hi[f, i]))
@@ -111,7 +111,7 @@ def member(model, k, lam, tol=DEFAULT_TOL):
 
 def _closed_witness_sweep(model, lam, k, tol, extra_angles=()):
     vx, vy = critical_directions(model, lam, extra_angles=extra_angles)
-    sweep = direction_sweep(model, lam, vx, vy, tol)
+    sweep = direction_sweep(model, lam, vx, vy)
     value, flavor, i = sweep_decision(sweep, [CA, CB], k)
     if value is Verdict.OUT:
         vx, vy = float(sweep.vx[i]), float(sweep.vy[i])

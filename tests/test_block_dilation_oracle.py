@@ -58,7 +58,7 @@ def test_levels_match_oracle(rng):
     for T in _contractions(rng):
         for k in range(1, 2 * T.shape[0] + 1):
             old = oracle._block_dilation_planes(T, k, XIS, DEFAULT_TOL)
-            new = dilation._block_dilation_levels(T, k, XIS, DEFAULT_TOL)
+            new = dilation._block_dilation_levels(T, k, XIS)
             calls += 1
             if new is None:
                 assert np.isnan(old).all()
@@ -99,14 +99,14 @@ def test_gate_residuals_and_levels(rng, monkeypatch):
         k = int(rng.integers(1, 2 * n + 1))
         xis = rng.uniform(0, 2 * math.pi, 8)
         built.clear()
-        levels = dilation._block_dilation_levels(T, k, xis, DEFAULT_TOL)
+        levels = dilation._block_dilation_levels(T, k, xis)
         assert levels is not None and len(built) == 1
         gate = built[0]
-        vals, V = dilation._unitary_eigendecomposition(T, DEFAULT_TOL)
+        vals, V = dilation._unitary_eigendecomposition(T)
         for xi, level in zip(xis, levels):
             c = np.real(np.exp(1j * xi) * vals)
             top = c > (np.sort(c)[n - k] + 1e-12 if k <= n else -np.inf)
-            art = real(T, vals, V, xi, top, DEFAULT_TOL)
+            art = real(T, vals, V, xi, top)
             assert abs(art.unitarity_residual - gate.unitarity_residual) <= 1e-13
             assert abs(art.compression_residual - gate.compression_residual) <= 1e-13
             proj = np.sort(np.real(np.exp(1j * xi) * np.linalg.eigvals(art.matrix)))
@@ -161,12 +161,12 @@ def test_failed_gate_adds_no_block_planes(rng, monkeypatch):
     real = dilation._unitary_eigendecomposition
     noise = 1e-8 * haar_unitary(5, rng)
 
-    def perturbed(T, tol):
-        vals, V = real(T, tol)
+    def perturbed(T):
+        vals, V = real(T)
         return vals, V + noise
 
     monkeypatch.setattr(dilation, "_unitary_eigendecomposition", perturbed)
     monkeypatch.setattr(oracle, "_unitary_eigendecomposition", perturbed)
-    assert dilation._block_dilation_levels(T, k, XIS, DEFAULT_TOL) is None
+    assert dilation._block_dilation_levels(T, k, XIS) is None
     assert np.isnan(oracle._block_dilation_planes(T, k, XIS, DEFAULT_TOL)).all()
     assert dilation.dilation_intersection(T, k, 2, 4).vertices == without_blocks.vertices

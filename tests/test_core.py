@@ -21,10 +21,12 @@ from hrnr import (
     conjecture_check,
     convex_hull,
     decompose_excluding,
+    dilation_intersection,
     dim_ran_hchp,
     excluding_certificate,
     excluding_dilation_matrix,
     from_normal_matrix,
+    halmos,
     hchp_at,
     hchp_member,
     is_boundary,
@@ -32,10 +34,12 @@ from hrnr import (
     member,
     member_infinity,
     region,
+    scalar_dilation,
     selfadjoint_interval,
 )
+from hrnr import dilation
 from hrnr.core import critical_directions
-from hrnr.errors import InsufficientDimension
+from hrnr.errors import EigFailure, InsufficientDimension
 from hrnr.presets import (
     HERMITIAN_VALUES,
     bilateral_shift_model,
@@ -353,3 +357,70 @@ _POINT_FUNCTIONS = {
 def test_point_functions_reject_non_finite(name, z):
     with pytest.raises(ValueError, match="point must have finite coordinates"):
         _POINT_FUNCTIONS[name](z)
+
+
+_NAN_DIAG = np.diag([math.nan, 0.1])
+
+_NON_FINITE_CALLS = {
+    "halmos alpha nan": lambda: halmos(_DIAG, math.nan),
+    "halmos alpha inf": lambda: halmos(_DIAG, math.inf),
+    "halmos inf matrix": lambda: halmos(np.diag([math.inf, 0.1])),
+    "halmos nan matrix": lambda: halmos(_NAN_DIAG),
+    "excluding_dilation_matrix nan matrix": lambda: excluding_dilation_matrix(_NAN_DIAG, 1, 0.9),
+    "dilation_intersection nan matrix": lambda: dilation_intersection(_NAN_DIAG, 1, 1, 1),
+    "conjecture_check nan matrix": lambda: conjecture_check(_NAN_DIAG, 1, 0j, 8),
+    "conjecture_check inf matrix": lambda: conjecture_check(np.diag([math.inf, 0.1]), 1, 0j, 8),
+    "from_normal_matrix nan matrix": lambda: from_normal_matrix(_NAN_DIAG),
+    "scalar_dilation d nan": lambda: scalar_dilation(math.nan, 1, -1),
+    "scalar_dilation xi nan": lambda: scalar_dilation(0.5, math.nan, -1),
+    "scalar_dilation eta inf": lambda: scalar_dilation(0.5, 1, complex(0.0, math.inf)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NON_FINITE_CALLS))
+def test_dilation_functions_reject_non_finite(name):
+    with pytest.raises(ValueError, match="finite"):
+        _NON_FINITE_CALLS[name]()
+
+
+def test_nan_residuals_fail_the_gates(monkeypatch):
+    monkeypatch.setattr(dilation, "_residuals", lambda U, T: (math.nan, 0.0))
+    with pytest.raises(EigFailure, match="residuals too large"):
+        halmos(_DIAG)
+    vals, V = dilation._unitary_eigendecomposition(_DIAG)
+    assert dilation._block_dilation(_DIAG, vals, V, 0.0, np.array([True, False])) is None
+
+
+_BAD_RANKS_AND_COUNTS = {
+    "matrix_lambda_k rank 1.5": lambda: matrix_lambda_k(_DIAG, 1.5, 0.0),
+    "matrix_lambda_k rank True": lambda: matrix_lambda_k(_DIAG, True, 0.0),
+    "ckz_member rank 1.5": lambda: ckz_member(_DIAG, 1.5, 0j),
+    "ckz_member rank True": lambda: ckz_member(_DIAG, True, 0j),
+    "excluding_dilation_matrix rank 1.5": lambda: excluding_dilation_matrix(_DIAG, 1.5, 0.9 + 0j),
+    "excluding_certificate rank 1.5": lambda: excluding_certificate(durszt_model(2), 1.5, 0.5 + 0j),
+    "dilation_intersection rank 1.5": lambda: dilation_intersection(_DIAG, 1.5, 1, 1),
+    "dilation_intersection rank True": lambda: dilation_intersection(_DIAG, True, 1, 1),
+    "dilation_intersection n_samples 1.5": lambda: dilation_intersection(_DIAG, 1, 1.5, 1),
+    "dilation_intersection n_alpha True": lambda: dilation_intersection(_DIAG, 1, 1, True),
+    "conjecture_check rank 1.5": lambda: conjecture_check(_DIAG, 1.5, 0.9 + 0j, 8),
+    "conjecture_check rank True": lambda: conjecture_check(_DIAG, True, 0.9 + 0j, 8),
+    "conjecture_check n_theta 2.5": lambda: conjecture_check(_DIAG, 1, 0.9 + 0j, 2.5),
+    "region n_angles 8.5": lambda: region(durszt_model(2), 2, 8.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_RANKS_AND_COUNTS))
+def test_ranks_and_counts_must_be_integers(name):
+    with pytest.raises(ValueError):
+        _BAD_RANKS_AND_COUNTS[name]()
+
+
+def test_numpy_integer_ranks_and_counts():
+    one, two, eight = np.int64(1), np.int64(2), np.int64(8)
+    lam = 0.9 + 0j
+    assert matrix_lambda_k(_DIAG, one, 0.0) == matrix_lambda_k(_DIAG, 1, 0.0)
+    assert ckz_member(_DIAG, one, 0j) is ckz_member(_DIAG, 1, 0j)
+    assert conjecture_check(_DIAG, one, lam, eight) == conjecture_check(_DIAG, 1, lam, 8)
+    assert dilation_intersection(_DIAG, two, one, two) == dilation_intersection(_DIAG, 2, 1, 2)
+    model = durszt_model(2)
+    assert region(model, two, eight).polygon == region(model, 2, 8).polygon

@@ -22,7 +22,7 @@ from conftest import random_model, random_normal_contraction
 
 
 def assert_agrees(planes, bound, tol=DEFAULT_TOL):
-    new = halfplane_intersection(planes, bound, tol)
+    new = halfplane_intersection(planes, bound)
     old = clip_intersection(planes, bound, tol)
     assert new.is_empty == old.is_empty
     assert len(new.vertices) == len(old.vertices)
@@ -39,7 +39,7 @@ def calls(monkeypatch):
 
         def record(planes, bound, tol=DEFAULT_TOL, _real=module.halfplane_intersection):
             seen.append((planes, bound, tol))
-            return _real(planes, bound, tol)
+            return _real(planes, bound)
 
         monkeypatch.setattr(module, "halfplane_intersection", record)
     yield seen

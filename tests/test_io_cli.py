@@ -310,6 +310,8 @@ class TestCli:
             (["member", "-k", "1", "--point", "0,inf"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 1),
             (["member", "-k", "1", "--point=-inf,nan"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 1),
             (["conjecture", "-k", "1", "--point", "nan,0"], _HALF_DIAG, 1),
+            (["dilate", "--alpha", "nan"], _HALF_DIAG, 1),
+            (["dilate", "--alpha", "inf"], _HALF_DIAG, 1),
         ],
     )
     def test_exit_code_contract(self, tmp_path, capsys, command, doc, code):
