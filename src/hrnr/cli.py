@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 malformed input, 2 precondition violation
-(non-normal matrix, non-contraction, rank/dimension mismatch, ...),
-3 uncertain-dominated result.
+Exit codes: 0 success, 1 malformed input (usage errors included), 2
+precondition violation (non-normal matrix, non-contraction, rank/dimension
+mismatch, failed dilation check, ...), 3 uncertain-dominated result.
 """
 
 from __future__ import annotations
@@ -304,8 +304,16 @@ def _cmd_reproduce(args) -> int:
     return fn(args.k if args.k is not None else default_k)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ModelFormatError, so they exit 1 like any other
+    malformed input; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ModelFormatError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hrnr",
         description="Rank-k numerical ranges of normal operators and unitary dilations",
     )
@@ -357,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("intersect", help="intersection of dilation ranges")
     add_common(sp)
-    sampled = " (used only when T is not normal or its block dilation fails its check)"
+    sampled = " (used only when T is not normal)"
     sp.add_argument("--alphas", type=int, default=360, help="rotated-Halmos grid size" + sampled)
     sp.add_argument("--samples", type=int, default=20, help="random dilation samples" + sampled)
     sp.add_argument("--seed", type=int, default=0, help="seed of the random samples" + sampled)
@@ -371,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ModelFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

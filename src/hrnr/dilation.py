@@ -70,9 +70,6 @@ from .spectral import (
     require_normal,
 )
 
-# Grid of directions xi searched for the best separating level of a point.
-EXCLUSION_ANGLES = 720
-
 # Grid of support-plane directions of a dilation-range intersection.
 INTERSECTION_ANGLES = 180
 
@@ -129,28 +126,18 @@ def _op_norm(T: np.ndarray) -> float:
     return float(np.linalg.norm(T, 2))
 
 
-def _sqrt_psd(A: np.ndarray) -> np.ndarray:
-    try:
-        vals, vecs = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise EigFailure(str(exc)) from exc
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+def _check_norm(norm: float) -> float:
+    """NotContraction when the operator norm exceeds 1 + eps_eig."""
+    if norm > 1.0 + DEFAULT_TOL.eps_eig:
+        raise NotContraction(f"operator norm {norm:.6f} exceeds 1")
+    return norm
 
 
 def _require_contraction(T: np.ndarray) -> tuple[np.ndarray, float]:
     """T as a finite complex square array, and its operator norm;
     NotContraction when the norm exceeds 1 + eps_eig."""
     T = _finite_square_matrix(T)
-    norm = _op_norm(T)
-    if norm > 1.0 + DEFAULT_TOL.eps_eig:
-        raise NotContraction(f"operator norm {norm:.6f} exceeds 1")
-    return T, norm
-
-
-def _within(limit: float, *residuals: float) -> bool:
-    """Every residual is at most limit; a NaN residual is not."""
-    return all(r <= limit for r in residuals)
+    return T, _check_norm(_op_norm(T))
 
 
 def _residuals(U: np.ndarray, T: np.ndarray) -> tuple[float, float]:
@@ -161,24 +148,38 @@ def _residuals(U: np.ndarray, T: np.ndarray) -> tuple[float, float]:
     return unit, comp
 
 
-def halmos(T: np.ndarray, alpha: float = 0.0) -> DilationArtifact:
-    """Rotated Halmos dilation [[T, -e^{-ia}D_*],[e^{-ia}D, e^{-2ia}T*]]."""
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
-    T, _ = _require_contraction(T)
-    n = T.shape[0]
-    eye = np.eye(n)
-    dt = _sqrt_psd(eye - T.conj().T @ T)
-    dts = _sqrt_psd(eye - T @ T.conj().T)
-    ph = np.exp(-1j * alpha)
-    U = np.block([[T, -ph * dts], [ph * dt, ph * ph * T.conj().T]])
-    unit, comp = _residuals(U, T)
-    if not _within(DEFAULT_TOL.eps_unitary, unit, comp):
+def _require_residuals(unit: float, comp: float, limit: float = DEFAULT_TOL.eps_unitary) -> None:
+    """EigFailure naming both residuals unless each is at most limit (a NaN
+    residual is not): the one residual check of every dilation built here."""
+    if not (unit <= limit and comp <= limit):
         raise EigFailure(
             f"dilation residuals too large (unitarity {unit:.2e}, compression {comp:.2e})"
         )
-    dvals = np.sqrt(np.clip(np.linalg.eigvalsh(eye - T.conj().T @ T), 0.0, None))
-    return DilationArtifact(U, float(alpha), unit, comp, int(np.sum(dvals > DEFAULT_TOL.eps_eig)))
+
+
+def halmos(T: np.ndarray, alpha: float = 0.0) -> DilationArtifact:
+    """Rotated Halmos dilation [[T, -e^{-ia}D_*],[e^{-ia}D, e^{-2ia}T*]].
+
+    One SVD T = W diag(s) Vh gives the norm check, the defects
+    D = Vh* diag(sqrt(1 - s^2)) Vh and D_* = W diag(sqrt(1 - s^2)) W*, and
+    the defect rank.
+    """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    T = _finite_square_matrix(T)
+    try:
+        W, s, Vh = np.linalg.svd(T)
+    except np.linalg.LinAlgError as exc:
+        raise EigFailure(str(exc)) from exc
+    _check_norm(float(np.max(s, initial=0.0)))
+    defect = np.sqrt(np.clip(1.0 - s * s, 0.0, None))
+    dt = (Vh.conj().T * defect) @ Vh
+    dts = (W * defect) @ W.conj().T
+    ph = np.exp(-1j * alpha)
+    U = np.block([[T, -ph * dts], [ph * dt, ph * ph * T.conj().T]])
+    unit, comp = _residuals(U, T)
+    _require_residuals(unit, comp)
+    return DilationArtifact(U, float(alpha), unit, comp, int(np.sum(defect > DEFAULT_TOL.eps_eig)))
 
 
 def scalar_dilation(d: complex, xi: complex, eta: complex) -> np.ndarray:
@@ -209,9 +210,10 @@ def excluding_dilation_matrix(T: np.ndarray, k: int, lam: complex) -> DilationAr
     """A unitary dilation of the normal contraction T whose rank-k range
     verifiably excludes lam.
 
-    Of the EXCLUSION_ANGLES grid directions xi, the one with the largest margin
-    Re(e^{i xi} lam) - lambda_k(Re(e^{i xi} T)) separates lam from the
-    rank-k support level.  The block dilation at xi splits off the
+    The direction xi with the largest margin
+    Re(e^{i xi} lam) - lambda_k(Re(e^{i xi} T)) (see
+    :func:`_separating_direction`) separates lam from the rank-k support
+    level.  The block dilation at xi splits off the
     eigenvalues beyond the midpoint of that margin (fewer than k of them)
     through 2x2 scalar dilations and carries the rest by a Halmos block
     rotated by xi, so at most k - 1 of its eigenvalues project beyond the
@@ -223,17 +225,40 @@ def excluding_dilation_matrix(T: np.ndarray, k: int, lam: complex) -> DilationAr
     T, _ = _require_contraction(T)
     vals, V = _unitary_eigendecomposition(T)
     _check_matrix_rank(k, vals.shape[0])
-    alphas = 2 * math.pi * np.arange(EXCLUSION_ANGLES) / EXCLUSION_ANGLES
-    margins = np.real(np.exp(1j * alphas) * lam) - _support_levels(vals, k, alphas)
-    j = int(np.argmax(margins))
-    if margins[j] <= DEFAULT_TOL.eps_geom:
-        raise NoSeparatingAngle(f"best margin {margins[j]:.3e} does not clear eps_geom")
-    xi = float(alphas[j])
-    cut = np.real(np.exp(1j * xi) * lam) - 0.5 * margins[j]
+    xi, margin = _separating_direction(vals, k, lam)
+    if margin <= DEFAULT_TOL.eps_geom:
+        raise NoSeparatingAngle(f"best margin {margin:.3e} does not clear eps_geom")
+    cut = np.real(np.exp(1j * xi) * lam) - 0.5 * margin
     art = _block_dilation(T, vals, V, xi, np.real(np.exp(1j * xi) * vals) >= cut)
-    if art is None or member(from_normal_matrix(art.matrix), k, lam).value is not Verdict.OUT:
+    if member(from_normal_matrix(art.matrix), k, lam).value is not Verdict.OUT:
         raise NoSeparatingAngle("the block dilation does not verifiably exclude the point")
     return art
+
+
+def _separating_direction(vals: np.ndarray, k: int, lam: complex) -> tuple[float, float]:
+    """The direction xi maximizing the margin Re(e^{i xi} lam) - L_k(xi),
+    L_k(xi) being the k-th largest Re(e^{i xi} d) over the eigenvalues d,
+    and that margin.
+
+    Between directions where two eigenvalues project equally, L_k follows
+    one eigenvalue d, so the margin is Re(e^{i xi} (lam - d)): its maximum
+    lies at such a crossing, pi/2 - arg(d_i - d_j) or that plus pi, or at
+    -arg(lam - d).  The candidates are scored a chunk at a time, so the
+    working memory stays O(n^2).
+    """
+    n = vals.shape[0]
+    diff = (vals[:, None] - vals[None, :])[np.triu_indices(n, 1)]
+    cross = math.pi / 2 - np.angle(diff[diff != 0])
+    xis = np.concatenate([cross, cross + math.pi, -np.angle(lam - vals)])
+    best_xi, best = 0.0, -math.inf
+    rows = max(n, 4096 // n)
+    for start in range(0, xis.shape[0], rows):
+        x = xis[start : start + rows]
+        margins = np.real(np.exp(1j * x) * lam) - _support_levels(vals, k, x)
+        j = int(np.argmax(margins))
+        if margins[j] > best:
+            best_xi, best = float(x[j]), float(margins[j])
+    return best_xi, best
 
 
 def _closed_witness(sweep, lam, k):
@@ -461,11 +486,11 @@ def _unitary_eigendecomposition(T):
     return vals, u @ vh
 
 
-def _block_dilation(T, vals, V, xi, top) -> DilationArtifact | None:
+def _block_dilation(T, vals, V, xi, top) -> DilationArtifact:
     """Unitary dilation of T = V diag(vals) V* splitting off the eigenvalues
     selected by the mask ``top`` through 2x2 scalar dilations and carrying
-    the rest by a Halmos block rotated by xi; None when its unitarity or
-    compression residual exceeds eps_unitary.
+    the rest by a Halmos block rotated by xi; EigFailure when its unitarity
+    or compression residual exceeds eps_unitary.
 
     Every split-off eigenvalue d pairs with eta = -e^{-i xi}, the lowest
     point of the unit circle in direction xi, and with the second point
@@ -489,8 +514,7 @@ def _block_dilation(T, vals, V, xi, top) -> DilationArtifact | None:
     big = np.kron(np.eye(2), V)
     U = big @ U_t @ big.conj().T
     unit, comp = _residuals(U, T)
-    if not _within(DEFAULT_TOL.eps_unitary, unit, comp):
-        return None
+    _require_residuals(unit, comp)
     return DilationArtifact(U, float(xi), unit, comp, int(np.sum(defect > DEFAULT_TOL.eps_eig)))
 
 
@@ -501,7 +525,8 @@ def _block_dilation_levels(T, k, xis):
     ``_block_dilation`` gives them, L_{r + ceil((k - r) / 2)}, or -1 when
     k > n.  Residuals change with xi only through rounding, so the dilation
     at the first direction, checked against eps_unitary less a rounding
-    allowance, gates them all; None when it fails or T is not normal.
+    allowance, gates them all: EigFailure when it fails, None when T is not
+    normal.
     """
     try:
         vals, V = _unitary_eigendecomposition(T)
@@ -512,8 +537,7 @@ def _block_dilation_levels(T, k, xis):
     cut = proj[0, n - k] + 1e-12 if k <= n else -np.inf
     art = _block_dilation(T, vals, V, float(xis[0]), np.real(np.exp(1j * xis[0]) * vals) > cut)
     limit = DEFAULT_TOL.eps_unitary - 16 * n * np.finfo(float).eps  # less the rounding allowance
-    if art is None or not _within(limit, art.unitarity_residual, art.compression_residual):
-        return None
+    _require_residuals(art.unitarity_residual, art.compression_residual, limit)
     if k > n:
         return np.full(xis.shape[0], -1.0)
     r = np.count_nonzero(proj > proj[:, n - k, None] + 1e-12, axis=1)
@@ -523,7 +547,7 @@ def _block_dilation_levels(T, k, xis):
 def _sampled_levels(T, k, xis, n_samples, n_alpha, seed):
     """Rank-k levels, per direction xi, minimized over a rotated-Halmos grid
     of n_alpha phases and n_samples seeded random (I(+)V)H(I(+)W) unitary
-    dilations; samples failing the residual check are left out."""
+    dilations; EigFailure when a sample fails the residual check."""
     n = T.shape[0]
     base = halmos(T, 0.0).matrix
     best = np.full(xis.shape[0], np.inf)
@@ -545,8 +569,7 @@ def _sampled_levels(T, k, xis, n_samples, n_alpha, seed):
         U = base.copy()
         U[:, n:] = U[:, n:] @ W
         U[n:, :] = V @ U[n:, :]
-        if not _within(DEFAULT_TOL.eps_unitary, *_residuals(U, T)):
-            continue
+        _require_residuals(*_residuals(U, T))
         best = np.minimum(best, _support_levels(np.linalg.eigvals(U), k, xis))
     return best
 
@@ -565,11 +588,11 @@ def dilation_intersection(
     closed form.  By interlacing no unitary dilation has a rank-k level
     below T's own, which the block levels attain to within their 1e-12
     split threshold, so no other dilation can tighten these planes and
-    they are the whole intersection.  Only when T is not normal, or the one
-    block dilation built per T fails its residual check, do the planes come
-    from a rotated-Halmos grid of n_alpha phases and n_samples random
-    (I(+)V)H(I(+)W) samples drawn from ``seed``; n_alpha, n_samples and
-    seed act on nothing else.
+    they are the whole intersection; EigFailure when the one block dilation
+    built per T fails its residual check.  Only when T is not normal do the
+    planes come from a rotated-Halmos grid of n_alpha phases and n_samples
+    random (I(+)V)H(I(+)W) samples drawn from ``seed``, each held to the
+    same residual check; n_alpha, n_samples and seed act on nothing else.
     """
     T, norm = _require_contraction(T)
     n = T.shape[0]

@@ -319,14 +319,17 @@ def halfplane_intersection(planes: list[ClosedHalfPlane], bound: float) -> Conve
     """Intersect the square box of radius ``bound`` with every closed half plane.
 
     The box sides and the planes become lines n.z >= c with unit normals n,
-    sorted by normal angle; at equal angles only the tightest is kept.  One
+    sorted by normal angle; of nearly parallel lines, whose normals differ
+    by less than eps_geom / (5 * bound), only the tightest is kept.  One
     deque pass (the sort-and-deque half-plane intersection, de Berg, Cheong,
     van Kreveld & Overmars, *Computational Geometry*, 3rd ed., ch. 4 and
-    section 8.2) drops a line only when a vertex lies outside the next line by
-    more than ``eps_geom``, so lines through a vertex stay and zero-width
-    strips survive.  Consecutive vertices within 1e-12 * bound are one
-    vertex, solved from the best-conditioned pair (largest |det|) of the
-    lines that meet there, which keeps corners of axis-aligned lines exact.
+    section 8.2) drops a line only when a vertex it makes with one
+    neighbour lies outside the other by more than ``eps_geom``, so lines
+    through a vertex stay and zero-width strips survive.  Consecutive
+    vertices within 1e-12 * bound are one vertex, solved from the
+    best-conditioned pair (largest |det|) of the lines that meet there,
+    which keeps corners of axis-aligned lines exact.  Every vertex lies
+    within ``eps_geom`` of every plane.
 
     Degenerate intersections survive as segments or points; an empty
     intersection gives the empty polygon.
@@ -338,30 +341,60 @@ def halfplane_intersection(planes: list[ClosedHalfPlane], bound: float) -> Conve
         nx, ny = P.normal
         scale = math.hypot(nx, ny)
         lines.append((nx / scale, ny / scale, (nx * P.anchor.real + ny * P.anchor.imag) / scale))
-    tightest: dict[float, tuple[float, float, float]] = {}
-    for line in lines:
-        angle = math.atan2(line[1] + 0.0, line[0])  # + 0.0 maps -0.0 to 0.0, so -pi never occurs
-        if angle not in tightest or line[2] > tightest[angle][2]:
-            tightest[angle] = line
+    # + 0.0 maps -0.0 to 0.0, so -pi never occurs
+    lines.sort(key=lambda line: math.atan2(line[1] + 0.0, line[0]))
     eps = DEFAULT_TOL.eps_geom
+    # Lines whose unit normals differ by less than ``parallel`` from the
+    # first line of their run are one line, the tightest: members of a run
+    # (the last run joining the first across the angle cut) differ by less
+    # than 3 * parallel, so inside the box, |z| <= sqrt(2) * bound, the
+    # tightest violates a dropped line by less than eps.
+    parallel = eps / (5.0 * bound)
+    runs: list[list[tuple[float, float, float]]] = []
+    for line in lines:
+        if runs and math.hypot(line[0] - runs[-1][0][0], line[1] - runs[-1][0][1]) < parallel:
+            runs[-1].append(line)
+        else:
+            runs.append([line])
+    first = runs[0][0]
+    if len(runs) > 1 and math.hypot(first[0] - runs[-1][0][0], first[1] - runs[-1][0][1]) < parallel:
+        runs[0] += runs.pop()
+    tightest = [max(run, key=lambda line: line[2]) for run in runs]
 
     def cuts(line, p):
         return line[0] * p.real + line[1] * p.imag - line[2] < -eps
 
+    def redundant(prev, mid, nxt, back):
+        # mid adds no edge between prev and nxt when its vertex with one of
+        # them lies outside the other.  The classic test takes the vertex
+        # with mid's neighbour in the deque (prev when popping from the
+        # back, nxt from the front).  The vertex with the line being added
+        # is the one that sees more than eps when mid and that line are
+        # nearly parallel; it is tested only while prev turns to nxt by
+        # less than a half turn, where the two tests agree in exact
+        # arithmetic.
+        if back:
+            return cuts(nxt, _meet(prev, mid)) or (
+                _det(prev, nxt) > 0.0 and _det(mid, nxt) > 0.0 and cuts(prev, _meet(mid, nxt))
+            )
+        return cuts(prev, _meet(mid, nxt)) or (
+            _det(prev, nxt) > 0.0 and _det(prev, mid) > 0.0 and cuts(nxt, _meet(prev, mid))
+        )
+
     dq: deque[tuple[float, float, float]] = deque()
-    for line in (tightest[a] for a in sorted(tightest)):
-        while len(dq) >= 2 and cuts(line, _meet(dq[-2], dq[-1])):
+    for line in tightest:
+        while len(dq) >= 2 and redundant(dq[-2], dq[-1], line, True):
             dq.pop()
-        while len(dq) >= 2 and cuts(line, _meet(dq[0], dq[1])):
+        while len(dq) >= 2 and redundant(line, dq[0], dq[1], False):
             dq.popleft()
         if dq and _det(dq[-1], line) <= 0.0:
             # the lines between two normals half a turn or more apart were
             # cut away, so nothing satisfies both sides
             return ConvexPolygon(())
         dq.append(line)
-    while len(dq) >= 3 and cuts(dq[0], _meet(dq[-2], dq[-1])):
+    while len(dq) >= 3 and redundant(dq[-2], dq[-1], dq[0], True):
         dq.pop()
-    while len(dq) >= 3 and cuts(dq[-1], _meet(dq[0], dq[1])):
+    while len(dq) >= 3 and redundant(dq[-1], dq[0], dq[1], False):
         dq.popleft()
     if len(dq) < 3 or _det(dq[-1], dq[0]) <= 0.0:
         return ConvexPolygon(())
@@ -382,8 +415,16 @@ def _det(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
 
 
 def _meet(a: tuple[float, float, float], b: tuple[float, float, float]) -> complex:
-    """The point on both lines n.z = c."""
+    """The point on both lines n.z = c.
+
+    For nearly parallel lines (|det| < 1e-3) the point is reached along a
+    from its foot c * n: rounding then moves it along the lines, not off
+    them, where the 2 x 2 solve would leave it off both by about ulp / |det|.
+    """
     det = _det(a, b)
+    if abs(det) < 1e-3:
+        t = (b[2] - a[2] * (a[0] * b[0] + a[1] * b[1])) / det
+        return complex(a[2] * a[0] - t * a[1], a[2] * a[1] + t * a[0])
     return complex((a[2] * b[1] - b[2] * a[1]) / det, (a[0] * b[2] - b[0] * a[2]) / det)
 
 

@@ -716,6 +716,14 @@ def from_normal_matrix(M: np.ndarray) -> SpectralMeasureModel:
 
 
 def _cluster(vals: np.ndarray, eps: float) -> tuple[Atom, ...]:
+    """Single-linkage clusters of the values at distance eps, as atoms at
+    their means, sorted by location.
+
+    Values within eps of each other differ by at most eps in real part, so
+    only the pairs within a 2 * eps window of the real parts in sorted order
+    take the distance test (``np.hypot``, which rounds like ``abs`` of a
+    complex scalar).
+    """
     n = len(vals)
     parent = list(range(n))
 
@@ -725,10 +733,14 @@ def _cluster(vals: np.ndarray, eps: float) -> tuple[Atom, ...]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= eps:
-                parent[find(i)] = find(j)
+    order = np.argsort(vals.real, kind="stable")
+    re = vals.real[order]
+    ends = np.searchsorted(re, re + 2 * eps, side="right")
+    for a in np.flatnonzero(ends > np.arange(n) + 1):
+        i, js = int(order[a]), order[a + 1 : ends[a]]
+        d = vals[js] - vals[i]
+        for j in js[np.hypot(d.real, d.imag) <= eps]:
+            parent[find(i)] = find(int(j))
     groups: dict[int, list[complex]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(complex(vals[i]))

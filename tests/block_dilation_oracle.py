@@ -22,7 +22,7 @@ from hrnr.dilation import (
     _unitary_eigendecomposition,
     halmos,
 )
-from hrnr.errors import NotNormal
+from hrnr.errors import EigFailure, NotNormal
 from hrnr.geometry import DEFAULT_TOL, ConvexPolygon, TolerancePolicy, halfplane_intersection, support_plane
 
 
@@ -48,9 +48,11 @@ def _block_dilation_planes(T, k, xis, tol):
     cuts = _support_levels(vals, k, xis)
     for j, xi in enumerate(xis):
         c = np.real(np.exp(1j * xi) * vals)
-        art = _block_dilation(T, vals, V, xi, c > cuts[j] + 1e-12)
-        if art is not None:
-            levels[j] = _support_levels(np.linalg.eigvals(art.matrix), k, np.array([xi]))[0]
+        try:
+            art = _block_dilation(T, vals, V, xi, c > cuts[j] + 1e-12)
+        except EigFailure:
+            continue
+        levels[j] = _support_levels(np.linalg.eigvals(art.matrix), k, np.array([xi]))[0]
     return levels
 
 

@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hrnr import dilation, matrix_lambda_k
+from hrnr import dilation, jsonio, matrix_lambda_k
+from hrnr.cli import main
+from hrnr.errors import EigFailure
 from hrnr.geometry import DEFAULT_TOL, hausdorff_distance
 
 import block_dilation_oracle as oracle
@@ -167,6 +169,28 @@ def test_failed_gate_adds_no_block_planes(rng, monkeypatch):
 
     monkeypatch.setattr(dilation, "_unitary_eigendecomposition", perturbed)
     monkeypatch.setattr(oracle, "_unitary_eigendecomposition", perturbed)
-    assert dilation._block_dilation_levels(T, k, XIS) is None
     assert np.isnan(oracle._block_dilation_planes(T, k, XIS, DEFAULT_TOL)).all()
-    assert dilation.dilation_intersection(T, k, 2, 4).vertices == without_blocks.vertices
+    with pytest.raises(EigFailure, match="residuals too large"):
+        dilation._block_dilation_levels(T, k, XIS)
+    with pytest.raises(EigFailure, match="residuals too large"):
+        dilation.dilation_intersection(T, k, 2, 4)
+
+
+def test_near_normal_contractions_fail_the_gate(tmp_path, capsys):
+    # 1e-10 entrywise noise passes require_normal but not the residual
+    # check of the block dilation: an error naming both residuals, never a
+    # polygon of sampled dilations; 1e-11 noise passes both
+    rng = np.random.default_rng(11)
+    path = tmp_path / "T.json"
+    for _ in range(20):
+        T = random_normal_contraction(8, rng)
+        noise = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        assert not dilation.dilation_intersection(T + 1e-11 * noise, 2, 4, 16).is_empty
+        bad = T + 1e-10 * noise
+        with pytest.raises(EigFailure, match=r"residuals too large \(unitarity .+, compression .+\)"):
+            dilation.dilation_intersection(bad, 2, 4, 16)
+        with pytest.raises(EigFailure, match=r"residuals too large \(unitarity .+, compression .+\)"):
+            dilation.excluding_dilation_matrix(bad, 2, 0.99 + 0j)
+        path.write_text(jsonio.dumps(jsonio.matrix_to_obj(bad)))
+        assert main(["intersect", "--input", str(path), "-k", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: dilation residuals too large")

@@ -388,7 +388,8 @@ def test_nan_residuals_fail_the_gates(monkeypatch):
     with pytest.raises(EigFailure, match="residuals too large"):
         halmos(_DIAG)
     vals, V = dilation._unitary_eigendecomposition(_DIAG)
-    assert dilation._block_dilation(_DIAG, vals, V, 0.0, np.array([True, False])) is None
+    with pytest.raises(EigFailure, match="residuals too large"):
+        dilation._block_dilation(_DIAG, vals, V, 0.0, np.array([True, False]))
 
 
 _BAD_RANKS_AND_COUNTS = {

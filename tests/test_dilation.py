@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +184,40 @@ class TestExcludingDilation:
                 assert art.unitarity_residual <= 1e-10
                 assert art.compression_residual <= 1e-10
                 assert member(from_normal_matrix(art.matrix), 3, z).value is Verdict.OUT
+
+
+    def test_points_just_outside_edge_midpoints(self):
+        # 1e-3 beyond the midpoint of every edge longer than 0.05 of the
+        # exact rank-k range: the arc of separating directions is narrower
+        # than the spacing of a direction grid
+        path = Path(__file__).resolve().parent.parent / "hrnrbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("hrnrbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        rng = np.random.default_rng(30)
+        cases = 0
+        for _ in range(30):
+            T, eigs = random_normal_matrix(8, rng, rmax=0.85, rmin=0.05)
+            for k in (1, 2):
+                vs = workloads.rank_k_polygon(eigs, k)
+                for a, b in zip(vs, np.roll(vs, -1)):
+                    if abs(b - a) > 0.05:
+                        z = complex(0.5 * (a + b) - 1e-3j * (b - a) / abs(b - a))
+                        art = excluding_dilation_matrix(T, k, z)
+                        assert art.unitarity_residual <= 1e-10
+                        cases += 1
+        assert cases >= 250
+
+    def test_separating_direction_off_every_grid(self):
+        # the square's right edge has normal angle -0.0031, which no
+        # uniform grid of directions contains
+        ph = np.exp(0.0031j)
+        T = np.diag([0.6 + 0.6j, 0.6 - 0.6j, -0.6 + 0.6j, -0.6 - 0.6j]) * ph
+        for d in (1e-3, 1e-4, 1e-6):
+            z = complex((0.6 + d + 0.2j) * ph)
+            art = excluding_dilation_matrix(T, 1, z)
+            assert art.alpha == pytest.approx(-0.0031, abs=1e-12)
+            assert member(from_normal_matrix(art.matrix), 1, z).value is Verdict.OUT
 
 
 class TestExcludingCertificate:

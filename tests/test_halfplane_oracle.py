@@ -3,18 +3,25 @@
 Agreement means the same emptiness, the same vertex count and a Hausdorff
 distance of at most 1e-12 * bound.  The inputs are random plane sets and the
 plane sets that ``region`` and ``dilation_intersection`` actually build.
+Nearly parallel planes are checked separately, against the oracle to
+eps_geom and against exact rational clipping.
 """
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hrnr import core, dilation, presets
 from hrnr.geometry import (
     DEFAULT_TOL,
     ClosedHalfPlane,
+    ConvexPolygon,
+    convex_hull,
     halfplane_intersection,
     hausdorff_distance,
+    support_plane,
 )
 
 from clip_oracle import clip_intersection
@@ -107,3 +114,101 @@ def test_square_region_corners_exact(calls):
     # nearly parallel neighbours that also pass through them
     poly = core.region(presets.square_region_model(2), 2, 96).polygon
     assert set(poly.vertices) == {0.5 + 0.5j, 0.5 - 0.5j, -0.5 + 0.5j, -0.5 - 0.5j}
+
+
+def _worst_violation(poly, planes):
+    """Largest distance by which a vertex lies outside a plane."""
+    worst = 0.0
+    for P in planes:
+        nx, ny = P.normal
+        scale = math.hypot(nx, ny)
+        for v in poly.vertices:
+            s = nx * (v.real - P.anchor.real) + ny * (v.imag - P.anchor.imag)
+            worst = max(worst, -s / scale)
+    return worst
+
+
+def _exact_intersection(planes, bound):
+    """The box clipped by every plane in rational arithmetic, its vertices
+    rounded to floats at the end."""
+    b = Fraction(bound)
+    poly = [(-b, -b), (b, -b), (b, b), (-b, b)]
+    for P in planes:
+        nx, ny = (Fraction(c) for c in P.normal)
+        ax, ay = Fraction(P.anchor.real), Fraction(P.anchor.imag)
+        out = []
+        for p, q in zip(poly[-1:] + poly[:-1], poly):
+            sp, sq = nx * (p[0] - ax) + ny * (p[1] - ay), nx * (q[0] - ax) + ny * (q[1] - ay)
+            if (sp < 0) != (sq < 0):
+                t = sp / (sp - sq)
+                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+            if sq >= 0:
+                out.append(q)
+        poly = out
+        if not poly:
+            return ConvexPolygon(())
+    return convex_hull([complex(float(x), float(y)) for x, y in poly])
+
+
+def test_nearly_parallel_reproducer():
+    # two planes 1.8e-15 apart in angle: the old pass kept a vertex
+    # 7.1e-4 outside both
+    planes = [
+        support_plane(4.07048148529889, 0.059134595802695256),
+        support_plane(4.070481485298892, 0.059134595802694034),
+    ]
+    poly = halfplane_intersection(planes, 1.0)
+    assert len(poly.vertices) == 4
+    assert _worst_violation(poly, planes) <= DEFAULT_TOL.eps_geom
+    assert_agrees(planes, 1.0)
+
+
+GAPS = [10.0**-e for e in range(16, 5, -1)]
+
+
+@pytest.mark.parametrize("gap", GAPS)
+def test_nearly_parallel_pairs(gap):
+    # two lines through one point, at a random angle, next to the angle cut
+    # at pi or next to a box side, alone or with six planes around the
+    # origin.  Where a crossing cuts by less than eps_geom the oracle may
+    # keep or drop it, so polygons agree to eps_geom, not vertex for vertex.
+    rng = np.random.default_rng([20240809, int(-math.log10(gap))])
+    eps = DEFAULT_TOL.eps_geom
+    for trial in range(60):
+        p0 = complex(*rng.uniform(-1, 1, 2))
+        angle = (
+            rng.uniform(0, 2 * math.pi),
+            math.pi - gap * rng.uniform(),
+            rng.integers(0, 4) * math.pi / 2 + rng.choice([-1, 1]) * gap * rng.uniform(),
+        )[trial % 3]
+        planes = [ClosedHalfPlane(p0, angle), ClosedHalfPlane(p0, angle + gap)]
+        if trial % 2:
+            planes += [support_plane(2 * math.pi * (j + rng.uniform()) / 6, 0.8) for j in range(6)]
+        bound = float(rng.choice([1.0, 2.0, 5.0]))
+        poly = halfplane_intersection(planes, bound)
+        assert _worst_violation(poly, planes) <= eps
+        old = clip_intersection(planes, bound)
+        assert poly.is_empty == old.is_empty
+        assert hausdorff_distance(poly, old) <= eps
+        exact = _exact_intersection(planes, bound)
+        assert poly.is_empty == exact.is_empty
+        assert hausdorff_distance(poly, exact) <= eps
+
+
+@pytest.mark.parametrize("gap", [1e-15, 1e-12, 1e-9, 1e-8])
+def test_many_nearly_parallel_pairs(gap):
+    # four pairs of nearly parallel lines and six planes around the origin:
+    # thin and empty intersections, where the clipping oracle itself can
+    # keep vertices far outside a plane, so exact clipping decides
+    rng = np.random.default_rng([20240810, int(-math.log10(gap))])
+    for _ in range(40):
+        planes = []
+        for _ in range(4):
+            q, a = complex(*rng.uniform(-1, 1, 2)), rng.uniform(0, 2 * math.pi)
+            planes += [ClosedHalfPlane(q, a), ClosedHalfPlane(q, a + gap * rng.uniform(-1, 1))]
+        planes += [support_plane(2 * math.pi * (j + rng.uniform()) / 6, 0.8) for j in range(6)]
+        poly = halfplane_intersection(planes, 2.0)
+        exact = _exact_intersection(planes, 2.0)
+        assert poly.is_empty == exact.is_empty
+        assert hausdorff_distance(poly, exact) <= DEFAULT_TOL.eps_geom
+        assert _worst_violation(poly, planes) <= DEFAULT_TOL.eps_geom

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -312,6 +314,12 @@ class TestCli:
             (["conjecture", "-k", "1", "--point", "nan,0"], _HALF_DIAG, 1),
             (["dilate", "--alpha", "nan"], _HALF_DIAG, 1),
             (["dilate", "--alpha", "inf"], _HALF_DIAG, 1),
+            # usage errors are malformed input too
+            (["intersect", "-k", "abc"], _HALF_DIAG, 1),
+            (["region", "-k", "1", "--angles", "x"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 1),
+            (["region", "-k", "1", "--bogus"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 1),
+            (["member", "-k", "1"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 1),
+            (["intersect", "-k", "1", "--seed", "1.5"], _HALF_DIAG, 1),
         ],
     )
     def test_exit_code_contract(self, tmp_path, capsys, command, doc, code):
@@ -340,9 +348,19 @@ class TestCli:
 
     def test_dilate_check_failure(self, monkeypatch, matrix_file, capsys):
         # halmos checks its own residuals; --check adds nothing to that
-        monkeypatch.setattr("hrnr.dilation._sqrt_psd", lambda A: 2 * A)
+        monkeypatch.setattr("hrnr.dilation._residuals", lambda U, T: (1.0, 0.0))
         assert main(["dilate", "--input", matrix_file, "--check"]) == 2
         assert capsys.readouterr().err.startswith("error: dilation residuals too large")
+
+    def test_usage_errors_exit_1(self, capsys):
+        for argv in ([], ["member", "-k", "1", "--point", "0,0"], ["reproduce", "nope"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+        with pytest.raises(SystemExit) as exc:
+            main(["intersect", "--help"])
+        assert exc.value.code == 0
+        assert "--alphas" in capsys.readouterr().out
 
     def test_matrix_required(self, model_file, capsys):
         assert main(["dilate", "--input", model_file]) == 1
@@ -495,3 +513,50 @@ def fuzz_file(tmp_path_factory):
 def test_exit_code_contract_fuzz(fuzz_file, doc, command):
     fuzz_file.write_text(json.dumps(doc))
     assert main([command[0], "--input", str(fuzz_file), *command[1:]]) in (0, 1, 2, 3)
+
+
+_INT_OPTIONS = ("-k", "--angles", "--alphas", "--samples", "--seed", "--thetas")
+_BAD_VALUES = {
+    "int": ["abc", "1.5", "", "1e3", "nan", "x1", "2j"],
+    "--point": ["0", "a,b", "1,2,3", "nan,0", "", "0;0", "inf,inf"],
+    "--alpha": ["nan", "inf", "x", "", "1,2"],
+}
+
+
+@st.composite
+def _bad_command_line(draw):
+    """A command of ``_COMMANDS`` on a valid file (``None`` stands for its
+    path) with one usage error: an unknown flag, a non-integer rank or
+    count, a missing required option, or a malformed point or phase."""
+    command = draw(st.sampled_from(_COMMANDS))
+    argv = [command[0], "--input", None, *command[1:]]
+    if command[0] == "intersect":
+        argv += ["--seed", "3"]
+    ints = [i for i, a in enumerate(argv) if a in _INT_OPTIONS]
+    values = [i for i, a in enumerate(argv) if a in ("--point", "--alpha")]
+    kind = draw(st.sampled_from(["flag", "missing"] + ["int"] * bool(ints) + ["value"] * bool(values)))
+    if kind == "flag":
+        flag = draw(st.sampled_from(["--bogus", "--zz", "-z", "--samplesx"]))
+        argv.insert(draw(st.integers(1, len(argv))), flag)
+    elif kind == "missing":
+        i = draw(st.sampled_from([i for i, a in enumerate(argv) if a in ("--input", "-k", "--point")]))
+        del argv[i : i + 2]
+    elif kind == "int":
+        argv[draw(st.sampled_from(ints)) + 1] = draw(st.sampled_from(_BAD_VALUES["int"]))
+    else:
+        i = draw(st.sampled_from(values))
+        argv[i + 1] = draw(st.sampled_from(_BAD_VALUES[argv[i]]))
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(argv=_bad_command_line())
+def test_exit_code_contract_argv_fuzz(fuzz_file, argv):
+    # usage errors exit 1 with one error line, never a traceback or an
+    # argparse exit status
+    fuzz_file.write_text(json.dumps(_HALF_DIAG))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([str(fuzz_file) if a is None else a for a in argv])
+    assert code == 1
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
