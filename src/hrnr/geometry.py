@@ -350,36 +350,37 @@ def halfplane_intersection(planes: list[ClosedHalfPlane], bound: float) -> Conve
     # than 3 * parallel, so inside the box, |z| <= sqrt(2) * bound, the
     # tightest violates a dropped line by less than eps.
     parallel = eps / (5.0 * bound)
-    runs: list[list[tuple[float, float, float]]] = []
-    for line in lines:
-        if runs and math.hypot(line[0] - runs[-1][0][0], line[1] - runs[-1][0][1]) < parallel:
-            runs[-1].append(line)
-        else:
-            runs.append([line])
-    first = runs[0][0]
-    if len(runs) > 1 and math.hypot(first[0] - runs[-1][0][0], first[1] - runs[-1][0][1]) < parallel:
-        runs[0] += runs.pop()
-    tightest = [max(run, key=lambda line: line[2]) for run in runs]
+    tightest = [lines[0]]
+    first = start = lines[0]
+    for line in lines[1:]:
+        if math.hypot(line[0] - start[0], line[1] - start[1]) >= parallel:
+            start = line
+            tightest.append(line)
+        elif line[2] > tightest[-1][2]:
+            tightest[-1] = line
+    if len(tightest) > 1 and math.hypot(first[0] - start[0], first[1] - start[1]) < parallel:
+        last = tightest.pop()
+        if last[2] > tightest[0][2]:
+            tightest[0] = last
 
-    def cuts(line, p):
-        return line[0] * p.real + line[1] * p.imag - line[2] < -eps
+    def offset(line, p):
+        return line[0] * p.real + line[1] * p.imag - line[2]
 
     def redundant(prev, mid, nxt, back):
         # mid adds no edge between prev and nxt when its vertex with one of
-        # them lies outside the other.  The classic test takes the vertex
-        # with mid's neighbour in the deque (prev when popping from the
-        # back, nxt from the front).  The vertex with the line being added
-        # is the one that sees more than eps when mid and that line are
-        # nearly parallel; it is tested only while prev turns to nxt by
-        # less than a half turn, where the two tests agree in exact
-        # arithmetic.
-        if back:
-            return cuts(nxt, _meet(prev, mid)) or (
-                _det(prev, nxt) > 0.0 and _det(mid, nxt) > 0.0 and cuts(prev, _meet(mid, nxt))
-            )
-        return cuts(prev, _meet(mid, nxt)) or (
-            _det(prev, nxt) > 0.0 and _det(prev, mid) > 0.0 and cuts(nxt, _meet(prev, mid))
-        )
+        # them lies outside the other by more than eps.  The classic test
+        # takes the vertex with mid's neighbour in the deque (prev when
+        # popping from the back, nxt from the front).  The offset of the
+        # other vertex, with the line being added, is the classic one times
+        # det(deque pair) / det(new pair): much larger when mid and the new
+        # line are nearly parallel.  It is tested only while prev turns to
+        # nxt, and mid to the new line, by less than a half turn.
+        kept, new = ((prev, mid), (mid, nxt)) if back else ((mid, nxt), (prev, mid))
+        s = offset(nxt if back else prev, _meet(*kept))
+        if s < -eps:
+            return True
+        d = _det(*new)
+        return s < 0.0 and d > 0.0 and _det(prev, nxt) > 0.0 and s * _det(*kept) < -eps * d
 
     dq: deque[tuple[float, float, float]] = deque()
     for line in tightest:
