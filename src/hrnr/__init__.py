@@ -61,6 +61,7 @@ from .core import (
     matrix_lambda_k,
     member,
     member_infinity,
+    member_many,
     region,
     selfadjoint_interval,
 )

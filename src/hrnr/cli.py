@@ -17,7 +17,7 @@ from . import jsonio, presets
 from .core import (
     RANK_INF,
     member,
-    member_infinity,
+    member_many,
     region,
     selfadjoint_interval,
 )
@@ -143,6 +143,8 @@ def _cmd_wu_check(args) -> int:
             }
             for e in report.evidence
         ],
+        "skipped_near_eigenvalue": report.skipped_near_eigenvalue,
+        "uncertain_samples": report.uncertain_samples,
     }
     print(jsonio.dumps(obj))
     return 3 if report.verdict is WuVerdict.INCONCLUSIVE else 0
@@ -189,9 +191,10 @@ def _reproduce_durszt(k: int) -> int:
         0.3 + 0.4j: Verdict.IN,
         1j: Verdict.OUT,
     }
+    verdicts = member_many(model, k, list(expected))
     checks = [
-        (f"member({z}) = {v.value}", member(model, k, z).value is v)
-        for z, v in expected.items()
+        (f"member({z}) = {v.value}", mv.value is v)
+        for (z, v), mv in zip(expected.items(), verdicts)
     ]
     est = region(model, k, 64)
     report = wu_check(model, k, est)
@@ -229,8 +232,9 @@ def _reproduce_bilateral(k: int) -> int:
     checks = []
     for kk in ranks:
         label = "inf" if kk == RANK_INF else kk
-        ok_in = all(member(model, kk, z).value is Verdict.IN for z in pts_in)
-        ok_out = all(member(model, kk, z).value is Verdict.OUT for z in pts_out)
+        verdicts = [mv.value for mv in member_many(model, kk, pts_in + pts_out)]
+        ok_in = all(v is Verdict.IN for v in verdicts[: len(pts_in)])
+        ok_out = all(v is Verdict.OUT for v in verdicts[len(pts_in) :])
         checks.append((f"k={label}: open disk in, circle and beyond out", ok_in and ok_out))
     return _report(checks)
 
@@ -242,8 +246,8 @@ def _reproduce_infinity_empty(_: int) -> int:
         for x in np.linspace(-1, 1, 20)
         for y in np.linspace(-1, 1, 20)
     ]
-    all_out = all(member_infinity(model, z).value is Verdict.OUT for z in grid)
-    some_in = any(member(model, 1, z).value is Verdict.IN for z in grid)
+    all_out = all(mv.value is Verdict.OUT for mv in member_many(model, RANK_INF, grid))
+    some_in = any(mv.value is Verdict.IN for mv in member_many(model, 1, grid))
     return _report(
         [
             ("rank-inf range empty on the grid", all_out),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -108,19 +108,26 @@ def _check_matrix_rank(k, n: int) -> None:
 
 def critical_directions(
     model: SpectralMeasureModel,
-    anchor: complex,
-    extra_angles: tuple[float, ...] = (),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical direction vectors of every breakpoint line through anchor,
-    plus the midpoints between consecutive breakpoints.
+    anchors,
+    extra_angles=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical direction vectors of every breakpoint line through each
+    anchor, plus the midpoints between consecutive breakpoints.
 
-    The breakpoints come in a fixed order: the model's cached template
-    (``SpectralMeasureModel._direction_template``: atoms, piece extremities,
-    family limits, prefix points and approach directions), taken relative to
-    the anchor with exact zeros dropped, with the tangents from the anchor to
-    each arc circle and tail clearance circle after the entries of their
-    component, then ``extra_angles``, then the midpoints.  Lines whose
-    angles mod pi round to the same 12 decimals keep their first direction.
+    ``anchors`` is a sequence of complex points and ``extra_angles``, when
+    given, holds one sequence of extra line angles per anchor.  Returns
+    flat ``vx, vy`` and ``row``, the anchor index of each direction; the
+    directions of one anchor are contiguous, anchors in order, and bit for
+    bit those of a call with that anchor alone.
+
+    Per anchor, the breakpoints come in a fixed order: the model's cached
+    template (``SpectralMeasureModel._direction_template``: atoms, piece
+    extremities, family limits, prefix points and approach directions),
+    taken relative to the anchor with exact zeros dropped, with the tangents
+    from the anchor to each arc circle and tail clearance circle after the
+    entries of their component, then the extra angles, then the midpoints.
+    Lines whose angles mod pi round to the same 12 decimals keep their first
+    direction.
 
     Breakpoint angles come from ``math.atan2``, because ``np.arctan2`` can
     differ in the last bit and they fix the midpoints.  Rounded angles can
@@ -129,42 +136,91 @@ def critical_directions(
     Python's ``round`` of the ``math.atan2`` angle: ``np.round`` multiplies
     by 1e12 first and can round the other way.
     """
+    anchors = [complex(a) for a in anchors]
+    n = len(anchors)
     (px, py, ppos), (fx, fy, fpos), circles = model._direction_template
-    vx, vy = px - anchor.real, py - anchor.imag
-    nonzero = (vx != 0.0) | (vy != 0.0)
-    tangents, tpos = [], []
-    for center, radius, pos in circles:
-        n = len(tangents)
-        _add_tangents(tangents, anchor, center, radius)
-        tpos += [pos] * (len(tangents) - n)
-    tx, ty = np.array(tangents, dtype=np.float64).reshape(-1, 2).T
-    order = np.argsort(np.concatenate([ppos[nonzero], fpos, tpos]), kind="stable")
-    vx, vy = canonical_dirs(vx[nonzero], vy[nonzero])
-    vx, vy = np.concatenate([vx, fx, tx])[order], np.concatenate([vy, fy, ty])[order]
-    if len(extra_angles):
-        ex, ey = trig_dirs(np.asarray(extra_angles, dtype=np.float64))
-        vx, vy = np.concatenate([vx, ex]), np.concatenate([vy, ey])
-    if not len(vx):
-        # no breakpoint: the dimension does not depend on the direction
-        return trig_dirs(np.zeros(1))
+    ax = np.array([a.real for a in anchors], dtype=np.float64)
+    ay = np.array([a.imag for a in anchors], dtype=np.float64)
 
+    # template points relative to each anchor, exact zeros dropped: row
+    # major, so in order of anchor and position
+    dx, dy = px - ax[:, None], py - ay[:, None]
+    nonzero = (dx != 0.0) | (dy != 0.0)
+    vx, vy = canonical_dirs(dx[nonzero], dy[nonzero])
+    row, col = np.nonzero(nonzero)
+    parts = []
+    if len(fx):
+        parts.append((np.tile(fx, n), np.tile(fy, n), np.tile(fpos, n), np.arange(n).repeat(len(fx))))
+    if circles:
+        tangents, tpos, trow = [], [], []
+        for a, anchor in enumerate(anchors):
+            for center, radius, pos in circles:
+                count = len(tangents)
+                _add_tangents(tangents, anchor, center, radius)
+                tpos += [pos] * (len(tangents) - count)
+                trow += [a] * (len(tangents) - count)
+        tx, ty = np.array(tangents, dtype=np.float64).reshape(-1, 2).T
+        parts.append((tx, ty, np.array(tpos, dtype=np.float64), np.array(trow, dtype=np.intp)))
+    if extra_angles is not None:
+        # after every template entry of their anchor, in the given order
+        counts = [len(e) for e in extra_angles]
+        ex, ey = trig_dirs(np.fromiter(chain.from_iterable(extra_angles), np.float64, sum(counts)))
+        parts.append((ex, ey, np.full(len(ex), np.inf), np.arange(n).repeat(counts)))
+    if parts:
+        vx, vy, pos, row = (np.concatenate(p) for p in zip((vx, vy, ppos[col], row), *parts))
+        # by anchor, then position; lexsort is stable, so the tangents of
+        # one circle keep their order
+        order = np.lexsort((pos, row))
+        vx, vy, row = vx[order], vy[order], row[order]
+
+    # per anchor: the angles in ascending order, each paired with the next
+    # one, the largest with the smallest plus pi, and the midpoints of the
+    # pairs; row is sorted, so the regrouped angles keep it (one anchor
+    # needs no regrouping, which keeps its build as cheap as before)
     angles = _angles(vx, vy)
-    breaks = np.sort(angles)
-    following = np.concatenate([breaks[1:], breaks[:1] + math.pi])
-    mx, my = trig_dirs((0.5 * (breaks + following))[following - breaks > 1e-12])
-    vx, vy = np.concatenate([vx, mx]), np.concatenate([vy, my])
+    counts = np.bincount(row, minlength=n)
+    if n == 1:
+        breaks = np.sort(angles)
+        following = np.concatenate([breaks[1:], breaks[:1] + math.pi])
+    else:
+        by = np.argsort(angles)
+        breaks = angles[by[np.argsort(row[by], kind="stable")]]
+        ends = np.cumsum(counts)[counts > 0]
+        following = np.empty_like(breaks)
+        following[:-1] = breaks[1:]
+        following[ends - 1] = breaks[ends - counts[counts > 0]] + math.pi
+    mid = following - breaks > 1e-12
+    mx, my = trig_dirs((0.5 * (breaks + following))[mid])
 
-    # only angles within 2e-12 of another can share a rounded key
     approx = np.concatenate([angles, np.arctan2(my, mx) % math.pi])
-    by_angle = np.argsort(approx)
-    close = np.flatnonzero(approx[by_angle[1:]] - approx[by_angle[:-1]] <= 2e-12)
+    vx, vy, row = np.concatenate([vx, mx]), np.concatenate([vy, my]), np.concatenate([row, row[mid]])
+    empty = np.flatnonzero(counts == 0)
+    if len(empty):
+        # an anchor without breakpoints takes one direction: its dimensions
+        # do not depend on the direction
+        zx, zy = trig_dirs(np.zeros(len(empty)))
+        vx, vy = np.concatenate([vx, zx]), np.concatenate([vy, zy])
+        approx, row = np.concatenate([approx, np.zeros(len(empty))]), np.concatenate([row, empty])
+    if n > 1:
+        # breakpoints, then midpoints, then the lone directions: stably by anchor
+        order = np.argsort(row, kind="stable")
+        vx, vy, approx, row = vx[order], vy[order], approx[order], row[order]
+
+    # only angles within 2e-12 of another of the same anchor can share a
+    # rounded key
+    by = np.argsort(approx)
+    if n > 1:
+        by = by[np.argsort(row[by], kind="stable")]
+    close = np.flatnonzero(
+        (approx[by[1:]] - approx[by[:-1]] <= 2e-12) & (row[by[1:]] == row[by[:-1]])
+    )
     keep = np.ones(len(vx), dtype=bool)
-    keep[by_angle[close]] = keep[by_angle[close + 1]] = False
+    keep[by[close]] = keep[by[close + 1]] = False
     near = np.flatnonzero(~keep)
-    keys = [round(a, 12) for a in _angles(vx[near], vy[near]).tolist()]
-    first = dict(zip(reversed(keys), reversed(near.tolist())))  # earliest index per key
+    keys = zip(row[near].tolist(), [round(a, 12) for a in _angles(vx[near], vy[near]).tolist()])
+    first = dict(zip(reversed(list(keys)), reversed(near.tolist())))  # earliest index per key
     keep[list(first.values())] = True
-    return vx[keep], vy[keep]
+    return vx[keep], vy[keep], row[keep]
 
 
 def _angles(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
@@ -199,28 +255,103 @@ def _witness_from(sweep, flavor: int, i: int, anchor: complex) -> HalfClosedHalf
     )
 
 
-def sweep_decision(sweep, flavors, k: float) -> tuple[Verdict, int | None, int | None]:
-    """The decision over the planes of the given flavors in a sweep.
+def sweep_decision(sweep, flavors, k: float, row: np.ndarray, n: int):
+    """The decision over the planes of the given flavors, per anchor of a
+    sweep whose directions belong to anchors 0 .. n - 1 (``row``, in
+    ascending order, as :func:`critical_directions` returns them).
 
-    OUT with (flavor, direction index) of the first plane whose dimension is
-    certainly below k, ordered by (unsure, hi, flavor, index), so a plane
-    whose dimension is exact wins over a bracketed one; IN when every plane
-    is certainly at least k; UNCERTAIN otherwise.
+    Per anchor: OUT with (flavor, direction index) of the first plane whose
+    dimension is certainly below k, ordered by (unsure, hi, flavor, index),
+    so a plane whose dimension is exact wins over a bracketed one; IN when
+    every plane is certainly at least k; UNCERTAIN otherwise.  Returns the
+    list of verdicts and the lists of flavors and indices into the sweep
+    (None where the verdict is not OUT).
     """
     lo, hi, fz = sweep.lo[flavors], sweep.hi[flavors], sweep.fuzzy[flavors]
     # a fuzzy surplus is finite, so it never reaches an infinite rank
     below = np.isfinite(hi) if k == INF else (~fz) & (hi < k)
+    flavor, index = [None] * n, [None] * n
     if below.any():
         r, i = np.nonzero(below)
         unsure = fz[r, i] | (lo[r, i] != hi[r, i])
-        j = np.lexsort((i, r, hi[r, i], unsure))[0]
-        return Verdict.OUT, flavors[r[j]], int(i[j])
-    if bool((lo >= k).all()):
-        return Verdict.IN, None, None
-    return Verdict.UNCERTAIN, None, None
+        seg = row[i]
+        j = np.lexsort((i, r, hi[r, i], unsure, seg))
+        seg = seg[j]
+        j = j[np.concatenate(([True], seg[1:] != seg[:-1]))]  # the first plane per anchor
+        for a, f, d in zip(row[i[j]].tolist(), r[j].tolist(), i[j].tolist()):
+            flavor[a], index[a] = flavors[f], d
+    values = [Verdict.OUT] * n
+    if None in flavor:
+        short = set(row[~(lo >= k).all(axis=0)].tolist())
+        for a, f in enumerate(flavor):
+            if f is None:
+                values[a] = Verdict.UNCERTAIN if a in short else Verdict.IN
+    return values, flavor, index
 
 
 _HCHP = [HAP, HAM, HBP, HBM]
+
+# Batched sweeps take their anchors in chunks whose directions times points
+# stay within this many pairs, which bounds the working memory of the
+# kernel's dense body to a few MB; an anchor that alone exceeds it is swept
+# by itself, through the shared-anchor kernel.
+BATCH_PAIRS = 1 << 16
+
+
+def _anchor_chunks(model: SpectralMeasureModel, n_extra: list[int]):
+    """Slices of consecutive anchors, given each anchor's number of extra
+    angles, whose direction-point pairs stay within ``BATCH_PAIRS``.
+
+    An anchor has at most twice as many directions as breakpoints (each
+    breakpoint adds at most one midpoint), and at most three tangents per
+    circle; that bound is counted, since the directions are not built yet.
+    """
+    (px, _, _), (fx, _, _), circles = model._direction_template
+    base = len(px) + len(fx) + 3 * len(circles)
+    points = max(1, len(model._point_data[0]))
+    start, total = 0, 0
+    for a, extra in enumerate(n_extra):
+        pairs = max(1, 2 * (base + extra)) * points
+        if a > start and total + pairs > BATCH_PAIRS:
+            yield slice(start, a)
+            start, total = a, 0
+        total += pairs
+    if start < len(n_extra):
+        yield slice(start, len(n_extra))
+
+
+def _batched_sweeps(model: SpectralMeasureModel, anchors: list[complex], extra_angles=None):
+    """One direction build and one sweep per chunk of anchors: yields
+    (slice of anchors, sweep, row), row being each direction's anchor index
+    within the chunk.  A chunk of one anchor sweeps with that anchor shared
+    by every direction."""
+    n_extra = [0] * len(anchors) if extra_angles is None else [len(e) for e in extra_angles]
+    for part in _anchor_chunks(model, n_extra):
+        chunk = anchors[part]
+        extra = None if extra_angles is None else extra_angles[part]
+        vx, vy, row = critical_directions(model, chunk, extra)
+        anchor = chunk[0] if len(chunk) == 1 else np.array(chunk, dtype=complex)[row]
+        yield part, direction_sweep(model, anchor, vx, vy), row
+
+
+def member_many(model: SpectralMeasureModel, k, points) -> list[MembershipVerdict]:
+    """:func:`member` at every point, in order, with one direction build,
+    one sweep and one decision per chunk of points (see ``BATCH_PAIRS``).
+    Each verdict, witness included, is bit for bit that of the point alone.
+    """
+    kf = _check_rank(model, k)
+    points = [require_finite(z, "point") for z in points]
+    out = []
+    for part, sweep, row in _batched_sweeps(model, points):
+        decision = sweep_decision(sweep, _HCHP, kf, row, part.stop - part.start)
+        for lam, value, f, i in zip(points[part], *decision):
+            if value is Verdict.OUT:
+                out.append(
+                    MembershipVerdict(value, _witness_from(sweep, f, i, lam), float(sweep.hi[f, i]))
+                )
+            else:
+                out.append(MembershipVerdict(value))
+    return out
 
 
 def member(model: SpectralMeasureModel, k, lam: complex) -> MembershipVerdict:
@@ -229,14 +360,7 @@ def member(model: SpectralMeasureModel, k, lam: complex) -> MembershipVerdict:
     OUT verdicts carry a witness half closed-half plane whose measure
     dimension is certainly below k.
     """
-    kf = _check_rank(model, k)
-    lam = require_finite(lam, "point")
-    vx, vy = critical_directions(model, lam)
-    sweep = direction_sweep(model, lam, vx, vy)
-    value, f, i = sweep_decision(sweep, _HCHP, kf)
-    if value is Verdict.OUT:
-        return MembershipVerdict(value, _witness_from(sweep, f, i, lam), float(sweep.hi[f, i]))
-    return MembershipVerdict(value)
+    return member_many(model, k, [lam])[0]
 
 
 def member_infinity(model: SpectralMeasureModel, lam: complex) -> MembershipVerdict:
@@ -259,9 +383,8 @@ def region(model: SpectralMeasureModel, k: int, n_angles: int) -> RegionEstimate
         samples.append((xi, lambda_k_sup(pushforward(model, xi), int(k))))
     planes = [support_plane(xi, h) for xi, h in samples]
     poly = halfplane_intersection(planes, bound=model.support_radius)
-    report = []
-    for z in _boundary_points(poly):
-        report.append((z, member(model, int(k), z).value))
+    points = _boundary_points(poly)
+    report = [(z, v.value) for z, v in zip(points, member_many(model, int(k), points))]
     return RegionEstimate(int(k), tuple(samples), poly, tuple(report))
 
 
@@ -307,14 +430,13 @@ def is_boundary(model: SpectralMeasureModel, k: int, lam: complex) -> BoundaryKi
     """For members: boundary iff some open half plane at lambda is deficient."""
     kf = _check_rank(model, k)
     lam = require_finite(lam, "point")
-    vx, vy = critical_directions(model, lam)
-    sweep = direction_sweep(model, lam, vx, vy)
-    value, _, _ = sweep_decision(sweep, _HCHP, kf)
+    ((_, sweep, row),) = _batched_sweeps(model, [lam])
+    (value,), _, _ = sweep_decision(sweep, _HCHP, kf, row, 1)
     if value is Verdict.OUT:
         return BoundaryKind.NOT_MEMBER
     if value is Verdict.UNCERTAIN:
         raise UncertainGeometry("membership itself is uncertain at this point")
-    value, _, _ = sweep_decision(sweep, [OA, OB], kf)
+    (value,), _, _ = sweep_decision(sweep, [OA, OB], kf, row, 1)
     if value is Verdict.OUT:
         return BoundaryKind.BOUNDARY_IN
     if value is Verdict.IN:

@@ -29,9 +29,9 @@ import numpy as np
 from .core import (
     _HCHP,
     RegionEstimate,
+    _batched_sweeps,
     _check_matrix_rank,
     _check_rank,
-    critical_directions,
     member,
     sweep_decision,
 )
@@ -65,7 +65,6 @@ from .spectral import (
     _is_count,
     _is_finite_rank,
     dim_ran_closed,
-    direction_sweep,
     from_normal_matrix,
     require_normal,
 )
@@ -112,8 +111,14 @@ class WuEvidence:
 
 @dataclass(frozen=True)
 class WuReport:
+    """The prediction and its evidence, one entry per excluded sample, plus
+    the samples that gave none: those within 10 eps_geom of a point mass
+    (not swept) and those whose membership is UNCERTAIN."""
+
     verdict: WuVerdict
     evidence: tuple[WuEvidence, ...]
+    skipped_near_eigenvalue: int = 0
+    uncertain_samples: int = 0
 
 
 @dataclass(frozen=True)
@@ -261,14 +266,14 @@ def _separating_direction(vals: np.ndarray, k: int, lam: complex) -> tuple[float
     return best_xi, best
 
 
-def _closed_witness(sweep, lam, k):
-    """Pick a closed half plane through lam from a sweep at lam.
+def _closed_witness(sweep, lam, value, flavor, i):
+    """The closed half plane through lam picked by a closed-plane decision
+    (``sweep_decision`` over [CA, CB]) at lam.
 
     Returns (witness_plane, dim) if some plane has dim < k certainly,
     ("none", None) if every tested plane is certainly >= k, and
     ("unresolved", None) otherwise.
     """
-    value, flavor, i = sweep_decision(sweep, [CA, CB], k)
     if value is Verdict.OUT:
         vx, vy = float(sweep.vx[i]), float(sweep.vy[i])
         nx, ny = (-vy, vx) if flavor == CA else (vy, -vx)
@@ -281,8 +286,9 @@ def _closed_witness(sweep, lam, k):
 
 def _closed_witness_sweep(model, lam, k):
     """:func:`_closed_witness` over the critical directions through lam."""
-    vx, vy = critical_directions(model, lam)
-    return _closed_witness(direction_sweep(model, lam, vx, vy), lam, k)
+    ((_, sweep, row),) = _batched_sweeps(model, [lam])
+    (value,), (flavor,), (i,) = sweep_decision(sweep, [CA, CB], k, row, 1)
+    return _closed_witness(sweep, lam, value, flavor, i)
 
 
 def excluding_certificate(
@@ -370,10 +376,13 @@ def wu_check(model: SpectralMeasureModel, k: int, region_est: RegionEstimate) ->
     deficient *closed* half plane through it.
 
     The samples are the polygon's vertices and WU_SAMPLES_PER_EDGE interior
-    points of each edge.  Each sample takes one sweep, over the critical directions plus the
-    direction of its edge: the half closed-half planes decide whether it is
-    excluded, and the closed half planes of the same sweep give its
-    witness.
+    points of each edge.  Samples within 10 eps_geom of a point mass are
+    skipped and counted.  The rest are swept in chunks, one direction build
+    and one sweep per chunk (see ``core.BATCH_PAIRS``), each sample over
+    the critical directions plus the direction of its edge: the half
+    closed-half planes decide whether it is excluded, and the closed half
+    planes of the same sweep give its witness.  Samples whose membership
+    is UNCERTAIN give no evidence and are counted.
     """
     eps = DEFAULT_TOL.eps_geom
     if model.max_abs() >= 1.0 + eps:
@@ -383,37 +392,41 @@ def wu_check(model: SpectralMeasureModel, k: int, region_est: RegionEstimate) ->
     samples = _edge_samples(region_est.polygon, WU_SAMPLES_PER_EDGE)
     zs = np.array([z for z, _ in samples], dtype=complex)
     near = np.hypot(zs.real[:, None] - px, zs.imag[:, None] - py) <= 10 * eps
+    # inside the tolerance ball of an eigenvalue: unresolvable artifact
+    swept = [s for s, skip in zip(samples, near.any(axis=1).tolist()) if not skip]
+    points = [z for z, _ in swept]
+    extra = [() if edge_angle is None else (edge_angle,) for _, edge_angle in swept]
     evidence = []
+    uncertain = 0
     saw_failure = False
     saw_unresolved = False
-    for (z, edge_angle), skip in zip(samples, near.any(axis=1)):
-        if skip:
-            # inside the tolerance ball of an eigenvalue: unresolvable artifact
-            continue
-        extra = (edge_angle,) if edge_angle is not None else ()
-        vx, vy = critical_directions(model, z, extra_angles=extra)
-        sweep = direction_sweep(model, z, vx, vy)
-        if sweep_decision(sweep, _HCHP, kf)[0] is not Verdict.OUT:
-            # a member, or UNCERTAIN within tolerance of the boundary: no evidence
-            continue
-        plane, dim = _closed_witness(sweep, z, kf)
-        if isinstance(plane, ClosedHalfPlane):
-            evidence.append(WuEvidence(z, plane, dim))
-        elif plane == "none":
-            saw_failure = True
-            evidence.append(
-                WuEvidence(z, None, None, "every critical closed half plane has dim >= k")
-            )
-        else:
-            saw_unresolved = True
-            evidence.append(WuEvidence(z, None, None, "unresolved dimensions"))
+    for part, sweep, row in _batched_sweeps(model, points, extra):
+        n = part.stop - part.start
+        values, _, _ = sweep_decision(sweep, _HCHP, kf, row, n)
+        closed = sweep_decision(sweep, [CA, CB], kf, row, n)
+        for z, value, *decision in zip(points[part], values, *closed):
+            uncertain += value is Verdict.UNCERTAIN
+            if value is not Verdict.OUT:
+                # a member, or UNCERTAIN within tolerance of the boundary: no evidence
+                continue
+            plane, dim = _closed_witness(sweep, z, *decision)
+            if isinstance(plane, ClosedHalfPlane):
+                evidence.append(WuEvidence(z, plane, dim))
+            elif plane == "none":
+                saw_failure = True
+                evidence.append(
+                    WuEvidence(z, None, None, "every critical closed half plane has dim >= k")
+                )
+            else:
+                saw_unresolved = True
+                evidence.append(WuEvidence(z, None, None, "unresolved dimensions"))
     if saw_failure:
         verdict = WuVerdict.STRICT_CONTAINMENT_PREDICTED
     elif saw_unresolved:
         verdict = WuVerdict.INCONCLUSIVE
     else:
         verdict = WuVerdict.EQUALITY_PREDICTED
-    return WuReport(verdict, tuple(evidence))
+    return WuReport(verdict, tuple(evidence), len(samples) - len(swept), uncertain)
 
 
 def _edge_samples(poly: ConvexPolygon, per_edge: int):

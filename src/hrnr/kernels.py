@@ -24,11 +24,12 @@ _ANGLE_SLACK = 1e-12
 _TINY, _HUGE = 1e-100, 1e100
 
 
-def atom_side_sweep(px, py, w, vx, vy, eps: float):
-    """Bucket weighted anchor-relative points against canonical directions.
+def atom_side_sweep(px, py, w, vx, vy, eps: float, ax=0.0, ay=0.0):
+    """Bucket weighted points against canonical directions through anchors.
 
-    For every direction (vx[i], vy[i]) through the common anchor, each point
-    (px[j], py[j]) (already anchor-relative) lands in one of six buckets and
+    For every direction (vx[i], vy[i]) through its anchor (ax, ay), one
+    anchor shared by every direction or one per direction (arrays of length
+    m), each point (px[j], py[j]) lands in one of six buckets and
     contributes its weight w[j]:
 
         0: strictly on the open side of the canonical normal (left of direction)
@@ -38,48 +39,65 @@ def atom_side_sweep(px, py, w, vx, vy, eps: float):
         4: exactly the anchor
         5: within eps of the line but not exactly on it (unresolved)
 
-    with s = vx*py - vy*px, t = vx*px + vy*py, bucket 0 when s > eps*|v|,
-    bucket 1 when s < -eps*|v| and buckets 2-4 only when s == 0 exactly.
+    with (dx, dy) = (px - ax, py - ay), s = vx*dy - vy*dx, t = vx*dx + vy*dy,
+    bucket 0 when s > eps*|v|, bucket 1 when s < -eps*|v| and buckets 2-4
+    only when s == 0 exactly.
     Directions must already be canonicalized.  Weights are multiplicities:
     positive integers or +inf, the finite ones totalling below 2**53, which
     ``SpectralMeasureModel`` enforces.  Every bucket sum is then exact, so it
     does not depend on the order of summation.  Returns the (m, 6) float64
     array of bucket weights, one row per direction.
 
-    Two paths compute the same array bit for bit.  Below ``SORTED_MIN_PAIRS``
-    point-direction pairs the dense body evaluates every pair (O(m n)).  Above
-    it the angular sweep sorts the point angles once and reads the clear
-    side-A and side-B weight of each direction from prefix sums (O((m + n)
-    log n)), re-checking with the dense arithmetic only the points near the
-    anchor and those in guard windows around the line.
+    Per-direction anchors take the dense body, which evaluates every pair
+    (O(m n)); callers bound m n.  A shared anchor takes one of two paths
+    that compute the same array bit for bit.  Below ``SORTED_MIN_PAIRS``
+    point-direction pairs it is the dense body.  Above it the angular sweep
+    sorts the point angles once and reads the clear side-A and side-B
+    weight of each direction from prefix sums (O((m + n) log n)),
+    re-checking with the dense arithmetic only the points near the anchor
+    and those in guard windows around the line.
     """
     px = np.ascontiguousarray(px, dtype=np.float64)
     py = np.ascontiguousarray(py, dtype=np.float64)
     w = np.ascontiguousarray(w, dtype=np.float64)
     vx = np.ascontiguousarray(vx, dtype=np.float64)
     vy = np.ascontiguousarray(vy, dtype=np.float64)
+    ax = np.asarray(ax, dtype=np.float64)
+    ay = np.asarray(ay, dtype=np.float64)
     eps = float(eps)
+    if ax.ndim:
+        return _dense_sweep(px[None, :] - ax[:, None], py[None, :] - ay[:, None], w, vx, vy, eps)
+    px, py = px - ax, py - ay
     if vx.shape[0] * px.shape[0] < SORTED_MIN_PAIRS:
         return _dense_sweep(px, py, w, vx, vy, eps)
     return _sorted_sweep(px, py, w, vx, vy, eps)
 
 
 def _dense_sweep(px, py, w, vx, vy, eps):
-    """Every pair at once; float64 arrays in, the (m, 6) buckets out."""
-    m, n = vx.shape[0], px.shape[0]
+    """Every pair at once; the (m, 6) buckets out.  The anchor-relative
+    points are float64 arrays of shape (n,), shared by every direction, or
+    (m, n), one row per direction."""
+    m, n = vx.shape[0], px.shape[-1]
     out = np.zeros((m, 6), dtype=np.float64)
     if m == 0 or n == 0:
         return out
-    s = np.multiply.outer(vx, py) - np.multiply.outer(vy, px)
+    # s and t are never alive together, which bounds the working memory to
+    # four float64 arrays of the pair count
+    cx, cy = vx[:, None], vy[:, None]
+    s = cx * py
+    s -= cy * px
     e = (eps * np.hypot(vx, vy))[:, None]
     side_a = s > e
     side_b = s < -e
     on_line = s == 0.0
+    del s
     unc = ~(side_a | side_b | on_line)
-    t = np.multiply.outer(vx, px) + np.multiply.outer(vy, py)
+    t = cx * px
+    t += cy * py
     ray_p = on_line & (t > 0.0)
     ray_m = on_line & (t < 0.0)
     anchor = on_line & (t == 0.0)
+    del t
     for col, mask in enumerate((side_a, side_b, ray_p, ray_m, anchor, unc)):
         out[:, col] = np.where(mask, w, 0.0).sum(axis=1)
     return out

@@ -354,16 +354,25 @@ class DirectionSweep:
 
 def direction_sweep(
     model: SpectralMeasureModel,
-    anchor: complex,
+    anchor,
     vx: np.ndarray,
     vy: np.ndarray,
 ) -> DirectionSweep:
-    """Classify the model against every line (vx[i], vy[i]) through anchor.
+    """Classify the model against every line (vx[i], vy[i]) through its
+    anchor: one complex anchor for every line, or an array of them, one per
+    line.
 
     Directions must be canonical (see :func:`hrnr.geometry.canonical_dir`);
-    side A is the open side of the canonical-left normal (-vy, vx).
+    side A is the open side of the canonical-left normal (-vy, vx).  Each
+    line's dimensions are those of a sweep with its anchor alone, bit for
+    bit.
     """
-    anchor = complex(anchor)
+    if np.ndim(anchor):
+        anchor = np.asarray(anchor, dtype=complex)
+        ax, ay = np.ascontiguousarray(anchor.real), np.ascontiguousarray(anchor.imag)
+    else:
+        anchor = complex(anchor)
+        ax, ay = anchor.real, anchor.imag
     vx = np.asarray(vx, dtype=np.float64)
     vy = np.asarray(vy, dtype=np.float64)
     m = vx.shape[0]
@@ -372,7 +381,7 @@ def direction_sweep(
     epsl = eps * L
 
     px, py, w = model._point_data
-    buckets = kernels.atom_side_sweep(px - anchor.real, py - anchor.imag, w, vx, vy, eps)
+    buckets = kernels.atom_side_sweep(px, py, w, vx, vy, eps, ax, ay)
     a_, b_, rp, rm, an, un = (buckets[:, i] for i in range(6))
 
     lo = np.zeros((8, m))
@@ -389,25 +398,27 @@ def direction_sweep(
 
     inf_masks = np.zeros((8, m), dtype=bool)
     for piece in model.pieces:
-        _add_piece_masks(inf_masks, piece, anchor, vx, vy, L, epsl)
+        _add_piece_masks(inf_masks, piece, ax, ay, vx, vy, L, epsl)
     for fam in model.families:
-        _add_tail_masks(inf_masks, fuzzy, fam, anchor, vx, vy, L, epsl)
+        _add_tail_masks(inf_masks, fuzzy, fam, ax, ay, vx, vy, L, epsl)
 
     lo[inf_masks] = INF
     hi[inf_masks] = INF
     return DirectionSweep(vx, vy, lo, hi, fuzzy)
 
 
-def _side_vals(pt: complex, anchor: complex, vx, vy):
-    dx = pt.real - anchor.real
-    dy = pt.imag - anchor.imag
+def _side_vals(pt: complex, ax, ay, vx, vy):
+    """Side and along-line values of pt against each line through its
+    anchor (ax, ay): scalars, or arrays with one anchor per line."""
+    dx = pt.real - ax
+    dy = pt.imag - ay
     return vx * dy - vy * dx, vx * dx + vy * dy
 
 
-def _add_piece_masks(inf_masks, piece, anchor, vx, vy, L, epsl):
+def _add_piece_masks(inf_masks, piece, ax, ay, vx, vy, L, epsl):
     if isinstance(piece, Segment):
-        sa, ta = _side_vals(piece.a, anchor, vx, vy)
-        sb, tb = _side_vals(piece.b, anchor, vx, vy)
+        sa, ta = _side_vals(piece.a, ax, ay, vx, vy)
+        sb, tb = _side_vals(piece.b, ax, ay, vx, vy)
         inf_a = np.maximum(sa, sb) > epsl
         inf_b = np.minimum(sa, sb) < -epsl
         collinear = (np.abs(sa) <= epsl) & (np.abs(sb) <= epsl)
@@ -422,7 +433,7 @@ def _add_piece_masks(inf_masks, piece, anchor, vx, vy, L, epsl):
         inf_masks[OA] |= inf_a
         inf_masks[OB] |= inf_b
     elif isinstance(piece, Arc):
-        sc, _ = _side_vals(piece.center, anchor, vx, vy)
+        sc, _ = _side_vals(piece.center, ax, ay, vx, vy)
         psi = np.arctan2(vy, vx)
         u0 = piece.theta0 - psi
         u1 = piece.theta1 - psi
@@ -440,7 +451,7 @@ def _add_piece_masks(inf_masks, piece, anchor, vx, vy, L, epsl):
         for f in (HBP, HBM, CB, OB):
             inf_masks[f] |= inf_b
     else:  # Region
-        sv = np.stack([_side_vals(v, anchor, vx, vy)[0] for v in piece.polygon.vertices])
+        sv = np.stack([_side_vals(v, ax, ay, vx, vy)[0] for v in piece.polygon.vertices])
         inf_a = sv.max(axis=0) > epsl
         inf_b = -sv.min(axis=0) > epsl
         for f in (HAP, HAM, CA, OA):
@@ -449,7 +460,7 @@ def _add_piece_masks(inf_masks, piece, anchor, vx, vy, L, epsl):
             inf_masks[f] |= inf_b
 
 
-def _add_tail_masks(inf_masks, fuzzy, fam, anchor, vx, vy, L, epsl):
+def _add_tail_masks(inf_masks, fuzzy, fam, ax, ay, vx, vy, L, epsl):
     """Tail of a sequence family against every line of the pencil.
 
     Away from the limit the only sound resolutions are "limit strictly
@@ -458,7 +469,7 @@ def _add_tail_masks(inf_masks, fuzzy, fam, anchor, vx, vy, L, epsl):
     finite but unknown.  On a line through the limit the declared approach
     data decides.
     """
-    sL, tL = _side_vals(fam.limit, anchor, vx, vy)
+    sL, tL = _side_vals(fam.limit, ax, ay, vx, vy)
     cphi = math.cos(fam.approach_angle)
     sphi = math.sin(fam.approach_angle)
     c_raw = vx * sphi - vy * cphi  # approach direction against the A-side normal

@@ -59,10 +59,11 @@ def random_model(rng, allow_pieces=True, allow_families=True):
     return hrnr.SpectralMeasureModel(tuple(atoms), tuple(pieces), tuple(fams), 3.0)
 
 
-def random_family(rng, n_prefix=40):
+def random_family(rng, n_prefix=40, side=None):
     lim = complex(*rng.uniform(-0.5, 0.5, 2))
     phi = rng.uniform(0, 2 * math.pi)
-    side = ["above", "below", "on"][int(rng.integers(3))]
+    drawn = ["above", "below", "on"][int(rng.integers(3))]
+    side = drawn if side is None else side
     q = rng.uniform(0.75, 0.92)
     rr = rng.uniform(0.1, 0.3)
     prefix = []
@@ -87,7 +88,7 @@ DENSE_ANGLES = tuple(math.pi * j / 4096 for j in range(4096))
 def dense_member(model, k, lam):
     """Oracle for ``member``: (verdict, witness_dim) from the same decision
     over the critical directions plus 4096 evenly spaced angles."""
-    vx, vy = critical_directions(model, lam, extra_angles=DENSE_ANGLES)
+    vx, vy, _ = critical_directions(model, [lam], [DENSE_ANGLES])
     sweep = direction_sweep(model, lam, vx, vy)
     lo, hi, fz = sweep.lo[:4], sweep.hi[:4], sweep.fuzzy[:4]
     below = np.isfinite(hi) if k == hrnr.RANK_INF else (~fz) & (hi < k)

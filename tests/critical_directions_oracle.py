@@ -1,13 +1,15 @@
-"""The per-direction critical-direction builder and the two-sweep Wu loop,
-kept as test oracles.
+"""The per-direction critical-direction builder, the per-anchor decision
+and the two-sweep Wu loop, kept as test oracles.
 
 ``critical_directions`` and ``_add_tangents`` are the implementations
 ``hrnr.core`` had before the directions were built from a per-model
-template with array operations; ``member`` and ``_closed_witness_sweep`` are
-the library's, run on those directions; ``wu_check`` is the loop that decided
-each boundary sample with a ``member`` sweep followed by a second, closed
-half-plane sweep at the same anchor.  The differential tests compare the
-library against them.
+template with array operations; ``sweep_decision`` is the one-anchor
+decision ``hrnr.core`` had before it decided a batch of anchors at once;
+``member`` and ``_closed_witness_sweep`` are the library's, run on those
+directions through one ``direction_sweep`` call per anchor; ``wu_check`` is
+the loop that decided each boundary sample with a ``member`` sweep followed
+by a second, closed half-plane sweep at the same anchor.  The differential
+tests compare the library against them.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ import math
 
 import numpy as np
 
-from hrnr.core import _HCHP, MembershipVerdict, _check_rank, _witness_from, sweep_decision
+from hrnr.core import _HCHP, MembershipVerdict, _check_rank, _witness_from
 from hrnr.dilation import WuEvidence, WuReport, WuVerdict, _edge_samples
 from hrnr.errors import NotStrictContraction, UncertainGeometry
 from hrnr.geometry import DEFAULT_TOL, ClosedHalfPlane, Verdict, canonical_dir, snap_dir, trig_dir
-from hrnr.spectral import CA, CB, Arc, Segment, direction_sweep
+from hrnr.spectral import CA, CB, INF, Arc, Segment, direction_sweep
 
 _TANGENT_SLACK = 1e-7
 
@@ -96,6 +98,23 @@ def _add_tangents(vecs, anchor: complex, center: complex, radius: float):
         delta = math.asin(min(1.0, radius / d))
         for phi in (beta + delta, beta - delta):
             vecs.append(trig_dir(phi))
+
+
+def sweep_decision(sweep, flavors, k):
+    """The decision over the planes of the given flavors in a one-anchor
+    sweep: (OUT, flavor, index) of the first plane whose dimension is
+    certainly below k, ordered by (unsure, hi, flavor, index); IN when every
+    plane is certainly at least k; UNCERTAIN otherwise."""
+    lo, hi, fz = sweep.lo[flavors], sweep.hi[flavors], sweep.fuzzy[flavors]
+    below = np.isfinite(hi) if k == INF else (~fz) & (hi < k)
+    if below.any():
+        r, i = np.nonzero(below)
+        unsure = fz[r, i] | (lo[r, i] != hi[r, i])
+        j = np.lexsort((i, r, hi[r, i], unsure))[0]
+        return Verdict.OUT, flavors[r[j]], int(i[j])
+    if bool((lo >= k).all()):
+        return Verdict.IN, None, None
+    return Verdict.UNCERTAIN, None, None
 
 
 def member(model, k, lam, tol=DEFAULT_TOL):

@@ -105,7 +105,7 @@ class TestMember:
         # no breakpoint direction exists; the sweep must still look at one
         # direction
         m = SpectralMeasureModel(atoms=(Atom(0.5 + 0j, 2.0),), support_radius=1.0)
-        vx, vy = critical_directions(m, 0.5 + 0j)
+        vx, vy, _ = critical_directions(m, [0.5 + 0j])
         assert vx.shape == vy.shape == (1,)
         for k in (1, 2):
             assert member(m, k, 0.5 + 0j).value is Verdict.IN
@@ -120,7 +120,7 @@ class TestMember:
             atoms=(Atom(-0.9 - 0.9j, 1),), families=(fam,), support_radius=3.0
         )
         lam = 0.4 - 0.5j
-        vx, vy = critical_directions(m, lam)
+        vx, vy, _ = critical_directions(m, [lam])
         angles = np.arctan2(vy, vx) % math.pi
         beta = math.atan2(-lam.imag, -lam.real)
         delta = math.asin(0.6 / abs(lam))

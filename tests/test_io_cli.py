@@ -203,6 +203,9 @@ class TestCli:
         assert main(["wu-check", "--input", model_file, "-k", "2", "--angles", "48"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "strict-containment-predicted"
+        report = hrnr.wu_check(durszt_model(2), 2, hrnr.region(durszt_model(2), 2, 48))
+        assert out["skipped_near_eigenvalue"] == report.skipped_near_eigenvalue == 1
+        assert out["uncertain_samples"] == report.uncertain_samples
 
     def test_conjecture(self, capsys, matrix_file):
         assert main(

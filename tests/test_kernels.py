@@ -127,7 +127,7 @@ def test_sorted_matches_dense_on_matrix_model(where):
     model = hrnr.from_normal_matrix(q @ np.diag(eigs) @ q.conj().T)
     locs = [a.location for a in model.atoms]
     anchor = locs[3] if where == "eigenvalue" else (locs[3] + locs[40]) / 2
-    vx, vy = critical_directions(model, anchor)
+    vx, vy, _ = critical_directions(model, [anchor])
     px, py, w = model._point_data
     assert vx.size * px.size >= kernels.SORTED_MIN_PAIRS
     out = _both_paths(px - anchor.real, py - anchor.imag, w, vx, vy, DEFAULT_TOL.eps_geom)
