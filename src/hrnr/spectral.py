@@ -231,8 +231,9 @@ class SpectralMeasureModel:
             vals.append(abs(f.limit) + (d if d < INF else 0.0))
         return max(vals)
 
-    @property
+    @cached_property
     def total_dim(self) -> float:
+        # cached: every membership call checks its rank against it
         if self.pieces or self.families:
             return INF
         return sum(a.mult for a in self.atoms)
