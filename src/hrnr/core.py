@@ -206,14 +206,10 @@ def critical_directions(
         order = np.argsort(row, kind="stable")
         vx, vy, approx, row = vx[order], vy[order], approx[order], row[order]
 
-    # only angles within 2e-12 of another of the same anchor can share a
-    # rounded key
+    # only angles within 2e-12 of another can share a rounded key; those of
+    # other anchors only add candidates, since the keys include the anchor
     by = np.argsort(approx)
-    if n > 1:
-        by = by[np.argsort(row[by], kind="stable")]
-    close = np.flatnonzero(
-        (approx[by[1:]] - approx[by[:-1]] <= 2e-12) & (row[by[1:]] == row[by[:-1]])
-    )
+    close = np.flatnonzero(approx[by[1:]] - approx[by[:-1]] <= 2e-12)
     keep = np.ones(len(vx), dtype=bool)
     keep[by[close]] = keep[by[close + 1]] = False
     near = np.flatnonzero(~keep)
@@ -255,10 +251,11 @@ def _witness_from(sweep, flavor: int, i: int, anchor: complex) -> HalfClosedHalf
     )
 
 
-def sweep_decision(sweep, flavors, k: float, row: np.ndarray, n: int):
+def sweep_decision(sweep, flavors, k: float, row: np.ndarray):
     """The decision over the planes of the given flavors, per anchor of a
-    sweep whose directions belong to anchors 0 .. n - 1 (``row``, in
-    ascending order, as :func:`critical_directions` returns them).
+    sweep whose directions belong to anchors 0, 1, ... (``row``, in
+    ascending order and with every anchor present, as
+    :func:`critical_directions` returns them).
 
     Per anchor: OUT with (flavor, direction index) of the first plane whose
     dimension is certainly below k, ordered by (unsure, hi, flavor, index),
@@ -270,6 +267,7 @@ def sweep_decision(sweep, flavors, k: float, row: np.ndarray, n: int):
     lo, hi, fz = sweep.lo[flavors], sweep.hi[flavors], sweep.fuzzy[flavors]
     # a fuzzy surplus is finite, so it never reaches an infinite rank
     below = np.isfinite(hi) if k == INF else (~fz) & (hi < k)
+    n = int(row[-1]) + 1 if len(row) else 0
     flavor, index = [None] * n, [None] * n
     if below.any():
         r, i = np.nonzero(below)
@@ -343,8 +341,7 @@ def member_many(model: SpectralMeasureModel, k, points) -> list[MembershipVerdic
     points = [require_finite(z, "point") for z in points]
     out = []
     for part, sweep, row in _batched_sweeps(model, points):
-        decision = sweep_decision(sweep, _HCHP, kf, row, part.stop - part.start)
-        for lam, value, f, i in zip(points[part], *decision):
+        for lam, value, f, i in zip(points[part], *sweep_decision(sweep, _HCHP, kf, row)):
             if value is Verdict.OUT:
                 out.append(
                     MembershipVerdict(value, _witness_from(sweep, f, i, lam), float(sweep.hi[f, i]))
@@ -431,12 +428,12 @@ def is_boundary(model: SpectralMeasureModel, k: int, lam: complex) -> BoundaryKi
     kf = _check_rank(model, k)
     lam = require_finite(lam, "point")
     ((_, sweep, row),) = _batched_sweeps(model, [lam])
-    (value,), _, _ = sweep_decision(sweep, _HCHP, kf, row, 1)
+    (value,), _, _ = sweep_decision(sweep, _HCHP, kf, row)
     if value is Verdict.OUT:
         return BoundaryKind.NOT_MEMBER
     if value is Verdict.UNCERTAIN:
         raise UncertainGeometry("membership itself is uncertain at this point")
-    (value,), _, _ = sweep_decision(sweep, [OA, OB], kf, row, 1)
+    (value,), _, _ = sweep_decision(sweep, [OA, OB], kf, row)
     if value is Verdict.OUT:
         return BoundaryKind.BOUNDARY_IN
     if value is Verdict.IN:

@@ -287,7 +287,7 @@ def _closed_witness(sweep, lam, value, flavor, i):
 def _closed_witness_sweep(model, lam, k):
     """:func:`_closed_witness` over the critical directions through lam."""
     ((_, sweep, row),) = _batched_sweeps(model, [lam])
-    (value,), (flavor,), (i,) = sweep_decision(sweep, [CA, CB], k, row, 1)
+    (value,), (flavor,), (i,) = sweep_decision(sweep, [CA, CB], k, row)
     return _closed_witness(sweep, lam, value, flavor, i)
 
 
@@ -401,9 +401,8 @@ def wu_check(model: SpectralMeasureModel, k: int, region_est: RegionEstimate) ->
     saw_failure = False
     saw_unresolved = False
     for part, sweep, row in _batched_sweeps(model, points, extra):
-        n = part.stop - part.start
-        values, _, _ = sweep_decision(sweep, _HCHP, kf, row, n)
-        closed = sweep_decision(sweep, [CA, CB], kf, row, n)
+        values, _, _ = sweep_decision(sweep, _HCHP, kf, row)
+        closed = sweep_decision(sweep, [CA, CB], kf, row)
         for z, value, *decision in zip(points[part], values, *closed):
             uncertain += value is Verdict.UNCERTAIN
             if value is not Verdict.OUT:

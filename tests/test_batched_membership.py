@@ -107,7 +107,7 @@ def test_batch_matches_per_anchor_oracles(seed, kind):
     assert (np.diff(row) >= 0).all() and set(row.tolist()) == set(range(len(anchors)))
     sweep = direction_sweep(model, np.array(anchors)[row], vx, vy)
     decisions = {
-        (tuple(f), k): sweep_decision(sweep, f, k, row, len(anchors))
+        (tuple(f), k): sweep_decision(sweep, f, k, row)
         for f in (_HCHP, [CA, CB], [OA, OB])
         for k in RANKS
     }
@@ -171,7 +171,7 @@ def _peak_mb(fn):
 
 
 # Unchunked, one build and one dense sweep over every sample of the 47-vertex
-# model took about 33 MB; the benchmark's region_wu workload allows 10% of
+# model peak at about 27 MB; the benchmark's region_wu workload allows 10% of
 # its 45.7 MB peak RSS, so a chunk must stay well below 4.5 MB.
 PEAK_MB = 4.0
 
