@@ -35,10 +35,10 @@ from .geometry import (
     Verdict,
     canonical_dir,
     canonical_dirs,
+    _intersect_lines,
     convex_hull,
-    halfplane_intersection,
     require_finite,
-    support_plane,
+    support_lines,
     trig_dir,
     trig_dirs,
 )
@@ -378,8 +378,8 @@ def region(model: SpectralMeasureModel, k: int, n_angles: int) -> RegionEstimate
     for j in range(n_angles):
         xi = 2 * math.pi * j / n_angles
         samples.append((xi, lambda_k_sup(pushforward(model, xi), int(k))))
-    planes = [support_plane(xi, h) for xi, h in samples]
-    poly = halfplane_intersection(planes, bound=model.support_radius)
+    xis, levels = zip(*samples)
+    poly = _intersect_lines(support_lines(xis, levels), model.support_radius)
     points = _boundary_points(poly)
     report = [(z, v.value) for z, v in zip(points, member_many(model, int(k), points))]
     return RegionEstimate(int(k), tuple(samples), poly, tuple(report))

@@ -52,9 +52,9 @@ from .geometry import (
     ClosedHalfPlane,
     ConvexPolygon,
     Verdict,
-    halfplane_intersection,
+    _intersect_lines,
     require_finite,
-    support_plane,
+    support_lines,
 )
 from .spectral import (
     CA,
@@ -486,16 +486,36 @@ def _support_levels(eigs: np.ndarray, k: int, xis: np.ndarray) -> np.ndarray:
     return proj[:, eigs.shape[0] - k]
 
 
+# The last decomposition, keyed by the shape and bytes of its complex
+# matrix: one entry, so a caller that builds both the excluding dilation and
+# the dilation-range intersection of one T eigensolves it once.
+_LAST_DECOMPOSITION: dict = {}
+
+
 def _unitary_eigendecomposition(T):
     """(vals, V) with T = V diag(vals) V* and V unitary; NotNormal unless T
-    passes the normality gate."""
+    passes the normality gate.
+
+    The result of the last call is remembered and returned, read-only, for
+    a matrix with the same shape and entries; a failure is not remembered.
+    """
+    T = _finite_square_matrix(T)
+    key = (T.shape, T.tobytes())
+    hit = _LAST_DECOMPOSITION.get(key)
+    if hit is not None:
+        return hit
     T = require_normal(T)
     try:
         vals, vecs = np.linalg.eig(T)
         u, _, vh = np.linalg.svd(vecs)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
-    return vals, u @ vh
+    V = u @ vh
+    vals.flags.writeable = False
+    V.flags.writeable = False
+    _LAST_DECOMPOSITION.clear()
+    _LAST_DECOMPOSITION[key] = vals, V
+    return vals, V
 
 
 def _block_dilation(T, vals, V, xi, top) -> DilationArtifact:
@@ -618,5 +638,4 @@ def dilation_intersection(
     levels = _block_dilation_levels(T, k, xis)
     if levels is None:
         levels = _sampled_levels(T, k, xis, n_samples, n_alpha, seed)
-    planes = [support_plane(xi, h) for xi, h in zip(xis, levels)]
-    return halfplane_intersection(planes, bound=norm + 1.0)
+    return _intersect_lines(support_lines(xis, levels), norm + 1.0)

@@ -13,7 +13,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
@@ -315,6 +314,25 @@ def support_plane(xi: float, h: float) -> ClosedHalfPlane:
     return ClosedHalfPlane(complex(h * ux, h * uy), math.atan2(-uy, -ux), normal=(-ux, -uy))
 
 
+def support_lines(xis, levels) -> list[tuple[float, float, float]]:
+    """The unit-normal lines n.z >= c of the support samples (xi, h), each
+    bit for bit the line that :func:`halfplane_intersection` makes of
+    ``support_plane(xi, h)``, without building the plane.  ValueError for
+    a non-finite anchor h * e^{-i xi}, as the plane raises."""
+    lines = []
+    for xi, h in zip(xis, levels):
+        ux, uy = snap_dir(math.cos(xi), -math.sin(xi))
+        # a NumPy level gives the same products, only slower
+        h = float(h)
+        ax, ay = h * ux, h * uy
+        if not (math.isfinite(ax) and math.isfinite(ay)):
+            raise ValueError(f"anchor must have finite coordinates, got {complex(ax, ay)!r}")
+        nx, ny = -ux, -uy
+        scale = math.hypot(nx, ny)
+        lines.append((nx / scale, ny / scale, (nx * ax + ny * ay) / scale))
+    return lines
+
+
 def halfplane_intersection(planes: list[ClosedHalfPlane], bound: float) -> ConvexPolygon:
     """Intersect the square box of radius ``bound`` with every closed half plane.
 
@@ -336,11 +354,19 @@ def halfplane_intersection(planes: list[ClosedHalfPlane], bound: float) -> Conve
     """
     if not bound > 0:
         raise ValueError("bound must be positive")
-    lines = [(1.0, 0.0, -bound), (0.0, 1.0, -bound), (-1.0, 0.0, -bound), (0.0, -1.0, -bound)]
+    lines = []
     for P in planes:
         nx, ny = P.normal
         scale = math.hypot(nx, ny)
         lines.append((nx / scale, ny / scale, (nx * P.anchor.real + ny * P.anchor.imag) / scale))
+    return _intersect_lines(lines, bound)
+
+
+def _intersect_lines(lines: list[tuple[float, float, float]], bound: float) -> ConvexPolygon:
+    """:func:`halfplane_intersection` of the unit-normal lines n.z >= c
+    (``bound`` > 0): the box sides join them, then the sort, the
+    tightest-of-parallel pass, the deque pass and the vertex merge."""
+    lines = [(1.0, 0.0, -bound), (0.0, 1.0, -bound), (-1.0, 0.0, -bound), (0.0, -1.0, -bound)] + lines
     # + 0.0 maps -0.0 to 0.0, so -pi never occurs
     lines.sort(key=lambda line: math.atan2(line[1] + 0.0, line[0]))
     eps = DEFAULT_TOL.eps_geom
@@ -363,9 +389,6 @@ def halfplane_intersection(planes: list[ClosedHalfPlane], bound: float) -> Conve
         if last[2] > tightest[0][2]:
             tightest[0] = last
 
-    def offset(line, p):
-        return line[0] * p.real + line[1] * p.imag - line[2]
-
     def redundant(prev, mid, nxt, back):
         # mid adds no edge between prev and nxt when its vertex with one of
         # them lies outside the other by more than eps.  The classic test
@@ -374,13 +397,27 @@ def halfplane_intersection(planes: list[ClosedHalfPlane], bound: float) -> Conve
         # other vertex, with the line being added, is the classic one times
         # det(deque pair) / det(new pair): much larger when mid and the new
         # line are nearly parallel.  It is tested only while prev turns to
-        # nxt, and mid to the new line, by less than a half turn.
-        kept, new = ((prev, mid), (mid, nxt)) if back else ((mid, nxt), (prev, mid))
-        s = offset(nxt if back else prev, _meet(*kept))
+        # nxt, and mid to the new line, by less than a half turn.  The
+        # vertex is :func:`_meet` of the deque pair, inlined.
+        if back:
+            (a0, a1, a2), (b0, b1, b2), (o0, o1, o2) = prev, mid, nxt
+            p, q = mid, nxt
+        else:
+            (a0, a1, a2), (b0, b1, b2), (o0, o1, o2) = mid, nxt, prev
+            p, q = prev, mid
+        det = a0 * b1 - a1 * b0
+        if abs(det) < 1e-3:
+            t = (b2 - a2 * (a0 * b0 + a1 * b1)) / det
+            x, y = a2 * a0 - t * a1, a2 * a1 + t * a0
+        else:
+            x, y = (a2 * b1 - b2 * a1) / det, (a0 * b2 - b0 * a2) / det
+        s = o0 * x + o1 * y - o2
         if s < -eps:
             return True
-        d = _det(*new)
-        return s < 0.0 and d > 0.0 and _det(prev, nxt) > 0.0 and s * _det(*kept) < -eps * d
+        if not s < 0.0:
+            return False
+        d = p[0] * q[1] - p[1] * q[0]
+        return d > 0.0 and prev[0] * nxt[1] - prev[1] * nxt[0] > 0.0 and s * det < -eps * d
 
     dq: deque[tuple[float, float, float]] = deque()
     for line in tightest:
@@ -388,7 +425,7 @@ def halfplane_intersection(planes: list[ClosedHalfPlane], bound: float) -> Conve
             dq.pop()
         while len(dq) >= 2 and redundant(line, dq[0], dq[1], False):
             dq.popleft()
-        if dq and _det(dq[-1], line) <= 0.0:
+        if dq and dq[-1][0] * line[1] - dq[-1][1] * line[0] <= 0.0:
             # the lines between two normals half a turn or more apart were
             # cut away, so nothing satisfies both sides
             return ConvexPolygon(())
@@ -397,7 +434,7 @@ def halfplane_intersection(planes: list[ClosedHalfPlane], bound: float) -> Conve
         dq.pop()
     while len(dq) >= 3 and redundant(dq[-1], dq[0], dq[1], False):
         dq.popleft()
-    if len(dq) < 3 or _det(dq[-1], dq[0]) <= 0.0:
+    if len(dq) < 3 or dq[-1][0] * dq[0][1] - dq[-1][1] * dq[0][0] <= 0.0:
         return ConvexPolygon(())
     m = len(dq)
     pts = [_meet(dq[i - 1], dq[i]) for i in range(m)]
@@ -405,14 +442,20 @@ def halfplane_intersection(planes: list[ClosedHalfPlane], bound: float) -> Conve
     starts = [i for i in range(m) if abs(pts[i] - pts[i - 1]) > merge] or [0]
     verts = []
     for s, e in zip(starts, starts[1:] + [starts[0] + m]):
-        # vertices s .. e-1 coincide: lines s-1 .. e-1 meet there
+        if e - s == 1:
+            verts.append(pts[s])
+            continue
+        # vertices s .. e-1 coincide: lines s-1 .. e-1 meet there, at the
+        # first pair of largest |det|
         run = [dq[j % m] for j in range(s - 1, e)]
-        verts.append(_meet(*max(combinations(run, 2), key=lambda pair: abs(_det(*pair)))))
+        best = None
+        for i, a in enumerate(run):
+            for b in run[i + 1 :]:
+                d = abs(a[0] * b[1] - a[1] * b[0])
+                if best is None or d > best[0]:
+                    best = d, a, b
+        verts.append(_meet(best[1], best[2]))
     return convex_hull(verts)
-
-
-def _det(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
-    return a[0] * b[1] - a[1] * b[0]
 
 
 def _meet(a: tuple[float, float, float], b: tuple[float, float, float]) -> complex:
@@ -422,7 +465,7 @@ def _meet(a: tuple[float, float, float], b: tuple[float, float, float]) -> compl
     from its foot c * n: rounding then moves it along the lines, not off
     them, where the 2 x 2 solve would leave it off both by about ulp / |det|.
     """
-    det = _det(a, b)
+    det = a[0] * b[1] - a[1] * b[0]
     if abs(det) < 1e-3:
         t = (b[2] - a[2] * (a[0] * b[0] + a[1] * b[1])) / det
         return complex(a[2] * a[0] - t * a[1], a[2] * a[1] + t * a[0])

@@ -135,7 +135,13 @@ def _sorted_sweep(px, py, w, vx, vy, eps):
     # from reaching past it.
     delta = np.arcsin(2.0 * eps / r0) + _ANGLE_SLACK
     bounds = np.array([-delta, delta, np.pi - delta, np.pi + delta, 2.0 * np.pi - delta])
-    k = np.searchsorted(lap, np.arctan2(vy, vx)[:, None] + bounds)
+    # searched bound by bound over the directions in angular order, where
+    # each key starts from the previous one's position; the indices go back
+    # to direction order
+    phi = np.arctan2(vy, vx)
+    by_angle = np.argsort(phi)
+    k = np.empty((m, 5), dtype=np.intp)
+    k[by_angle] = np.searchsorted(lap, phi[by_angle] + bounds[:, None]).T
     k = np.minimum(k, k[:, :1] + n)
     k0, k1, k2, k3, k4 = k.T
 

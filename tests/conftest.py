@@ -5,6 +5,7 @@ import pytest
 
 import hrnr
 from hrnr.core import critical_directions
+from hrnr.geometry import ClosedHalfPlane, support_plane
 from hrnr.spectral import direction_sweep
 
 
@@ -97,6 +98,56 @@ def dense_member(model, k, lam):
     if (lo >= k).all():
         return hrnr.Verdict.IN, None
     return hrnr.Verdict.UNCERTAIN, None
+
+
+def random_plane_set(rng):
+    """One to eight closed half planes through the square [-1, 1]^2; a
+    quarter of them flip the previous one, so zero-width strips (segments
+    and points) occur as well as empty and full intersections."""
+    planes = []
+    for _ in range(int(rng.integers(1, 9))):
+        if planes and rng.uniform() < 0.25:
+            P = planes[-1]
+            nx, ny = P.normal
+            planes.append(ClosedHalfPlane(P.anchor, P.normal_angle + math.pi, normal=(-nx, -ny)))
+        else:
+            anchor = complex(*rng.uniform(-1, 1, 2))
+            planes.append(ClosedHalfPlane(anchor, rng.uniform(0, 2 * math.pi)))
+    return planes
+
+
+NEARLY_PARALLEL_GAPS = [10.0**-e for e in range(16, 5, -1)]
+
+
+def nearly_parallel_pair_sets(gap):
+    """60 (planes, bound): two lines through one point whose normals are gap
+    apart, at a random angle, next to the angle cut at pi or next to a box
+    side, alone or with six planes around the origin."""
+    rng = np.random.default_rng([20240809, int(-math.log10(gap))])
+    for trial in range(60):
+        p0 = complex(*rng.uniform(-1, 1, 2))
+        angle = (
+            rng.uniform(0, 2 * math.pi),
+            math.pi - gap * rng.uniform(),
+            rng.integers(0, 4) * math.pi / 2 + rng.choice([-1, 1]) * gap * rng.uniform(),
+        )[trial % 3]
+        planes = [ClosedHalfPlane(p0, angle), ClosedHalfPlane(p0, angle + gap)]
+        if trial % 2:
+            planes += [support_plane(2 * math.pi * (j + rng.uniform()) / 6, 0.8) for j in range(6)]
+        yield planes, float(rng.choice([1.0, 2.0, 5.0]))
+
+
+def many_nearly_parallel_pair_sets(gap):
+    """40 plane sets of four pairs of nearly parallel lines (normals up to
+    gap apart) and six planes around the origin, for the box of radius 2."""
+    rng = np.random.default_rng([20240810, int(-math.log10(gap))])
+    for _ in range(40):
+        planes = []
+        for _ in range(4):
+            q, a = complex(*rng.uniform(-1, 1, 2)), rng.uniform(0, 2 * math.pi)
+            planes += [ClosedHalfPlane(q, a), ClosedHalfPlane(q, a + gap * rng.uniform(-1, 1))]
+        planes += [support_plane(2 * math.pi * (j + rng.uniform()) / 6, 0.8) for j in range(6)]
+        yield planes
 
 
 @pytest.fixture

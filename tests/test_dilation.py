@@ -21,6 +21,7 @@ from hrnr import (
     Verdict,
     WuVerdict,
     conjecture_check,
+    dilation,
     dilation_intersection,
     excluding_certificate,
     excluding_dilation_matrix,
@@ -363,3 +364,55 @@ class TestDilationIntersection:
         for z in pts + interior:
             if member(model, 1, z).value is Verdict.IN:
                 assert member(up, 1, z).value in (Verdict.IN, Verdict.UNCERTAIN)
+
+
+class TestDecompositionMemo:
+    """One eigendecomposition per T: ``_unitary_eigendecomposition``
+    remembers its last result, keyed by the matrix's shape and bytes."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        counts = {"eig": 0, "svd": 0}
+        for name in counts:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    def test_one_eigensolve_per_operator(self, rng, monkeypatch):
+        counts = self._count(monkeypatch)
+        T = random_normal_contraction(6, rng)
+        excluding_dilation_matrix(T, 1, 0.99 + 0j)
+        dilation_intersection(T, 1, 2, 4)
+        assert counts == {"eig": 1, "svd": 1}
+
+    def test_in_place_change_misses(self, rng, monkeypatch):
+        counts = self._count(monkeypatch)
+        T = random_normal_contraction(5, rng)
+        vals, _ = dilation._unitary_eigendecomposition(T)
+        T *= 0.5
+        new_vals, new_V = dilation._unitary_eigendecomposition(T)
+        assert counts["eig"] == 2
+        assert not np.array_equal(new_vals, vals)
+        dilation._LAST_DECOMPOSITION.clear()
+        fresh_vals, fresh_V = dilation._unitary_eigendecomposition(T.copy())
+        assert np.array_equal(new_vals, fresh_vals) and np.array_equal(new_V, fresh_V)
+
+    def test_result_is_read_only(self, rng):
+        vals, V = dilation._unitary_eigendecomposition(random_normal_contraction(4, rng))
+        with pytest.raises(ValueError):
+            V[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
+
+    def test_non_normal_fails_every_call(self):
+        T = np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex)
+        for _ in range(2):
+            with pytest.raises(NotNormal):
+                dilation._unitary_eigendecomposition(T)
+            with pytest.raises(NotNormal):
+                excluding_dilation_matrix(T, 1, 0.9 + 0j)

@@ -2,7 +2,8 @@
 
 Agreement means the same emptiness, the same vertex count and a Hausdorff
 distance of at most 1e-12 * bound.  The inputs are random plane sets and the
-plane sets that ``region`` and ``dilation_intersection`` actually build.
+support lines that ``region`` and ``dilation_intersection`` actually
+intersect, turned back into closed half planes.
 Nearly parallel planes are checked separately, against the oracle to
 eps_geom and against exact rational clipping.
 """
@@ -10,7 +11,6 @@ eps_geom and against exact rational clipping.
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from hrnr import core, dilation, presets
@@ -25,12 +25,20 @@ from hrnr.geometry import (
 )
 
 from clip_oracle import clip_intersection
-from conftest import random_model, random_normal_contraction
+from conftest import (
+    NEARLY_PARALLEL_GAPS,
+    many_nearly_parallel_pair_sets,
+    nearly_parallel_pair_sets,
+    random_model,
+    random_normal_contraction,
+    random_plane_set,
+)
 
 
-def assert_agrees(planes, bound, tol=DEFAULT_TOL):
-    new = halfplane_intersection(planes, bound)
-    old = clip_intersection(planes, bound, tol)
+def assert_agrees(planes, bound, new=None):
+    if new is None:
+        new = halfplane_intersection(planes, bound)
+    old = clip_intersection(planes, bound)
     assert new.is_empty == old.is_empty
     assert len(new.vertices) == len(old.vertices)
     assert hausdorff_distance(new, old) <= 1e-12 * bound
@@ -38,37 +46,33 @@ def assert_agrees(planes, bound, tol=DEFAULT_TOL):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Records every (planes, bound, tol) that region and dilation_intersection
-    pass to the intersection, and checks each against the oracle when the
-    test ends."""
+    """Records every (lines, bound) that region and dilation_intersection
+    pass to the line intersection, with the polygon it returned, and checks
+    each polygon against the oracle, run on the lines turned back into
+    closed half planes, when the test ends."""
     seen = []
     for module in (core, dilation):
 
-        def record(planes, bound, tol=DEFAULT_TOL, _real=module.halfplane_intersection):
-            seen.append((planes, bound, tol))
-            return _real(planes, bound)
+        def record(lines, bound, _real=module._intersect_lines):
+            poly = _real(lines, bound)
+            seen.append((lines, bound, poly))
+            return poly
 
-        monkeypatch.setattr(module, "halfplane_intersection", record)
+        monkeypatch.setattr(module, "_intersect_lines", record)
     yield seen
     assert seen
-    for planes, bound, tol in seen:
-        assert_agrees(planes, bound, tol)
+    for lines, bound, poly in seen:
+        # the line n.z >= c is the closed side of its foot c * n
+        planes = [
+            ClosedHalfPlane(c * complex(nx, ny), math.atan2(ny, nx), normal=(nx, ny))
+            for nx, ny, c in lines
+        ]
+        assert_agrees(planes, bound, new=poly)
 
 
 def test_random_plane_sets(rng):
-    # a quarter of the planes flip the previous one, so zero-width strips
-    # (segments and points) occur as well as empty and full polygons
     for _ in range(2000):
-        planes = []
-        for _ in range(int(rng.integers(1, 9))):
-            if planes and rng.uniform() < 0.25:
-                P = planes[-1]
-                nx, ny = P.normal
-                planes.append(ClosedHalfPlane(P.anchor, P.normal_angle + math.pi, normal=(-nx, -ny)))
-            else:
-                anchor = complex(*rng.uniform(-1, 1, 2))
-                planes.append(ClosedHalfPlane(anchor, rng.uniform(0, 2 * math.pi)))
-        assert_agrees(planes, 2.0)
+        assert_agrees(random_plane_set(rng), 2.0)
 
 
 def test_region_polygons(calls, rng):
@@ -163,28 +167,12 @@ def test_nearly_parallel_reproducer():
     assert_agrees(planes, 1.0)
 
 
-GAPS = [10.0**-e for e in range(16, 5, -1)]
-
-
-@pytest.mark.parametrize("gap", GAPS)
+@pytest.mark.parametrize("gap", NEARLY_PARALLEL_GAPS)
 def test_nearly_parallel_pairs(gap):
-    # two lines through one point, at a random angle, next to the angle cut
-    # at pi or next to a box side, alone or with six planes around the
-    # origin.  Where a crossing cuts by less than eps_geom the oracle may
-    # keep or drop it, so polygons agree to eps_geom, not vertex for vertex.
-    rng = np.random.default_rng([20240809, int(-math.log10(gap))])
+    # where a crossing cuts by less than eps_geom the oracle may keep or
+    # drop it, so polygons agree to eps_geom, not vertex for vertex
     eps = DEFAULT_TOL.eps_geom
-    for trial in range(60):
-        p0 = complex(*rng.uniform(-1, 1, 2))
-        angle = (
-            rng.uniform(0, 2 * math.pi),
-            math.pi - gap * rng.uniform(),
-            rng.integers(0, 4) * math.pi / 2 + rng.choice([-1, 1]) * gap * rng.uniform(),
-        )[trial % 3]
-        planes = [ClosedHalfPlane(p0, angle), ClosedHalfPlane(p0, angle + gap)]
-        if trial % 2:
-            planes += [support_plane(2 * math.pi * (j + rng.uniform()) / 6, 0.8) for j in range(6)]
-        bound = float(rng.choice([1.0, 2.0, 5.0]))
+    for planes, bound in nearly_parallel_pair_sets(gap):
         poly = halfplane_intersection(planes, bound)
         assert _worst_violation(poly, planes) <= eps
         old = clip_intersection(planes, bound)
@@ -197,16 +185,9 @@ def test_nearly_parallel_pairs(gap):
 
 @pytest.mark.parametrize("gap", [1e-15, 1e-12, 1e-9, 1e-8])
 def test_many_nearly_parallel_pairs(gap):
-    # four pairs of nearly parallel lines and six planes around the origin:
     # thin and empty intersections, where the clipping oracle itself can
     # keep vertices far outside a plane, so exact clipping decides
-    rng = np.random.default_rng([20240810, int(-math.log10(gap))])
-    for _ in range(40):
-        planes = []
-        for _ in range(4):
-            q, a = complex(*rng.uniform(-1, 1, 2)), rng.uniform(0, 2 * math.pi)
-            planes += [ClosedHalfPlane(q, a), ClosedHalfPlane(q, a + gap * rng.uniform(-1, 1))]
-        planes += [support_plane(2 * math.pi * (j + rng.uniform()) / 6, 0.8) for j in range(6)]
+    for planes in many_nearly_parallel_pair_sets(gap):
         poly = halfplane_intersection(planes, 2.0)
         exact = _exact_intersection(planes, 2.0)
         assert poly.is_empty == exact.is_empty
