@@ -33,9 +33,9 @@ from .geometry import (
     ConvexPolygon,
     HalfClosedHalfPlane,
     Verdict,
+    _intersect_lines,
     canonical_dir,
     canonical_dirs,
-    _intersect_lines,
     convex_hull,
     require_finite,
     support_lines,

@@ -102,14 +102,11 @@ def _dilation_cases(rng):
     eigenvalues on the direction grid, then one that is not normal."""
     grid = 2 * math.pi * np.arange(dilation.INTERSECTION_ANGLES) / dilation.INTERSECTION_ANGLES
     for n in range(1, 9):
-        for special in (False, True):
-            T = random_normal_contraction(n, rng)
-            if special:
-                eigs = rng.uniform(0.05, 0.95, n) * np.exp(2j * np.pi * rng.uniform(size=n))
-                eigs[: (n + 1) // 2] = np.exp(1j * grid[rng.integers(0, len(grid), (n + 1) // 2)])
-                Q = haar_unitary(n, rng)
-                T = (Q * eigs) @ Q.conj().T
-            yield T
+        yield random_normal_contraction(n, rng)
+        eigs = rng.uniform(0.05, 0.95, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        eigs[: (n + 1) // 2] = np.exp(1j * grid[rng.integers(0, len(grid), (n + 1) // 2)])
+        Q = haar_unitary(n, rng)
+        yield (Q * eigs) @ Q.conj().T
     yield np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex)
 
 
