@@ -348,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dilate", help="rotated Halmos dilation of a matrix")
     sp.add_argument("--input", required=True)
     sp.add_argument("--alpha", default="0", help="rotation phase (finite decimal)")
-    sp.add_argument(
-        "--check",
-        action="store_true",
-        help="accepted for compatibility; halmos always verifies the unitarity "
-        "and compression residuals",
-    )
     sp.set_defaults(fn=_cmd_dilate)
 
     sp = sub.add_parser("wu-check", help="dilation-range equality prediction")

@@ -10,6 +10,13 @@ to arcs and to the circle inside which a family tail stays unresolved);
 membership is decided by sweeping those directions and the midpoints between
 them, which together represent every cell on which each flavor's dimension
 is constant.
+
+Every decision here (membership, boundary kind, and the closed witness
+planes of the Wu check and of exclusion certificates) takes one path:
+``_decide`` builds the directions of a chunk of points and sweeps them once,
+:func:`sweep_decision` decides each requested set of plane flavors per
+point, and :func:`hrnr.spectral.flavor_plane` turns the flavor and direction
+that decided an OUT verdict into its plane.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from .spectral import (
     _is_count,
     _is_finite_rank,
     direction_sweep,
+    flavor_plane,
     lambda_k_inf,
     lambda_k_sup,
     normal_eigvals,
@@ -239,18 +247,6 @@ def _add_tangents(vecs, anchor: complex, center: complex, radius: float):
             vecs.append(trig_dir(phi))
 
 
-def _witness_from(sweep, flavor: int, i: int, anchor: complex) -> HalfClosedHalfPlane:
-    vx, vy = float(sweep.vx[i]), float(sweep.vy[i])
-    if flavor in (HAP, HAM):
-        nx, ny = -vy, vx
-    else:
-        nx, ny = vy, -vx
-    ray = 1 if flavor in (HAP, HBP) else -1
-    return HalfClosedHalfPlane(
-        anchor, math.atan2(ny, nx) % (2 * math.pi), ray, normal=(nx, ny)
-    )
-
-
 def sweep_decision(sweep, flavors, k: float, row: np.ndarray):
     """The decision over the planes of the given flavors, per anchor of a
     sweep whose directions belong to anchors 0, 1, ... (``row``, in
@@ -318,18 +314,36 @@ def _anchor_chunks(model: SpectralMeasureModel, n_extra: list[int]):
         yield slice(start, len(n_extra))
 
 
-def _batched_sweeps(model: SpectralMeasureModel, anchors: list[complex], extra_angles=None):
-    """One direction build and one sweep per chunk of anchors: yields
-    (slice of anchors, sweep, row), row being each direction's anchor index
-    within the chunk.  A chunk of one anchor sweeps with that anchor shared
-    by every direction."""
-    n_extra = [0] * len(anchors) if extra_angles is None else [len(e) for e in extra_angles]
+def _decide(
+    model: SpectralMeasureModel, kf: float, points: list[complex], flavor_sets, extra_angles=None
+):
+    """Per point, one (verdict, plane, dim) per flavor set: the
+    :func:`sweep_decision` over that set at the point, with the plane
+    (:func:`hrnr.spectral.flavor_plane`) and the dimension bound of the line
+    that decided it; plane and dim are None unless the verdict is OUT.
+
+    The points go in chunks (see ``BATCH_PAIRS``), one direction build and
+    one sweep per chunk; ``extra_angles``, when given, holds one sequence of
+    extra line angles per point.  A chunk of one point sweeps with that
+    point shared by every direction.
+    """
+    n_extra = [0] * len(points) if extra_angles is None else [len(e) for e in extra_angles]
+    out = []
     for part in _anchor_chunks(model, n_extra):
-        chunk = anchors[part]
+        chunk = points[part]
         extra = None if extra_angles is None else extra_angles[part]
         vx, vy, row = critical_directions(model, chunk, extra)
         anchor = chunk[0] if len(chunk) == 1 else np.array(chunk, dtype=complex)[row]
-        yield part, direction_sweep(model, anchor, vx, vy), row
+        sweep = direction_sweep(model, anchor, vx, vy)
+        decisions = [zip(*sweep_decision(sweep, flavors, kf, row)) for flavors in flavor_sets]
+        for z, *per_set in zip(chunk, *decisions):
+            out.append([
+                (value, flavor_plane(sweep, f, i, z), float(sweep.hi[f, i]))
+                if value is Verdict.OUT
+                else (value, None, None)
+                for value, f, i in per_set
+            ])
+    return out
 
 
 def member_many(model: SpectralMeasureModel, k, points) -> list[MembershipVerdict]:
@@ -339,16 +353,7 @@ def member_many(model: SpectralMeasureModel, k, points) -> list[MembershipVerdic
     """
     kf = _check_rank(model, k)
     points = [require_finite(z, "point") for z in points]
-    out = []
-    for part, sweep, row in _batched_sweeps(model, points):
-        for lam, value, f, i in zip(points[part], *sweep_decision(sweep, _HCHP, kf, row)):
-            if value is Verdict.OUT:
-                out.append(
-                    MembershipVerdict(value, _witness_from(sweep, f, i, lam), float(sweep.hi[f, i]))
-                )
-            else:
-                out.append(MembershipVerdict(value))
-    return out
+    return [MembershipVerdict(*hchp) for (hchp,) in _decide(model, kf, points, [_HCHP])]
 
 
 def member(model: SpectralMeasureModel, k, lam: complex) -> MembershipVerdict:
@@ -427,16 +432,14 @@ def is_boundary(model: SpectralMeasureModel, k: int, lam: complex) -> BoundaryKi
     """For members: boundary iff some open half plane at lambda is deficient."""
     kf = _check_rank(model, k)
     lam = require_finite(lam, "point")
-    ((_, sweep, row),) = _batched_sweeps(model, [lam])
-    (value,), _, _ = sweep_decision(sweep, _HCHP, kf, row)
-    if value is Verdict.OUT:
+    (hchp, _, _), (open_side, _, _) = _decide(model, kf, [lam], [_HCHP, [OA, OB]])[0]
+    if hchp is Verdict.OUT:
         return BoundaryKind.NOT_MEMBER
-    if value is Verdict.UNCERTAIN:
+    if hchp is Verdict.UNCERTAIN:
         raise UncertainGeometry("membership itself is uncertain at this point")
-    (value,), _, _ = sweep_decision(sweep, [OA, OB], kf, row)
-    if value is Verdict.OUT:
+    if open_side is Verdict.OUT:
         return BoundaryKind.BOUNDARY_IN
-    if value is Verdict.IN:
+    if open_side is Verdict.IN:
         return BoundaryKind.INTERIOR
     raise UncertainGeometry("open-side dimensions are unresolved at this point")
 

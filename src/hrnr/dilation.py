@@ -29,11 +29,10 @@ import numpy as np
 from .core import (
     _HCHP,
     RegionEstimate,
-    _batched_sweeps,
     _check_matrix_rank,
     _check_rank,
+    _decide,
     member,
-    sweep_decision,
 )
 from .errors import (
     AtomNotStrictContraction,
@@ -162,6 +161,13 @@ def _require_residuals(unit: float, comp: float, limit: float = DEFAULT_TOL.eps_
         )
 
 
+def _defect_rank(s: np.ndarray) -> int:
+    """The number of singular values s whose defect 1 - s^2 exceeds eps_eig:
+    a singular value of 1 computed a few ulps off leaves a defect of about
+    1e-16, which is rounding, not defect."""
+    return int(np.count_nonzero(1.0 - s * s > DEFAULT_TOL.eps_eig))
+
+
 def halmos(T: np.ndarray, alpha: float = 0.0) -> DilationArtifact:
     """Rotated Halmos dilation [[T, -e^{-ia}D_*],[e^{-ia}D, e^{-2ia}T*]].
 
@@ -184,7 +190,7 @@ def halmos(T: np.ndarray, alpha: float = 0.0) -> DilationArtifact:
     U = np.block([[T, -ph * dts], [ph * dt, ph * ph * T.conj().T]])
     unit, comp = _residuals(U, T)
     _require_residuals(unit, comp)
-    return DilationArtifact(U, float(alpha), unit, comp, int(np.sum(defect > DEFAULT_TOL.eps_eig)))
+    return DilationArtifact(U, float(alpha), unit, comp, _defect_rank(s))
 
 
 def scalar_dilation(d: complex, xi: complex, eta: complex) -> np.ndarray:
@@ -266,31 +272,6 @@ def _separating_direction(vals: np.ndarray, k: int, lam: complex) -> tuple[float
     return best_xi, best
 
 
-def _closed_witness(sweep, lam, value, flavor, i):
-    """The closed half plane through lam picked by a closed-plane decision
-    (``sweep_decision`` over [CA, CB]) at lam.
-
-    Returns (witness_plane, dim) if some plane has dim < k certainly,
-    ("none", None) if every tested plane is certainly >= k, and
-    ("unresolved", None) otherwise.
-    """
-    if value is Verdict.OUT:
-        vx, vy = float(sweep.vx[i]), float(sweep.vy[i])
-        nx, ny = (-vy, vx) if flavor == CA else (vy, -vx)
-        plane = ClosedHalfPlane(lam, math.atan2(ny, nx) % (2 * math.pi), normal=(nx, ny))
-        return plane, float(sweep.hi[flavor, i])
-    if value is Verdict.IN:
-        return "none", None
-    return "unresolved", None
-
-
-def _closed_witness_sweep(model, lam, k):
-    """:func:`_closed_witness` over the critical directions through lam."""
-    ((_, sweep, row),) = _batched_sweeps(model, [lam])
-    (value,), (flavor,), (i,) = sweep_decision(sweep, [CA, CB], k, row)
-    return _closed_witness(sweep, lam, value, flavor, i)
-
-
 def excluding_certificate(
     model: SpectralMeasureModel,
     k: int,
@@ -306,7 +287,7 @@ def excluding_certificate(
     sweep picks one.
     """
     lam = require_finite(lam, "point")
-    _check_rank(model, k)
+    kf = _check_rank(model, k)
     if plane is not None:
         if abs(_plane_offset(plane, lam)) > DEFAULT_TOL.eps_geom:
             raise ValueError("supplied plane's line does not pass through the point")
@@ -314,11 +295,11 @@ def excluding_certificate(
         if not dim < k:
             raise NoWuWitness(f"supplied plane has dim {dim}, not below {k}")
     else:
-        plane, dim = _closed_witness_sweep(model, lam, k)
-    if not isinstance(plane, ClosedHalfPlane):
-        raise NoWuWitness(
-            "no critical-direction closed half plane through the point is deficient"
-        )
+        ((value, plane, dim),) = _decide(model, kf, [lam], [[CA, CB]])[0]
+        if value is not Verdict.OUT:
+            raise NoWuWitness(
+                "no critical-direction closed half plane through the point is deficient"
+            )
     nx, ny = plane.normal
     scale = math.hypot(nx, ny)
     eps = DEFAULT_TOL.eps_geom
@@ -400,25 +381,23 @@ def wu_check(model: SpectralMeasureModel, k: int, region_est: RegionEstimate) ->
     uncertain = 0
     saw_failure = False
     saw_unresolved = False
-    for part, sweep, row in _batched_sweeps(model, points, extra):
-        values, _, _ = sweep_decision(sweep, _HCHP, kf, row)
-        closed = sweep_decision(sweep, [CA, CB], kf, row)
-        for z, value, *decision in zip(points[part], values, *closed):
-            uncertain += value is Verdict.UNCERTAIN
-            if value is not Verdict.OUT:
-                # a member, or UNCERTAIN within tolerance of the boundary: no evidence
-                continue
-            plane, dim = _closed_witness(sweep, z, *decision)
-            if isinstance(plane, ClosedHalfPlane):
-                evidence.append(WuEvidence(z, plane, dim))
-            elif plane == "none":
-                saw_failure = True
-                evidence.append(
-                    WuEvidence(z, None, None, "every critical closed half plane has dim >= k")
-                )
-            else:
-                saw_unresolved = True
-                evidence.append(WuEvidence(z, None, None, "unresolved dimensions"))
+    for z, ((value, _, _), (closed, plane, dim)) in zip(
+        points, _decide(model, kf, points, [_HCHP, [CA, CB]], extra)
+    ):
+        uncertain += value is Verdict.UNCERTAIN
+        if value is not Verdict.OUT:
+            # a member, or UNCERTAIN within tolerance of the boundary: no evidence
+            continue
+        if closed is Verdict.OUT:
+            evidence.append(WuEvidence(z, plane, dim))
+        elif closed is Verdict.IN:
+            saw_failure = True
+            evidence.append(
+                WuEvidence(z, None, None, "every critical closed half plane has dim >= k")
+            )
+        else:
+            saw_unresolved = True
+            evidence.append(WuEvidence(z, None, None, "unresolved dimensions"))
     if saw_failure:
         verdict = WuVerdict.STRICT_CONTAINMENT_PREDICTED
     elif saw_unresolved:
@@ -547,7 +526,7 @@ def _block_dilation(T, vals, V, xi, top) -> DilationArtifact:
     U = big @ U_t @ big.conj().T
     unit, comp = _residuals(U, T)
     _require_residuals(unit, comp)
-    return DilationArtifact(U, float(xi), unit, comp, int(np.sum(defect > DEFAULT_TOL.eps_eig)))
+    return DilationArtifact(U, float(xi), unit, comp, _defect_rank(np.abs(vals)))
 
 
 def _block_dilation_levels(T, k, xis):

@@ -534,6 +534,20 @@ def _flavor_for(normal: tuple[float, float], hchp_ray: int | None, mode: str):
     return dx, dy, flavor
 
 
+def flavor_plane(sweep: DirectionSweep, flavor: int, i: int, anchor: complex):
+    """The plane of ``flavor`` on line i of a sweep at ``anchor``, the
+    inverse of the flavor lookup of the ``dim_ran_*`` queries: a
+    :class:`HalfClosedHalfPlane` for HAP, HAM, HBP and HBM, and for CA, CB,
+    OA and OB a :class:`ClosedHalfPlane` whose normal points into the
+    flavor's side (the open flavors are the interior of that plane)."""
+    vx, vy = float(sweep.vx[i]), float(sweep.vy[i])
+    nx, ny = (-vy, vx) if flavor in (HAP, HAM, CA, OA) else (vy, -vx)
+    angle = math.atan2(ny, nx) % (2 * math.pi)
+    if flavor in (CA, CB, OA, OB):
+        return ClosedHalfPlane(anchor, angle, normal=(nx, ny))
+    return HalfClosedHalfPlane(anchor, angle, 1 if flavor in (HAP, HBP) else -1, normal=(nx, ny))
+
+
 def _dim_range(model, anchor, normal, ray, mode):
     dx, dy, flavor = _flavor_for(normal, ray, mode)
     sweep = direction_sweep(model, anchor, np.array([dx]), np.array([dy]))

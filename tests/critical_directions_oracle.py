@@ -5,8 +5,11 @@ and the two-sweep Wu loop, kept as test oracles.
 ``hrnr.core`` had before the directions were built from a per-model
 template with array operations; ``sweep_decision`` is the one-anchor
 decision ``hrnr.core`` had before it decided a batch of anchors at once;
-``member`` and ``_closed_witness_sweep`` are the library's, run on those
-directions through one ``direction_sweep`` call per anchor; ``wu_check`` is
+``member``, ``is_boundary`` and ``_closed_witness_sweep`` decide one anchor
+on those directions through one ``direction_sweep`` call, and build the
+witness planes as ``hrnr.core`` and ``hrnr.dilation`` did before one
+flavor-to-plane mapping served every decision (``_witness_from`` and the
+closed-plane construction in ``_closed_witness_sweep``); ``wu_check`` is
 the loop that decided each boundary sample with a ``member`` sweep followed
 by a second, closed half-plane sweep at the same anchor.  The differential
 tests compare the library against them.
@@ -18,11 +21,19 @@ import math
 
 import numpy as np
 
-from hrnr.core import _HCHP, MembershipVerdict, _check_rank, _witness_from
+from hrnr.core import _HCHP, BoundaryKind, MembershipVerdict, _check_rank
 from hrnr.dilation import WuEvidence, WuReport, WuVerdict, _edge_samples
 from hrnr.errors import NotStrictContraction, UncertainGeometry
-from hrnr.geometry import DEFAULT_TOL, ClosedHalfPlane, Verdict, canonical_dir, snap_dir, trig_dir
-from hrnr.spectral import CA, CB, INF, Arc, Segment, direction_sweep
+from hrnr.geometry import (
+    DEFAULT_TOL,
+    ClosedHalfPlane,
+    HalfClosedHalfPlane,
+    Verdict,
+    canonical_dir,
+    snap_dir,
+    trig_dir,
+)
+from hrnr.spectral import CA, CB, HAM, HAP, HBP, INF, OA, OB, Arc, Segment, direction_sweep
 
 _TANGENT_SLACK = 1e-7
 
@@ -117,6 +128,18 @@ def sweep_decision(sweep, flavors, k):
     return Verdict.UNCERTAIN, None, None
 
 
+def _witness_from(sweep, flavor: int, i: int, anchor: complex) -> HalfClosedHalfPlane:
+    vx, vy = float(sweep.vx[i]), float(sweep.vy[i])
+    if flavor in (HAP, HAM):
+        nx, ny = -vy, vx
+    else:
+        nx, ny = vy, -vx
+    ray = 1 if flavor in (HAP, HBP) else -1
+    return HalfClosedHalfPlane(
+        anchor, math.atan2(ny, nx) % (2 * math.pi), ray, normal=(nx, ny)
+    )
+
+
 def member(model, k, lam, tol=DEFAULT_TOL):
     kf = _check_rank(model, k)
     lam = complex(lam)
@@ -126,6 +149,26 @@ def member(model, k, lam, tol=DEFAULT_TOL):
     if value is Verdict.OUT:
         return MembershipVerdict(value, _witness_from(sweep, f, i, lam), float(sweep.hi[f, i]))
     return MembershipVerdict(value)
+
+
+def is_boundary(model, k, lam):
+    """The half closed-half plane decision at lam, then, for a member, the
+    open half-plane decision of the same sweep."""
+    kf = _check_rank(model, k)
+    lam = complex(lam)
+    vx, vy = critical_directions(model, lam)
+    sweep = direction_sweep(model, lam, vx, vy)
+    value, _, _ = sweep_decision(sweep, _HCHP, kf)
+    if value is Verdict.OUT:
+        return BoundaryKind.NOT_MEMBER
+    if value is Verdict.UNCERTAIN:
+        raise UncertainGeometry("membership itself is uncertain at this point")
+    value, _, _ = sweep_decision(sweep, [OA, OB], kf)
+    if value is Verdict.OUT:
+        return BoundaryKind.BOUNDARY_IN
+    if value is Verdict.IN:
+        return BoundaryKind.INTERIOR
+    raise UncertainGeometry("open-side dimensions are unresolved at this point")
 
 
 def _closed_witness_sweep(model, lam, k, tol, extra_angles=()):

@@ -1,10 +1,11 @@
 """Batched membership against the per-anchor oracles.
 
 ``critical_directions`` over a batch of anchors, ``direction_sweep`` with
-one anchor per row, ``sweep_decision`` per anchor and ``member_many`` must
-give, for every anchor, bit for bit what the per-anchor builder, a sweep at
-that anchor alone, the one-anchor decision and the per-anchor ``member``
-kept in ``critical_directions_oracle`` give.  The batches go in chunks of
+one anchor per row, ``sweep_decision`` per anchor, ``member_many``,
+``is_boundary`` and ``excluding_certificate`` must give, for every anchor,
+bit for bit what the per-anchor builder, a sweep at that anchor alone, the
+one-anchor decision and the per-anchor ``member``, ``is_boundary`` and
+closed-plane witness kept in ``critical_directions_oracle`` give.  The batches go in chunks of
 bounded size, so the working memory and the number of kernel calls are
 checked too.
 """
@@ -22,8 +23,15 @@ from hypothesis import strategies as st
 
 import hrnr
 from hrnr import core, kernels, presets
-from hrnr.core import _HCHP, critical_directions, member_many, sweep_decision
-from hrnr.dilation import WU_SAMPLES_PER_EDGE, WuReport, WuVerdict, _edge_samples
+from hrnr.core import _HCHP, critical_directions, is_boundary, member_many, sweep_decision
+from hrnr.dilation import (
+    WU_SAMPLES_PER_EDGE,
+    WuReport,
+    WuVerdict,
+    _edge_samples,
+    excluding_certificate,
+)
+from hrnr.errors import AtomNotStrictContraction, HrnrError, InvariantViolation, NoWuWitness
 from hrnr.spectral import CA, CB, OA, OB, direction_sweep
 
 import critical_directions_oracle as oracle
@@ -95,6 +103,34 @@ def assert_same_member(new, old):
         assert new.witness.normal == old.witness.normal
 
 
+def _outcome(fn, *args):
+    """What fn returns, or the type and message of the HrnrError it raises."""
+    try:
+        return fn(*args)
+    except HrnrError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_certificate(model, k, z):
+    """``excluding_certificate`` without a supplied plane picks the oracle's
+    closed witness plane, or finds none where the oracle finds none.  Past
+    the plane, an atom on or beyond the unit circle, or a bracketed witness
+    dimension, may still refuse the certificate."""
+    plane, dim = oracle._closed_witness_sweep(model, z, k, hrnr.DEFAULT_TOL)
+    if not isinstance(plane, hrnr.ClosedHalfPlane):
+        with pytest.raises(NoWuWitness, match="no critical-direction closed half plane"):
+            excluding_certificate(model, k, z)
+        return
+    try:
+        cert = excluding_certificate(model, k, z)
+    except AtomNotStrictContraction:
+        return
+    except InvariantViolation as exc:
+        assert str(exc).startswith(f"witness dimension {dim} ")
+        return
+    assert (cert.plane, cert.plane.normal, cert.certified_dim) == (plane, plane.normal, dim)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["none", "edge", "several"]))
 def test_batch_matches_per_anchor_oracles(seed, kind):
@@ -132,6 +168,9 @@ def test_batch_matches_per_anchor_oracles(seed, kind):
             with mock.patch.object(core, "BATCH_PAIRS", cap):
                 for new, ref in zip(member_many(model, k, anchors), old):
                     assert_same_member(new, ref)
+        for z in anchors:
+            assert _outcome(is_boundary, model, k, z) == _outcome(oracle.is_boundary, model, k, z)
+            assert_same_certificate(model, k, z)
 
 
 def test_anchor_without_breakpoints_in_a_batch():

@@ -35,7 +35,7 @@ from hrnr import (
 )
 from hrnr.presets import durszt_model, square_region_model
 
-from conftest import random_normal_contraction, random_normal_matrix
+from conftest import haar_unitary, random_normal_contraction, random_normal_matrix
 
 
 class TestHalmos:
@@ -70,6 +70,14 @@ class TestHalmos:
     def test_not_contraction(self):
         with pytest.raises(NotContraction):
             halmos(np.array([[1.5 + 0j]]), 0.0)
+
+    def test_unitary_has_no_defect(self):
+        # singular values of 1 computed a few ulps off are rounding, not defect
+        rng = np.random.default_rng(0)
+        assert [halmos(haar_unitary(6, rng)).defect_rank for _ in range(200)] == [0] * 200
+
+    def test_defect_rank_counts_singular_values_below_one(self):
+        assert halmos(np.diag([1.0, 0.5]).astype(complex)).defect_rank == 1
 
 
 class TestScalarDilation:

@@ -194,7 +194,7 @@ class TestCli:
         assert out["interval"] == pytest.approx([-0.2, 0.5])
 
     def test_dilate(self, capsys, matrix_file):
-        assert main(["dilate", "--input", matrix_file, "--alpha", "0.3", "--check"]) == 0
+        assert main(["dilate", "--input", matrix_file, "--alpha", "0.3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["unitarity_residual"] <= 1e-10
         assert len(out["matrix"]) == 6
@@ -350,9 +350,9 @@ class TestCli:
         assert model.families[0].tail_mult == 2
 
     def test_dilate_check_failure(self, monkeypatch, matrix_file, capsys):
-        # halmos checks its own residuals; --check adds nothing to that
+        # halmos checks its own residuals
         monkeypatch.setattr("hrnr.dilation._residuals", lambda U, T: (1.0, 0.0))
-        assert main(["dilate", "--input", matrix_file, "--check"]) == 2
+        assert main(["dilate", "--input", matrix_file]) == 2
         assert capsys.readouterr().err.startswith("error: dilation residuals too large")
 
     def test_usage_errors_exit_1(self, capsys):
@@ -499,7 +499,7 @@ _COMMANDS = [
     ["member", "-k", "inf", "--point", "0.3,0"],
     ["region", "-k", "1", "--angles", "8"],
     ["selfadjoint", "-k", "1"],
-    ["dilate", "--alpha", "0.3", "--check"],
+    ["dilate", "--alpha", "0.3"],
     ["wu-check", "-k", "1", "--angles", "8"],
     ["conjecture", "-k", "1", "--point", "0.5,0", "--thetas", "8"],
     ["intersect", "-k", "1", "--alphas", "8", "--samples", "2"],

@@ -1,0 +1,43 @@
+"""No dead helpers: every module-level private function or class of the
+package source is referenced somewhere in it besides its own definition."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hrnr"
+
+
+def _referenced_names(node: ast.AST) -> list[str]:
+    """Names read, attributes taken and names imported within node."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.append(sub.name)
+    return out
+
+
+def test_every_private_helper_is_referenced():
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    helpers = [
+        (name, node)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    assert helpers
+    everywhere = [n for tree in trees.values() for n in _referenced_names(tree)]
+    dead = [
+        f"{module}::{node.name}"
+        for module, node in helpers
+        if everywhere.count(node.name) == _referenced_names(node).count(node.name)
+    ]
+    assert not dead, f"private definitions referenced nowhere else: {dead}"
