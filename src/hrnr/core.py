@@ -16,7 +16,7 @@ planes of the Wu check and of exclusion certificates) takes one path:
 ``_decide`` builds the directions of a chunk of points and sweeps them once,
 :func:`sweep_decision` decides each requested set of plane flavors per
 point, and :func:`hrnr.spectral.flavor_plane` turns the flavor and direction
-that decided an OUT verdict into its plane.
+that decided an OUT verdict into its plane where the caller reads it.
 """
 
 from __future__ import annotations
@@ -317,10 +317,12 @@ def _anchor_chunks(model: SpectralMeasureModel, n_extra: list[int]):
 def _decide(
     model: SpectralMeasureModel, kf: float, points: list[complex], flavor_sets, extra_angles=None
 ):
-    """Per point, one (verdict, plane, dim) per flavor set: the
-    :func:`sweep_decision` over that set at the point, with the plane
+    """Per point, one (verdict, plane, dim) per (flavors, witness) pair of
+    ``flavor_sets``: the :func:`sweep_decision` over those flavors at the
+    point and, when ``witness`` is true and the verdict is OUT, the plane
     (:func:`hrnr.spectral.flavor_plane`) and the dimension bound of the line
-    that decided it; plane and dim are None unless the verdict is OUT.
+    that decided it; plane and dim are None otherwise, so a caller that
+    reads only a verdict builds no plane for it.
 
     The points go in chunks (see ``BATCH_PAIRS``), one direction build and
     one sweep per chunk; ``extra_angles``, when given, holds one sequence of
@@ -335,14 +337,16 @@ def _decide(
         vx, vy, row = critical_directions(model, chunk, extra)
         anchor = chunk[0] if len(chunk) == 1 else np.array(chunk, dtype=complex)[row]
         sweep = direction_sweep(model, anchor, vx, vy)
-        decisions = [zip(*sweep_decision(sweep, flavors, kf, row)) for flavors in flavor_sets]
-        for z, *per_set in zip(chunk, *decisions):
-            out.append([
+        per_set = []
+        for flavors, witness in flavor_sets:
+            values, flavor, index = sweep_decision(sweep, flavors, kf, row)
+            per_set.append([
                 (value, flavor_plane(sweep, f, i, z), float(sweep.hi[f, i]))
-                if value is Verdict.OUT
+                if witness and value is Verdict.OUT
                 else (value, None, None)
-                for value, f, i in per_set
+                for z, value, f, i in zip(chunk, values, flavor, index)
             ])
+        out.extend(zip(*per_set))
     return out
 
 
@@ -353,7 +357,7 @@ def member_many(model: SpectralMeasureModel, k, points) -> list[MembershipVerdic
     """
     kf = _check_rank(model, k)
     points = [require_finite(z, "point") for z in points]
-    return [MembershipVerdict(*hchp) for (hchp,) in _decide(model, kf, points, [_HCHP])]
+    return [MembershipVerdict(*hchp) for (hchp,) in _decide(model, kf, points, [(_HCHP, True)])]
 
 
 def member(model: SpectralMeasureModel, k, lam: complex) -> MembershipVerdict:
@@ -432,7 +436,8 @@ def is_boundary(model: SpectralMeasureModel, k: int, lam: complex) -> BoundaryKi
     """For members: boundary iff some open half plane at lambda is deficient."""
     kf = _check_rank(model, k)
     lam = require_finite(lam, "point")
-    (hchp, _, _), (open_side, _, _) = _decide(model, kf, [lam], [_HCHP, [OA, OB]])[0]
+    verdicts = _decide(model, kf, [lam], [(_HCHP, False), ([OA, OB], False)])[0]
+    (hchp, _, _), (open_side, _, _) = verdicts
     if hchp is Verdict.OUT:
         return BoundaryKind.NOT_MEMBER
     if hchp is Verdict.UNCERTAIN:

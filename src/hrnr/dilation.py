@@ -295,7 +295,7 @@ def excluding_certificate(
         if not dim < k:
             raise NoWuWitness(f"supplied plane has dim {dim}, not below {k}")
     else:
-        ((value, plane, dim),) = _decide(model, kf, [lam], [[CA, CB]])[0]
+        ((value, plane, dim),) = _decide(model, kf, [lam], [([CA, CB], True)])[0]
         if value is not Verdict.OUT:
             raise NoWuWitness(
                 "no critical-direction closed half plane through the point is deficient"
@@ -382,7 +382,7 @@ def wu_check(model: SpectralMeasureModel, k: int, region_est: RegionEstimate) ->
     saw_failure = False
     saw_unresolved = False
     for z, ((value, _, _), (closed, plane, dim)) in zip(
-        points, _decide(model, kf, points, [_HCHP, [CA, CB]], extra)
+        points, _decide(model, kf, points, [(_HCHP, False), ([CA, CB], True)], extra)
     ):
         uncertain += value is Verdict.UNCERTAIN
         if value is not Verdict.OUT:
