@@ -7,7 +7,6 @@ from .errors import (
     CoincidentEndpoints,
     EigFailure,
     HrnrError,
-    InsufficientDimension,
     InvariantViolation,
     ModelFormatError,
     NoSeparatingAngle,

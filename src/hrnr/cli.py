@@ -258,10 +258,19 @@ def _reproduce_infinity_empty(_: int) -> int:
 
 def _reproduce_hermitian(k: int) -> int:
     model = presets.hermitian_model()
+    interval = selfadjoint_interval(model, k)  # checks k before it indexes vals
+    est = region(model, k, 64)
     vals = sorted(presets.HERMITIAN_VALUES, reverse=True)
     lo, hi = vals[len(vals) - k], vals[k - 1]
-    a, b = selfadjoint_interval(model, k)
-    est = region(model, k, 64)
+    if lo > hi:
+        # the levels cross: the range of simple eigenvalues is empty
+        return _report(
+            [
+                ("interval is empty", interval is None),
+                ("region is empty", est.polygon.is_empty),
+            ]
+        )
+    a, b = interval
     flat = all(abs(v.imag) < 1e-8 for v in est.polygon.vertices)
     xs = [v.real for v in est.polygon.vertices]
     checks = [
@@ -273,7 +282,6 @@ def _reproduce_hermitian(k: int) -> int:
 
 
 def _reproduce_square(k: int) -> int:
-    k = max(k, 2)
     model = presets.square_region_model(k)
     est = region(model, k, 64)
     report = wu_check(model, k, est)

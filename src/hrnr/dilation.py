@@ -29,7 +29,6 @@ import numpy as np
 from .core import (
     _HCHP,
     RegionEstimate,
-    _check_matrix_rank,
     _check_rank,
     _decide,
     member,
@@ -60,6 +59,7 @@ from .spectral import (
     CB,
     INF,
     SpectralMeasureModel,
+    _check_finite_rank,
     _finite_square_matrix,
     _is_count,
     _is_finite_rank,
@@ -235,7 +235,7 @@ def excluding_dilation_matrix(T: np.ndarray, k: int, lam: complex) -> DilationAr
     lam = require_finite(lam, "point")
     T, _ = _require_contraction(T)
     vals, V = _unitary_eigendecomposition(T)
-    _check_matrix_rank(k, vals.shape[0])
+    k = _check_finite_rank(k, vals.shape[0])
     xi, margin = _separating_direction(vals, k, lam)
     if margin <= DEFAULT_TOL.eps_geom:
         raise NoSeparatingAngle(f"best margin {margin:.3e} does not clear eps_geom")
@@ -545,7 +545,7 @@ def _block_dilation_levels(T, k, xis):
         return None
     n = vals.shape[0]
     proj = np.sort(np.real(np.exp(1j * xis)[:, None] * vals[None, :]), axis=1)  # L_j: column n - j
-    cut = proj[0, n - k] + 1e-12 if k <= n else -np.inf
+    cut = -np.inf if k > n else proj[0, n - k] + 1e-12
     art = _block_dilation(T, vals, V, float(xis[0]), np.real(np.exp(1j * xis[0]) * vals) > cut)
     limit = DEFAULT_TOL.eps_unitary - 16 * n * np.finfo(float).eps  # less the rounding allowance
     _require_residuals(art.unitarity_residual, art.compression_residual, limit)
@@ -607,8 +607,7 @@ def dilation_intersection(
     """
     T, norm = _require_contraction(T)
     n = T.shape[0]
-    if not (_is_finite_rank(k) and k <= 2 * n):
-        raise ValueError(f"rank must be an integer with 1 <= k <= 2n, got {k!r}")
+    k = _check_finite_rank(k, 2 * n)
     if not (_is_count(n_samples) and _is_count(n_alpha) and n_samples >= 0 and n_alpha >= 0):
         raise ValueError(
             f"need integers n_samples >= 0 and n_alpha >= 0, got {n_samples!r} and {n_alpha!r}"

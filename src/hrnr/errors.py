@@ -26,12 +26,9 @@ class UncertainGeometry(HrnrError):
     """A sign test fell inside the tolerance band and no rule resolves it."""
 
 
-class InsufficientDimension(HrnrError):
-    """Requested rank exceeds the total dimension the model carries."""
-
-
-class RankExceedsDimension(HrnrError):
-    """Rank is incompatible with the model (e.g. k=inf on a finite model)."""
+class RankExceedsDimension(HrnrError, ValueError):
+    """Rank exceeds the dimension the model or matrix carries (k = inf on a
+    finite model included); a ``ValueError`` too, like any invalid rank."""
 
 
 class NotSelfAdjoint(HrnrError):

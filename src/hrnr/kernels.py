@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-# Calls with fewer point-direction pairs take the dense outer product.  The
-# two paths cost the same at about 5,000 pairs (50 points x 100 directions on
-# a 2-core Xeon); the cut sits above that with room to spare.  Region and
-# dilation sweeps (at most about 2,000 pairs) stay dense, while member on a
-# matrix model with hundreds of eigenvalues (about 10^6 pairs) sorts.
+# A shared anchor takes the dense outer product below this many
+# point-direction pairs and the angular sweep from it on.  The two paths cost
+# the same at about 5,000 pairs (50 points x 100 directions on a 2-core
+# Xeon); the cut sits above that with room to spare.  Member on a matrix
+# model with hundreds of eigenvalues (about 10^6 pairs) sorts, while the
+# one-point check of an excluding dilation (about 1,800 pairs) stays dense.
+# One anchor per direction (the batched sweeps of region and wu_check)
+# always runs dense, up to ``core.BATCH_PAIRS`` = 65,536 pairs per call.
 SORTED_MIN_PAIRS = 16_384
 
 # Points within _NEAR * eps of the anchor go through the dense body.  Beyond

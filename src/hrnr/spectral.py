@@ -25,8 +25,8 @@ import numpy as np
 from . import kernels
 from .errors import (
     EigFailure,
-    InsufficientDimension,
     NotNormal,
+    RankExceedsDimension,
     UncertainGeometry,
 )
 from .geometry import (
@@ -657,12 +657,22 @@ def _is_finite_rank(k) -> bool:
     return _is_count(k) and k >= 1
 
 
+def _check_finite_rank(k, dim: float) -> int:
+    """k as an int, for a finite rank 1 <= k <= dim: RankExceedsDimension
+    when k exceeds dim (k = inf against a finite dim included), ValueError
+    for anything else that is not a positive integer."""
+    if k == INF and dim != INF:
+        raise RankExceedsDimension(f"rank inf exceeds the finite dimension {int(dim)}")
+    if not _is_finite_rank(k):
+        raise ValueError(f"rank must be a positive integer, got {k!r}")
+    if k > dim:
+        raise RankExceedsDimension(f"rank {k} exceeds the dimension {int(dim)}")
+    return int(k)
+
+
 def lambda_k_sup(rm: RealSpectralModel, k: int) -> float:
     """sup{ b : dim ran E[b, inf) >= k } by a right-to-left multiplicity scan."""
-    if not _is_finite_rank(k):
-        raise ValueError("k must be a positive integer")
-    if rm.total_dim < k:
-        raise InsufficientDimension(f"total dimension {rm.total_dim} < k={k}")
+    k = _check_finite_rank(k, rm.total_dim)
     best = -INF
     for hi_ in (iv[1] for iv in rm.intervals):
         best = max(best, hi_)

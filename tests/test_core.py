@@ -30,16 +30,20 @@ from hrnr import (
     hchp_at,
     hchp_member,
     is_boundary,
+    lambda_k_sup,
     matrix_lambda_k,
     member,
     member_infinity,
+    member_many,
+    pushforward,
     region,
     scalar_dilation,
     selfadjoint_interval,
+    wu_check,
 )
 from hrnr import dilation
 from hrnr.core import critical_directions
-from hrnr.errors import EigFailure, InsufficientDimension
+from hrnr.errors import EigFailure
 from hrnr.presets import (
     HERMITIAN_VALUES,
     bilateral_shift_model,
@@ -228,7 +232,7 @@ class TestRegion:
 
     def test_preconditions(self):
         m = SpectralMeasureModel(atoms=(Atom(0j, 2),), support_radius=1.0)
-        with pytest.raises(InsufficientDimension):
+        with pytest.raises(RankExceedsDimension):
             region(m, 3, 16)
         with pytest.raises(ValueError):
             region(m, 1, 4)
@@ -425,3 +429,43 @@ def test_numpy_integer_ranks_and_counts():
     assert dilation_intersection(_DIAG, two, one, two) == dilation_intersection(_DIAG, 2, 1, 2)
     model = durszt_model(2)
     assert region(model, two, eight).polygon == region(model, 2, 8).polygon
+
+
+# Two simple real atoms inside the unit disk: dimension 2, and valid input
+# for every model entry point, selfadjoint_interval and wu_check included.
+_TWO_ATOMS = SpectralMeasureModel(atoms=(Atom(0.5 + 0j, 1), Atom(-0.5 + 0j, 1)), support_radius=1.0)
+_TWO = np.diag([0.5, -0.5]).astype(complex)
+
+# entry point -> (call with rank k, the dimension its ranks are held to)
+_RANKED_CALLS = {
+    "member": (lambda k: member(_TWO_ATOMS, k, 0j), 2),
+    "member_many": (lambda k: member_many(_TWO_ATOMS, k, [0j, 2j]), 2),
+    "is_boundary": (lambda k: is_boundary(_TWO_ATOMS, k, 0j), 2),
+    "decompose_excluding": (lambda k: decompose_excluding(_TWO_ATOMS, k, 2j), 2),
+    "excluding_certificate": (lambda k: excluding_certificate(_TWO_ATOMS, k, 2j), 2),
+    "wu_check": (lambda k: wu_check(_TWO_ATOMS, k, region(_TWO_ATOMS, 1, 16)), 2),
+    "region": (lambda k: region(_TWO_ATOMS, k, 16), 2),
+    "selfadjoint_interval": (lambda k: selfadjoint_interval(_TWO_ATOMS, k), 2),
+    "lambda_k_sup": (lambda k: lambda_k_sup(pushforward(_TWO_ATOMS, 0.0), k), 2),
+    "ckz_member": (lambda k: ckz_member(_TWO, k, 0j), 2),
+    "matrix_lambda_k": (lambda k: matrix_lambda_k(_TWO, k, 0.0), 2),
+    "excluding_dilation_matrix": (lambda k: excluding_dilation_matrix(_TWO, k, 2 + 0j), 2),
+    "dilation_intersection": (lambda k: dilation_intersection(_TWO, k, 0, 0), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RANKED_CALLS))
+def test_one_rank_rule_at_every_entry_point(name):
+    call, dim = _RANKED_CALLS[name]
+    call(dim)
+    for k in (dim + 1, RANK_INF):
+        with pytest.raises(RankExceedsDimension):
+            call(k)
+    for k in (0, True, 1.5):
+        with pytest.raises(ValueError) as exc:
+            call(k)
+        assert exc.type is ValueError
+
+
+def test_conjecture_check_takes_ranks_above_n():
+    assert conjecture_check(_TWO, 3, 0j, 8).condition_holds

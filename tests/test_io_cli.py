@@ -389,6 +389,23 @@ class TestCli:
         assert main(["reproduce", "infinity-empty"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("k", ["0", "1", "4", "6"])
+    @pytest.mark.parametrize(
+        "name", ["bilateral-shift", "durszt", "hermitian", "infinity-empty", "square-region"]
+    )
+    def test_reproduce_any_rank_exits_cleanly(self, capsys, name, k):
+        code = main(["reproduce", name, "-k", k])
+        captured = capsys.readouterr()
+        assert code in (0, 2)
+        assert "Traceback" not in captured.err
+        if code == 2:
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if (name, k) == ("hermitian", "4"):
+            # rank 4 of five simple eigenvalues: the empty range
+            assert code == 0
+            lines = captured.out.splitlines()
+            assert lines and all(line.startswith("PASS: ") for line in lines)
+
 
 # ---------------------------------------------------------------------------
 # Fuzz of the exit-code contract: every document, however malformed, exits

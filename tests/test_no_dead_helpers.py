@@ -1,5 +1,6 @@
-"""No dead helpers: every module-level private function or class of the
-package source is referenced somewhere in it besides its own definition."""
+"""No dead code: every module-level private function or class of the
+package source is referenced somewhere in it besides its own definition,
+and every error type is raised somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,21 @@ def test_every_private_helper_is_referenced():
         if everywhere.count(node.name) == _referenced_names(node).count(node.name)
     ]
     assert not dead, f"private definitions referenced nowhere else: {dead}"
+
+
+def test_every_error_type_is_raised():
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = [
+        node.name
+        for node in errors.body
+        if isinstance(node, ast.ClassDef) and node.name != "HrnrError"
+    ]
+    assert classes
+    raised = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.update(_referenced_names(node.exc))
+    never = [name for name in classes if name not in raised]
+    assert not never, f"error types raised nowhere: {never}"

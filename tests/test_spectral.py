@@ -25,7 +25,7 @@ from hrnr import (
     pushforward,
     transform_model,
 )
-from hrnr.errors import InsufficientDimension
+from hrnr.errors import RankExceedsDimension
 from hrnr.presets import durszt_model, infinity_empty_model
 from hrnr.spectral import RealSpectralModel
 
@@ -314,7 +314,7 @@ class TestLambdaKSup:
 
     def test_insufficient(self):
         rm = RealSpectralModel(atoms=((0.0, 2.0),), support_radius=1.0)
-        with pytest.raises(InsufficientDimension):
+        with pytest.raises(RankExceedsDimension):
             lambda_k_sup(rm, 3)
 
     def test_rank_is_an_integer_not_a_bool(self):
