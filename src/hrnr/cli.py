@@ -22,6 +22,7 @@ from .core import (
     selfadjoint_interval,
 )
 from .dilation import (
+    INTERSECTION_ANGLES,
     WuVerdict,
     conjecture_check,
     dilation_intersection,
@@ -239,19 +240,19 @@ def _reproduce_bilateral(k: int) -> int:
     return _report(checks)
 
 
-def _reproduce_infinity_empty(_: int) -> int:
+def _reproduce_infinity_empty(k: int) -> int:
     model = presets.infinity_empty_model()
     grid = [
         complex(x, y)
         for x in np.linspace(-1, 1, 20)
         for y in np.linspace(-1, 1, 20)
     ]
+    some_in = any(mv.value is Verdict.IN for mv in member_many(model, k, grid))  # checks k first
     all_out = all(mv.value is Verdict.OUT for mv in member_many(model, RANK_INF, grid))
-    some_in = any(mv.value is Verdict.IN for mv in member_many(model, 1, grid))
     return _report(
         [
             ("rank-inf range empty on the grid", all_out),
-            ("rank-1 range nonempty on the grid", some_in),
+            (f"rank-{k} range nonempty on the grid", some_in),
         ]
     )
 
@@ -369,7 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--thetas", type=int, default=360)
     sp.set_defaults(fn=_cmd_conjecture)
 
-    sp = sub.add_parser("intersect", help="intersection of dilation ranges")
+    sp = sub.add_parser(
+        "intersect",
+        help="intersection of dilation ranges",
+        description=(
+            "Polygon of the intersection of the rank-k ranges of the unitary dilations of "
+            "a contraction T.  For a normal T its support planes are exact, at the normals "
+            "where two eigenvalues tie at the k-th level, and the polygon equals the rank-k "
+            "range of T up to rounding.  --alphas, --samples and --seed act only on a T "
+            "that is not normal, whose planes are sampled on the fixed grid of "
+            f"INTERSECTION_ANGLES = {INTERSECTION_ANGLES} directions."
+        ),
+    )
     add_common(sp)
     sampled = " (used only when T is not normal)"
     sp.add_argument("--alphas", type=int, default=360, help="rotated-Halmos grid size" + sampled)

@@ -68,8 +68,17 @@ from .spectral import (
     require_normal,
 )
 
-# Grid of support-plane directions of a dilation-range intersection.
+# Grid of support-plane directions of a dilation-range intersection of a
+# contraction that is not normal.
 INTERSECTION_ANGLES = 180
+
+# Evenly spaced directions joined to the tie normals of a normal
+# contraction, so that no gap between consecutive plane normals reaches pi.
+_FLOOR_ANGLES = 8
+
+# Projections closer than this count as tied: the split threshold of the
+# block dilations and the tie test of their plane directions.
+_TIE = 1e-12
 
 # Interior samples per polygon edge in a Wu check, besides the vertices.
 WU_SAMPLES_PER_EDGE = 9
@@ -258,9 +267,7 @@ def _separating_direction(vals: np.ndarray, k: int, lam: complex) -> tuple[float
     working memory stays O(n^2).
     """
     n = vals.shape[0]
-    diff = (vals[:, None] - vals[None, :])[np.triu_indices(n, 1)]
-    cross = math.pi / 2 - np.angle(diff[diff != 0])
-    xis = np.concatenate([cross, cross + math.pi, -np.angle(lam - vals)])
+    xis = np.concatenate([_pair_normals(vals)[0], -np.angle(lam - vals)])
     best_xi, best = 0.0, -math.inf
     rows = max(n, 4096 // n)
     for start in range(0, xis.shape[0], rows):
@@ -270,6 +277,18 @@ def _separating_direction(vals: np.ndarray, k: int, lam: complex) -> tuple[float
         if margins[j] > best:
             best_xi, best = float(x[j]), float(margins[j])
     return best_xi, best
+
+
+def _pair_normals(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The directions xi where two distinct eigenvalues d_i, d_j (i < j)
+    project equally, pi/2 - arg(d_i - d_j) for every pair and then that
+    plus pi for every pair, and the index i of each."""
+    i, j = np.triu_indices(vals.shape[0], 1)
+    diff = vals[i] - vals[j]
+    distinct = diff != 0
+    cross = math.pi / 2 - np.angle(diff[distinct])
+    first = i[distinct]
+    return np.concatenate([cross, cross + math.pi]), np.concatenate([first, first])
 
 
 def excluding_certificate(
@@ -545,14 +564,51 @@ def _block_dilation_levels(T, k, xis):
         return None
     n = vals.shape[0]
     proj = np.sort(np.real(np.exp(1j * xis)[:, None] * vals[None, :]), axis=1)  # L_j: column n - j
-    cut = -np.inf if k > n else proj[0, n - k] + 1e-12
+    cut = -np.inf if k > n else proj[0, n - k] + _TIE
     art = _block_dilation(T, vals, V, float(xis[0]), np.real(np.exp(1j * xis[0]) * vals) > cut)
     limit = DEFAULT_TOL.eps_unitary - 16 * n * np.finfo(float).eps  # less the rounding allowance
     _require_residuals(art.unitarity_residual, art.compression_residual, limit)
     if k > n:
         return np.full(xis.shape[0], -1.0)
-    r = np.count_nonzero(proj > proj[:, n - k, None] + 1e-12, axis=1)
+    r = np.count_nonzero(proj > proj[:, n - k, None] + _TIE, axis=1)
     return proj[np.arange(xis.shape[0]), n - r - (k - r + 1) // 2]
+
+
+def _grid(m: int) -> np.ndarray:
+    return 2 * math.pi * np.arange(m) / m
+
+
+def _plane_directions(T, k):
+    """Directions of the support planes of :func:`dilation_intersection`.
+
+    For a normal T: _FLOOR_ANGLES evenly spaced directions, then the pair
+    normals (:func:`_pair_normals`) at which the pair's projection lies
+    within _TIE of the k-th level L_k, i.e. where the tie group of the
+    pair covers rank k (none when k > n).  L_k changes the eigenvalue it
+    follows only at such a normal.  Between two consecutive directions
+    L_k follows one eigenvalue d, and as they lie less than pi apart, the
+    plane of any direction between them contains the cone at d that their
+    two planes cut out, so these planes give the polygon exactly.
+    INTERSECTION_ANGLES evenly spaced directions when T is not normal.
+    The candidates are scored a chunk at a time, so the working memory
+    stays O(n^2).
+    """
+    try:
+        vals, _ = _unitary_eigendecomposition(T)
+    except NotNormal:
+        return _grid(INTERSECTION_ANGLES)
+    floor = _grid(_FLOOR_ANGLES)
+    n = vals.shape[0]
+    if k > n:
+        return floor
+    xis, first = _pair_normals(vals)
+    tie = np.empty(xis.shape[0], dtype=bool)
+    rows = max(n, 4096 // n)
+    for start in range(0, xis.shape[0], rows):
+        x = xis[start : start + rows]
+        own = np.real(np.exp(1j * x) * vals[first[start : start + rows]])
+        tie[start : start + rows] = np.abs(own - _support_levels(vals, k, x)) <= _TIE
+    return np.concatenate([floor, xis[tie]])
 
 
 def _sampled_levels(T, k, xis, n_samples, n_alpha, seed):
@@ -593,17 +649,25 @@ def dilation_intersection(
     seed: int = 0,
 ) -> ConvexPolygon:
     """Intersect the rank-k ranges of unitary dilations of the contraction
-    T through their support planes in INTERSECTION_ANGLES directions.
+    T through their support planes.
 
     For a normal T the per-direction block dilations give the planes in
     closed form.  By interlacing no unitary dilation has a rank-k level
-    below T's own, which the block levels attain to within their 1e-12
-    split threshold, so no other dilation can tighten these planes and
-    they are the whole intersection; EigFailure when the one block dilation
-    built per T fails its residual check.  Only when T is not normal do the
-    planes come from a rotated-Halmos grid of n_alpha phases and n_samples
-    random (I(+)V)H(I(+)W) samples drawn from ``seed``, each held to the
-    same residual check; n_alpha, n_samples and seed act on nothing else.
+    below T's own L_k, which the block levels attain to within their
+    _TIE split threshold, so no other dilation can tighten these planes
+    and they are the whole intersection; EigFailure when the one block
+    dilation built per T fails its residual check.  The planes stand at
+    the normals where two eigenvalues tie at the k-th level, plus
+    _FLOOR_ANGLES evenly spaced ones (:func:`_plane_directions`): they are
+    exact, and since the half planes Re(e^{i xi} z) <= L_k(xi) cut out the
+    rank-k range of T (Li & Sze, Proc. AMS 136, 2008), the polygon is
+    Lambda_k(T) up to rounding, and empty when k > n.
+
+    Only when T is not normal do the planes come from INTERSECTION_ANGLES
+    evenly spaced directions, their levels from a rotated-Halmos grid of
+    n_alpha phases and n_samples random (I(+)V)H(I(+)W) samples drawn from
+    ``seed``, each held to the same residual check; INTERSECTION_ANGLES,
+    n_alpha, n_samples and seed act on nothing else.
     """
     T, norm = _require_contraction(T)
     n = T.shape[0]
@@ -612,7 +676,7 @@ def dilation_intersection(
         raise ValueError(
             f"need integers n_samples >= 0 and n_alpha >= 0, got {n_samples!r} and {n_alpha!r}"
         )
-    xis = 2 * math.pi * np.arange(INTERSECTION_ANGLES) / INTERSECTION_ANGLES
+    xis = _plane_directions(T, k)
     levels = _block_dilation_levels(T, k, xis)
     if levels is None:
         levels = _sampled_levels(T, k, xis, n_samples, n_alpha, seed)

@@ -9,6 +9,7 @@ vertices closer than 1e-12 * bound.  The differential tests compare the two.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from hrnr.geometry import DEFAULT_TOL, ClosedHalfPlane, ConvexPolygon, TolerancePolicy, convex_hull
 
@@ -114,3 +115,35 @@ def _clip(
             out.append(crossing(prev, sprev, cur, scur))
         prev, sprev = cur, scur
     return out
+
+
+def exact_clip(planes: list[ClosedHalfPlane], bound: float) -> list[tuple[Fraction, Fraction]]:
+    """The box of radius ``bound`` clipped by every plane in rational
+    arithmetic, each plane's float normal and anchor taken exactly: the
+    vertex list of the clipped polygon, duplicate and collinear points
+    included, or [] when the intersection is empty."""
+    b = Fraction(bound)
+    poly = [(-b, -b), (b, -b), (b, b), (-b, b)]
+    for P in planes:
+        nx, ny = (Fraction(c) for c in P.normal)
+        ax, ay = Fraction(P.anchor.real), Fraction(P.anchor.imag)
+        out = []
+        for p, q in zip(poly[-1:] + poly[:-1], poly):
+            sp, sq = nx * (p[0] - ax) + ny * (p[1] - ay), nx * (q[0] - ax) + ny * (q[1] - ay)
+            if (sp < 0) != (sq < 0):
+                t = sp / (sp - sq)
+                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+            if sq >= 0:
+                out.append(q)
+        poly = out
+        if not poly:
+            return []
+    return poly
+
+
+def exact_intersection(planes: list[ClosedHalfPlane], bound: float) -> ConvexPolygon:
+    """:func:`exact_clip`, its vertices rounded to floats at the end."""
+    poly = exact_clip(planes, bound)
+    if not poly:
+        return ConvexPolygon(())
+    return convex_hull([complex(float(x), float(y)) for x, y in poly])

@@ -111,12 +111,13 @@ def _dilation_cases(rng):
 
 
 def test_dilation_intersections(rng):
-    # every rank up to 2n; the planes are rebuilt from the same levels
-    xis = 2 * math.pi * np.arange(dilation.INTERSECTION_ANGLES) / dilation.INTERSECTION_ANGLES
+    # every rank up to 2n; the planes are rebuilt from the same directions
+    # and levels
     n_samples, n_alpha = 2, 4
     for T in _dilation_cases(rng):
         bound = dilation._op_norm(T) + 1.0
         for k in range(1, 2 * T.shape[0] + 1):
+            xis = dilation._plane_directions(T, k)
             levels = dilation._block_dilation_levels(T, k, xis)
             if levels is None:
                 levels = dilation._sampled_levels(T, k, xis, n_samples, n_alpha, 0)

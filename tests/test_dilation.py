@@ -1,5 +1,6 @@
 import importlib.util
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from hrnr import (
 )
 from hrnr.presets import durszt_model, square_region_model
 
+from clip_oracle import exact_clip
 from conftest import haar_unitary, random_normal_contraction, random_normal_matrix
 
 
@@ -326,7 +328,86 @@ class TestConjecture:
             conjecture_check(np.eye(2, dtype=complex), 1, 2 + 0j, 8)
 
 
+# The quarter-integer lattice points of the closed unit disk: every
+# difference, pair normal i * conj(d_i - d_j) and projection of them is a
+# dyadic rational, exact in floats.
+_LATTICE = [complex(a, b) / 4 for a in range(-4, 5) for b in range(-4, 5) if a * a + b * b <= 16]
+
+
+def _rank_k_planes(eigs, k):
+    """The closed half planes Re(w z) <= (k-th largest Re(w d) over the
+    eigenvalues d, with multiplicity) for w = +-i conj(d_i - d_j) over every
+    pair of distinct eigenvalues and the four axis directions, each
+    anchored at an eigenvalue on its line."""
+    ws = {1, 1j, -1, -1j}
+    for a in eigs:
+        for b in eigs:
+            if a != b:
+                ws.add(1j * (a - b).conjugate())
+    planes = []
+    for w in ws:
+        def proj(d, w=w):
+            return Fraction(w.real) * Fraction(d.real) - Fraction(w.imag) * Fraction(d.imag)
+
+        anchor = sorted(eigs, key=proj, reverse=True)[k - 1]
+        nx, ny = -w.real, w.imag
+        planes.append(ClosedHalfPlane(anchor, math.atan2(ny, nx), normal=(nx, ny)))
+    return planes
+
+
+def _exact_hull(points):
+    """Vertices of the convex hull of rational points, duplicate and
+    collinear ones dropped (monotone chain)."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return half(pts)[:-1] + half(pts[::-1])[:-1]
+
+
 class TestDilationIntersection:
+    def test_exact_on_quarter_lattice(self, rng):
+        # a normal T's planes give its rank-k range exactly: the vertices
+        # match rational clipping over every pair normal within 1e-12 *
+        # bound, and every rank above n is empty
+        cases = [
+            [0.5 + 0.25j],
+            [0.25j] * 3,  # scalar
+            [1, -1, 1j, -1j, 0],  # unimodular, and the center on two lines
+            [-0.75, -0.25, 0.25, 0.5, 0.5, 0.25 + 0.5j],  # collinear, repeated
+            [0.5, -0.5, 0.25 + 0.25j, -0.25 - 0.25j, 0.5j, -0.5j],  # pairs through 0
+        ]
+        cases += [list(rng.choice(_LATTICE, int(rng.integers(2, 8)))) for _ in range(30)]
+        for i, eigs in enumerate(cases):
+            eigs = [complex(d) for d in eigs]
+            n = len(eigs)
+            T = np.diag(eigs).astype(complex)
+            if i % 2:
+                Q = haar_unitary(n, rng)
+                T = (Q * np.array(eigs)) @ Q.conj().T
+            bound = dilation._op_norm(T) + 1.0
+            for k in range(1, 2 * n + 1):
+                poly = dilation_intersection(T, k, 0, 0)
+                if k > n:
+                    assert poly.is_empty
+                    continue
+                exact = _exact_hull(exact_clip(_rank_k_planes(eigs, k), 2.0))
+                assert len(poly.vertices) == len(exact)
+                for x, y in exact:
+                    z = complex(float(x), float(y))
+                    assert min(abs(v - z) for v in poly.vertices) <= 1e-12 * bound
+
     def test_zero_contraction_collapses(self):
         poly = dilation_intersection(np.array([[0j]]), 1, n_samples=10, n_alpha=360, seed=1)
         assert max(abs(v) for v in poly.vertices) <= 2 * math.pi / 360
@@ -338,10 +419,10 @@ class TestDilationIntersection:
         assert hausdorff_distance(poly, est.polygon) <= 1e-2
 
     def test_unitary_fixed_point(self):
+        # exactly the triangle of the eigenvalues, with no grid corners
         T = np.diag([1j, -1j, 1]).astype(complex)
         poly = dilation_intersection(T, 1, n_samples=10, n_alpha=180, seed=3)
-        est = region(from_normal_matrix(T), 1, 180)
-        assert hausdorff_distance(poly, est.polygon) <= 1e-9
+        assert hausdorff_distance(poly, hrnr.convex_hull([1j, -1j, 1])) <= 1e-9
 
     def test_unimodular_eigenvalue_split_off(self):
         # the block dilations split off the eigenvalue 1 and pin the

@@ -9,7 +9,6 @@ eps_geom and against exact rational clipping.
 """
 
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -17,14 +16,12 @@ from hrnr import core, dilation, presets
 from hrnr.geometry import (
     DEFAULT_TOL,
     ClosedHalfPlane,
-    ConvexPolygon,
-    convex_hull,
     halfplane_intersection,
     hausdorff_distance,
     support_plane,
 )
 
-from clip_oracle import clip_intersection
+from clip_oracle import clip_intersection, exact_intersection
 from conftest import (
     NEARLY_PARALLEL_GAPS,
     many_nearly_parallel_pair_sets,
@@ -132,28 +129,6 @@ def _worst_violation(poly, planes):
     return worst
 
 
-def _exact_intersection(planes, bound):
-    """The box clipped by every plane in rational arithmetic, its vertices
-    rounded to floats at the end."""
-    b = Fraction(bound)
-    poly = [(-b, -b), (b, -b), (b, b), (-b, b)]
-    for P in planes:
-        nx, ny = (Fraction(c) for c in P.normal)
-        ax, ay = Fraction(P.anchor.real), Fraction(P.anchor.imag)
-        out = []
-        for p, q in zip(poly[-1:] + poly[:-1], poly):
-            sp, sq = nx * (p[0] - ax) + ny * (p[1] - ay), nx * (q[0] - ax) + ny * (q[1] - ay)
-            if (sp < 0) != (sq < 0):
-                t = sp / (sp - sq)
-                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-            if sq >= 0:
-                out.append(q)
-        poly = out
-        if not poly:
-            return ConvexPolygon(())
-    return convex_hull([complex(float(x), float(y)) for x, y in poly])
-
-
 def test_nearly_parallel_reproducer():
     # two planes 1.8e-15 apart in angle: the old pass kept a vertex
     # 7.1e-4 outside both
@@ -178,7 +153,7 @@ def test_nearly_parallel_pairs(gap):
         old = clip_intersection(planes, bound)
         assert poly.is_empty == old.is_empty
         assert hausdorff_distance(poly, old) <= eps
-        exact = _exact_intersection(planes, bound)
+        exact = exact_intersection(planes, bound)
         assert poly.is_empty == exact.is_empty
         assert hausdorff_distance(poly, exact) <= eps
 
@@ -189,7 +164,7 @@ def test_many_nearly_parallel_pairs(gap):
     # keep vertices far outside a plane, so exact clipping decides
     for planes in many_nearly_parallel_pair_sets(gap):
         poly = halfplane_intersection(planes, 2.0)
-        exact = _exact_intersection(planes, 2.0)
+        exact = exact_intersection(planes, 2.0)
         assert poly.is_empty == exact.is_empty
         assert hausdorff_distance(poly, exact) <= DEFAULT_TOL.eps_geom
         assert _worst_violation(poly, planes) <= DEFAULT_TOL.eps_geom

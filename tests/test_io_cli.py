@@ -222,6 +222,15 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert len(out["polygon"]) >= 3
 
+    def test_intersect_normal_prints_the_eigenvalue_triangle(self, capsys, matrix_file):
+        # exact planes: the rank-1 range of diag(0.5, -0.5, 0.3i) is the
+        # triangle of its eigenvalues, with no grid corners beside them
+        assert main(["intersect", "--input", matrix_file, "-k", "1"]) == 0
+        verts = [complex(x, y) for x, y in json.loads(capsys.readouterr().out)["polygon"]]
+        assert len(verts) == 3
+        for d in (0.5, -0.5, 0.3j):
+            assert min(abs(v - d) for v in verts) <= 1e-12
+
     def test_exit_code_malformed(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
@@ -387,7 +396,15 @@ class TestCli:
 
     def test_reproduce_infinity_empty(self, capsys):
         assert main(["reproduce", "infinity-empty"]) == 0
-        assert "FAIL" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "PASS: rank-1 range nonempty on the grid" in out
+
+    def test_reproduce_infinity_empty_takes_the_rank(self, capsys):
+        assert main(["reproduce", "infinity-empty", "-k", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: rank must be a positive integer")
+        assert main(["reproduce", "infinity-empty", "-k", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "PASS: rank-2 range nonempty on the grid" in out
 
     @pytest.mark.parametrize("k", ["0", "1", "4", "6"])
     @pytest.mark.parametrize(

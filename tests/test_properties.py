@@ -291,8 +291,10 @@ def test_dm_closure_desk_scale(rng):
         poly = dilation_intersection(T, k, n_samples=50, n_alpha=n_alpha, seed=seed)
         if est.polygon.is_empty:
             continue
-        for v in est.polygon.vertices:
-            assert poly.signed_distance(v) <= 1e-6
+        # the intersection's planes are exact, so it lies inside the
+        # region's 180-direction outer approximation
+        for v in poly.vertices:
+            assert est.polygon.signed_distance(v) <= 1e-6
         assert hausdorff_distance(poly, est.polygon) <= 10 / n_alpha + 1e-6
 
 
