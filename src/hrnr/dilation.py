@@ -15,7 +15,9 @@ eigenvalues beyond the separating level through 2x2 scalar dilations, and
 carries the rest by a Halmos block rotated by xi, excludes the point.  That
 construction fixes the spectrum, so its rank-k levels need no eigensolve,
 and since by interlacing no dilation has a rank-k level below T's own, the
-block dilations alone give the intersection of the dilations' ranges.
+block dilations alone give the intersection of the dilations' ranges; their
+planes at the directions where two eigenvalues tie at the k-th level give
+it exactly.
 """
 
 from __future__ import annotations
