@@ -40,13 +40,11 @@ from .spectral import (
     Segment,
     SequenceFamily,
     SpectralMeasureModel,
-    RealSpectralModel,
     dim_ran_closed,
     dim_ran_hchp,
     dim_ran_open,
     from_normal_matrix,
-    lambda_k_sup,
-    pushforward,
+    support_levels,
     transform_model,
 )
 from .core import (

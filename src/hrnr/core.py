@@ -34,6 +34,7 @@ from .geometry import (
     ConvexPolygon,
     HalfClosedHalfPlane,
     Verdict,
+    _grid,
     _intersect_lines,
     canonical_dir,
     canonical_dirs,
@@ -58,10 +59,8 @@ from .spectral import (
     _is_count,
     direction_sweep,
     flavor_plane,
-    lambda_k_inf,
-    lambda_k_sup,
     normal_eigvals,
-    pushforward,
+    support_levels,
 )
 
 RANK_INF = INF
@@ -359,22 +358,20 @@ def member_infinity(model: SpectralMeasureModel, lam: complex) -> MembershipVerd
 
 def region(model: SpectralMeasureModel, k: int, n_angles: int) -> RegionEstimate:
     """Closure-level reconstruction: intersect the support half planes
-    Re(e^{i xi} mu) <= h(xi) over a uniform direction grid, then classify
-    sampled boundary points pointwise."""
+    Re(e^{i xi} mu) <= h_k(xi) over the uniform grid xi = 2 pi j / n_angles,
+    their levels from one :func:`hrnr.spectral.support_levels` call, then
+    classify sampled boundary points pointwise."""
     if not (_is_count(n_angles) and n_angles >= 8):
         raise ValueError(f"n_angles must be an integer of at least 8, got {n_angles!r}")
     k = _check_finite_rank(k, model.total_dim)
-    samples = []
-    for j in range(n_angles):
-        xi = 2 * math.pi * j / n_angles
-        samples.append((xi, lambda_k_sup(pushforward(model, xi), k)))
-    xis, levels = zip(*samples)
+    xis = _grid(n_angles).tolist()
+    levels = support_levels(model, k, xis).tolist()
     poly = _intersect_lines(support_lines(xis, levels), model.support_radius)
     points = _boundary_points(poly)
     # verdicts only: the boundary report reads no witness plane
     verdicts = _decide(model, float(k), points, [(_HCHP, False)])
     report = [(z, value) for z, ((value, _, _),) in zip(points, verdicts)]
-    return RegionEstimate(k, tuple(samples), poly, tuple(report))
+    return RegionEstimate(k, tuple(zip(xis, levels)), poly, tuple(report))
 
 
 def _boundary_points(poly: ConvexPolygon) -> list[complex]:
@@ -403,10 +400,9 @@ def selfadjoint_interval(model: SpectralMeasureModel, k: int) -> tuple[float, fl
         off = [abs(fam.limit.imag)] + [abs(p.imag) for p, _ in fam.prefix]
         if max(off) > eps or abs(math.sin(fam.approach_angle)) > 1e-9 or fam.approach_side != "on":
             raise NotSelfAdjoint("family leaves the real axis")
-    k = _check_finite_rank(k, model.total_dim)
-    rm = pushforward(model, 0.0)
-    a = lambda_k_inf(rm, k)
-    b = lambda_k_sup(rm, k)
+    # the level from the left is minus the level in direction pi
+    b, neg_a = support_levels(model, k, [0.0, math.pi]).tolist()
+    a = -neg_a
     if a > b:
         return None
     return (a, b)

@@ -52,6 +52,7 @@ from .geometry import (
     ClosedHalfPlane,
     ConvexPolygon,
     Verdict,
+    _grid,
     _intersect_lines,
     require_finite,
     support_lines,
@@ -574,10 +575,6 @@ def _block_dilation_levels(T, k, xis):
         return np.full(xis.shape[0], -1.0)
     r = np.count_nonzero(proj > proj[:, n - k, None] + _TIE, axis=1)
     return proj[np.arange(xis.shape[0]), n - r - (k - r + 1) // 2]
-
-
-def _grid(m: int) -> np.ndarray:
-    return 2 * math.pi * np.arange(m) / m
 
 
 def _plane_directions(T, k):

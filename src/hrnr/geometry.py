@@ -109,6 +109,11 @@ def trig_dirs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return canonical_dirs(*snap_dirs(np.cos(angles), np.sin(angles)))
 
 
+def _grid(m: int) -> np.ndarray:
+    """The m evenly spaced directions 2 pi j / m, j = 0, ..., m - 1."""
+    return 2 * math.pi * np.arange(m) / m
+
+
 def _unit_normal(angle: float) -> tuple[float, float]:
     nx, ny = snap_dir(math.cos(angle), math.sin(angle))
     return nx, ny

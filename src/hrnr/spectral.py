@@ -37,6 +37,7 @@ from .geometry import (
     canonical_dir,
     require_finite,
     snap_dir,
+    snap_dirs,
     trig_dir,
 )
 
@@ -195,7 +196,8 @@ def _piece_max_abs(piece: Piece) -> float:
     return max(abs(v) for v in piece.polygon.vertices)
 
 
-def _angle_in(x: float, lo: float, hi: float) -> bool:
+def _angle_in(x, lo: float, hi: float):
+    """x (a float or an array) lies on the arc from lo to hi, mod 2 pi."""
     return (x - lo) % (2 * math.pi) <= hi - lo
 
 
@@ -581,70 +583,8 @@ def dim_ran_open(model: SpectralMeasureModel, P: ClosedHalfPlane) -> float:
 
 
 # ---------------------------------------------------------------------------
-# 1-D pushforwards and the k-th support level
+# The k-th support levels
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RealFamily:
-    prefix: tuple[tuple[float, float], ...]  # (position, mult)
-    limit: float
-
-
-@dataclass(frozen=True)
-class RealSpectralModel:
-    atoms: tuple[tuple[float, float], ...] = ()  # (position, mult), mult may be INF
-    intervals: tuple[tuple[float, float], ...] = ()  # carry infinite mass
-    families: tuple[RealFamily, ...] = ()
-    support_radius: float = 1.0
-
-    @property
-    def total_dim(self) -> float:
-        if self.intervals or self.families:
-            return INF
-        return sum(m for _, m in self.atoms)
-
-
-def _proj(z: complex, c: float, s: float) -> float:
-    # Re(e^{i theta} z) with c = cos(theta), s = sin(theta)
-    return c * z.real - s * z.imag
-
-
-def pushforward(model: SpectralMeasureModel, theta: float) -> RealSpectralModel:
-    """Image of the measure under z -> Re(e^{i theta} z)."""
-    c, s = snap_dir(math.cos(theta), math.sin(theta))
-    atoms = [(_proj(a.location, c, s), a.mult) for a in model.atoms]
-    intervals = []
-    for p in model.pieces:
-        intervals.append(_piece_interval(p, theta, c, s))
-    families = [
-        RealFamily(tuple((_proj(p, c, s), float(m)) for p, m in f.prefix), _proj(f.limit, c, s))
-        for f in model.families
-    ]
-    return RealSpectralModel(
-        tuple(atoms), tuple(intervals), tuple(families), model.support_radius
-    )
-
-
-def _piece_interval(piece: Piece, theta: float, c: float, s: float):
-    if isinstance(piece, Segment):
-        xa, xb = _proj(piece.a, c, s), _proj(piece.b, c, s)
-        return (min(xa, xb), max(xa, xb))
-    if isinstance(piece, Arc):
-        # Re(e^{i theta}(center + r e^{i phi})) = proj(center) + r cos(theta + phi),
-        # expanded through the snapped rotation so axis-aligned cases stay exact
-        xc = _proj(piece.center, c, s)
-        cands = [
-            c * math.cos(phi) - s * math.sin(phi)
-            for phi in (piece.theta0, piece.theta1)
-        ]
-        if _angle_in(-theta, piece.theta0, piece.theta1):
-            cands.append(1.0)
-        if _angle_in(math.pi - theta, piece.theta0, piece.theta1):
-            cands.append(-1.0)
-        return (xc + piece.radius * min(cands), xc + piece.radius * max(cands))
-    xs = [_proj(v, c, s) for v in piece.polygon.vertices]
-    return (min(xs), max(xs))
 
 
 def _is_count(n) -> bool:
@@ -670,42 +610,65 @@ def _check_finite_rank(k, dim: float) -> int:
     return int(k)
 
 
-def lambda_k_sup(rm: RealSpectralModel, k: int) -> float:
-    """sup{ b : dim ran E[b, inf) >= k } by a right-to-left multiplicity scan."""
-    k = _check_finite_rank(k, rm.total_dim)
-    best = -INF
-    for hi_ in (iv[1] for iv in rm.intervals):
-        best = max(best, hi_)
-    finite: list[tuple[float, float]] = []
-    for x, m in rm.atoms:
-        if m == INF:
-            best = max(best, x)
+def support_levels(model: SpectralMeasureModel, k, xis) -> np.ndarray:
+    """The k-th level h_k(xi) = sup{ b : dim ran E{Re(e^{i xi} z) >= b} >= k }
+    for every direction xi, as an array.
+
+    Each level is the larger of the essential level, the highest projection
+    of a piece, a family limit or an infinite atom, and the first finite
+    point mass (finite atom or prefix point), in descending order of
+    projection with ties in model order, whose cumulative multiplicity
+    reaches k.  Of equal values (zeros of either sign) the first is kept:
+    pieces, infinite atoms and family limits in model order, then that
+    point.  Directions are snapped (:func:`hrnr.geometry.snap_dirs`), and
+    the finite points are scored a chunk of directions at a time, within
+    ``core.BATCH_PAIRS`` direction-point pairs.
+    """
+    from .core import BATCH_PAIRS  # core imports this module
+
+    k = _check_finite_rank(k, model.total_dim)
+    xis = np.asarray(xis, dtype=np.float64)
+    c, s = snap_dirs(np.cos(xis), np.sin(xis))
+
+    def proj(z):
+        return c * z.real - s * z.imag
+
+    def above(best, x):
+        return np.where(x > best, x, best)
+
+    tops = []
+    for piece in model.pieces:
+        if isinstance(piece, Segment):
+            tops += [proj(piece.a), proj(piece.b)]
+        elif isinstance(piece, Arc):
+            # Re(e^{i xi}(center + r e^{i phi})) = proj(center) + r cos(xi + phi),
+            # expanded through the snapped rotation so axis-aligned cases stay exact
+            top = c * math.cos(piece.theta0) - s * math.sin(piece.theta0)
+            top = above(top, c * math.cos(piece.theta1) - s * math.sin(piece.theta1))
+            top = np.where(_angle_in(-xis, piece.theta0, piece.theta1) & (1.0 > top), 1.0, top)
+            tops.append(proj(piece.center) + piece.radius * top)
         else:
-            finite.append((x, m))
-    for f in rm.families:
-        best = max(best, f.limit)
-        finite.extend(f.prefix)
-    finite.sort(key=lambda t: -t[0])
-    acc = 0.0
-    for x, m in finite:
-        if x <= best:
-            break
-        acc += m
-        if acc >= k:
-            best = max(best, x)
-            break
+            tops += [proj(v) for v in piece.polygon.vertices]
+    tops += [proj(a.location) for a in model.atoms if a.mult == INF]
+    tops += [proj(f.limit) for f in model.families]
+    best = np.full(xis.shape, -INF)
+    for top in tops:
+        best = above(best, top)
+
+    px, py, w = model._point_data
+    if len(px):
+        rows = max(1, BATCH_PAIRS // len(px))
+        for start in range(0, len(xis), rows):
+            part = slice(start, start + rows)
+            x = c[part, None] * px - s[part, None] * py
+            order = np.argsort(-x, axis=1, kind="stable")
+            # an infinite atom reaches k at once, but lies at or below the
+            # essential level, as does every point after it
+            reach = np.cumsum(w[order], axis=1) >= k
+            r = np.arange(x.shape[0])
+            kth = x[r, order[r, reach.argmax(axis=1)]]
+            best[part] = np.where(reach[:, -1] & (kth > best[part]), kth, best[part])
     return best
-
-
-def lambda_k_inf(rm: RealSpectralModel, k: int) -> float:
-    """inf{ a : dim ran E(-inf, a] >= k } (mirror of :func:`lambda_k_sup`)."""
-    mirrored = RealSpectralModel(
-        tuple((-x, m) for x, m in rm.atoms),
-        tuple((-b, -a) for a, b in rm.intervals),
-        tuple(RealFamily(tuple((-x, m) for x, m in f.prefix), -f.limit) for f in rm.families),
-        rm.support_radius,
-    )
-    return -lambda_k_sup(mirrored, k)
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,14 @@ from hrnr import (
     hchp_at,
     hchp_member,
     is_boundary,
-    lambda_k_sup,
     matrix_lambda_k,
     member,
     member_infinity,
     member_many,
-    pushforward,
     region,
     scalar_dilation,
     selfadjoint_interval,
+    support_levels,
     wu_check,
 )
 from hrnr import dilation
@@ -312,14 +311,12 @@ class TestMatrixLambdaK:
         assert matrix_lambda_k(M, 1, 0.0) == pytest.approx(0.5)
 
     def test_agrees_with_pushforward_scan(self, rng):
-        from hrnr import lambda_k_sup, pushforward
-
         M, _ = random_normal_matrix(5, rng)
         model = from_normal_matrix(M)
         for xi in np.linspace(0, 2 * math.pi, 9):
             for k in (1, 3):
                 assert matrix_lambda_k(M, k, xi) == pytest.approx(
-                    lambda_k_sup(pushforward(model, xi), k), abs=1e-9
+                    support_levels(model, k, [xi])[0], abs=1e-9
                 )
 
 
@@ -446,7 +443,7 @@ _RANKED_CALLS = {
     "wu_check": (lambda k: wu_check(_TWO_ATOMS, k, region(_TWO_ATOMS, 1, 16)), 2),
     "region": (lambda k: region(_TWO_ATOMS, k, 16), 2),
     "selfadjoint_interval": (lambda k: selfadjoint_interval(_TWO_ATOMS, k), 2),
-    "lambda_k_sup": (lambda k: lambda_k_sup(pushforward(_TWO_ATOMS, 0.0), k), 2),
+    "support_levels": (lambda k: support_levels(_TWO_ATOMS, k, [0.0]), 2),
     "ckz_member": (lambda k: ckz_member(_TWO, k, 0j), 2),
     "matrix_lambda_k": (lambda k: matrix_lambda_k(_TWO, k, 0.0), 2),
     "excluding_dilation_matrix": (lambda k: excluding_dilation_matrix(_TWO, k, 2 + 0j), 2),

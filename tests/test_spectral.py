@@ -21,13 +21,11 @@ from hrnr import (
     dim_ran_open,
     from_normal_matrix,
     hchp_at,
-    lambda_k_sup,
-    pushforward,
+    support_levels,
     transform_model,
 )
 from hrnr.errors import RankExceedsDimension
 from hrnr.presets import durszt_model, infinity_empty_model
-from hrnr.spectral import RealSpectralModel
 
 from conftest import haar_unitary, random_model
 
@@ -256,18 +254,19 @@ class TestDimQueries:
 class TestPushforward:
     def test_atoms(self):
         m = SpectralMeasureModel(atoms=(Atom(1j, 1), Atom(-1j, 1)), support_radius=2.0)
-        rm = pushforward(m, math.pi / 2)
-        assert sorted(x for x, _ in rm.atoms) == pytest.approx([-1.0, 1.0])
+        levels = [support_levels(m, k, [math.pi / 2])[0] for k in (1, 2)]
+        assert levels == pytest.approx([1.0, -1.0])
 
     def test_arc_interval(self):
-        # oracle: dense sampling of the projection over the arc
+        # oracle: dense sampling of the projection over the arc; its lower
+        # end is minus the level in direction pi
         m = durszt_model(1)
-        rm = pushforward(m, 0.0)
+        top, neg_bottom = support_levels(m, 1, [0.0, math.pi])
         thetas = np.linspace(0, math.pi, 20001)
         samples = np.cos(thetas)
-        assert rm.intervals[0][0] == pytest.approx(samples.min(), abs=1e-9)
-        assert rm.intervals[0][1] == pytest.approx(samples.max(), abs=1e-9)
-        assert rm.intervals[0] == (-1.0, 1.0)
+        assert -neg_bottom == pytest.approx(samples.min(), abs=1e-9)
+        assert top == pytest.approx(samples.max(), abs=1e-9)
+        assert (-neg_bottom, top) == (-1.0, 1.0)
 
     def test_square_region_rotated(self):
         # oracle: projection extremes over the vertices of the square
@@ -276,9 +275,9 @@ class TestPushforward:
         theta = math.pi / 4
         c, s = math.cos(theta), math.sin(theta)
         proj = [c * v.real - s * v.imag for v in square.vertices]
-        rm = pushforward(m, theta)
-        assert rm.intervals[0] == pytest.approx((min(proj), max(proj)))
-        assert rm.intervals[0][1] == pytest.approx(math.sqrt(2) / 2)
+        top, neg_bottom = support_levels(m, 1, [theta, theta + math.pi])
+        assert (-neg_bottom, top) == pytest.approx((min(proj), max(proj)))
+        assert top == pytest.approx(math.sqrt(2) / 2)
 
     def test_consistency_with_closed_dims(self, rng):
         # sup{b : dim E{Re(e^{i t} z) >= b} >= k} matches the scan, atom models
@@ -288,7 +287,7 @@ class TestPushforward:
                 continue
             theta = rng.uniform(0, 2 * math.pi)
             k = int(rng.integers(1, int(m.total_dim) + 1))
-            val = lambda_k_sup(pushforward(m, theta), k)
+            val = support_levels(m, k, [theta])[0]
             u = complex(math.cos(theta), -math.sin(theta))
             for b in np.linspace(-2, 2, 41):
                 P = ClosedHalfPlane(b * u, math.atan2(u.imag, u.real))
@@ -299,30 +298,35 @@ class TestPushforward:
                 assert (d >= k) == (b <= val + 1e-9)
 
 
+def _real_atoms(*atoms):
+    """A model of atoms (position, mult) on the real axis, levels read at 0."""
+    return SpectralMeasureModel(
+        atoms=tuple(Atom(complex(x), m) for x, m in atoms), support_radius=4.0
+    )
+
+
 class TestLambdaKSup:
     def test_three_atoms(self):
-        rm = RealSpectralModel(
-            atoms=((2.0, 3.0), (0.0, INF), (-1.0, 1.0)), support_radius=4.0
-        )
-        assert lambda_k_sup(rm, 2) == 2.0
-        assert lambda_k_sup(rm, 5) == 0.0
+        m = _real_atoms((2.0, 3.0), (0.0, INF), (-1.0, 1.0))
+        assert support_levels(m, 2, [0.0])[0] == 2.0
+        assert support_levels(m, 5, [0.0])[0] == 0.0
 
     def test_interval(self):
-        rm = RealSpectralModel(intervals=((-1.0, 1.0),), support_radius=2.0)
+        m = SpectralMeasureModel(pieces=(Segment(-1.0, 1.0),), support_radius=2.0)
         for k in (1, 2, 7):
-            assert lambda_k_sup(rm, k) == 1.0
+            assert support_levels(m, k, [0.0])[0] == 1.0
 
     def test_insufficient(self):
-        rm = RealSpectralModel(atoms=((0.0, 2.0),), support_radius=1.0)
+        m = _real_atoms((0.0, 2.0))
         with pytest.raises(RankExceedsDimension):
-            lambda_k_sup(rm, 3)
+            support_levels(m, 3, [0.0])
 
     def test_rank_is_an_integer_not_a_bool(self):
-        rm = RealSpectralModel(atoms=((2.0, 3.0), (0.0, 1.0)), support_radius=4.0)
+        m = _real_atoms((2.0, 3.0), (0.0, 1.0))
         for k in (True, False):
             with pytest.raises(ValueError):
-                lambda_k_sup(rm, k)
-        assert lambda_k_sup(rm, np.int64(2)) == 2.0
+                support_levels(m, k, [0.0])
+        assert support_levels(m, np.int64(2), [0.0])[0] == 2.0
 
 
 def test_transform_model_roundtrip(rng):
