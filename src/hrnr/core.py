@@ -52,7 +52,6 @@ from .spectral import (
     INF,
     OA,
     OB,
-    Region,
     Segment,
     SpectralMeasureModel,
     _check_finite_rank,
@@ -86,6 +85,7 @@ class RegionEstimate:
     k: int
     support_samples: tuple[tuple[float, float], ...]
     polygon: ConvexPolygon
+    # the polygon's vertices, then the midpoint of each edge in edges() order
     boundary_report: tuple[tuple[complex, Verdict], ...]
 
 

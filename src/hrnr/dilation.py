@@ -28,6 +28,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import core
 from .core import (
     _HCHP,
     RegionEstimate,
@@ -233,15 +234,13 @@ def excluding_dilation_matrix(T: np.ndarray, k: int, lam: complex) -> DilationAr
     """A unitary dilation of the normal contraction T whose rank-k range
     verifiably excludes lam.
 
-    The direction xi with the largest margin
-    Re(e^{i xi} lam) - lambda_k(Re(e^{i xi} T)) (see
-    :func:`_separating_direction`) separates lam from the rank-k support
-    level.  The block dilation at xi splits off the
-    eigenvalues beyond the midpoint of that margin (fewer than k of them)
-    through 2x2 scalar dilations and carries the rest by a Halmos block
-    rotated by xi, so at most k - 1 of its eigenvalues project beyond the
-    midpoint; for k = 1 it is the rotated Halmos dilation at xi.  The
-    exclusion is verified by a membership run on the dilation's own
+    The direction xi of :func:`_separating_direction` separates lam from
+    the rank-k support level by the largest margin.  The block dilation at
+    xi splits off the eigenvalues beyond the midpoint of that margin (fewer
+    than k of them) through 2x2 scalar dilations and carries the rest by a
+    Halmos block rotated by xi, so at most k - 1 of its eigenvalues project
+    beyond the midpoint; for k = 1 it is the rotated Halmos dilation at xi.
+    The exclusion is verified by a membership run on the dilation's own
     eigenvalue model.
     """
     lam = require_finite(lam, "point")
@@ -259,27 +258,17 @@ def excluding_dilation_matrix(T: np.ndarray, k: int, lam: complex) -> DilationAr
 
 
 def _separating_direction(vals: np.ndarray, k: int, lam: complex) -> tuple[float, float]:
-    """The direction xi maximizing the margin Re(e^{i xi} lam) - L_k(xi),
-    L_k(xi) being the k-th largest Re(e^{i xi} d) over the eigenvalues d,
-    and that margin.
+    """The direction xi maximizing the margin Re(e^{i xi} lam) - L_k(xi)
+    (see :func:`_breakpoints`), and that margin.
 
-    Between directions where two eigenvalues project equally, L_k follows
-    one eigenvalue d, so the margin is Re(e^{i xi} (lam - d)): its maximum
-    lies at such a crossing, pi/2 - arg(d_i - d_j) or that plus pi, or at
-    -arg(lam - d).  The candidates are scored a chunk at a time, so the
-    working memory stays O(n^2).
+    Between two breakpoints of L_k the margin is Re(e^{i xi} (lam - d))
+    for one eigenvalue d, so its maximum lies at a breakpoint or at some
+    -arg(lam - d): those candidates are scored.
     """
-    n = vals.shape[0]
-    xis = np.concatenate([_pair_normals(vals)[0], -np.angle(lam - vals)])
-    best_xi, best = 0.0, -math.inf
-    rows = max(n, 4096 // n)
-    for start in range(0, xis.shape[0], rows):
-        x = xis[start : start + rows]
-        margins = np.real(np.exp(1j * x) * lam) - _support_levels(vals, k, x)
-        j = int(np.argmax(margins))
-        if margins[j] > best:
-            best_xi, best = float(x[j]), float(margins[j])
-    return best_xi, best
+    xis = np.concatenate([_breakpoints(vals, k), -np.angle(lam - vals)])
+    margins = np.real(np.exp(1j * xis) * lam) - _support_levels(vals, k, xis)
+    j = int(np.argmax(margins))
+    return float(xis[j]), float(margins[j])
 
 
 def _pair_normals(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,6 +281,25 @@ def _pair_normals(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cross = math.pi / 2 - np.angle(diff[distinct])
     first = i[distinct]
     return np.concatenate([cross, cross + math.pi]), np.concatenate([first, first])
+
+
+def _breakpoints(vals: np.ndarray, k: int) -> np.ndarray:
+    """Breakpoints of L_k(xi), the k-th largest Re(e^{i xi} d) over the
+    eigenvalues d: _FLOOR_ANGLES evenly spaced directions, then the pair
+    normals (:func:`_pair_normals`) at which the pair's projection lies
+    within _TIE of L_k, i.e. where the tie group of the pair covers rank k;
+    the floor alone when k > n.
+
+    L_k changes the eigenvalue it follows only at such a normal, so between
+    two consecutive breakpoints, which lie less than pi apart, it follows
+    one eigenvalue d.
+    """
+    floor = _grid(_FLOOR_ANGLES)
+    if k > vals.shape[0]:
+        return floor
+    xis, first = _pair_normals(vals)
+    own = np.real(np.exp(1j * xis) * vals[first])
+    return np.concatenate([floor, xis[np.abs(own - _support_levels(vals, k, xis)) <= _TIE]])
 
 
 def excluding_certificate(
@@ -459,8 +467,7 @@ def conjecture_check(
     T = _finite_square_matrix(T)
     if _op_norm(T) >= 1.0 - DEFAULT_TOL.eps_eig:
         raise NotStrictContraction("need a strict contraction")
-    for j in range(n_theta):
-        theta = 2 * math.pi * j / n_theta
+    for theta in _grid(n_theta).tolist():
         A = np.exp(1j * theta) * T - lam * np.eye(T.shape[0])
         S = 0.5 * (A + A.conj().T)
         if np.count_nonzero(np.linalg.eigvalsh(S) >= -DEFAULT_TOL.eps_eig) < k:
@@ -481,10 +488,17 @@ def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _support_levels(eigs: np.ndarray, k: int, xis: np.ndarray) -> np.ndarray:
-    """k-th largest of Re(e^{i xi} eigs) for every xi (1 <= k <= len(eigs))."""
-    proj = np.real(np.exp(1j * xis)[:, None] * eigs[None, :])
-    proj.sort(axis=1)
-    return proj[:, eigs.shape[0] - k]
+    """k-th largest of Re(e^{i xi} eigs) for every xi (1 <= k <= len(eigs)),
+    a chunk of directions at a time within ``core.BATCH_PAIRS``
+    direction-eigenvalue pairs."""
+    n = eigs.shape[0]
+    rows = max(1, core.BATCH_PAIRS // n)
+    out = np.empty(xis.shape[0])
+    for start in range(0, xis.shape[0], rows):
+        proj = np.real(np.exp(1j * xis[start : start + rows])[:, None] * eigs[None, :])
+        proj.sort(axis=1)
+        out[start : start + rows] = proj[:, n - k]
+    return out
 
 
 # The last decomposition, keyed by the shape and bytes of its complex
@@ -578,36 +592,18 @@ def _block_dilation_levels(T, k, xis):
 
 
 def _plane_directions(T, k):
-    """Directions of the support planes of :func:`dilation_intersection`.
-
-    For a normal T: _FLOOR_ANGLES evenly spaced directions, then the pair
-    normals (:func:`_pair_normals`) at which the pair's projection lies
-    within _TIE of the k-th level L_k, i.e. where the tie group of the
-    pair covers rank k (none when k > n).  L_k changes the eigenvalue it
-    follows only at such a normal.  Between two consecutive directions
-    L_k follows one eigenvalue d, and as they lie less than pi apart, the
-    plane of any direction between them contains the cone at d that their
-    two planes cut out, so these planes give the polygon exactly.
-    INTERSECTION_ANGLES evenly spaced directions when T is not normal.
-    The candidates are scored a chunk at a time, so the working memory
-    stays O(n^2).
+    """Directions of the support planes of :func:`dilation_intersection`:
+    for a normal T the breakpoints of L_k (:func:`_breakpoints`), where
+    the plane of any direction between two consecutive ones contains the
+    cone at d that their two planes cut out, so these planes give the
+    polygon exactly; INTERSECTION_ANGLES evenly spaced directions when T
+    is not normal.
     """
     try:
         vals, _ = _unitary_eigendecomposition(T)
     except NotNormal:
         return _grid(INTERSECTION_ANGLES)
-    floor = _grid(_FLOOR_ANGLES)
-    n = vals.shape[0]
-    if k > n:
-        return floor
-    xis, first = _pair_normals(vals)
-    tie = np.empty(xis.shape[0], dtype=bool)
-    rows = max(n, 4096 // n)
-    for start in range(0, xis.shape[0], rows):
-        x = xis[start : start + rows]
-        own = np.real(np.exp(1j * x) * vals[first[start : start + rows]])
-        tie[start : start + rows] = np.abs(own - _support_levels(vals, k, x)) <= _TIE
-    return np.concatenate([floor, xis[tie]])
+    return _breakpoints(vals, k)
 
 
 def _sampled_levels(T, k, xis, n_samples, n_alpha, seed):
@@ -618,8 +614,7 @@ def _sampled_levels(T, k, xis, n_samples, n_alpha, seed):
     base = halmos(T, 0.0).matrix
     best = np.full(xis.shape[0], np.inf)
 
-    for j in range(n_alpha):
-        alpha = 2 * math.pi * j / n_alpha
+    for alpha in _grid(n_alpha).tolist():
         ph = np.exp(-1j * alpha)
         # (I (+) ph I) H (I (+) ph I) has blocks [[T, ph B], [ph C, ph^2 D]]
         U = base.copy()

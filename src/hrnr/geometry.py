@@ -16,8 +16,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import UncertainGeometry
-
 TWO_PI = 2.0 * math.pi
 
 # Relative snap for direction components: trig of the canonical angles

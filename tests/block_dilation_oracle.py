@@ -4,7 +4,10 @@ This is the implementation ``hrnr.dilation`` had before its block-dilation
 support levels came from the construction in closed form: assemble the
 2n x 2n block dilation for every direction, check its residuals, and read
 the rank-k level back from its eigenvalues.  ``dilation_intersection`` is
-the version that used it.  The differential tests compare the two.
+the version that used it.  ``_separating_direction`` is the scan that
+``excluding_dilation_matrix`` used before it took its candidates from the
+breakpoints of L_k: every pair normal, a bounded chunk at a time.  The
+differential tests compare each with its replacement.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from hrnr.dilation import (
     _block_dilation,
     _haar_unitary,
     _op_norm,
+    _pair_normals,
     _require_contraction,
     _residuals,
     _unitary_eigendecomposition,
@@ -34,6 +38,30 @@ def _support_levels(eigs: np.ndarray, k: int, xis: np.ndarray) -> np.ndarray:
     proj = np.real(np.exp(1j * xis)[:, None] * eigs[None, :])
     proj.sort(axis=1)
     return proj[:, eigs.shape[0] - k]
+
+
+def _separating_direction(vals: np.ndarray, k: int, lam: complex) -> tuple[float, float]:
+    """The direction xi maximizing the margin Re(e^{i xi} lam) - L_k(xi),
+    L_k(xi) being the k-th largest Re(e^{i xi} d) over the eigenvalues d,
+    and that margin.
+
+    Between directions where two eigenvalues project equally, L_k follows
+    one eigenvalue d, so the margin is Re(e^{i xi} (lam - d)): its maximum
+    lies at such a crossing, pi/2 - arg(d_i - d_j) or that plus pi, or at
+    -arg(lam - d).  The candidates are scored a chunk at a time, so the
+    working memory stays O(n^2).
+    """
+    n = vals.shape[0]
+    xis = np.concatenate([_pair_normals(vals)[0], -np.angle(lam - vals)])
+    best_xi, best = 0.0, -math.inf
+    rows = max(n, 4096 // n)
+    for start in range(0, xis.shape[0], rows):
+        x = xis[start : start + rows]
+        margins = np.real(np.exp(1j * x) * lam) - _support_levels(vals, k, x)
+        j = int(np.argmax(margins))
+        if margins[j] > best:
+            best_xi, best = float(x[j]), float(margins[j])
+    return best_xi, best
 
 
 def _block_dilation_planes(T, k, xis, tol):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hrnr import dilation, jsonio, matrix_lambda_k
+from hrnr import core, dilation, jsonio, matrix_lambda_k
 from hrnr.cli import main
 from hrnr.errors import EigFailure
 from hrnr.geometry import DEFAULT_TOL, ConvexPolygon, hausdorff_distance
@@ -204,3 +204,74 @@ def test_near_normal_contractions_fail_the_gate(tmp_path, capsys):
         path.write_text(jsonio.dumps(jsonio.matrix_to_obj(bad)))
         assert main(["intersect", "--input", str(path), "-k", "2"]) == 2
         assert capsys.readouterr().err.startswith("error: dilation residuals too large")
+
+
+def _separating_inputs(rng):
+    """(T, k, lam): the first 243 dilation_lab operations of seeds 1-3,
+    then seeded normal contractions with n = 1..12, with generic, repeated
+    and collinear eigenvalues, at every k <= n and at points just beyond,
+    far beyond and inside the k-th support level of a random direction."""
+    workloads = _load_workloads()
+    for seed in (1, 2, 3):
+        lab = workloads.DilationLab(seed)
+        for i in range(243):
+            yield lab.query(i)
+    for n in range(1, 13):
+        for kind in ("generic", "repeated", "collinear"):
+            eigs = rng.uniform(0.05, 0.95, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+            if kind == "repeated":
+                eigs[int(rng.integers(0, n)) :] = eigs[0]
+            elif kind == "collinear":
+                eigs = 0.1j + np.exp(2j * np.pi * rng.uniform()) * rng.uniform(-0.8, 0.8, n)
+            Q = haar_unitary(n, rng)
+            T = (Q * eigs) @ Q.conj().T
+            for k in range(1, n + 1):
+                for offset in (1e-6, 0.3, -0.1):
+                    xi = rng.uniform(0, 2 * math.pi)
+                    h = np.sort(np.real(np.exp(1j * xi) * eigs))[n - k]
+                    yield T, k, complex(np.exp(-1j * xi) * (h + offset))
+
+
+def test_separating_direction_matches_the_all_pair_scan(rng):
+    # the breakpoints of L_k and the directions -arg(lam - d) find the
+    # same direction and margin as scoring every pair normal
+    calls = 0
+    for T, k, lam in _separating_inputs(rng):
+        vals, _ = dilation._unitary_eigendecomposition(T)
+        new = dilation._separating_direction(vals, k, lam)
+        assert new == oracle._separating_direction(vals, k, lam)
+        calls += 1
+    assert calls == 3 * 243 + 3 * 3 * 78
+
+
+def test_chunk_bound_does_not_change_the_outputs(monkeypatch):
+    lab = _load_workloads().DilationLab(1)
+    cases = [lab.query(i) for i in range(lab.period)]
+    rng = np.random.default_rng(60)
+    eigs = rng.uniform(0.05, 0.85, 60) * np.exp(2j * np.pi * rng.uniform(size=60))
+    Q = haar_unitary(60, rng)
+    h = np.sort(np.real(np.exp(0.7j) * eigs))[60 - 3]
+    cases.append(((Q * eigs) @ Q.conj().T, 3, complex(np.exp(-0.7j) * (h + 0.05))))
+    # its 3,540 pair normals span several chunks at the default bound
+    assert dilation._pair_normals(eigs)[0].shape[0] == 3540 > core.BATCH_PAIRS // 60
+
+    def outputs():
+        out = []
+        for T, k, lam in cases:
+            vals, _ = dilation._unitary_eigendecomposition(T)
+            art = dilation.excluding_dilation_matrix(T, k, lam)
+            out.append(
+                (
+                    dilation._support_levels(vals, k, dilation._pair_normals(vals)[0]).tobytes(),
+                    dilation._plane_directions(T, k).tobytes(),
+                    art.matrix.tobytes(),
+                    art.alpha,
+                    repr(dilation.dilation_intersection(T, k, lab.n_samples, lab.n_alpha)),
+                )
+            )
+        return out
+
+    default = outputs()
+    for cap in (3, 1 << 40):  # one direction per chunk, then one chunk
+        monkeypatch.setattr(core, "BATCH_PAIRS", cap)
+        assert outputs() == default

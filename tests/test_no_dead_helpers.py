@@ -1,6 +1,7 @@
 """No dead code: every module-level private function or class of the
 package source is referenced somewhere in it besides its own definition,
-and every error type is raised somewhere in it."""
+every name a module imports at top level is read in that module, and every
+error type is raised somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,25 @@ def test_every_private_helper_is_referenced():
         if everywhere.count(node.name) == _referenced_names(node).count(node.name)
     ]
     assert not dead, f"private definitions referenced nowhere else: {dead}"
+
+
+def test_every_top_level_import_is_read():
+    # __init__.py imports to re-export; __future__ imports switch features
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unread.append(f"{path.name}::{bound}")
+    assert not unread, f"imported names never read: {unread}"
 
 
 def test_every_error_type_is_raised():
