@@ -36,12 +36,11 @@ from .geometry import (
     Verdict,
     _grid,
     _intersect_lines,
-    canonical_dir,
     canonical_dirs,
     convex_hull,
     require_finite,
+    snap_dirs,
     support_lines,
-    trig_dir,
     trig_dirs,
 )
 from .spectral import (
@@ -143,15 +142,7 @@ def critical_directions(
     if len(fx):
         parts.append((np.tile(fx, n), np.tile(fy, n), np.tile(fpos, n), np.arange(n).repeat(len(fx))))
     if circles:
-        tangents, tpos, trow = [], [], []
-        for a, anchor in enumerate(anchors):
-            for center, radius, pos in circles:
-                count = len(tangents)
-                _add_tangents(tangents, anchor, center, radius)
-                tpos += [pos] * (len(tangents) - count)
-                trow += [a] * (len(tangents) - count)
-        tx, ty = np.array(tangents, dtype=np.float64).reshape(-1, 2).T
-        parts.append((tx, ty, np.array(tpos, dtype=np.float64), np.array(trow, dtype=np.intp)))
+        parts.append(_tangents(ax, ay, circles))
     if extra_angles is not None:
         # after every template entry of their anchor, in the given order
         counts = [len(e) for e in extra_angles]
@@ -215,19 +206,36 @@ def _angles(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.atan2, vy.tolist(), vx.tolist()), np.float64, len(vx)) % math.pi
 
 
-def _add_tangents(vecs, anchor: complex, center: complex, radius: float):
-    """Directions of the lines through anchor tangent to the circle."""
-    rel = center - anchor
-    d = abs(rel)
-    if d == 0.0:
-        return
-    if abs(d - radius) <= _TANGENT_SLACK * max(1.0, radius):
-        vecs.append(canonical_dir(-rel.imag, rel.real))
-    if d > radius:
-        beta = math.atan2(rel.imag, rel.real)
-        delta = math.asin(min(1.0, radius / d))
-        for phi in (beta + delta, beta - delta):
-            vecs.append(trig_dir(phi))
+def _tangents(ax: np.ndarray, ay: np.ndarray, circles):
+    """Canonical directions of the lines through each anchor tangent to each
+    (center, radius, position) circle, with the position and anchor index
+    of each, in the order (anchor, circle, [touching, beta + delta,
+    beta - delta]).  An anchor within ``_TANGENT_SLACK`` of the circle has
+    the touching line, normal to the radius; an anchor outside it the two
+    tangents at beta +- delta around the direction beta to the center; the
+    center itself has none.  Angles, cosines and sines come from ``math``,
+    as in :func:`_angles`, so the directions do not depend on numpy's
+    vectorized trigonometry."""
+    center = np.array([c for c, _, _ in circles], dtype=complex)
+    radius = np.array([r for _, r, _ in circles], dtype=np.float64)
+    pos = np.array([p for _, _, p in circles], dtype=np.float64)
+    rx, ry = center.real - ax[:, None], center.imag - ay[:, None]
+    d = np.hypot(rx, ry)  # abs of the complex difference, bit for bit
+    touch = (d != 0.0) & (np.abs(d - radius) <= _TANGENT_SLACK * np.maximum(1.0, radius))
+    cross = d > radius
+    have = np.stack((touch, cross, cross), axis=-1)
+    tx, ty = np.zeros(have.shape), np.zeros(have.shape)
+    tx[touch, 0], ty[touch, 0] = canonical_dirs(-ry[touch], rx[touch])
+    beta = np.fromiter(map(math.atan2, ry[cross].tolist(), rx[cross].tolist()), np.float64)
+    ratio = np.minimum(1.0, np.broadcast_to(radius, d.shape)[cross] / d[cross])
+    delta = np.fromiter(map(math.asin, ratio.tolist()), np.float64)
+    for slot, phi in ((1, beta + delta), (2, beta - delta)):
+        phi = phi.tolist()
+        cos = np.fromiter(map(math.cos, phi), np.float64, len(phi))
+        sin = np.fromiter(map(math.sin, phi), np.float64, len(phi))
+        tx[cross, slot], ty[cross, slot] = canonical_dirs(*snap_dirs(cos, sin))
+    row, circle, _ = np.nonzero(have)
+    return tx[have], ty[have], pos[circle], row
 
 
 def sweep_decision(sweep, flavors, k: float, row: np.ndarray):

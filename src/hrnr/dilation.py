@@ -293,13 +293,23 @@ def _breakpoints(vals: np.ndarray, k: int) -> np.ndarray:
     L_k changes the eigenvalue it follows only at such a normal, so between
     two consecutive breakpoints, which lie less than pi apart, it follows
     one eigenvalue d.
+
+    For the eigenvalues of the last decomposition (the ``vals`` array that
+    :func:`_unitary_eigendecomposition` returned) the breakpoints of the
+    last k are kept beside it and returned, read-only, on the next call.
     """
-    floor = _grid(_FLOOR_ANGLES)
-    if k > vals.shape[0]:
-        return floor
-    xis, first = _pair_normals(vals)
-    own = np.real(np.exp(1j * xis) * vals[first])
-    return np.concatenate([floor, xis[np.abs(own - _support_levels(vals, k, xis)) <= _TIE]])
+    entry = next((e for e in _LAST_DECOMPOSITION.values() if e[0] is vals), None)
+    if entry is not None and entry[2] == k:
+        return entry[3]
+    xis = _grid(_FLOOR_ANGLES)
+    if k <= vals.shape[0]:
+        normals, first = _pair_normals(vals)
+        own = np.real(np.exp(1j * normals) * vals[first])
+        xis = np.concatenate([xis, normals[np.abs(own - _support_levels(vals, k, normals)) <= _TIE]])
+    if entry is not None:
+        xis.flags.writeable = False
+        entry[2:] = k, xis
+    return xis
 
 
 def excluding_certificate(
@@ -502,8 +512,10 @@ def _support_levels(eigs: np.ndarray, k: int, xis: np.ndarray) -> np.ndarray:
 
 
 # The last decomposition, keyed by the shape and bytes of its complex
-# matrix: one entry, so a caller that builds both the excluding dilation and
-# the dilation-range intersection of one T eigensolves it once.
+# matrix, as [vals, V, k, breakpoints]: the L_k breakpoints of vals at the
+# last k (None before the first), see _breakpoints.  One entry, so a caller
+# that builds both the excluding dilation and the dilation-range
+# intersection of one (T, k) eigensolves T and scores its pair normals once.
 _LAST_DECOMPOSITION: dict = {}
 
 
@@ -518,7 +530,7 @@ def _unitary_eigendecomposition(T):
     key = (T.shape, T.tobytes())
     hit = _LAST_DECOMPOSITION.get(key)
     if hit is not None:
-        return hit
+        return hit[0], hit[1]
     T = require_normal(T)
     try:
         vals, vecs = np.linalg.eig(T)
@@ -529,7 +541,7 @@ def _unitary_eigendecomposition(T):
     vals.flags.writeable = False
     V.flags.writeable = False
     _LAST_DECOMPOSITION.clear()
-    _LAST_DECOMPOSITION[key] = vals, V
+    _LAST_DECOMPOSITION[key] = [vals, V, None, None]
     return vals, V
 
 

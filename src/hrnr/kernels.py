@@ -6,10 +6,11 @@ import numpy as np
 
 # A shared anchor takes the dense outer product below this many
 # point-direction pairs and the angular sweep from it on.  The two paths cost
-# the same at about 5,000 pairs (50 points x 100 directions on a 2-core
-# Xeon); the cut sits above that with room to spare.  Member on a matrix
-# model with hundreds of eigenvalues (about 10^6 pairs) sorts, while the
-# one-point check of an excluding dilation (about 1,800 pairs) stays dense.
+# about the same at 20,000 to 25,000 pairs (100 to 110 points x twice as many
+# directions, 2-core Xeon, numpy 2.4.6), so the cut sits a little below the
+# crossover; neither side of it costs much there.  Member on a matrix model
+# with hundreds of eigenvalues (about 10^6 pairs) sorts, while the one-point
+# check of an excluding dilation (about 1,800 pairs) stays dense.
 # One anchor per direction (the batched sweeps of region and wu_check)
 # always runs dense, up to ``core.BATCH_PAIRS`` = 65,536 pairs per call.
 SORTED_MIN_PAIRS = 16_384
@@ -84,8 +85,9 @@ def _dense_sweep(px, py, w, vx, vy, eps):
     out = np.zeros((m, 6), dtype=np.float64)
     if m == 0 or n == 0:
         return out
-    # s and t are never alive together, which bounds the working memory to
-    # four float64 arrays of the pair count
+    # s and the product subtracted from it are the only float64 arrays of
+    # the pair count alive at once; after them, three bool masks and the
+    # float64 copy that each mat-vec makes of its mask
     cx, cy = vx[:, None], vy[:, None]
     s = cx * py
     s -= cy * px
@@ -94,15 +96,26 @@ def _dense_sweep(px, py, w, vx, vy, eps):
     side_b = s < -e
     on_line = s == 0.0
     del s
-    unc = ~(side_a | side_b | on_line)
-    t = cx * px
-    t += cy * py
-    ray_p = on_line & (t > 0.0)
-    ray_m = on_line & (t < 0.0)
-    anchor = on_line & (t == 0.0)
-    del t
-    for col, mask in enumerate((side_a, side_b, ray_p, ray_m, anchor, unc)):
-        out[:, col] = np.where(mask, w, 0.0).sum(axis=1)
+    # buckets 0, 1 and 5 as mat-vecs over the finite weights: the masks are
+    # 0 or 1 and the weights integers with totals below 2**53, so the sums
+    # are exact in any order; a row whose mask meets an infinite weight is inf
+    inf = np.isinf(w)
+    fin = np.where(inf, 0.0, w)
+    unc = side_a | side_b
+    unc |= on_line
+    np.logical_not(unc, out=unc)
+    for col, mask in ((0, side_a), (1, side_b), (5, unc)):
+        out[:, col] = mask @ fin
+        out[mask[:, inf].any(axis=1), col] = np.inf
+    # the pairs exactly on the line are rare: t only for them, with the
+    # arithmetic of the full products, and one bincount into buckets 2-4
+    r, j = np.nonzero(on_line)
+    if len(r):
+        x, y = (px[j], py[j]) if px.ndim == 1 else (px[r, j], py[r, j])
+        t = vx[r] * x
+        t += vy[r] * y
+        bucket = np.where(t > 0.0, 2, np.where(t < 0.0, 3, 4))
+        out += np.bincount(r * 6 + bucket, weights=w[j], minlength=6 * m).reshape(m, 6)
     return out
 
 

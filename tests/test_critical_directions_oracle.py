@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import hrnr
 from hrnr import presets
-from hrnr.core import critical_directions, member
+from hrnr.core import _TANGENT_SLACK, critical_directions, member
 
 import critical_directions_oracle as oracle
 from conftest import DENSE_ANGLES, random_family, random_model
@@ -46,18 +46,28 @@ def _model(rng):
     return hrnr.SpectralMeasureModel(base.atoms, base.pieces + (_arc(rng),), base.families + fams, 3.0)
 
 
+def _around(center, radius, rng):
+    """Points on the circle, within ``_TANGENT_SLACK`` of it on both sides
+    (the touching line), and just inside it beyond the slack (no tangent)."""
+    t = rng.uniform(0, 2 * math.pi)
+    u = complex(math.cos(t), math.sin(t))
+    slack = 0.5 * _TANGENT_SLACK * max(1.0, radius)
+    return [center + r * u for r in (radius, radius + slack, radius - slack, radius - 1e3 * slack)]
+
+
 def _anchors(model, rng):
-    """Atoms, prefix points, segment ends, points on arc circles (centers
-    included) and random points."""
+    """Atoms, prefix points, segment ends, points on, near and just inside
+    the arc circles and the families' clearance circles, the centers of the
+    arc circles and random points."""
     out = [a.location for a in model.atoms]
     for fam in model.families:
         out += [fam.limit, fam.prefix[0][0], fam.prefix[-1][0]]
+        out += _around(fam.limit, 2 * fam.min_prefix_distance, rng)
     for piece in model.pieces:
         if isinstance(piece, hrnr.Segment):
             out += [piece.a, piece.b]
         elif isinstance(piece, hrnr.Arc):
-            t = rng.uniform(0, 2 * math.pi)
-            out += [piece.center, piece.center + piece.radius * complex(math.cos(t), math.sin(t))]
+            out += [piece.center] + _around(piece.center, piece.radius, rng)
     out += [complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(2)]
     return out
 

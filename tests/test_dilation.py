@@ -479,6 +479,25 @@ class TestDecompositionMemo:
         dilation_intersection(T, 1, 2, 4)
         assert counts == {"eig": 1, "svd": 1}
 
+    def test_one_breakpoint_scan_per_operator_and_rank(self, rng, monkeypatch):
+        # the L_k breakpoints of the last (T, k) are kept beside its
+        # decomposition; a new k or another eigenvalue array scans again
+        scans = []
+        real = dilation._pair_normals
+        monkeypatch.setattr(dilation, "_pair_normals", lambda vals: scans.append(1) or real(vals))
+        dilation._LAST_DECOMPOSITION.clear()  # an earlier test may have left this T
+        T = random_normal_contraction(6, rng)
+        excluding_dilation_matrix(T, 1, 0.99 + 0j)
+        dilation_intersection(T, 1, 2, 4)
+        assert len(scans) == 1
+        vals, _ = dilation._unitary_eigendecomposition(T)
+        kept = dilation._breakpoints(vals, 1)
+        assert len(scans) == 1 and not kept.flags.writeable
+        assert np.array_equal(dilation._breakpoints(vals.copy(), 1), kept)
+        assert len(scans) == 2
+        dilation_intersection(T, 2, 2, 4)
+        assert len(scans) == 3
+
     def test_in_place_change_misses(self, rng, monkeypatch):
         counts = self._count(monkeypatch)
         T = random_normal_contraction(5, rng)

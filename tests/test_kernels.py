@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrnr
-from hrnr import kernels
+from hrnr import core, kernels
 from hrnr.core import critical_directions
 from hrnr.geometry import DEFAULT_TOL, canonical_dir
 
+import kernel_oracle
 from conftest import haar_unitary
 
 
@@ -38,18 +40,20 @@ def test_empty_batches():
     assert kernels.atom_side_sweep(one, one, one, none, none, 1e-9).shape == (0, 6)
 
 
-# The dense body is the oracle of the angular sweep: both are called directly,
-# whatever the size, and must agree bit for bit.
+# The dense body as it was before its mat-vec bucket sums (kernel_oracle) is
+# the oracle of both paths: they are called directly, whatever the size, and
+# must agree with it bit for bit.
 
 EPS_VALUES = (0.0, 1e-9, 1e-3)
 
 
 def _both_paths(px, py, w, vx, vy, eps):
     args = [np.asarray(a, dtype=np.float64) for a in (px, py, w, vx, vy)]
-    dense = kernels._dense_sweep(*args, eps)
-    assert np.array_equal(kernels._sorted_sweep(*args, eps), dense)
-    assert np.array_equal(kernels.atom_side_sweep(*args, eps), dense)
-    return dense
+    ref = kernel_oracle._dense_sweep(*args, eps)
+    assert np.array_equal(kernels._dense_sweep(*args, eps), ref)
+    assert np.array_equal(kernels._sorted_sweep(*args, eps), ref)
+    assert np.array_equal(kernels.atom_side_sweep(*args, eps), ref)
+    return ref
 
 
 def _guard(eps):
@@ -132,3 +136,57 @@ def test_sorted_matches_dense_on_matrix_model(where):
     assert vx.size * px.size >= kernels.SORTED_MIN_PAIRS
     out = _both_paths(px - anchor.real, py - anchor.imag, w, vx, vy, DEFAULT_TOL.eps_geom)
     assert (out.sum(axis=1) == w.sum()).all()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.sampled_from(EPS_VALUES),
+    m=st.sampled_from([0, 1, 7, 60]),
+    n=st.sampled_from([0, 1, 9, 80]),
+)
+def test_per_direction_anchors_match_oracle(seed, eps, m, n):
+    # integer grid points, anchors and direction vectors make s exact, so
+    # pairs land exactly on the line (forward, backward and at the anchor);
+    # a few points shifted into and just past the eps band fill bucket 5
+    rng = np.random.default_rng(seed)
+    px, py = rng.integers(-3, 4, n).astype(float), rng.integers(-3, 4, n).astype(float)
+    hit = rng.random(n) < 0.2
+    py[hit] += rng.choice([1e-12, -1e-12, eps / 2, -eps, 2 * eps], int(hit.sum()))
+    ax, ay = rng.integers(-3, 4, m).astype(float), rng.integers(-3, 4, m).astype(float)
+    dx, dy = rng.integers(-3, 4, m).astype(float), rng.integers(-3, 4, m).astype(float)
+    zero = (dx == 0.0) & (dy == 0.0)
+    dx[zero] = 1.0
+    vx, vy = _canonical(dx, dy)
+    w = _weights(rng, n)
+    out = kernels.atom_side_sweep(px, py, w, vx, vy, eps, ax, ay)
+    rx, ry = px[None, :] - ax[:, None], py[None, :] - ay[:, None]
+    ref = kernel_oracle._dense_sweep(rx, ry, w, vx, vy, eps)
+    assert out.shape == (m, 6)
+    assert np.array_equal(kernels._dense_sweep(rx, ry, w, vx, vy, eps), ref)
+    assert np.array_equal(out, ref)
+
+
+def test_per_direction_sweep_memory():
+    # core.BATCH_PAIRS pairs with one anchor per direction, as a batched
+    # sweep of region or wu_check runs them; axis directions put lattice
+    # points exactly on their lines.  The bound is the peak of the dense
+    # body kept in kernel_oracle, measured on these inputs with numpy 2.4.6.
+    rng = np.random.default_rng(3)
+    n = 64
+    m = core.BATCH_PAIRS // n
+    px, py = rng.integers(-3, 4, n) / 4.0, rng.integers(-3, 4, n) / 4.0
+    w = rng.integers(1, 4, n).astype(float)
+    w[::7] = np.inf
+    ax, ay = rng.integers(-3, 4, m) / 4.0, rng.integers(-3, 4, m) / 4.0
+    phi = rng.uniform(0.0, math.pi, m)
+    vx, vy = np.cos(phi), -np.sin(phi)
+    vx[::5], vy[::5] = 1.0, 0.0
+    kernels.atom_side_sweep(px, py, w, vx, vy, 1e-9, ax, ay)
+    tracemalloc.start()
+    try:
+        kernels.atom_side_sweep(px, py, w, vx, vy, 1e-9, ax, ay)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_484_720
