@@ -99,23 +99,25 @@ def _dense_sweep(px, py, w, vx, vy, eps):
     # buckets 0, 1 and 5 as mat-vecs over the finite weights: the masks are
     # 0 or 1 and the weights integers with totals below 2**53, so the sums
     # are exact in any order; a row whose mask meets an infinite weight is inf
-    inf = np.isinf(w)
-    fin = np.where(inf, 0.0, w)
+    inf = np.flatnonzero(np.isinf(w))
+    fin = w.copy()
+    fin[inf] = 0.0
     unc = side_a | side_b
     unc |= on_line
     np.logical_not(unc, out=unc)
     for col, mask in ((0, side_a), (1, side_b), (5, unc)):
         out[:, col] = mask @ fin
-        out[mask[:, inf].any(axis=1), col] = np.inf
-    # the pairs exactly on the line are rare: t only for them, with the
+        if len(inf):
+            out[mask[:, inf].any(axis=1), col] = np.inf
+    # the pairs exactly on the line are usually few: t only for them, with the
     # arithmetic of the full products, and one bincount into buckets 2-4
     r, j = np.nonzero(on_line)
     if len(r):
         x, y = (px[j], py[j]) if px.ndim == 1 else (px[r, j], py[r, j])
         t = vx[r] * x
         t += vy[r] * y
-        bucket = np.where(t > 0.0, 2, np.where(t < 0.0, 3, 4))
-        out += np.bincount(r * 6 + bucket, weights=w[j], minlength=6 * m).reshape(m, 6)
+        bucket = np.where(t > 0.0, 0, np.where(t < 0.0, 1, 2))
+        out[:, 2:5] = np.bincount(r * 3 + bucket, weights=w[j], minlength=3 * m).reshape(m, 3)
     return out
 
 
