@@ -12,12 +12,16 @@ For a normal contraction T the equality proof is constructive: a point
 outside the closure of the rank-k range is separated from it in some
 direction xi, and the block dilation that splits off the fewer than k
 eigenvalues beyond the separating level through 2x2 scalar dilations, and
-carries the rest by a Halmos block rotated by xi, excludes the point.  That
-construction fixes the spectrum, so its rank-k levels need no eigensolve,
-and since by interlacing no dilation has a rank-k level below T's own, the
-block dilations alone give the intersection of the dilations' ranges; their
-planes at the directions where two eigenvalues tie at the k-th level give
-it exactly.
+carries the rest by a Halmos block rotated by xi, excludes the point.  One
+Hermitian eigensolve certifies the exclusion: if P U P = lam P for a rank-k
+projection P, then P Re(e^{i xi} U) P = Re(e^{i xi} lam) P, so by Cauchy
+interlacing the k-th largest eigenvalue of Re(e^{i xi} U) is at least
+Re(e^{i xi} lam), for any square U, normal or not.  The block construction
+fixes the spectrum, so the rank-k levels of the block dilations need no
+eigensolve, and since by interlacing no dilation has a rank-k level below
+T's own, these dilations alone give the intersection of the dilations'
+ranges; their planes at the directions where two eigenvalues tie at the
+k-th level give it exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .core import (
     RegionEstimate,
     _check_rank,
     _decide,
-    member,
 )
 from .errors import (
     AtomNotStrictContraction,
@@ -68,7 +71,6 @@ from .spectral import (
     _is_count,
     _is_finite_rank,
     dim_ran_closed,
-    from_normal_matrix,
     require_normal,
 )
 
@@ -240,8 +242,13 @@ def excluding_dilation_matrix(T: np.ndarray, k: int, lam: complex) -> DilationAr
     than k of them) through 2x2 scalar dilations and carries the rest by a
     Halmos block rotated by xi, so at most k - 1 of its eigenvalues project
     beyond the midpoint; for k = 1 it is the rotated Halmos dilation at xi.
-    The exclusion is verified by a membership run on the dilation's own
-    eigenvalue model.
+    The exclusion is certified by interlacing at xi: a rank-k projection P
+    with P U P = lam P compresses Re(e^{i xi} U) to Re(e^{i xi} lam) P, so
+    the k-th largest eigenvalue of Re(e^{i xi} U), which any square U has,
+    is at least Re(e^{i xi} lam) when lam lies in the rank-k range of U.
+    NoSeparatingAngle, naming xi, that level and Re(e^{i xi} lam), unless
+    the level lies below Re(e^{i xi} lam) by more than eps_geom; a strict
+    gap keeps lam out of the closure too.
     """
     lam = require_finite(lam, "point")
     T, _ = _require_contraction(T)
@@ -250,10 +257,17 @@ def excluding_dilation_matrix(T: np.ndarray, k: int, lam: complex) -> DilationAr
     xi, margin = _separating_direction(vals, k, lam)
     if margin <= DEFAULT_TOL.eps_geom:
         raise NoSeparatingAngle(f"best margin {margin:.3e} does not clear eps_geom")
-    cut = np.real(np.exp(1j * xi) * lam) - 0.5 * margin
+    target = np.real(np.exp(1j * xi) * lam)
+    cut = target - 0.5 * margin
     art = _block_dilation(T, vals, V, xi, np.real(np.exp(1j * xi) * vals) >= cut)
-    if member(from_normal_matrix(art.matrix), k, lam).value is not Verdict.OUT:
-        raise NoSeparatingAngle("the block dilation does not verifiably exclude the point")
+    A = np.exp(1j * xi) * art.matrix
+    level = np.linalg.eigvalsh(0.5 * (A + A.conj().T))[-k]
+    if not level < target - DEFAULT_TOL.eps_geom:
+        raise NoSeparatingAngle(
+            f"the block dilation does not verifiably exclude the point: at xi = {xi:.12g} "
+            f"its rank-{k} level {level:.12g} is not below Re(e^(i xi) lam) = {target:.12g} "
+            "by more than eps_geom"
+        )
     return art
 
 

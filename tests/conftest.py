@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hrnr
+from hrnr import dilation
 from hrnr.core import critical_directions
 from hrnr.geometry import ClosedHalfPlane, support_plane
 from hrnr.spectral import direction_sweep
@@ -153,3 +154,10 @@ def many_nearly_parallel_pair_sets(gap):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240809)
+
+
+@pytest.fixture(autouse=True)
+def _no_remembered_decomposition():
+    """Every test starts with no remembered eigendecomposition, so counts of
+    eigensolves and breakpoint scans do not depend on the order of tests."""
+    dilation._LAST_DECOMPOSITION.clear()
