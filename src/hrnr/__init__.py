@@ -57,7 +57,6 @@ from .core import (
     is_boundary,
     matrix_lambda_k,
     member,
-    member_infinity,
     member_many,
     region,
     selfadjoint_interval,

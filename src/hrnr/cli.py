@@ -22,7 +22,6 @@ from .core import (
     selfadjoint_interval,
 )
 from .dilation import (
-    INTERSECTION_ANGLES,
     WuVerdict,
     conjecture_check,
     dilation_intersection,
@@ -165,7 +164,7 @@ def _cmd_conjecture(args) -> int:
 
 def _cmd_intersect(args) -> int:
     T = _as_matrix(_load(args.input))
-    poly = dilation_intersection(T, args.k, args.samples, args.alphas, args.seed)
+    poly = dilation_intersection(T, args.k)
     print(jsonio.dumps({"polygon": [[v.real, v.imag] for v in poly.vertices]}))
     return 0
 
@@ -375,18 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="intersection of dilation ranges",
         description=(
             "Polygon of the intersection of the rank-k ranges of the unitary dilations of "
-            "a contraction T.  For a normal T its support planes are exact, at the normals "
-            "where two eigenvalues tie at the k-th level, and the polygon equals the rank-k "
-            "range of T up to rounding.  --alphas, --samples and --seed act only on a T "
-            "that is not normal, whose planes are sampled on the fixed grid of "
-            f"INTERSECTION_ANGLES = {INTERSECTION_ANGLES} directions."
+            "a normal contraction T.  Its support planes are exact, at the normals where "
+            "two eigenvalues tie at the k-th level, and the polygon equals the rank-k range "
+            "of T up to rounding.  A T that is not normal exits 2."
         ),
     )
     add_common(sp)
-    sampled = " (used only when T is not normal)"
-    sp.add_argument("--alphas", type=int, default=360, help="rotated-Halmos grid size" + sampled)
-    sp.add_argument("--samples", type=int, default=20, help="random dilation samples" + sampled)
-    sp.add_argument("--seed", type=int, default=0, help="seed of the random samples" + sampled)
     sp.set_defaults(fn=_cmd_intersect)
 
     sp = sub.add_parser("reproduce", help="built-in reproduction pipelines")

@@ -360,10 +360,6 @@ def member(model: SpectralMeasureModel, k, lam: complex) -> MembershipVerdict:
     return member_many(model, k, [lam])[0]
 
 
-def member_infinity(model: SpectralMeasureModel, lam: complex) -> MembershipVerdict:
-    return member(model, RANK_INF, lam)
-
-
 def region(model: SpectralMeasureModel, k: int, n_angles: int) -> RegionEstimate:
     """Closure-level reconstruction: intersect the support half planes
     Re(e^{i xi} mu) <= h_k(xi) over the uniform grid xi = 2 pi j / n_angles,

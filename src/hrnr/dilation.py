@@ -4,9 +4,9 @@ Every contraction T dilates to a unitary on a doubled space via the Halmos
 block construction; rotating the defect blocks by a phase alpha yields a
 one-parameter family.  For strict contractions the family
 (I (+) V) Halmos(T, 0) (I (+) W) over unitary V, W is exactly the set of all
-unitary dilations on the doubled space; for a contraction that is not
-normal, sampling it approximates the intersection of the dilations' rank-k
-ranges.
+unitary dilations on the doubled space.  The intersection of the
+dilations' rank-k ranges is built for a normal contraction only; a
+contraction that is not normal raises NotNormal.
 
 For a normal contraction T the equality proof is constructive: a point
 outside the closure of the rank-k range is separated from it in some
@@ -46,7 +46,6 @@ from .errors import (
     InvariantViolation,
     NoSeparatingAngle,
     NotContraction,
-    NotNormal,
     NotOnSegment,
     NotStrictContraction,
     NoWuWitness,
@@ -73,10 +72,6 @@ from .spectral import (
     dim_ran_closed,
     require_normal,
 )
-
-# Grid of support-plane directions of a dilation-range intersection of a
-# contraction that is not normal.
-INTERSECTION_ANGLES = 180
 
 # Evenly spaced directions joined to the tie normals of a normal
 # contraction, so that no gap between consecutive plane normals reaches pi.
@@ -504,13 +499,6 @@ def conjecture_check(
 # ---------------------------------------------------------------------------
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def _support_levels(eigs: np.ndarray, k: int, xis: np.ndarray) -> np.ndarray:
     """k-th largest of Re(e^{i xi} eigs) for every xi (1 <= k <= len(eigs)),
     a chunk of directions at a time within ``core.BATCH_PAIRS``
@@ -591,20 +579,16 @@ def _block_dilation(T, vals, V, xi, top) -> DilationArtifact:
     return DilationArtifact(U, float(xi), unit, comp, _defect_rank(np.abs(vals)))
 
 
-def _block_dilation_levels(T, k, xis):
-    """Rank-k levels, per direction xi, of the block dilations that split
-    off the r < k eigenvalues projecting beyond L_k + 1e-12 (all of them
-    when k > n), L_1 >= ... >= L_n being the Re(e^{i xi} d): by the spectra
-    ``_block_dilation`` gives them, L_{r + ceil((k - r) / 2)}, or -1 when
-    k > n.  Residuals change with xi only through rounding, so the dilation
-    at the first direction, checked against eps_unitary less a rounding
-    allowance, gates them all: EigFailure when it fails, None when T is not
-    normal.
+def _block_dilation_levels(T, vals, V, k, xis):
+    """Rank-k levels, per direction xi, of the block dilations of
+    T = V diag(vals) V* that split off the r < k eigenvalues projecting
+    beyond L_k + 1e-12 (all of them when k > n), L_1 >= ... >= L_n being
+    the Re(e^{i xi} d): by the spectra ``_block_dilation`` gives them,
+    L_{r + ceil((k - r) / 2)}, or -1 when k > n.  Residuals change with xi
+    only through rounding, so the dilation at the first direction, checked
+    against eps_unitary less a rounding allowance, gates them all:
+    EigFailure when it fails.
     """
-    try:
-        vals, V = _unitary_eigendecomposition(T)
-    except NotNormal:
-        return None
     n = vals.shape[0]
     proj = np.sort(np.real(np.exp(1j * xis)[:, None] * vals[None, :]), axis=1)  # L_j: column n - j
     cut = -np.inf if k > n else proj[0, n - k] + _TIE
@@ -617,77 +601,33 @@ def _block_dilation_levels(T, k, xis):
     return proj[np.arange(xis.shape[0]), n - r - (k - r + 1) // 2]
 
 
-def _plane_directions(T, k):
-    """Directions of the support planes of :func:`dilation_intersection`:
-    for a normal T the breakpoints of L_k (:func:`_breakpoints`), where
-    the plane of any direction between two consecutive ones contains the
-    cone at d that their two planes cut out, so these planes give the
-    polygon exactly; INTERSECTION_ANGLES evenly spaced directions when T
-    is not normal.
-    """
-    try:
-        vals, _ = _unitary_eigendecomposition(T)
-    except NotNormal:
-        return _grid(INTERSECTION_ANGLES)
-    return _breakpoints(vals, k)
-
-
-def _sampled_levels(T, k, xis, n_samples, n_alpha, seed):
-    """Rank-k levels, per direction xi, minimized over a rotated-Halmos grid
-    of n_alpha phases and n_samples seeded random (I(+)V)H(I(+)W) unitary
-    dilations; EigFailure when a sample fails the residual check."""
-    n = T.shape[0]
-    base = halmos(T, 0.0).matrix
-    best = np.full(xis.shape[0], np.inf)
-
-    for alpha in _grid(n_alpha).tolist():
-        ph = np.exp(-1j * alpha)
-        # (I (+) ph I) H (I (+) ph I) has blocks [[T, ph B], [ph C, ph^2 D]]
-        U = base.copy()
-        U[:n, n:] *= ph
-        U[n:, :n] *= ph
-        U[n:, n:] *= ph * ph
-        best = np.minimum(best, _support_levels(np.linalg.eigvals(U), k, xis))
-
-    rng = np.random.default_rng(seed)
-    for _ in range(n_samples):
-        V = _haar_unitary(n, rng)
-        W = _haar_unitary(n, rng)
-        U = base.copy()
-        U[:, n:] = U[:, n:] @ W
-        U[n:, :] = V @ U[n:, :]
-        _require_residuals(*_residuals(U, T))
-        best = np.minimum(best, _support_levels(np.linalg.eigvals(U), k, xis))
-    return best
-
-
 def dilation_intersection(
     T: np.ndarray,
     k: int,
-    n_samples: int,
-    n_alpha: int,
-    seed: int = 0,
+    n_samples: int = 0,
+    n_alpha: int = 0,
 ) -> ConvexPolygon:
-    """Intersect the rank-k ranges of unitary dilations of the contraction
-    T through their support planes.
+    """Intersect the rank-k ranges of the unitary dilations of the normal
+    contraction T through their support planes; NotNormal when T fails the
+    normality gate.
 
-    For a normal T the per-direction block dilations give the planes in
-    closed form.  By interlacing no unitary dilation has a rank-k level
-    below T's own L_k, which the block levels attain to within their
-    _TIE split threshold, so no other dilation can tighten these planes
-    and they are the whole intersection; EigFailure when the one block
-    dilation built per T fails its residual check.  The planes stand at
-    the normals where two eigenvalues tie at the k-th level, plus
-    _FLOOR_ANGLES evenly spaced ones (:func:`_plane_directions`): they are
-    exact, and since the half planes Re(e^{i xi} z) <= L_k(xi) cut out the
-    rank-k range of T (Li & Sze, Proc. AMS 136, 2008), the polygon is
-    Lambda_k(T) up to rounding, and empty when k > n.
+    The per-direction block dilations give the planes in closed form.  By
+    interlacing no unitary dilation has a rank-k level below T's own L_k,
+    which the block levels attain to within their _TIE split threshold, so
+    no other dilation can tighten these planes and they are the whole
+    intersection; EigFailure when the one block dilation built per T fails
+    its residual check.  The planes stand at the breakpoints of L_k
+    (:func:`_breakpoints`): the normals where two eigenvalues tie at the
+    k-th level, plus _FLOOR_ANGLES evenly spaced ones.  The plane of any
+    direction between two consecutive breakpoints contains the cone at d
+    that their two planes cut out, so these planes are exact, and since
+    the half planes Re(e^{i xi} z) <= L_k(xi) cut out the rank-k range of
+    T (Li & Sze, Proc. AMS 136, 2008), the polygon is Lambda_k(T) up to
+    rounding, and empty when k > n.
 
-    Only when T is not normal do the planes come from INTERSECTION_ANGLES
-    evenly spaced directions, their levels from a rotated-Halmos grid of
-    n_alpha phases and n_samples random (I(+)V)H(I(+)W) samples drawn from
-    ``seed``, each held to the same residual check; INTERSECTION_ANGLES,
-    n_alpha, n_samples and seed act on nothing else.
+    n_samples and n_alpha act on nothing.  They are still checked as counts
+    (ValueError otherwise) because the benchmark's dilation_lab workload
+    passes them positionally; they go with its revision (ROADMAP item 7).
     """
     T, norm = _require_contraction(T)
     n = T.shape[0]
@@ -696,8 +636,7 @@ def dilation_intersection(
         raise ValueError(
             f"need integers n_samples >= 0 and n_alpha >= 0, got {n_samples!r} and {n_alpha!r}"
         )
-    xis = _plane_directions(T, k)
-    levels = _block_dilation_levels(T, k, xis)
-    if levels is None:
-        levels = _sampled_levels(T, k, xis, n_samples, n_alpha, seed)
+    vals, V = _unitary_eigendecomposition(T)
+    xis = _breakpoints(vals, k)
+    levels = _block_dilation_levels(T, vals, V, k, xis)
     return _intersect_lines(support_lines(xis, levels), norm + 1.0)

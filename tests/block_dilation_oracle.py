@@ -18,7 +18,6 @@ import numpy as np
 
 from hrnr.dilation import (
     _block_dilation,
-    _haar_unitary,
     _op_norm,
     _pair_normals,
     _require_contraction,
@@ -28,6 +27,8 @@ from hrnr.dilation import (
 )
 from hrnr.errors import EigFailure, NotNormal
 from hrnr.geometry import DEFAULT_TOL, ConvexPolygon, TolerancePolicy, halfplane_intersection, support_plane
+
+from conftest import haar_unitary
 
 
 def _support_levels(eigs: np.ndarray, k: int, xis: np.ndarray) -> np.ndarray:
@@ -117,8 +118,8 @@ def dilation_intersection(
 
     rng = np.random.default_rng(seed)
     for _ in range(n_samples):
-        V = _haar_unitary(n, rng)
-        W = _haar_unitary(n, rng)
+        V = haar_unitary(n, rng)
+        W = haar_unitary(n, rng)
         U = base.copy()
         U[:, n:] = U[:, n:] @ W
         U[n:, :] = V @ U[n:, :]

@@ -21,7 +21,6 @@ from hrnr import (
     from_normal_matrix,
     hausdorff_distance,
     member,
-    member_infinity,
     region,
     transform_model,
     wu_check,
@@ -153,7 +152,7 @@ def test_criterion_5_infinity_empty():
             for x in np.linspace(-1, 1, 20)
             for y in np.linspace(-1, 1, 20)
         ]
-        assert all(member_infinity(model, z).value is Verdict.OUT for z in grid)
+        assert all(member(model, RANK_INF, z).value is Verdict.OUT for z in grid)
         assert any(member(model, 1, z).value is Verdict.IN for z in grid)
 
 
@@ -181,13 +180,13 @@ def test_criterion_6_exclusion_dilations():
 def test_criterion_7_dilation_closure():
     rng = np.random.default_rng(707)
     with Timer("7 (dilation intersection closure)", 120.0):
-        for seed in range(10):
+        for _ in range(10):
             # the rank-1 range is the convex hull of the eigenvalues, which
             # the intersection's exact planes give up to rounding; the
             # 180-direction region polygon is an outer approximation of it
             T = random_normal_contraction(4, rng)
             est = region(from_normal_matrix(T), 1, 180)
-            poly = dilation_intersection(T, 1, n_samples=50, n_alpha=720, seed=seed)
+            poly = dilation_intersection(T, 1, n_samples=50, n_alpha=720)
             hull = convex_hull(list(np.linalg.eigvals(T)))
             assert hausdorff_distance(poly, hull) <= 1e-9
             assert all(est.polygon.signed_distance(v) <= 1e-9 for v in poly.vertices)
@@ -201,7 +200,7 @@ def test_criterion_8_wu_positive():
         report = wu_check(model, 1, est)
         assert report.verdict is WuVerdict.EQUALITY_PREDICTED
         est180 = region(model, 1, 180)
-        poly = dilation_intersection(T, 1, n_samples=50, n_alpha=720, seed=0)
+        poly = dilation_intersection(T, 1, n_samples=50, n_alpha=720)
         assert hausdorff_distance(poly, est180.polygon) <= 1e-2
 
 
@@ -225,7 +224,7 @@ def test_criterion_9_property_suite():
             if m.total_dim == INF:
                 lam = complex(*rng.uniform(-1.2, 1.2, 2))
                 if (
-                    member_infinity(m, lam).value is Verdict.IN
+                    member(m, RANK_INF, lam).value is Verdict.IN
                     and member(m, k, lam).value is Verdict.OUT
                 ):
                     violations += 1

@@ -2,9 +2,9 @@
 eigensolve loop kept in ``block_dilation_oracle``, and the residual gate
 that checks one block dilation per operator.
 
-Levels agree to 1e-13 and are skipped for the same inputs, on the
-180-direction grid and on the tie normals ``dilation_intersection`` now
-uses.  Its exact polygon lies inside the grid oracle's outer
+Levels agree to 1e-13 on the 180-direction grid and on the tie normals
+``dilation_intersection`` now uses; a T that is not normal, which the
+oracle skips, it refuses.  Its exact polygon lies inside the grid oracle's outer
 approximation, to eps_geom, and within the grid's error of it.
 """
 
@@ -15,15 +15,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hrnr import core, dilation, jsonio, matrix_lambda_k
+from hrnr import core, dilation, jsonio
 from hrnr.cli import main
-from hrnr.errors import EigFailure
+from hrnr.errors import EigFailure, NotNormal
 from hrnr.geometry import DEFAULT_TOL, ConvexPolygon, hausdorff_distance
 
 import block_dilation_oracle as oracle
 from conftest import haar_unitary, random_normal_contraction
 
 XIS = 2 * math.pi * np.arange(180) / 180
+JORDAN = np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex)  # not normal
 
 
 def _load_workloads():
@@ -53,25 +54,27 @@ def _contractions(rng):
     yield np.diag([0.5, 0.5 + 5e-13, 0.5 - 5e-13, -0.3j])
     yield np.diag([1j, 1j, -0.25]).astype(complex)
     yield np.zeros((1, 1), dtype=complex)
-    yield np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex)  # not normal
 
 
 def test_levels_match_oracle(rng):
     # on the grid and on the plane directions, tie normals included
-    calls = skipped = 0
+    calls = 0
     for T in _contractions(rng):
+        vals, V = dilation._unitary_eigendecomposition(T)
         for k in range(1, 2 * T.shape[0] + 1):
-            for xis in (XIS, dilation._plane_directions(T, k)):
+            for xis in (XIS, dilation._breakpoints(vals, k)):
                 old = oracle._block_dilation_planes(T, k, xis, DEFAULT_TOL)
-                new = dilation._block_dilation_levels(T, k, xis)
+                new = dilation._block_dilation_levels(T, vals, V, k, xis)
                 calls += 1
-                if new is None:
-                    assert np.isnan(old).all()
-                    skipped += 1
-                else:
-                    assert not np.isnan(old).any()
-                    assert np.max(np.abs(new - old)) <= 1e-13
-    assert calls == 2 * 170 and skipped == 2 * 4
+                assert not np.isnan(old).any()
+                assert np.max(np.abs(new - old)) <= 1e-13
+    assert calls == 2 * 166
+    # a T that is not normal has no block levels: the oracle skips it, and
+    # the intersection refuses it
+    for k in range(1, 5):
+        assert np.isnan(oracle._block_dilation_planes(JORDAN, k, XIS, DEFAULT_TOL)).all()
+        with pytest.raises(NotNormal):
+            dilation.dilation_intersection(JORDAN, k)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -110,11 +113,11 @@ def test_gate_residuals_and_levels(rng, monkeypatch):
         T = random_normal_contraction(n, rng)
         k = int(rng.integers(1, 2 * n + 1))
         xis = rng.uniform(0, 2 * math.pi, 8)
-        built.clear()
-        levels = dilation._block_dilation_levels(T, k, xis)
-        assert levels is not None and len(built) == 1
-        gate = built[0]
         vals, V = dilation._unitary_eigendecomposition(T)
+        built.clear()
+        levels = dilation._block_dilation_levels(T, vals, V, k, xis)
+        assert len(built) == 1
+        gate = built[0]
         for xi, level in zip(xis, levels):
             c = np.real(np.exp(1j * xi) * vals)
             top = c > (np.sort(c)[n - k] + 1e-12 if k <= n else -np.inf)
@@ -149,27 +152,16 @@ def test_one_block_dilation_and_no_block_eigensolve(rng, monkeypatch):
     assert counts == {"block": 1, "eigvals": 0, "halmos": 0}
 
 
-def test_non_normal_takes_the_sampled_path(monkeypatch):
-    T = np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex)
+def test_non_normal_fails_before_any_dilation(monkeypatch):
     counts = _count_work(monkeypatch)
-    poly = dilation.dilation_intersection(T, 1, 5, 3)
-    assert counts == {"block": 0, "eigvals": 5 + 3, "halmos": 1}
-    # every dilation's numerical range contains T's
-    verts = np.array(poly.vertices)
-    for xi in XIS:
-        support = np.max(np.real(np.exp(1j * xi) * verts))
-        assert support >= matrix_lambda_k(T, 1, xi) - 1e-12
+    with pytest.raises(NotNormal, match="commutator norm"):
+        dilation.dilation_intersection(JORDAN, 1, 5, 3)
+    assert counts == {"block": 0, "eigvals": 0, "halmos": 0}
 
 
 def test_failed_gate_adds_no_block_planes(rng, monkeypatch):
     T = random_normal_contraction(5, rng)
     k = 2
-    with_blocks = dilation.dilation_intersection(T, k, 2, 4)
-    with monkeypatch.context() as m:
-        m.setattr(dilation, "_block_dilation_levels", lambda *args: None)
-        without_blocks = dilation.dilation_intersection(T, k, 2, 4)
-    assert hausdorff_distance(with_blocks, without_blocks) > 1e-3  # the block planes count
-
     real = dilation._unitary_eigendecomposition
     noise = 1e-8 * haar_unitary(5, rng)
 
@@ -180,16 +172,18 @@ def test_failed_gate_adds_no_block_planes(rng, monkeypatch):
     monkeypatch.setattr(dilation, "_unitary_eigendecomposition", perturbed)
     monkeypatch.setattr(oracle, "_unitary_eigendecomposition", perturbed)
     assert np.isnan(oracle._block_dilation_planes(T, k, XIS, DEFAULT_TOL)).all()
+    vals, V = dilation._unitary_eigendecomposition(T)
     with pytest.raises(EigFailure, match="residuals too large"):
-        dilation._block_dilation_levels(T, k, XIS)
+        dilation._block_dilation_levels(T, vals, V, k, XIS)
     with pytest.raises(EigFailure, match="residuals too large"):
         dilation.dilation_intersection(T, k, 2, 4)
 
 
 def test_near_normal_contractions_fail_the_gate(tmp_path, capsys):
     # 1e-10 entrywise noise passes require_normal but not the residual
-    # check of the block dilation: an error naming both residuals, never a
-    # polygon of sampled dilations; 1e-11 noise passes both
+    # check of the block dilation: an error naming both residuals; 1e-11
+    # noise passes both, and 1e-8 or 1e-7 noise fails require_normal:
+    # NotNormal, never a polygon
     rng = np.random.default_rng(11)
     path = tmp_path / "T.json"
     for _ in range(20):
@@ -204,6 +198,14 @@ def test_near_normal_contractions_fail_the_gate(tmp_path, capsys):
         path.write_text(jsonio.dumps(jsonio.matrix_to_obj(bad)))
         assert main(["intersect", "--input", str(path), "-k", "2"]) == 2
         assert capsys.readouterr().err.startswith("error: dilation residuals too large")
+        for scale in (1e-8, 1e-7):
+            bad = T + scale * noise
+            with pytest.raises(NotNormal, match="commutator norm"):
+                dilation.dilation_intersection(bad, 2, 4, 16)
+            path.write_text(jsonio.dumps(jsonio.matrix_to_obj(bad)))
+            assert main(["intersect", "--input", str(path), "-k", "2"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: commutator norm") and "Traceback" not in err
 
 
 def _separating_inputs(rng):
@@ -263,7 +265,7 @@ def test_chunk_bound_does_not_change_the_outputs(monkeypatch):
             out.append(
                 (
                     dilation._support_levels(vals, k, dilation._pair_normals(vals)[0]).tobytes(),
-                    dilation._plane_directions(T, k).tobytes(),
+                    dilation._breakpoints(vals, k).tobytes(),
                     art.matrix.tobytes(),
                     art.alpha,
                     repr(dilation.dilation_intersection(T, k, lab.n_samples, lab.n_alpha)),

@@ -32,7 +32,6 @@ from hrnr import (
     is_boundary,
     matrix_lambda_k,
     member,
-    member_infinity,
     member_many,
     region,
     scalar_dilation,
@@ -87,7 +86,7 @@ class TestMember:
         with pytest.raises(RankExceedsDimension):
             member(m, 3, 0j)
         with pytest.raises(RankExceedsDimension):
-            member_infinity(m, 0j)
+            member(m, RANK_INF, 0j)
         with pytest.raises(ValueError):
             member(m, 0, 0j)
         # booleans are ints to isinstance, but not ranks
@@ -179,16 +178,16 @@ class TestMember:
 class TestMemberInfinity:
     def test_full_circle(self):
         m = bilateral_shift_model()
-        assert member_infinity(m, 0.3 + 0j).value is Verdict.IN
+        assert member(m, RANK_INF, 0.3 + 0j).value is Verdict.IN
 
     def test_empty_infinity_range(self):
         m = infinity_empty_model()
-        assert member_infinity(m, 0j).value is Verdict.OUT
-        assert member_infinity(m, -0.05 + 0j).value is Verdict.OUT
+        assert member(m, RANK_INF, 0j).value is Verdict.OUT
+        assert member(m, RANK_INF, -0.05 + 0j).value is Verdict.OUT
 
     def test_infinite_atom(self):
         m = SpectralMeasureModel(atoms=(Atom(0j, INF),), support_radius=1.0)
-        assert member_infinity(m, 0j).value is Verdict.IN
+        assert member(m, RANK_INF, 0j).value is Verdict.IN
 
     def test_certain_witness_preferred(self):
         # a plane through the unresolved tail has dimension [0, 0+]; a plane
@@ -199,7 +198,7 @@ class TestMemberInfinity:
             families=(fam,),
             support_radius=3.0,
         )
-        mv = member_infinity(m, 0.085 - 0.225j)
+        mv = member(m, RANK_INF, 0.085 - 0.225j)
         assert mv.value is Verdict.OUT
         assert dim_ran_hchp(m, mv.witness) == mv.witness_dim == 2
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from hrnr import core, dilation, presets
+from hrnr.errors import NotNormal
 from hrnr.geometry import halfplane_intersection, support_lines, support_plane
 
 import deque_oracle as oracle
@@ -100,7 +101,7 @@ def test_region_polygons(rng):
 def _dilation_cases(rng):
     """Normal contractions with n = 1..8, generic and with unimodular
     eigenvalues on the direction grid, then one that is not normal."""
-    grid = 2 * math.pi * np.arange(dilation.INTERSECTION_ANGLES) / dilation.INTERSECTION_ANGLES
+    grid = 2 * math.pi * np.arange(180) / 180
     for n in range(1, 9):
         yield random_normal_contraction(n, rng)
         eigs = rng.uniform(0.05, 0.95, n) * np.exp(2j * np.pi * rng.uniform(size=n))
@@ -113,14 +114,16 @@ def _dilation_cases(rng):
 def test_dilation_intersections(rng):
     # every rank up to 2n; the planes are rebuilt from the same directions
     # and levels
-    n_samples, n_alpha = 2, 4
-    for T in _dilation_cases(rng):
+    *normal, last = _dilation_cases(rng)
+    for T in normal:
         bound = dilation._op_norm(T) + 1.0
+        vals, V = dilation._unitary_eigendecomposition(T)
         for k in range(1, 2 * T.shape[0] + 1):
-            xis = dilation._plane_directions(T, k)
-            levels = dilation._block_dilation_levels(T, k, xis)
-            if levels is None:
-                levels = dilation._sampled_levels(T, k, xis, n_samples, n_alpha, 0)
+            xis = dilation._breakpoints(vals, k)
+            levels = dilation._block_dilation_levels(T, vals, V, k, xis)
             planes = [support_plane(xi, h) for xi, h in zip(xis, levels)]
-            poly = dilation.dilation_intersection(T, k, n_samples, n_alpha)
+            poly = dilation.dilation_intersection(T, k, 2, 4)
             assert poly == assert_same(planes, bound)
+    for k in range(1, 5):
+        with pytest.raises(NotNormal):
+            dilation.dilation_intersection(last, k)

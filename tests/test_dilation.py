@@ -409,33 +409,33 @@ class TestDilationIntersection:
                     assert min(abs(v - z) for v in poly.vertices) <= 1e-12 * bound
 
     def test_zero_contraction_collapses(self):
-        poly = dilation_intersection(np.array([[0j]]), 1, n_samples=10, n_alpha=360, seed=1)
+        poly = dilation_intersection(np.array([[0j]]), 1, n_samples=10, n_alpha=360)
         assert max(abs(v) for v in poly.vertices) <= 2 * math.pi / 360
 
     def test_two_atoms_segment(self):
         T = np.diag([0.5, -0.5]).astype(complex)
-        poly = dilation_intersection(T, 1, n_samples=30, n_alpha=720, seed=0)
+        poly = dilation_intersection(T, 1, n_samples=30, n_alpha=720)
         est = region(from_normal_matrix(T), 1, 180)
         assert hausdorff_distance(poly, est.polygon) <= 1e-2
 
     def test_unitary_fixed_point(self):
         # exactly the triangle of the eigenvalues, with no grid corners
         T = np.diag([1j, -1j, 1]).astype(complex)
-        poly = dilation_intersection(T, 1, n_samples=10, n_alpha=180, seed=3)
+        poly = dilation_intersection(T, 1, n_samples=10, n_alpha=180)
         assert hausdorff_distance(poly, hrnr.convex_hull([1j, -1j, 1])) <= 1e-9
 
     def test_unimodular_eigenvalue_split_off(self):
         # the block dilations split off the eigenvalue 1 and pin the
         # intersection to the rank-2 range {0.5}
         T = np.diag([1, 0.5, -0.5]).astype(complex)
-        poly = dilation_intersection(T, 2, n_samples=10, n_alpha=90, seed=0)
+        poly = dilation_intersection(T, 2, n_samples=10, n_alpha=90)
         assert max(abs(v - 0.5) for v in poly.vertices) <= 1e-9
 
     def test_contains_compressed_range(self, rng):
-        for seed in range(3):
+        for _ in range(3):
             T = random_normal_contraction(3, rng)
             est = region(from_normal_matrix(T), 2, 180)
-            poly = dilation_intersection(T, 2, n_samples=20, n_alpha=360, seed=seed)
+            poly = dilation_intersection(T, 2, n_samples=20, n_alpha=360)
             for v in est.polygon.vertices:
                 assert poly.signed_distance(v) <= 1e-6
 

@@ -99,6 +99,7 @@ def _family(mult=1, tail_mult=1):
 
 # diag(0.5, -0.5) as a matrix document: a strict normal contraction
 _HALF_DIAG = {"kind": "matrix", "data": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]}
+_JORDAN = {"kind": "matrix", "data": [[[0, 0], [0.5, 0]], [[0, 0], [0, 0]]]}  # not normal
 
 
 @pytest.fixture
@@ -216,8 +217,7 @@ class TestCli:
 
     def test_intersect(self, capsys, matrix_file):
         assert main(
-            ["intersect", "--input", matrix_file, "-k", "1", "--alphas", "90",
-             "--samples", "5", "--seed", "7"]
+            ["intersect", "--input", matrix_file, "-k", "1"]
         ) == 0
         out = json.loads(capsys.readouterr().out)
         assert len(out["polygon"]) >= 3
@@ -298,7 +298,7 @@ class TestCli:
             ),
             # n < k <= 2n: the block dilations split off every eigenvalue
             (
-                ["intersect", "-k", "3", "--alphas", "8", "--samples", "2"],
+                ["intersect", "-k", "3"],
                 _HALF_DIAG,
                 0,
             ),
@@ -317,8 +317,9 @@ class TestCli:
             (["conjecture", "-k", "0", "--point", "0,0"], _HALF_DIAG, 2),
             (["conjecture", "-k", "1", "--point", "0,0", "--thetas", "0"], _HALF_DIAG, 2),
             (["conjecture", "-k", "1", "--point", "0,0", "--thetas", "-4"], _HALF_DIAG, 2),
-            (["intersect", "-k", "1", "--alphas", "-3", "--samples", "2"], _HALF_DIAG, 2),
-            (["intersect", "-k", "1", "--alphas", "8", "--samples", "-2"], _HALF_DIAG, 2),
+            (["intersect", "-k", "5"], _HALF_DIAG, 2),
+            # a matrix that is not normal has no dilation intersection here
+            (["intersect", "-k", "1"], _JORDAN, 2),
             # non-finite query points are malformed input
             (["member", "-k", "1", "--point", "nan,0"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 1),
             (["member", "-k", "1", "--point", "0,inf"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 1),
@@ -331,7 +332,8 @@ class TestCli:
             (["region", "-k", "1", "--angles", "x"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 1),
             (["region", "-k", "1", "--bogus"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 1),
             (["member", "-k", "1"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 1),
-            (["intersect", "-k", "1", "--seed", "1.5"], _HALF_DIAG, 1),
+            # the sampled path's options are gone: unknown flags
+            (["intersect", "-k", "1", "--seed", "1"], _HALF_DIAG, 1),
         ],
     )
     def test_exit_code_contract(self, tmp_path, capsys, command, doc, code):
@@ -372,7 +374,8 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["intersect", "--help"])
         assert exc.value.code == 0
-        assert "--alphas" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "--input" in out and "--alphas" not in out
 
     def test_matrix_required(self, model_file, capsys):
         assert main(["dilate", "--input", model_file]) == 1
@@ -536,7 +539,7 @@ _COMMANDS = [
     ["dilate", "--alpha", "0.3"],
     ["wu-check", "-k", "1", "--angles", "8"],
     ["conjecture", "-k", "1", "--point", "0.5,0", "--thetas", "8"],
-    ["intersect", "-k", "1", "--alphas", "8", "--samples", "2"],
+    ["intersect", "-k", "1"],
 ]
 
 
@@ -552,7 +555,6 @@ def test_exit_code_contract_fuzz(fuzz_file, doc, command):
     assert main([command[0], "--input", str(fuzz_file), *command[1:]]) in (0, 1, 2, 3)
 
 
-_INT_OPTIONS = ("-k", "--angles", "--alphas", "--samples", "--seed", "--thetas")
 _BAD_VALUES = {
     "int": ["abc", "1.5", "", "1e3", "nan", "x1", "2j"],
     "--point": ["0", "a,b", "1,2,3", "nan,0", "", "0;0", "inf,inf"],
@@ -567,9 +569,7 @@ def _bad_command_line(draw):
     count, a missing required option, or a malformed point or phase."""
     command = draw(st.sampled_from(_COMMANDS))
     argv = [command[0], "--input", None, *command[1:]]
-    if command[0] == "intersect":
-        argv += ["--seed", "3"]
-    ints = [i for i, a in enumerate(argv) if a in _INT_OPTIONS]
+    ints = [i for i, a in enumerate(argv) if a in ("-k", "--angles", "--thetas")]
     values = [i for i, a in enumerate(argv) if a in ("--point", "--alpha")]
     kind = draw(st.sampled_from(["flag", "missing"] + ["int"] * bool(ints) + ["value"] * bool(values)))
     if kind == "flag":

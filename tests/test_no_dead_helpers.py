@@ -1,7 +1,8 @@
 """No dead code: every module-level private function or class of the
 package source is referenced somewhere in it besides its own definition,
 every name a module imports at top level is read in that module, and every
-error type is raised somewhere in it."""
+error type is raised somewhere in it.  No randomness either: no module
+reads ``np.random`` or imports ``random``."""
 
 import ast
 from pathlib import Path
@@ -80,3 +81,34 @@ def test_every_error_type_is_raised():
                 raised.update(_referenced_names(node.exc))
     never = [name for name in classes if name not in raised]
     assert not never, f"error types raised nowhere: {never}"
+
+
+def _random_sources(tree: ast.AST) -> list[str]:
+    """np.random (or numpy.random) reads and imports of random or
+    numpy.random within tree."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "random":
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                out.append(f"line {node.lineno}: {node.value.id}.random")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in ("random", "numpy.random"):
+                    out.append(f"line {node.lineno}: import {alias.name}")
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if node.module in ("random", "numpy.random") or (
+                node.module == "numpy" and "random" in names
+            ):
+                out.append(f"line {node.lineno}: from {node.module} import {', '.join(names)}")
+    return out
+
+
+def test_no_module_draws_random_numbers():
+    # every output is a deterministic function of the inputs, which the
+    # bit-identical differential tests rely on
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name} {source}" for source in _random_sources(tree)]
+    assert not found, f"random number sources in the package: {found}"

@@ -20,7 +20,6 @@ from hrnr import (
     halfplane_intersection,
     hausdorff_distance,
     member,
-    member_infinity,
     region,
     selfadjoint_interval,
     transform_model,
@@ -60,7 +59,7 @@ def test_nesting(rng):
                     assert lo is Verdict.IN
         if m.total_dim == INF:
             lam = complex(*rng.uniform(-1.2, 1.2, 2))
-            vinf = member_infinity(m, lam).value
+            vinf = member(m, RANK_INF, lam).value
             v1 = member(m, 1, lam).value
             if certain(vinf) and certain(v1) and vinf is Verdict.IN:
                 assert v1 is Verdict.IN
@@ -236,7 +235,7 @@ def test_no_eigenvalue_equality(rng):
         for _ in range(25):
             lam = complex(*rng.uniform(-1, 1, 2))
             verdicts = {member(m, k, lam).value for k in (1, 2, 5)}
-            verdicts.add(member_infinity(m, lam).value)
+            verdicts.add(member(m, RANK_INF, lam).value)
             if Verdict.UNCERTAIN in verdicts:
                 continue
             assert len(verdicts) == 1
@@ -281,14 +280,14 @@ def test_open_segment_property(rng):
 
 def test_dm_closure_desk_scale(rng):
     n_alpha = 720
-    for seed in range(4):
+    for _ in range(4):
         n = int(rng.integers(2, 6))
         k = int(rng.integers(1, 3))
         k = min(k, n)
         T = random_normal_contraction(n, rng)
         model = from_normal_matrix(T)
         est = region(model, k, 180)
-        poly = dilation_intersection(T, k, n_samples=50, n_alpha=n_alpha, seed=seed)
+        poly = dilation_intersection(T, k, n_samples=50, n_alpha=n_alpha)
         if est.polygon.is_empty:
             continue
         # the intersection's planes are exact, so it lies inside the
