@@ -122,9 +122,12 @@ def critical_directions(
     Breakpoint angles come from ``math.atan2``, because ``np.arctan2`` can
     differ in the last bit and they fix the midpoints.  Rounded angles can
     only be equal within about 1e-12, so only the angles within 2e-12 of
-    another (midpoint angles located by ``np.arctan2``) are rounded, by
-    Python's ``round`` of the ``math.atan2`` angle: ``np.round`` multiplies
-    by 1e12 first and can round the other way.
+    another (midpoint angles located by ``np.arctan2``) are rounded, from
+    their ``math.atan2`` angles, to integer keys equal to Python's
+    ``round(angle, 12)`` (``_round_keys``): ``np.rint`` of the angle times
+    1e12 where that product lies more than 1e-2 from a half-integer, and
+    Python's ``round`` within that band, where the product's rounding
+    could send ``np.rint`` the other way.
     """
     anchors = [complex(a) for a in anchors]
     n = len(anchors)
@@ -195,10 +198,32 @@ def critical_directions(
     keep = np.ones(len(vx), dtype=bool)
     keep[by[close]] = keep[by[close + 1]] = False
     near = np.flatnonzero(~keep)
-    keys = zip(row[near].tolist(), [round(a, 12) for a in _angles(vx[near], vy[near]).tolist()])
-    first = dict(zip(reversed(list(keys)), reversed(near.tolist())))  # earliest index per key
-    keep[list(first.values())] = True
+    keys, rows = _round_keys(_angles(vx[near], vy[near])), row[near]
+    # the earliest index per (anchor, key): lexsort is stable
+    order = np.lexsort((keys, rows))
+    keys, rows = keys[order], rows[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]) | (rows[1:] != rows[:-1])
+    keep[near[order[first]]] = True
     return vx[keep], vy[keep], row[keep]
+
+
+def _round_keys(a: np.ndarray) -> np.ndarray:
+    """``round(x, 12) * 1e12`` for each angle x in [0, pi], as exact
+    integer-valued float64 keys.
+
+    a * 1e12 lies within 2.5e-4 of the exact product (half an ulp below
+    2**42), so ``np.rint`` rounds it the way Python's ``round`` rounds the
+    exact decimal value, except within that distance of a half-integer;
+    the values within 1e-2 of one, the dyadic ties m / 8192 among them, go
+    through Python's ``round``.
+    """
+    x = a * 1e12
+    keys = np.rint(x)
+    tie = np.flatnonzero(np.abs(np.abs(x - keys) - 0.5) < 1e-2)
+    if len(tie):
+        keys[tie] = np.rint(np.array([round(v, 12) for v in a[tie].tolist()]) * 1e12)
+    return keys
 
 
 def _angles(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
@@ -257,7 +282,7 @@ def sweep_decision(sweep, flavors, k: float, row: np.ndarray):
     n = int(row[-1]) + 1 if len(row) else 0
     flavor, index = [None] * n, [None] * n
     if below.any():
-        r, i = np.nonzero(below)
+        r, i = np.divmod(np.flatnonzero(below), below.shape[1])
         unsure = fz[r, i] | (lo[r, i] != hi[r, i])
         seg = row[i]
         j = np.lexsort((i, r, hi[r, i], unsure, seg))

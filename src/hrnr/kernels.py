@@ -5,15 +5,18 @@ from __future__ import annotations
 import numpy as np
 
 # A shared anchor takes the dense outer product below this many
-# point-direction pairs and the angular sweep from it on.  The two paths cost
-# about the same at 20,000 to 25,000 pairs (100 to 110 points x twice as many
-# directions, 2-core Xeon, numpy 2.4.6), so the cut sits a little below the
-# crossover; neither side of it costs much there.  Member on a matrix model
-# with hundreds of eigenvalues (about 10^6 pairs) sorts, while the one-point
-# check of an excluding dilation (about 1,800 pairs) stays dense.
-# One anchor per direction (the batched sweeps of region and wu_check)
-# always runs dense, up to ``core.BATCH_PAIRS`` = 65,536 pairs per call.
-SORTED_MIN_PAIRS = 16_384
+# point-direction pairs and the angular sweep from it on.  Timed on 2n
+# directions over n random points (2-core Xeon, numpy 2.4.6; minimum to
+# median of 25 repeats of 100 calls, two runs), the dense body costs
+# 119-153 us at 20,000 pairs against 127-182 us for the sweep, the two tie
+# at 24,000 to 26,000 pairs, and the sweep wins at 28,800 (143-196 against
+# 171-223 us), so the cut sits a little below the crossover; neither side
+# of it costs much there.  Member on a matrix model with hundreds of
+# eigenvalues (about 10^6 pairs) sorts, while the one-point check of an
+# excluding dilation (about 1,800 pairs) stays dense.  One anchor per
+# direction (the batched sweeps of region and wu_check) always runs dense,
+# up to ``core.BATCH_PAIRS`` = 65,536 pairs per call.
+SORTED_MIN_PAIRS = 20_480
 
 # Points within _NEAR * eps of the anchor go through the dense body.  Beyond
 # that radius r0, a sign test can land in the eps band only for angles within
@@ -70,27 +73,34 @@ def atom_side_sweep(px, py, w, vx, vy, eps: float, ax=0.0, ay=0.0):
     ay = np.asarray(ay, dtype=np.float64)
     eps = float(eps)
     if ax.ndim:
-        return _dense_sweep(px[None, :] - ax[:, None], py[None, :] - ay[:, None], w, vx, vy, eps)
+        return _dense_sweep(px, py, w, vx, vy, eps, ax, ay)
     px, py = px - ax, py - ay
     if vx.shape[0] * px.shape[0] < SORTED_MIN_PAIRS:
         return _dense_sweep(px, py, w, vx, vy, eps)
     return _sorted_sweep(px, py, w, vx, vy, eps)
 
 
-def _dense_sweep(px, py, w, vx, vy, eps):
-    """Every pair at once; the (m, 6) buckets out.  The anchor-relative
-    points are float64 arrays of shape (n,), shared by every direction, or
-    (m, n), one row per direction."""
-    m, n = vx.shape[0], px.shape[-1]
+def _dense_sweep(px, py, w, vx, vy, eps, ax=None, ay=None):
+    """Every pair at once; the (m, 6) buckets out.  The points are float64
+    arrays of shape (n,): relative to one anchor shared by every direction
+    when ``ax`` and ``ay`` are None, else absolute, with one anchor
+    (ax[i], ay[i]) per direction."""
+    m, n = vx.shape[0], px.shape[0]
     out = np.zeros((m, 6), dtype=np.float64)
     if m == 0 or n == 0:
         return out
-    # s and the product subtracted from it are the only float64 arrays of
-    # the pair count alive at once; after them, three bool masks and the
-    # float64 copy that each mat-vec makes of its mask
+    # s = vx*dy - vy*dx in two float64 buffers of the pair count, the only
+    # ones alive at once; after them, three bool masks and the float64 copy
+    # that each mat-vec makes of its mask
     cx, cy = vx[:, None], vy[:, None]
-    s = cx * py
-    s -= cy * px
+    if ax is None:
+        s, sub = np.multiply(cx, py), np.multiply(cy, px)
+    else:
+        s, sub = np.subtract(py, ay[:, None]), np.subtract(px, ax[:, None])
+        s *= cx
+        sub *= cy
+    s -= sub
+    del sub
     e = (eps * np.hypot(vx, vy))[:, None]
     side_a = s > e
     side_b = s < -e
@@ -109,20 +119,29 @@ def _dense_sweep(px, py, w, vx, vy, eps):
         out[:, col] = mask @ fin
         if len(inf):
             out[mask[:, inf].any(axis=1), col] = np.inf
-    # the pairs exactly on the line are usually few: t only for them, with the
-    # arithmetic of the full products, and one bincount into buckets 2-4
-    r, j = np.nonzero(on_line)
+    # the pairs exactly on the line are usually few: t only for them, from
+    # the same differences as s, and one bincount into buckets 2-4 (the
+    # flat indices and divmod cost far less than a 2-D np.nonzero)
+    r, j = np.divmod(np.flatnonzero(on_line), n)
     if len(r):
-        x, y = (px[j], py[j]) if px.ndim == 1 else (px[r, j], py[r, j])
+        x, y = (px[j], py[j]) if ax is None else (px[j] - ax[r], py[j] - ay[r])
         t = vx[r] * x
         t += vy[r] * y
-        bucket = np.where(t > 0.0, 0, np.where(t < 0.0, 1, 2))
-        out[:, 2:5] = np.bincount(r * 3 + bucket, weights=w[j], minlength=3 * m).reshape(m, 3)
+        bucket = _bucket(0.0, 0.0, t)  # s == 0 on these pairs
+        out += np.bincount(r * 6 + bucket, weights=w[j], minlength=6 * m).reshape(m, 6)
     return out
 
 
+def _bucket(s, e, t):
+    """The bucket of each pair (see :func:`atom_side_sweep`) from its side
+    value s, its band half-width e >= 0 and its ray coordinate t, which
+    counts only where s == 0."""
+    return 5 - 5 * (s > e) - 4 * (s < -e) - (s == 0.0) * (1 + 2 * (t > 0.0) + (t < 0.0))
+
+
 def _sorted_sweep(px, py, w, vx, vy, eps):
-    """The angular sweep; same arguments and result as :func:`_dense_sweep`."""
+    """The angular sweep; same arguments and result as :func:`_dense_sweep`
+    with a shared anchor."""
     m = vx.shape[0]
     length = np.hypot(vx, vy)
     if m == 0 or not (eps >= 0.0 and length.min() > _TINY and length.max() < _HUGE):
@@ -180,11 +199,5 @@ def _sorted_sweep(px, py, w, vx, vy, eps):
     s = gx * py[j] - gy * px[j]
     e = (eps * length)[row]
     t = gx * px[j] + gy * py[j]
-    on_line = s == 0.0
-    bucket = np.select(
-        [s > e, s < -e, on_line & (t > 0.0), on_line & (t < 0.0), on_line],
-        [0, 1, 2, 3, 4],
-        default=5,
-    )
-    out += np.bincount(row * 6 + bucket, weights=w[j], minlength=6 * m).reshape(m, 6)
+    out += np.bincount(row * 6 + _bucket(s, e, t), weights=w[j], minlength=6 * m).reshape(m, 6)
     return out

@@ -9,6 +9,7 @@ verdicts, witness dimensions and every field of a ``WuReport`` must match.
 
 import importlib.util
 import math
+from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import hrnr
 from hrnr import presets
-from hrnr.core import _TANGENT_SLACK, critical_directions, member
+from hrnr.core import _TANGENT_SLACK, _angles, _round_keys, critical_directions, member
 
 import critical_directions_oracle as oracle
 from conftest import DENSE_ANGLES, random_family, random_model
@@ -123,3 +124,43 @@ def test_wu_reports_match_oracle(pool):
             assert (a.witness is None) == (b.witness is None)
             if a.witness is not None:
                 assert a.witness.normal == b.witness.normal
+
+
+def _key_inputs(name):
+    rng = np.random.default_rng(23)
+    if name == "dyadic ties":
+        # m / 8192 times 1e12 is exactly a half-integer
+        return np.arange(1, int(8192 * math.pi), 2) / 8192
+    if name == "near half-integers":
+        x = (rng.integers(0, int(math.pi * 1e12), 2000) + 0.5) * 1e-12
+        return (x[:, None] + np.arange(-4, 5) * np.spacing(x)[:, None]).ravel()
+    lattice = rng.integers(-60, 61, (2, 50_000)).astype(float)
+    d = np.concatenate((lattice, rng.normal(size=(2, 50_000))), axis=1)
+    d = d[:, (d[0] != 0.0) | (d[1] != 0.0)]
+    return _angles(d[0], d[1])
+
+
+@pytest.mark.parametrize("name", ["dyadic ties", "near half-integers", "atan2 angles"])
+def test_round_keys_are_python_round(name):
+    # the exact binary value rounded half to even to 12 decimals: Python's
+    # round returns it as the nearest float, the keys as an integer count of
+    # 1e-12, so equal keys mean equal rounded angles and vice versa
+    a = _key_inputs(name)
+    exact = [Decimal(x).quantize(Decimal("1e-12"), ROUND_HALF_EVEN) for x in a.tolist()]
+    assert [round(x, 12) for x in a.tolist()] == [float(q) for q in exact]
+    assert _round_keys(a).tolist() == [float(q.scaleb(12)) for q in exact]
+
+
+def test_equal_angles_across_anchors_merge_per_anchor():
+    # both anchors see the atom at angle 0 and the same extra angles:
+    # clusters of nine angles one ulp apart around (K + 1/2) * 1e-12, which
+    # merge by their rounded keys, and whose keys differ from np.rint of
+    # the product for many K
+    rng = np.random.default_rng(5)
+    x = (rng.integers(1, int(3e12), 40) + 0.5) * 1e-12
+    extra = tuple((x[:, None] + np.arange(-4, 5) * np.spacing(x)[:, None]).ravel().tolist())
+    model = hrnr.SpectralMeasureModel((hrnr.Atom(0j, 1),), (), (), 1.0)
+    anchors = [0.5 + 0j, 0.25 + 0j]
+    vx, vy, row = critical_directions(model, anchors, [extra, extra])
+    for a, anchor in enumerate(anchors):
+        assert_same_directions((vx[row == a], vy[row == a]), oracle.critical_directions(model, anchor, extra))

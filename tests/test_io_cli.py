@@ -215,13 +215,6 @@ class TestCli:
         ) == 0
         assert json.loads(capsys.readouterr().out)["condition_holds"] is True
 
-    def test_intersect(self, capsys, matrix_file):
-        assert main(
-            ["intersect", "--input", matrix_file, "-k", "1"]
-        ) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert len(out["polygon"]) >= 3
-
     def test_intersect_normal_prints_the_eigenvalue_triangle(self, capsys, matrix_file):
         # exact planes: the rank-1 range of diag(0.5, -0.5, 0.3i) is the
         # triangle of its eigenvalues, with no grid corners beside them

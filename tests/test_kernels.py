@@ -163,15 +163,40 @@ def test_per_direction_anchors_match_oracle(seed, eps, m, n):
     rx, ry = px[None, :] - ax[:, None], py[None, :] - ay[:, None]
     ref = kernel_oracle._dense_sweep(rx, ry, w, vx, vy, eps)
     assert out.shape == (m, 6)
-    assert np.array_equal(kernels._dense_sweep(rx, ry, w, vx, vy, eps), ref)
+    assert np.array_equal(kernels._dense_sweep(px, py, w, vx, vy, eps, ax, ay), ref)
+    assert np.array_equal(out, ref)
+
+
+def test_per_direction_region_wu_shape_matches_oracle():
+    # a chunk as region and wu_check sweep it: about 2,000 directions, one
+    # anchor each, over 23 points.  Lattice anchors and lattice or axis
+    # directions put lattice points exactly on their lines (forward,
+    # backward and at the anchor); four points sit eps/2, -eps/2, -eps and
+    # 2 eps off the horizontal lattice lines, in and just past the eps band
+    rng = np.random.default_rng(23)
+    n, m, eps = 23, 2016, 1e-9
+    px, py = rng.integers(-3, 4, n) / 4.0, rng.integers(-3, 4, n) / 4.0
+    py[:4] += np.array([eps / 2, -eps / 2, -eps, 2 * eps])
+    w = rng.integers(1, 3, n).astype(float)
+    w[5] = np.inf
+    ax, ay = rng.integers(-3, 4, m) / 4.0, rng.integers(-3, 4, m) / 4.0
+    phi = rng.uniform(0.0, math.pi, m)
+    dx, dy = np.cos(phi), np.sin(phi)
+    dx[::3], dy[::3] = rng.integers(1, 4, 672), rng.integers(-3, 4, 672)
+    dx[1::6], dy[1::6] = 1.0, 0.0
+    vx, vy = _canonical(dx, dy)
+    out = kernels.atom_side_sweep(px, py, w, vx, vy, eps, ax, ay)
+    ref = kernel_oracle._dense_sweep(px[None, :] - ax[:, None], py[None, :] - ay[:, None], w, vx, vy, eps)
+    assert (ref[:, 2:5] > 0.0).any(axis=0).all() and (ref[:, 5] > 0.0).any()
     assert np.array_equal(out, ref)
 
 
 def test_per_direction_sweep_memory():
     # core.BATCH_PAIRS pairs with one anchor per direction, as a batched
     # sweep of region or wu_check runs them; axis directions put lattice
-    # points exactly on their lines.  The bound is the peak of the dense
-    # body kept in kernel_oracle, measured on these inputs with numpy 2.4.6.
+    # points exactly on their lines.  The dense body's peak on these inputs
+    # is 1,230,512 bytes with numpy 2.4.6, its two float64 buffers of the
+    # pair count (1,048,576 bytes) included; the bound adds 64 KiB to it.
     rng = np.random.default_rng(3)
     n = 64
     m = core.BATCH_PAIRS // n
@@ -189,4 +214,4 @@ def test_per_direction_sweep_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2_484_720
+    assert peak <= 1_230_512 + 65_536
