@@ -28,9 +28,6 @@ from .geometry import (
     Verdict,
     convex_hull,
     halfplane_intersection,
-    hausdorff_distance,
-    hchp_at,
-    hchp_member,
 )
 from .spectral import (
     INF,
@@ -52,10 +49,7 @@ from .core import (
     BoundaryKind,
     MembershipVerdict,
     RegionEstimate,
-    ckz_member,
-    decompose_excluding,
     is_boundary,
-    matrix_lambda_k,
     member,
     member_many,
     region,

@@ -402,6 +402,11 @@ def main(argv=None) -> int:
     except (HrnrError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a grid size too large to allocate: NumPy refuses it before it
+        # allocates anything
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -24,20 +24,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
 
-from .errors import EigFailure, NotSelfAdjoint, UncertainGeometry
+from . import kernels
+from .errors import NotSelfAdjoint, UncertainGeometry
 from .geometry import (
     DEFAULT_TOL,
     ConvexPolygon,
     HalfClosedHalfPlane,
     Verdict,
     _grid,
-    _intersect_lines,
     canonical_dirs,
-    convex_hull,
+    halfplane_intersection,
     require_finite,
     snap_dirs,
     support_lines,
@@ -57,7 +57,6 @@ from .spectral import (
     _is_count,
     direction_sweep,
     flavor_plane,
-    normal_eigvals,
     support_levels,
 )
 
@@ -301,16 +300,10 @@ def sweep_decision(sweep, flavors, k: float, row: np.ndarray):
 
 _HCHP = [HAP, HAM, HBP, HBM]
 
-# Batched sweeps take their anchors in chunks whose directions times points
-# stay within this many pairs, which bounds the working memory of the
-# kernel's dense body to a few MB; an anchor that alone exceeds it is swept
-# by itself, through the shared-anchor kernel.
-BATCH_PAIRS = 1 << 16
-
 
 def _anchor_chunks(model: SpectralMeasureModel, n_extra: list[int]):
     """Slices of consecutive anchors, given each anchor's number of extra
-    angles, whose direction-point pairs stay within ``BATCH_PAIRS``.
+    angles, whose direction-point pairs stay within ``kernels.BATCH_PAIRS``.
 
     An anchor has at most twice as many directions as breakpoints (each
     breakpoint adds at most one midpoint), and at most three tangents per
@@ -322,7 +315,7 @@ def _anchor_chunks(model: SpectralMeasureModel, n_extra: list[int]):
     start, total = 0, 0
     for a, extra in enumerate(n_extra):
         pairs = max(1, 2 * (base + extra)) * points
-        if a > start and total + pairs > BATCH_PAIRS:
+        if a > start and total + pairs > kernels.BATCH_PAIRS:
             yield slice(start, a)
             start, total = a, 0
         total += pairs
@@ -340,10 +333,10 @@ def _decide(
     that decided it; plane and dim are None otherwise, so a caller that
     reads only a verdict builds no plane for it.
 
-    The points go in chunks (see ``BATCH_PAIRS``), one direction build and
-    one sweep per chunk; ``extra_angles``, when given, holds one sequence of
-    extra line angles per point.  A chunk of one point sweeps with that
-    point shared by every direction.
+    The points go in chunks (see ``kernels.BATCH_PAIRS``), one direction
+    build and one sweep per chunk; ``extra_angles``, when given, holds one
+    sequence of extra line angles per point.  A chunk of one point sweeps
+    with that point shared by every direction.
     """
     n_extra = [0] * len(points) if extra_angles is None else [len(e) for e in extra_angles]
     out = []
@@ -368,8 +361,9 @@ def _decide(
 
 def member_many(model: SpectralMeasureModel, k, points) -> list[MembershipVerdict]:
     """:func:`member` at every point, in order, with one direction build,
-    one sweep and one decision per chunk of points (see ``BATCH_PAIRS``).
-    Each verdict, witness included, is bit for bit that of the point alone.
+    one sweep and one decision per chunk of points (see
+    ``kernels.BATCH_PAIRS``).  Each verdict, witness included, is bit for
+    bit that of the point alone.
     """
     kf = _check_rank(model, k)
     points = [require_finite(z, "point") for z in points]
@@ -395,7 +389,7 @@ def region(model: SpectralMeasureModel, k: int, n_angles: int) -> RegionEstimate
     k = _check_finite_rank(k, model.total_dim)
     xis = _grid(n_angles).tolist()
     levels = support_levels(model, k, xis).tolist()
-    poly = _intersect_lines(support_lines(xis, levels), model.support_radius)
+    poly = halfplane_intersection(support_lines(xis, levels), model.support_radius)
     points = _boundary_points(poly)
     # verdicts only: the boundary report reads no witness plane
     verdicts = _decide(model, float(k), points, [(_HCHP, False)])
@@ -452,49 +446,3 @@ def is_boundary(model: SpectralMeasureModel, k: int, lam: complex) -> BoundaryKi
     if open_side is Verdict.IN:
         return BoundaryKind.INTERIOR
     raise UncertainGeometry("open-side dimensions are unresolved at this point")
-
-
-def matrix_lambda_k(M: np.ndarray, k: int, xi: float) -> float:
-    """k-th largest eigenvalue of Re(e^{i xi} M)."""
-    M = np.asarray(M, dtype=complex)
-    n = M.shape[0]
-    k = _check_finite_rank(k, n)
-    H = 0.5 * (np.exp(1j * xi) * M + np.exp(-1j * xi) * M.conj().T)
-    try:
-        evals = np.linalg.eigvalsh(H)
-    except np.linalg.LinAlgError as exc:
-        raise EigFailure(str(exc)) from exc
-    return float(evals[n - k])
-
-
-def ckz_member(M: np.ndarray, k: int, lam: complex) -> Verdict:
-    """Finite-matrix oracle: lambda is in the rank-k range iff it lies in the
-    convex hull of every (n-k+1)-subset of the eigenvalues."""
-    lam = require_finite(lam, "point")
-    eigvals = [complex(v) for v in normal_eigvals(M)]
-    n = len(eigvals)
-    k = _check_finite_rank(k, n)
-    saw_uncertain = False
-    for idx in combinations(range(n), n - k + 1):
-        hull = convex_hull([eigvals[i] for i in idx])
-        v = hull.classify(lam)
-        if v is Verdict.OUT:
-            return Verdict.OUT
-        if v is Verdict.UNCERTAIN:
-            saw_uncertain = True
-    return Verdict.UNCERTAIN if saw_uncertain else Verdict.IN
-
-
-def decompose_excluding(
-    model: SpectralMeasureModel, k: int, lam: complex
-) -> tuple[HalfClosedHalfPlane, int] | None:
-    """Witness split for excluded points: H with dim ran E(H) = r < k, so the
-    operator decomposes into an (<= k-1)-dimensional block with numerical
-    range inside H and a complement block supported in H's complement.
-    Returns None when lambda is a member."""
-    verdict = member(model, k, lam)
-    if verdict.value is Verdict.IN:
-        return None
-    if verdict.value is Verdict.UNCERTAIN:
-        raise UncertainGeometry("membership undecided; no certified witness")
-    return verdict.witness, int(verdict.witness_dim)

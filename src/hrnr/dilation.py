@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import core
+from . import kernels
 from .core import (
     _HCHP,
     RegionEstimate,
@@ -56,7 +56,7 @@ from .geometry import (
     ConvexPolygon,
     Verdict,
     _grid,
-    _intersect_lines,
+    halfplane_intersection,
     require_finite,
     support_lines,
 )
@@ -408,7 +408,7 @@ def wu_check(model: SpectralMeasureModel, k: int, region_est: RegionEstimate) ->
     The samples are the polygon's vertices and WU_SAMPLES_PER_EDGE interior
     points of each edge.  Samples within 10 eps_geom of a point mass are
     skipped and counted.  The rest are swept in chunks, one direction build
-    and one sweep per chunk (see ``core.BATCH_PAIRS``), each sample over
+    and one sweep per chunk (see ``kernels.BATCH_PAIRS``), each sample over
     the critical directions plus the direction of its edge: the half
     closed-half planes decide whether it is excluded, and the closed half
     planes of the same sweep give its witness.  Samples whose membership
@@ -501,10 +501,10 @@ def conjecture_check(
 
 def _support_levels(eigs: np.ndarray, k: int, xis: np.ndarray) -> np.ndarray:
     """k-th largest of Re(e^{i xi} eigs) for every xi (1 <= k <= len(eigs)),
-    a chunk of directions at a time within ``core.BATCH_PAIRS``
+    a chunk of directions at a time within ``kernels.BATCH_PAIRS``
     direction-eigenvalue pairs."""
     n = eigs.shape[0]
-    rows = max(1, core.BATCH_PAIRS // n)
+    rows = max(1, kernels.BATCH_PAIRS // n)
     out = np.empty(xis.shape[0])
     for start in range(0, xis.shape[0], rows):
         proj = np.real(np.exp(1j * xis[start : start + rows])[:, None] * eigs[None, :])
@@ -639,4 +639,4 @@ def dilation_intersection(
     vals, V = _unitary_eigendecomposition(T)
     xis = _breakpoints(vals, k)
     levels = _block_dilation_levels(T, vals, V, k, xis)
-    return _intersect_lines(support_lines(xis, levels), norm + 1.0)
+    return halfplane_intersection(support_lines(xis, levels), norm + 1.0)

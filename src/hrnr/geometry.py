@@ -13,6 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -133,16 +134,12 @@ class HalfClosedHalfPlane:
     normal: tuple[float, float] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        require_finite(self.anchor, "anchor")
+        object.__setattr__(self, "anchor", require_finite(self.anchor, "anchor"))
         if self.ray_sign not in (-1, 1):
             raise ValueError("ray_sign must be +1 or -1")
-        object.__setattr__(self, "normal_angle", self.normal_angle % TWO_PI)
+        object.__setattr__(self, "normal_angle", float(self.normal_angle) % TWO_PI)
         if self.normal is None:
             object.__setattr__(self, "normal", _unit_normal(self.normal_angle))
-
-    def line_dir(self) -> tuple[float, float]:
-        nx, ny = self.normal
-        return canonical_dir(-ny, nx)
 
 
 @dataclass(frozen=True)
@@ -154,37 +151,10 @@ class ClosedHalfPlane:
     normal: tuple[float, float] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        require_finite(self.anchor, "anchor")
-        object.__setattr__(self, "normal_angle", self.normal_angle % TWO_PI)
+        object.__setattr__(self, "anchor", require_finite(self.anchor, "anchor"))
+        object.__setattr__(self, "normal_angle", float(self.normal_angle) % TWO_PI)
         if self.normal is None:
             object.__setattr__(self, "normal", _unit_normal(self.normal_angle))
-
-
-def hchp_at(anchor: complex, normal_angle: float, ray_sign: int) -> HalfClosedHalfPlane:
-    """The half closed-half plane at ``anchor`` with the given open side and ray."""
-    return HalfClosedHalfPlane(complex(anchor), float(normal_angle), int(ray_sign))
-
-
-def hchp_member(H: HalfClosedHalfPlane, z: complex) -> Verdict:
-    """Membership of ``z`` with tolerance-aware open/closed semantics.
-
-    Strictly inside the open side -> IN, strictly on the other side -> OUT.
-    Exactly on the boundary line the included ray decides; offsets that are
-    nonzero but within ``eps_geom`` are UNCERTAIN.
-    """
-    z = require_finite(z)
-    dx = z.real - H.anchor.real
-    dy = z.imag - H.anchor.imag
-    nx, ny = H.normal
-    scale = math.hypot(nx, ny)
-    s = nx * dx + ny * dy
-    if s == 0.0:
-        ux, uy = H.line_dir()
-        t = H.ray_sign * (ux * dx + uy * dy)
-        return Verdict.IN if t >= 0.0 else Verdict.OUT
-    if abs(s) <= DEFAULT_TOL.eps_geom * scale:
-        return Verdict.UNCERTAIN
-    return Verdict.IN if s > 0.0 else Verdict.OUT
 
 
 @dataclass(frozen=True)
@@ -215,64 +185,9 @@ class ConvexPolygon:
             return [(vs[0], vs[1])]
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
-    def signed_distance(self, z: complex) -> float:
-        """Negative inside, positive outside, 0 exactly on the boundary."""
-        vs = self.vertices
-        if not vs:
-            return math.inf
-        if len(vs) == 1:
-            return abs(z - vs[0])
-        d = min(_point_segment_distance(z, a, b) for a, b in self.edges())
-        if len(vs) == 2:
-            return d
-        inside = all(
-            _cross(b - a, z - a) >= 0.0 for a, b in self.edges()
-        )
-        return -d if inside else d
-
-    def classify(self, z: complex) -> Verdict:
-        """IN strictly inside, OUT strictly outside, boundary handled exactly.
-
-        A point exactly on the (closed) boundary is IN; within eps_geom of it
-        but not exactly on it is UNCERTAIN.
-        """
-        sd = self.signed_distance(z)
-        if sd < -DEFAULT_TOL.eps_geom:
-            return Verdict.IN
-        if sd > DEFAULT_TOL.eps_geom:
-            return Verdict.OUT
-        if self._on_boundary_exact(z):
-            return Verdict.IN
-        return Verdict.UNCERTAIN
-
-    def _on_boundary_exact(self, z: complex) -> bool:
-        vs = self.vertices
-        if any(z == v for v in vs):
-            return True
-        for a, b in self.edges():
-            if _cross(b - a, z - a) == 0.0:
-                t = _dot(b - a, z - a)
-                if 0.0 <= t <= _dot(b - a, b - a):
-                    return True
-        return False
-
 
 def _cross(u: complex, v: complex) -> float:
     return u.real * v.imag - u.imag * v.real
-
-
-def _dot(u: complex, v: complex) -> float:
-    return u.real * v.real + u.imag * v.imag
-
-
-def _point_segment_distance(z: complex, a: complex, b: complex) -> float:
-    ab = b - a
-    denom = _dot(ab, ab)
-    if denom == 0.0:
-        return abs(z - a)
-    t = _dot(ab, z - a) / denom
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    return abs(z - (a + t * ab))
 
 
 def convex_hull(points: list[complex]) -> ConvexPolygon:
@@ -311,17 +226,12 @@ def convex_hull(points: list[complex]) -> ConvexPolygon:
     return ConvexPolygon(tuple(complex(*v) for v in verts))
 
 
-def support_plane(xi: float, h: float) -> ClosedHalfPlane:
-    """The closed half plane Re(e^{i xi} z) <= h of a support sample (xi, h)."""
-    ux, uy = snap_dir(math.cos(xi), -math.sin(xi))
-    return ClosedHalfPlane(complex(h * ux, h * uy), math.atan2(-uy, -ux), normal=(-ux, -uy))
-
-
 def support_lines(xis, levels) -> list[tuple[float, float, float]]:
-    """The unit-normal lines n.z >= c of the support samples (xi, h), each
-    bit for bit the line that :func:`halfplane_intersection` makes of
-    ``support_plane(xi, h)``, without building the plane.  ValueError for
-    a non-finite anchor h * e^{-i xi}, as the plane raises."""
+    """The unit-normal lines n.z >= c of the closed half planes
+    Re(e^{i xi} z) <= h of the support samples (xi, h), for
+    :func:`halfplane_intersection`: the plane through the anchor
+    h * e^{-i xi}, with the snapped normal -e^{-i xi}.  ValueError for a
+    non-finite anchor."""
     lines = []
     for xi, h in zip(xis, levels):
         ux, uy = snap_dir(math.cos(xi), -math.sin(xi))
@@ -336,39 +246,30 @@ def support_lines(xis, levels) -> list[tuple[float, float, float]]:
     return lines
 
 
-def halfplane_intersection(planes: list[ClosedHalfPlane], bound: float) -> ConvexPolygon:
-    """Intersect the square box of radius ``bound`` with every closed half plane.
+def halfplane_intersection(lines: list[tuple[float, float, float]], bound: float) -> ConvexPolygon:
+    """Intersect the square box of radius ``bound`` with every closed half
+    plane n.z >= c, given as a line (nx, ny, c) with a unit normal n.
 
-    The box sides and the planes become lines n.z >= c with unit normals n,
-    sorted by normal angle; of nearly parallel lines, whose normals differ
-    by less than eps_geom / (5 * bound), only the tightest is kept.  One
-    deque pass (the sort-and-deque half-plane intersection, de Berg, Cheong,
-    van Kreveld & Overmars, *Computational Geometry*, 3rd ed., ch. 4 and
-    section 8.2) drops a line only when a vertex it makes with one
-    neighbour lies outside the other by more than ``eps_geom``, so lines
-    through a vertex stay and zero-width strips survive.  Consecutive
-    vertices within 1e-12 * bound are one vertex, solved from the
-    best-conditioned pair (largest |det|) of the lines that meet there,
-    which keeps corners of axis-aligned lines exact.  Every vertex lies
-    within ``eps_geom`` of every plane.
+    The box sides join the lines, sorted by normal angle; of nearly
+    parallel lines, whose normals differ by less than eps_geom / (5 *
+    bound), only the tightest is kept.  One deque pass (the sort-and-deque
+    half-plane intersection, de Berg, Cheong, van Kreveld & Overmars,
+    *Computational Geometry*, 3rd ed., ch. 4 and section 8.2) drops a line
+    only when a vertex it makes with one neighbour lies outside the other
+    by more than ``eps_geom``, so lines through a vertex stay and
+    zero-width strips survive.  Consecutive vertices within 1e-12 * bound
+    are one vertex, solved from the best-conditioned pair (largest |det|)
+    of the lines that meet there, which keeps corners of axis-aligned
+    lines exact.  Every vertex lies within ``eps_geom`` of every half plane.
 
     Degenerate intersections survive as segments or points; an empty
-    intersection gives the empty polygon.
+    intersection gives the empty polygon.  ValueError unless ``bound`` > 0
+    and every line entry is finite.
     """
     if not bound > 0:
         raise ValueError("bound must be positive")
-    lines = []
-    for P in planes:
-        nx, ny = P.normal
-        scale = math.hypot(nx, ny)
-        lines.append((nx / scale, ny / scale, (nx * P.anchor.real + ny * P.anchor.imag) / scale))
-    return _intersect_lines(lines, bound)
-
-
-def _intersect_lines(lines: list[tuple[float, float, float]], bound: float) -> ConvexPolygon:
-    """:func:`halfplane_intersection` of the unit-normal lines n.z >= c
-    (``bound`` > 0): the box sides join them, then the sort, the
-    tightest-of-parallel pass, the deque pass and the vertex merge."""
+    if not all(map(math.isfinite, chain.from_iterable(lines))):
+        raise ValueError("line entries must be finite")
     lines = [(1.0, 0.0, -bound), (0.0, 1.0, -bound), (-1.0, 0.0, -bound), (0.0, -1.0, -bound)] + lines
     # + 0.0 maps -0.0 to 0.0, so -pi never occurs
     lines.sort(key=lambda line: math.atan2(line[1] + 0.0, line[0]))
@@ -473,14 +374,3 @@ def _meet(a: tuple[float, float, float], b: tuple[float, float, float]) -> compl
         t = (b[2] - a[2] * (a[0] * b[0] + a[1] * b[1])) / det
         return complex(a[2] * a[0] - t * a[1], a[2] * a[1] + t * a[0])
     return complex((a[2] * b[1] - b[2] * a[1]) / det, (a[0] * b[2] - b[0] * a[2]) / det)
-
-
-def hausdorff_distance(a: ConvexPolygon, b: ConvexPolygon) -> float:
-    """Hausdorff distance between convex polygons (exact via vertices)."""
-    if a.is_empty and b.is_empty:
-        return 0.0
-    if a.is_empty or b.is_empty:
-        return math.inf
-    da = max(max(0.0, b.signed_distance(v)) for v in a.vertices)
-    db = max(max(0.0, a.signed_distance(v)) for v in b.vertices)
-    return max(da, db)

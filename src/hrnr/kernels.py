@@ -15,8 +15,16 @@ import numpy as np
 # eigenvalues (about 10^6 pairs) sorts, while the one-point check of an
 # excluding dilation (about 1,800 pairs) stays dense.  One anchor per
 # direction (the batched sweeps of region and wu_check) always runs dense,
-# up to ``core.BATCH_PAIRS`` = 65,536 pairs per call.
+# up to ``BATCH_PAIRS`` = 65,536 pairs per call.
 SORTED_MIN_PAIRS = 20_480
+
+# Batched sweeps take their anchors in chunks whose directions times points
+# stay within this many pairs, which bounds the working memory of the dense
+# body to a few MB; an anchor that alone exceeds it is swept by itself,
+# through the shared-anchor kernel.  The k-th support levels and the
+# dilation's level scan score their directions in chunks of the same size.
+# Callers read it as ``kernels.BATCH_PAIRS`` at call time.
+BATCH_PAIRS = 1 << 16
 
 # Points within _NEAR * eps of the anchor go through the dense body.  Beyond
 # that radius r0, a sign test can land in the eps band only for angles within

@@ -622,10 +622,8 @@ def support_levels(model: SpectralMeasureModel, k, xis) -> np.ndarray:
     pieces, infinite atoms and family limits in model order, then that
     point.  Directions are snapped (:func:`hrnr.geometry.snap_dirs`), and
     the finite points are scored a chunk of directions at a time, within
-    ``core.BATCH_PAIRS`` direction-point pairs.
+    ``kernels.BATCH_PAIRS`` direction-point pairs.
     """
-    from .core import BATCH_PAIRS  # core imports this module
-
     k = _check_finite_rank(k, model.total_dim)
     xis = np.asarray(xis, dtype=np.float64)
     c, s = snap_dirs(np.cos(xis), np.sin(xis))
@@ -657,7 +655,7 @@ def support_levels(model: SpectralMeasureModel, k, xis) -> np.ndarray:
 
     px, py, w = model._point_data
     if len(px):
-        rows = max(1, BATCH_PAIRS // len(px))
+        rows = max(1, kernels.BATCH_PAIRS // len(px))
         for start in range(0, len(xis), rows):
             part = slice(start, start + rows)
             x = c[part, None] * px - s[part, None] * py
@@ -697,18 +695,14 @@ def require_normal(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def normal_eigvals(M: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a normal matrix (checked by :func:`require_normal`)."""
+def from_normal_matrix(M: np.ndarray) -> SpectralMeasureModel:
+    """Atom model of a normal matrix (checked by :func:`require_normal`):
+    clustered eigenvalues with multiplicity."""
     M = require_normal(M)
     try:
-        return np.linalg.eigvals(M)
+        eigvals = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
-
-
-def from_normal_matrix(M: np.ndarray) -> SpectralMeasureModel:
-    """Atom model of a normal matrix: clustered eigenvalues with multiplicity."""
-    eigvals = normal_eigvals(M)
     atoms = _cluster(eigvals, DEFAULT_TOL.eps_eig)
     radius = float(max(abs(eigvals))) + 1.0 if len(eigvals) else 1.0
     return SpectralMeasureModel(atoms=atoms, support_radius=radius)

@@ -26,9 +26,10 @@ from hrnr.dilation import (
     halmos,
 )
 from hrnr.errors import EigFailure, NotNormal
-from hrnr.geometry import DEFAULT_TOL, ConvexPolygon, TolerancePolicy, halfplane_intersection, support_plane
+from hrnr.geometry import DEFAULT_TOL, ConvexPolygon, TolerancePolicy, halfplane_intersection
 
 from conftest import haar_unitary
+from geometry_oracle import plane_lines, support_plane
 
 
 def _support_levels(eigs: np.ndarray, k: int, xis: np.ndarray) -> np.ndarray:
@@ -132,4 +133,4 @@ def dilation_intersection(
     best[mask] = np.minimum(best[mask], block_levels[mask])
 
     planes = [support_plane(xi, h) for xi, h in zip(xis, best)]
-    return halfplane_intersection(planes, bound=_op_norm(T) + 1.0)
+    return halfplane_intersection(plane_lines(planes), bound=_op_norm(T) + 1.0)

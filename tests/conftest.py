@@ -6,8 +6,10 @@ import pytest
 import hrnr
 from hrnr import dilation
 from hrnr.core import critical_directions
-from hrnr.geometry import ClosedHalfPlane, support_plane
+from hrnr.geometry import ClosedHalfPlane
 from hrnr.spectral import direction_sweep
+
+from geometry_oracle import support_plane
 
 
 def haar_unitary(n, rng):

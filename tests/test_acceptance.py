@@ -14,12 +14,10 @@ from hrnr import (
     INF,
     RANK_INF,
     Verdict,
-    ckz_member,
     convex_hull,
     dilation_intersection,
     excluding_dilation_matrix,
     from_normal_matrix,
-    hausdorff_distance,
     member,
     region,
     transform_model,
@@ -32,6 +30,8 @@ from hrnr.presets import (
     infinity_empty_model,
 )
 
+from geometry_oracle import hausdorff_distance, signed_distance
+from matrix_oracle import ckz_member
 from conftest import (
     dense_member,
     haar_unitary,
@@ -94,7 +94,7 @@ def test_criterion_2_ckz_equivalence():
             count = 0
             while count < 200:
                 z = complex(*rng.uniform(-1.7, 1.7, 2))
-                if abs(max(h.signed_distance(z) for h in hulls)) <= 1e-6:
+                if abs(max(signed_distance(h, z) for h in hulls)) <= 1e-6:
                     continue
                 count += 1
                 if member(model, k, z).value is not ckz_member(M, k, z):
@@ -167,7 +167,7 @@ def test_criterion_6_exclusion_dilations():
                 samples = []
                 while len(samples) < 50:
                     z = complex(*rng.uniform(-1.3, 1.3, 2))
-                    if poly.is_empty or poly.signed_distance(z) > 0.08:
+                    if poly.is_empty or signed_distance(poly, z) > 0.08:
                         samples.append(z)
                 for z in samples:
                     art = excluding_dilation_matrix(T, k, z)
@@ -186,10 +186,10 @@ def test_criterion_7_dilation_closure():
             # 180-direction region polygon is an outer approximation of it
             T = random_normal_contraction(4, rng)
             est = region(from_normal_matrix(T), 1, 180)
-            poly = dilation_intersection(T, 1, n_samples=50, n_alpha=720)
+            poly = dilation_intersection(T, 1)
             hull = convex_hull(list(np.linalg.eigvals(T)))
             assert hausdorff_distance(poly, hull) <= 1e-9
-            assert all(est.polygon.signed_distance(v) <= 1e-9 for v in poly.vertices)
+            assert all(signed_distance(est.polygon, v) <= 1e-9 for v in poly.vertices)
 
 
 def test_criterion_8_wu_positive():
@@ -200,7 +200,7 @@ def test_criterion_8_wu_positive():
         report = wu_check(model, 1, est)
         assert report.verdict is WuVerdict.EQUALITY_PREDICTED
         est180 = region(model, 1, 180)
-        poly = dilation_intersection(T, 1, n_samples=50, n_alpha=720)
+        poly = dilation_intersection(T, 1)
         assert hausdorff_distance(poly, est180.polygon) <= 1e-2
 
 
@@ -261,13 +261,13 @@ def test_criterion_9_property_suite():
                     margin = max(1e-8, 4 * m.support_radius * (2 * math.pi / n_angles))
                     cx = sum(poly.vertices) / len(poly.vertices)
                     z = cx
-                    if poly.signed_distance(z) < -margin:
+                    if signed_distance(poly, z) < -margin:
                         if member(m, k, z).value is Verdict.OUT:
                             violations += 1
                 for _ in range(5):
                     lam = complex(*rng.uniform(-1.0, 1.0, 2))
                     if member(m, k, lam).value is Verdict.IN:
-                        if poly.signed_distance(lam) > 1e-8:
+                        if signed_distance(poly, lam) > 1e-8:
                             violations += 1
 
             # complement pairing on atom-only models
@@ -275,8 +275,8 @@ def test_criterion_9_property_suite():
                 anchor = complex(*rng.uniform(-1.0, 1.0, 2))
                 phi = rng.uniform(0, 2 * math.pi)
                 try:
-                    d1 = hrnr.dim_ran_hchp(m, hrnr.hchp_at(anchor, phi, +1))
-                    d2 = hrnr.dim_ran_hchp(m, hrnr.hchp_at(anchor, phi + math.pi, -1))
+                    d1 = hrnr.dim_ran_hchp(m, hrnr.HalfClosedHalfPlane(anchor, phi, +1))
+                    d2 = hrnr.dim_ran_hchp(m, hrnr.HalfClosedHalfPlane(anchor, phi + math.pi, -1))
                     at = sum(x.mult for x in m.atoms if x.location == anchor)
                     if d1 + d2 != m.total_dim + at:
                         violations += 1

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrnr
-from hrnr import core, kernels, presets
+from hrnr import kernels, presets
 from hrnr.core import _HCHP, critical_directions, is_boundary, member_many, sweep_decision
 from hrnr.dilation import (
     WU_SAMPLES_PER_EDGE,
@@ -164,8 +164,8 @@ def test_batch_matches_per_anchor_oracles(seed, kind):
     for k in RANKS:
         old = [oracle.member(model, k, z) for z in anchors]
         # one chunk, and every anchor in a chunk of its own
-        for cap in (core.BATCH_PAIRS, 1):
-            with mock.patch.object(core, "BATCH_PAIRS", cap):
+        for cap in (kernels.BATCH_PAIRS, 1):
+            with mock.patch.object(kernels, "BATCH_PAIRS", cap):
                 for new, ref in zip(member_many(model, k, anchors), old):
                     assert_same_member(new, ref)
         for z in anchors:
@@ -248,7 +248,7 @@ def test_wu_check_sweeps_chunks_not_samples(name, monkeypatch):
     monkeypatch.setattr(kernels, "atom_side_sweep", counting)
     report = hrnr.wu_check(model, 2, est)
     assert report.verdict is WuVerdict.STRICT_CONTAINMENT_PREDICTED
-    assert 1 <= len(pairs) <= math.ceil(sum(pairs) / core.BATCH_PAIRS)
+    assert 1 <= len(pairs) <= math.ceil(sum(pairs) / kernels.BATCH_PAIRS)
 
 
 def test_wu_report_counts_skips():

@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hrnr import core, dilation, jsonio
+from hrnr import dilation, jsonio, kernels
 from hrnr.cli import main
 from hrnr.errors import EigFailure, NotNormal
-from hrnr.geometry import DEFAULT_TOL, ConvexPolygon, hausdorff_distance
+from hrnr.geometry import DEFAULT_TOL, ConvexPolygon
 
 import block_dilation_oracle as oracle
+from geometry_oracle import hausdorff_distance, signed_distance
 from conftest import haar_unitary, random_normal_contraction
 
 XIS = 2 * math.pi * np.arange(180) / 180
@@ -91,7 +92,7 @@ def test_intersections_match_oracle_on_dilation_lab(seed):
             new = dilation.dilation_intersection(T, k, lab.n_samples, lab.n_alpha)
             old = oracle.dilation_intersection(T, k, lab.n_samples, lab.n_alpha)
             assert not new.is_empty
-            assert all(old.signed_distance(v) <= eps for v in new.vertices)
+            assert all(signed_distance(old, v) <= eps for v in new.vertices)
             assert hausdorff_distance(new, old) <= 2e-2
             exact = ConvexPolygon(tuple(complex(v) for v in workloads.rank_k_polygon(eigs, k)))
             assert hausdorff_distance(new, exact) <= 1e-12 * bound
@@ -255,7 +256,7 @@ def test_chunk_bound_does_not_change_the_outputs(monkeypatch):
     h = np.sort(np.real(np.exp(0.7j) * eigs))[60 - 3]
     cases.append(((Q * eigs) @ Q.conj().T, 3, complex(np.exp(-0.7j) * (h + 0.05))))
     # its 3,540 pair normals span several chunks at the default bound
-    assert dilation._pair_normals(eigs)[0].shape[0] == 3540 > core.BATCH_PAIRS // 60
+    assert dilation._pair_normals(eigs)[0].shape[0] == 3540 > kernels.BATCH_PAIRS // 60
 
     def outputs():
         out = []
@@ -275,5 +276,5 @@ def test_chunk_bound_does_not_change_the_outputs(monkeypatch):
 
     default = outputs()
     for cap in (3, 1 << 40):  # one direction per chunk, then one chunk
-        monkeypatch.setattr(core, "BATCH_PAIRS", cap)
+        monkeypatch.setattr(kernels, "BATCH_PAIRS", cap)
         assert outputs() == default

@@ -10,6 +10,7 @@ from hrnr import (
     RANK_INF,
     Atom,
     BoundaryKind,
+    HalfClosedHalfPlane,
     NotNormal,
     NotSelfAdjoint,
     RankExceedsDimension,
@@ -17,20 +18,15 @@ from hrnr import (
     SequenceFamily,
     SpectralMeasureModel,
     Verdict,
-    ckz_member,
     conjecture_check,
     convex_hull,
-    decompose_excluding,
     dilation_intersection,
     dim_ran_hchp,
     excluding_certificate,
     excluding_dilation_matrix,
     from_normal_matrix,
     halmos,
-    hchp_at,
-    hchp_member,
     is_boundary,
-    matrix_lambda_k,
     member,
     member_many,
     region,
@@ -51,6 +47,8 @@ from hrnr.presets import (
 )
 
 from conftest import dense_member, random_family, random_model, random_normal_matrix
+from geometry_oracle import hchp_member, signed_distance
+from matrix_oracle import ckz_member, matrix_lambda_k
 
 
 class TestMember:
@@ -167,7 +165,7 @@ class TestMember:
             count = 0
             while count < 40:
                 z = complex(*rng.uniform(-1.6, 1.6, 2))
-                sd = max(h.signed_distance(z) for h in hulls)
+                sd = max(signed_distance(h, z) for h in hulls)
                 if abs(sd) < 1e-6:
                     continue
                 count += 1
@@ -283,7 +281,7 @@ class TestCkz:
         hull = convex_hull([complex(e) for e in eigs])
         for _ in range(20):
             z = complex(*rng.uniform(-1.6, 1.6, 2))
-            sd = hull.signed_distance(z)
+            sd = signed_distance(hull, z)
             if abs(sd) < 1e-6:
                 continue
             want = Verdict.IN if sd < 0 else Verdict.OUT
@@ -320,22 +318,29 @@ class TestMatrixLambdaK:
 
 
 class TestDecomposeExcluding:
+    # the witness of an excluded point splits the operator into a block of
+    # dimension below k with numerical range inside the witness plane and a
+    # complement supported outside it
     def test_durszt(self):
-        H, r = decompose_excluding(durszt_model(2), 2, 0.5 + 0j)
-        assert r == 0
-        assert dim_ran_hchp(durszt_model(2), H) == 0
+        mv = member(durszt_model(2), 2, 0.5 + 0j)
+        assert mv.value is Verdict.OUT
+        assert mv.witness_dim == 0
+        assert dim_ran_hchp(durszt_model(2), mv.witness) == 0
 
     def test_two_atoms(self):
         m = SpectralMeasureModel(
             atoms=(Atom(0j, 1), Atom(1 + 0j, 5)), support_radius=2.0
         )
-        H, r = decompose_excluding(m, 2, 0j)
-        assert r == 1
-        assert dim_ran_hchp(m, H) == 1
+        mv = member(m, 2, 0j)
+        assert mv.value is Verdict.OUT
+        assert mv.witness_dim == 1
+        assert dim_ran_hchp(m, mv.witness) == 1
 
     def test_member_gives_none(self):
         m = SpectralMeasureModel(atoms=(Atom(0j, 1), Atom(1 + 0j, 5)), support_radius=2.0)
-        assert decompose_excluding(m, 2, 1 + 0j) is None
+        mv = member(m, 2, 1 + 0j)
+        assert mv.value is Verdict.IN
+        assert mv.witness is None and mv.witness_dim is None
 
 
 _DIAG = np.diag([0.5, -0.5j])
@@ -343,12 +348,11 @@ _DIAG = np.diag([0.5, -0.5j])
 _POINT_FUNCTIONS = {
     "member": lambda z: member(durszt_model(2), 2, z),
     "is_boundary": lambda z: is_boundary(durszt_model(2), 2, z),
-    "decompose_excluding": lambda z: decompose_excluding(durszt_model(2), 2, z),
     "excluding_certificate": lambda z: excluding_certificate(durszt_model(2), 2, z),
     "excluding_dilation_matrix": lambda z: excluding_dilation_matrix(_DIAG, 1, z),
     "conjecture_check": lambda z: conjecture_check(_DIAG, 1, z, 8),
     "ckz_member": lambda z: ckz_member(_DIAG, 1, z),
-    "hchp_member": lambda z: hchp_member(hchp_at(0j, 0.0, 1), z),
+    "hchp_member": lambda z: hchp_member(HalfClosedHalfPlane(0j, 0.0, 1), z),
 }
 
 
@@ -437,7 +441,6 @@ _RANKED_CALLS = {
     "member": (lambda k: member(_TWO_ATOMS, k, 0j), 2),
     "member_many": (lambda k: member_many(_TWO_ATOMS, k, [0j, 2j]), 2),
     "is_boundary": (lambda k: is_boundary(_TWO_ATOMS, k, 0j), 2),
-    "decompose_excluding": (lambda k: decompose_excluding(_TWO_ATOMS, k, 2j), 2),
     "excluding_certificate": (lambda k: excluding_certificate(_TWO_ATOMS, k, 2j), 2),
     "wu_check": (lambda k: wu_check(_TWO_ATOMS, k, region(_TWO_ATOMS, 1, 16)), 2),
     "region": (lambda k: region(_TWO_ATOMS, k, 16), 2),

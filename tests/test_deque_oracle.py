@@ -14,7 +14,7 @@ import pytest
 
 from hrnr import core, dilation, presets
 from hrnr.errors import NotNormal
-from hrnr.geometry import halfplane_intersection, support_lines, support_plane
+from hrnr.geometry import halfplane_intersection, support_lines
 
 import deque_oracle as oracle
 from conftest import (
@@ -26,17 +26,11 @@ from conftest import (
     random_normal_contraction,
     random_plane_set,
 )
-
-
-def _plane_line(P):
-    # the conversion of halfplane_intersection
-    nx, ny = P.normal
-    scale = math.hypot(nx, ny)
-    return (nx / scale, ny / scale, (nx * P.anchor.real + ny * P.anchor.imag) / scale)
+from geometry_oracle import plane_lines, support_plane
 
 
 def assert_same(planes, bound):
-    new = halfplane_intersection(planes, bound)
+    new = halfplane_intersection(plane_lines(planes), bound)
     assert new == oracle.halfplane_intersection(planes, bound)
     return new
 
@@ -66,7 +60,7 @@ def test_support_lines_are_the_plane_lines(rng):
     for xs, hs in ((xis, levels), (xis.tolist(), levels.tolist())):
         lines = support_lines(xs, hs)
         planes = [support_plane(xi, h) for xi, h in zip(xs, hs)]
-        assert np.array(lines).tobytes() == np.array([_plane_line(P) for P in planes]).tobytes()
+        assert np.array(lines).tobytes() == np.array(plane_lines(planes)).tobytes()
     for h in (math.inf, -math.inf, math.nan):
         for xi in (0.0, math.pi / 2, 1.0):
             with pytest.raises(ValueError) as plane_error:

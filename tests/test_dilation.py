@@ -28,7 +28,6 @@ from hrnr import (
     excluding_dilation_matrix,
     from_normal_matrix,
     halmos,
-    hausdorff_distance,
     member,
     region,
     scalar_dilation,
@@ -37,6 +36,7 @@ from hrnr import (
 from hrnr.presets import durszt_model, square_region_model
 
 from clip_oracle import exact_clip
+from geometry_oracle import hausdorff_distance, signed_distance
 from conftest import haar_unitary, random_normal_contraction, random_normal_matrix
 
 
@@ -409,35 +409,35 @@ class TestDilationIntersection:
                     assert min(abs(v - z) for v in poly.vertices) <= 1e-12 * bound
 
     def test_zero_contraction_collapses(self):
-        poly = dilation_intersection(np.array([[0j]]), 1, n_samples=10, n_alpha=360)
+        poly = dilation_intersection(np.array([[0j]]), 1)
         assert max(abs(v) for v in poly.vertices) <= 2 * math.pi / 360
 
     def test_two_atoms_segment(self):
         T = np.diag([0.5, -0.5]).astype(complex)
-        poly = dilation_intersection(T, 1, n_samples=30, n_alpha=720)
+        poly = dilation_intersection(T, 1)
         est = region(from_normal_matrix(T), 1, 180)
         assert hausdorff_distance(poly, est.polygon) <= 1e-2
 
     def test_unitary_fixed_point(self):
         # exactly the triangle of the eigenvalues, with no grid corners
         T = np.diag([1j, -1j, 1]).astype(complex)
-        poly = dilation_intersection(T, 1, n_samples=10, n_alpha=180)
+        poly = dilation_intersection(T, 1)
         assert hausdorff_distance(poly, hrnr.convex_hull([1j, -1j, 1])) <= 1e-9
 
     def test_unimodular_eigenvalue_split_off(self):
         # the block dilations split off the eigenvalue 1 and pin the
         # intersection to the rank-2 range {0.5}
         T = np.diag([1, 0.5, -0.5]).astype(complex)
-        poly = dilation_intersection(T, 2, n_samples=10, n_alpha=90)
+        poly = dilation_intersection(T, 2)
         assert max(abs(v - 0.5) for v in poly.vertices) <= 1e-9
 
     def test_contains_compressed_range(self, rng):
         for _ in range(3):
             T = random_normal_contraction(3, rng)
             est = region(from_normal_matrix(T), 2, 180)
-            poly = dilation_intersection(T, 2, n_samples=20, n_alpha=360)
+            poly = dilation_intersection(T, 2)
             for v in est.polygon.vertices:
-                assert poly.signed_distance(v) <= 1e-6
+                assert signed_distance(poly, v) <= 1e-6
 
     def test_dilation_monotonicity(self, rng):
         # members of the compression's range stay members for every dilation

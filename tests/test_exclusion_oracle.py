@@ -12,6 +12,7 @@ import hrnr
 from hrnr import NoSeparatingAngle, core, dilation, excluding_dilation_matrix, halmos, spectral
 
 import exclusion_oracle as oracle
+from geometry_oracle import signed_distance
 from conftest import haar_unitary, random_normal_contraction, random_normal_matrix
 
 
@@ -46,7 +47,7 @@ def _criterion_6_inputs():
             samples = []
             while len(samples) < 50:
                 z = complex(*rng.uniform(-1.3, 1.3, 2))
-                if poly.is_empty or poly.signed_distance(z) > 0.08:
+                if poly.is_empty or signed_distance(poly, z) > 0.08:
                     samples.append(z)
             for z in samples:
                 yield T, k, z

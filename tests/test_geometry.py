@@ -8,13 +8,13 @@ from hrnr import (
     ConvexPolygon,
     TolerancePolicy,
     Verdict,
+    HalfClosedHalfPlane,
     convex_hull,
     halfplane_intersection,
-    hausdorff_distance,
-    hchp_at,
-    hchp_member,
 )
 from hrnr.geometry import canonical_dir, trig_dir
+
+from geometry_oracle import classify, hausdorff_distance, hchp_member, plane_lines
 
 
 def test_tolerance_policy_positive():
@@ -26,7 +26,7 @@ def test_tolerance_policy_positive():
 
 class TestHalfClosedHalfPlane:
     def test_upper_plane_with_positive_ray(self):
-        H = hchp_at(0, math.pi / 2, +1)  # {Im>0} u [0, inf)
+        H = HalfClosedHalfPlane(0, math.pi / 2, +1)  # {Im>0} u [0, inf)
         assert hchp_member(H, 1j) is Verdict.IN
         assert hchp_member(H, -1) is Verdict.OUT
         assert hchp_member(H, 0.5) is Verdict.IN
@@ -34,21 +34,21 @@ class TestHalfClosedHalfPlane:
         assert hchp_member(H, -2j) is Verdict.OUT
 
     def test_upper_plane_with_negative_ray(self):
-        H = hchp_at(0, math.pi / 2, -1)  # {Im>0} u (-inf, 0]
+        H = HalfClosedHalfPlane(0, math.pi / 2, -1)  # {Im>0} u (-inf, 0]
         assert hchp_member(H, -1) is Verdict.IN
         assert hchp_member(H, 0.5) is Verdict.OUT
         assert hchp_member(H, 3j) is Verdict.IN
 
     def test_lower_plane_variant(self):
         # the backward-ray twin of the plane used in the spectral examples
-        H = hchp_at(0, 3 * math.pi / 2, +1)  # {Im<0} u [0, inf)
+        H = HalfClosedHalfPlane(0, 3 * math.pi / 2, +1)  # {Im<0} u [0, inf)
         assert hchp_member(H, -1j) is Verdict.IN
         assert hchp_member(H, 0.5) is Verdict.IN
         assert hchp_member(H, -0.5) is Verdict.OUT
         assert hchp_member(H, 1j) is Verdict.OUT
 
     def test_uncertain_band(self):
-        H = hchp_at(0, math.pi / 2, +1)
+        H = HalfClosedHalfPlane(0, math.pi / 2, +1)
         assert hchp_member(H, complex(0.5, 1e-12)) is Verdict.UNCERTAIN
         assert hchp_member(H, complex(0.5, -1e-12)) is Verdict.UNCERTAIN
         assert hchp_member(H, complex(0.5, 1e-6)) is Verdict.IN
@@ -59,14 +59,14 @@ class TestHalfClosedHalfPlane:
             phi = rng.uniform(0, 2 * math.pi)
             for dphi in (0.0, math.pi):
                 for sign in (+1, -1):
-                    assert hchp_member(hchp_at(a, phi + dphi, sign), a) is Verdict.IN
+                    assert hchp_member(HalfClosedHalfPlane(a, phi + dphi, sign), a) is Verdict.IN
 
     def test_four_variant_counts(self, rng):
         for _ in range(40):
             a = complex(*rng.uniform(-2, 2, 2))
             phi = rng.uniform(0, 2 * math.pi)
             variants = [
-                hchp_at(a, phi + dphi, sign)
+                HalfClosedHalfPlane(a, phi + dphi, sign)
                 for dphi in (0.0, math.pi)
                 for sign in (+1, -1)
             ]
@@ -87,8 +87,8 @@ class TestHalfClosedHalfPlane:
         for _ in range(40):
             a = complex(*rng.uniform(-1, 1, 2))
             phi = rng.uniform(0, 2 * math.pi)
-            h1 = hchp_at(a, phi, +1)
-            h2 = hchp_at(a, phi + math.pi, -1)
+            h1 = HalfClosedHalfPlane(a, phi, +1)
+            h2 = HalfClosedHalfPlane(a, phi + math.pi, -1)
             for _ in range(20):
                 z = complex(*rng.uniform(-3, 3, 2))
                 v1, v2 = hchp_member(h1, z), hchp_member(h2, z)
@@ -96,6 +96,19 @@ class TestHalfClosedHalfPlane:
                     continue
                 assert (v1 is Verdict.IN) != (v2 is Verdict.IN) or z == a
             assert hchp_member(h1, a) is Verdict.IN and hchp_member(h2, a) is Verdict.IN
+
+    def test_construction_coerces_and_checks(self):
+        H = HalfClosedHalfPlane(np.float64(0.5), np.int64(3), 1)
+        assert type(H.anchor) is complex and H.anchor == 0.5
+        assert type(H.normal_angle) is float and H.normal_angle == 3.0
+        P = ClosedHalfPlane(1, np.float64(-math.pi / 2))
+        assert type(P.anchor) is complex and type(P.normal_angle) is float
+        assert P.normal_angle == 3 * math.pi / 2
+        with pytest.raises(ValueError, match="ray_sign"):
+            HalfClosedHalfPlane(0j, 0.0, 1.5)
+        for plane in (lambda a: HalfClosedHalfPlane(a, 0.0, 1), lambda a: ClosedHalfPlane(a, 0.0)):
+            with pytest.raises(ValueError, match="anchor must have finite coordinates"):
+                plane(complex(math.nan, 0.0))
 
     def test_canonical_dir(self):
         assert canonical_dir(-2.0, 0.0) == (2.0, 0.0)
@@ -127,14 +140,14 @@ class TestConvexHull:
         assert h1.vertices == h2.vertices
         assert convex_hull(list(h1.vertices)).vertices == h1.vertices
         for p in pts:
-            assert h1.classify(p) in (Verdict.IN, Verdict.UNCERTAIN)
+            assert classify(h1, p) in (Verdict.IN, Verdict.UNCERTAIN)
 
     def test_classify_exact_boundary(self):
         tri = convex_hull([1, 1j, -1])
-        assert tri.classify(0j) is Verdict.IN  # exactly on the bottom edge
-        assert tri.classify(complex(0, 1e-12)) is Verdict.UNCERTAIN
-        assert tri.classify(complex(0, -0.5)) is Verdict.OUT
-        assert tri.classify(complex(0, 0.3)) is Verdict.IN
+        assert classify(tri, 0j) is Verdict.IN  # exactly on the bottom edge
+        assert classify(tri, complex(0, 1e-12)) is Verdict.UNCERTAIN
+        assert classify(tri, complex(0, -0.5)) is Verdict.OUT
+        assert classify(tri, complex(0, 0.3)) is Verdict.IN
 
 
 class TestHalfPlaneIntersection:
@@ -145,7 +158,7 @@ class TestHalfPlaneIntersection:
             ClosedHalfPlane(0, 3 * math.pi / 2),  # Im <= 0
             ClosedHalfPlane(0, math.pi / 2),  # Im >= 0
         ]
-        poly = halfplane_intersection(planes, bound=2.0)
+        poly = halfplane_intersection(plane_lines(planes), bound=2.0)
         assert len(poly.vertices) == 2
         xs = sorted(v.real for v in poly.vertices)
         assert xs == pytest.approx([-0.2, 0.5])
@@ -163,7 +176,16 @@ class TestHalfPlaneIntersection:
 
     def test_disjoint_planes_empty(self):
         planes = [ClosedHalfPlane(-1, math.pi), ClosedHalfPlane(1, 0.0)]
-        assert halfplane_intersection(planes, bound=3.0).is_empty
+        assert halfplane_intersection(plane_lines(planes), bound=3.0).is_empty
+
+    def test_bound_and_lines_are_checked(self):
+        for bound in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="bound must be positive"):
+                halfplane_intersection([], bound)
+        for bad in (math.nan, math.inf, -math.inf):
+            for line in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (1.0, 0.0, bad)):
+                with pytest.raises(ValueError, match="line entries must be finite"):
+                    halfplane_intersection([(0.0, 1.0, -0.5), line], 2.0)
 
     def test_output_inside_every_plane(self, rng):
         for _ in range(20):
@@ -173,7 +195,7 @@ class TestHalfPlaneIntersection:
                 )
                 for _ in range(int(rng.integers(1, 8)))
             ]
-            poly = halfplane_intersection(planes, bound=2.0)
+            poly = halfplane_intersection(plane_lines(planes), bound=2.0)
             for v in poly.vertices:
                 for P in planes:
                     nx, ny = P.normal

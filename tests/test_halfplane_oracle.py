@@ -13,15 +13,10 @@ import math
 import pytest
 
 from hrnr import core, dilation, presets
-from hrnr.geometry import (
-    DEFAULT_TOL,
-    ClosedHalfPlane,
-    halfplane_intersection,
-    hausdorff_distance,
-    support_plane,
-)
+from hrnr.geometry import DEFAULT_TOL, ClosedHalfPlane, halfplane_intersection
 
 from clip_oracle import clip_intersection, exact_intersection
+from geometry_oracle import hausdorff_distance, plane_lines, support_plane
 from conftest import (
     NEARLY_PARALLEL_GAPS,
     many_nearly_parallel_pair_sets,
@@ -34,7 +29,7 @@ from conftest import (
 
 def assert_agrees(planes, bound, new=None):
     if new is None:
-        new = halfplane_intersection(planes, bound)
+        new = halfplane_intersection(plane_lines(planes), bound)
     old = clip_intersection(planes, bound)
     assert new.is_empty == old.is_empty
     assert len(new.vertices) == len(old.vertices)
@@ -50,12 +45,12 @@ def calls(monkeypatch):
     seen = []
     for module in (core, dilation):
 
-        def record(lines, bound, _real=module._intersect_lines):
+        def record(lines, bound, _real=module.halfplane_intersection):
             poly = _real(lines, bound)
             seen.append((lines, bound, poly))
             return poly
 
-        monkeypatch.setattr(module, "_intersect_lines", record)
+        monkeypatch.setattr(module, "halfplane_intersection", record)
     yield seen
     assert seen
     for lines, bound, poly in seen:
@@ -136,7 +131,7 @@ def test_nearly_parallel_reproducer():
         support_plane(4.07048148529889, 0.059134595802695256),
         support_plane(4.070481485298892, 0.059134595802694034),
     ]
-    poly = halfplane_intersection(planes, 1.0)
+    poly = halfplane_intersection(plane_lines(planes), 1.0)
     assert len(poly.vertices) == 4
     assert _worst_violation(poly, planes) <= DEFAULT_TOL.eps_geom
     assert_agrees(planes, 1.0)
@@ -148,7 +143,7 @@ def test_nearly_parallel_pairs(gap):
     # drop it, so polygons agree to eps_geom, not vertex for vertex
     eps = DEFAULT_TOL.eps_geom
     for planes, bound in nearly_parallel_pair_sets(gap):
-        poly = halfplane_intersection(planes, bound)
+        poly = halfplane_intersection(plane_lines(planes), bound)
         assert _worst_violation(poly, planes) <= eps
         old = clip_intersection(planes, bound)
         assert poly.is_empty == old.is_empty
@@ -163,7 +158,7 @@ def test_many_nearly_parallel_pairs(gap):
     # thin and empty intersections, where the clipping oracle itself can
     # keep vertices far outside a plane, so exact clipping decides
     for planes in many_nearly_parallel_pair_sets(gap):
-        poly = halfplane_intersection(planes, 2.0)
+        poly = halfplane_intersection(plane_lines(planes), 2.0)
         exact = exact_intersection(planes, 2.0)
         assert poly.is_empty == exact.is_empty
         assert hausdorff_distance(poly, exact) <= DEFAULT_TOL.eps_geom

@@ -327,6 +327,19 @@ class TestCli:
             (["member", "-k", "1"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 1),
             # the sampled path's options are gone: unknown flags
             (["intersect", "-k", "1", "--seed", "1"], _HALF_DIAG, 1),
+            # grids too large to allocate: NumPy refuses them before it
+            # allocates anything, and the CLI prints one error line
+            (
+                ["region", "-k", "1", "--angles", str(10**15)],
+                {"atoms": [{"point": [0, 0], "mult": 1}]},
+                2,
+            ),
+            (
+                ["wu-check", "-k", "1", "--angles", str(10**15)],
+                {"atoms": [{"point": [0, 0], "mult": 1}]},
+                2,
+            ),
+            (["conjecture", "-k", "1", "--point", "0,0", "--thetas", str(10**15)], _HALF_DIAG, 2),
         ],
     )
     def test_exit_code_contract(self, tmp_path, capsys, command, doc, code):

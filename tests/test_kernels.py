@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrnr
-from hrnr import core, kernels
+from hrnr import kernels
 from hrnr.core import critical_directions
 from hrnr.geometry import DEFAULT_TOL, canonical_dir
 
@@ -192,14 +192,14 @@ def test_per_direction_region_wu_shape_matches_oracle():
 
 
 def test_per_direction_sweep_memory():
-    # core.BATCH_PAIRS pairs with one anchor per direction, as a batched
+    # kernels.BATCH_PAIRS pairs with one anchor per direction, as a batched
     # sweep of region or wu_check runs them; axis directions put lattice
     # points exactly on their lines.  The dense body's peak on these inputs
     # is 1,230,512 bytes with numpy 2.4.6, its two float64 buffers of the
     # pair count (1,048,576 bytes) included; the bound adds 64 KiB to it.
     rng = np.random.default_rng(3)
     n = 64
-    m = core.BATCH_PAIRS // n
+    m = kernels.BATCH_PAIRS // n
     px, py = rng.integers(-3, 4, n) / 4.0, rng.integers(-3, 4, n) / 4.0
     w = rng.integers(1, 4, n).astype(float)
     w[::7] = np.inf

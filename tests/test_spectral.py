@@ -9,6 +9,7 @@ from hrnr import (
     Arc,
     Atom,
     ClosedHalfPlane,
+    HalfClosedHalfPlane,
     NotNormal,
     Region,
     Segment,
@@ -20,7 +21,6 @@ from hrnr import (
     dim_ran_hchp,
     dim_ran_open,
     from_normal_matrix,
-    hchp_at,
     support_levels,
     transform_model,
 )
@@ -149,14 +149,14 @@ class TestFromNormalMatrix:
 class TestDimQueries:
     def test_durszt_half_closed(self):
         model = durszt_model(2)
-        H0 = hchp_at(0, 3 * math.pi / 2, +1)  # {Im<0} u [0, inf)
+        H0 = HalfClosedHalfPlane(0, 3 * math.pi / 2, +1)  # {Im<0} u [0, inf)
         assert dim_ran_hchp(model, H0) == 2
-        H_half = hchp_at(0.5, 3 * math.pi / 2, +1)  # {Im<0} u [0.5, inf)
+        H_half = HalfClosedHalfPlane(0.5, 3 * math.pi / 2, +1)  # {Im<0} u [0.5, inf)
         assert dim_ran_hchp(model, H_half) == 0
 
     def test_infinity_model_half_closed(self):
         model = infinity_empty_model()
-        H0 = hchp_at(0, 3 * math.pi / 2, +1)
+        H0 = HalfClosedHalfPlane(0, 3 * math.pi / 2, +1)
         assert dim_ran_hchp(model, H0) == 0
 
     def test_durszt_closed(self):
@@ -180,7 +180,7 @@ class TestDimQueries:
     def test_uncertain_raises(self):
         m = SpectralMeasureModel(atoms=(Atom(complex(0, 1e-12), 1),), support_radius=1.0)
         with pytest.raises(UncertainGeometry):
-            dim_ran_hchp(m, hchp_at(0, math.pi / 2, +1))
+            dim_ran_hchp(m, HalfClosedHalfPlane(0, math.pi / 2, +1))
 
     def test_tail_resolved_by_prefix_depth(self):
         # prefix reaches half the limit clearance: tail certainly contributes 0
@@ -210,8 +210,8 @@ class TestDimQueries:
 
     def test_collinear_segment_on_ray(self):
         m = SpectralMeasureModel(pieces=(Segment(0.2 + 0j, 0.8 + 0j),), support_radius=1.0)
-        assert dim_ran_hchp(m, hchp_at(0, math.pi / 2, +1)) == INF  # ray [0,inf)
-        assert dim_ran_hchp(m, hchp_at(0, math.pi / 2, -1)) == 0  # ray (-inf,0]
+        assert dim_ran_hchp(m, HalfClosedHalfPlane(0, math.pi / 2, +1)) == INF  # ray [0,inf)
+        assert dim_ran_hchp(m, HalfClosedHalfPlane(0, math.pi / 2, -1)) == 0  # ray (-inf,0]
         assert dim_ran_closed(m, ClosedHalfPlane(0, math.pi / 2)) == INF
         assert dim_ran_open(m, ClosedHalfPlane(0, math.pi / 2)) == 0
 
@@ -230,7 +230,7 @@ class TestDimQueries:
             try:
                 d_open = dim_ran_open(m, P)
                 d_closed = dim_ran_closed(m, P)
-                d_h = dim_ran_hchp(m, hchp_at(anchor, phi, +1))
+                d_h = dim_ran_hchp(m, HalfClosedHalfPlane(anchor, phi, +1))
             except UncertainGeometry:
                 continue
             assert d_open <= d_h <= d_closed
@@ -243,8 +243,8 @@ class TestDimQueries:
             for anchor in anchors:
                 phi = rng.uniform(0, 2 * math.pi)
                 try:
-                    d1 = dim_ran_hchp(m, hchp_at(anchor, phi, +1))
-                    d2 = dim_ran_hchp(m, hchp_at(anchor, phi + math.pi, -1))
+                    d1 = dim_ran_hchp(m, HalfClosedHalfPlane(anchor, phi, +1))
+                    d2 = dim_ran_hchp(m, HalfClosedHalfPlane(anchor, phi + math.pi, -1))
                 except UncertainGeometry:
                     continue
                 at_anchor = sum(a.mult for a in m.atoms if a.location == anchor)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import hrnr
-from hrnr import INF, Atom, Segment, SequenceFamily, SpectralMeasureModel, core, presets
+from hrnr import INF, Atom, Segment, SequenceFamily, SpectralMeasureModel, kernels, presets
 from hrnr.geometry import _grid
 from hrnr.spectral import support_levels
 
@@ -128,9 +128,9 @@ def test_chunks_do_not_change_the_levels(monkeypatch):
     model = _matrix_model()
     xis = _grid(96)
     for k in (1, 2, 400):
-        monkeypatch.setattr(core, "BATCH_PAIRS", 1 << 40)
+        monkeypatch.setattr(kernels, "BATCH_PAIRS", 1 << 40)
         whole = support_levels(model, k, xis)
-        monkeypatch.setattr(core, "BATCH_PAIRS", 3)  # one direction per chunk
+        monkeypatch.setattr(kernels, "BATCH_PAIRS", 3)  # one direction per chunk
         assert support_levels(model, k, xis).tobytes() == whole.tobytes()
 
 
