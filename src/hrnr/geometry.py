@@ -263,13 +263,16 @@ def halfplane_intersection(lines: list[tuple[float, float, float]], bound: float
     lines exact.  Every vertex lies within ``eps_geom`` of every half plane.
 
     Degenerate intersections survive as segments or points; an empty
-    intersection gives the empty polygon.  ValueError unless ``bound`` > 0
-    and every line entry is finite.
+    intersection gives the empty polygon.  ValueError unless ``bound`` > 0,
+    every line entry is finite and every normal has length 1 within 4 ulps,
+    which a normal divided by its ``math.hypot`` meets.
     """
     if not bound > 0:
         raise ValueError("bound must be positive")
     if not all(map(math.isfinite, chain.from_iterable(lines))):
         raise ValueError("line entries must be finite")
+    if any(abs(math.hypot(nx, ny) - 1.0) > 4 * math.ulp(1.0) for nx, ny, _ in lines):
+        raise ValueError("line normals must be unit vectors")
     lines = [(1.0, 0.0, -bound), (0.0, 1.0, -bound), (-1.0, 0.0, -bound), (0.0, -1.0, -bound)] + lines
     # + 0.0 maps -0.0 to 0.0, so -pi never occurs
     lines.sort(key=lambda line: math.atan2(line[1] + 0.0, line[0]))

@@ -186,6 +186,9 @@ class TestHalfPlaneIntersection:
             for line in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (1.0, 0.0, bad)):
                 with pytest.raises(ValueError, match="line entries must be finite"):
                     halfplane_intersection([(0.0, 1.0, -0.5), line], 2.0)
+        for line in ((0.0, 0.0, 0.5), (2.0, 0.0, 0.5), (0.6, 0.8 + 1e-9, 0.0)):
+            with pytest.raises(ValueError, match="line normals must be unit vectors"):
+                halfplane_intersection([(0.0, 1.0, -0.5), line], 2.0)
 
     def test_output_inside_every_plane(self, rng):
         for _ in range(20):

@@ -294,9 +294,9 @@ def test_dm_closure_desk_scale(rng):
         for v in poly.vertices:
             assert signed_distance(est.polygon, v) <= 1e-6
         # and the outer approximation reaches beyond the exact polygon only
-        # by the corners between its grid directions: 1.389e-2 bounds that
+        # by the corners between its grid directions: 1.388e-2 bounds that
         # excess (it is below 1e-2 on these four matrices)
-        assert hausdorff_distance(poly, est.polygon) <= 1.389e-2
+        assert hausdorff_distance(poly, est.polygon) <= 1.388e-2
 
 
 def test_region_in_classified_samples_inside_polygon(rng):
