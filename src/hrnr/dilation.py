@@ -26,6 +26,7 @@ k-th level give it exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -246,10 +247,10 @@ def excluding_dilation_matrix(T: np.ndarray, k: int, lam: complex) -> DilationAr
     gap keeps lam out of the closure too.
     """
     lam = require_finite(lam, "point")
-    T, _ = _require_contraction(T)
-    vals, V = _unitary_eigendecomposition(T)
-    k = _check_finite_rank(k, vals.shape[0])
-    xi, margin = _separating_direction(vals, k, lam)
+    T = _finite_square_matrix(T)
+    k = _check_finite_rank(k, T.shape[0])
+    T, _, vals, V, xis = _analysis(T.shape, T.tobytes(), k)
+    xi, margin = _separating_direction(vals, k, lam, xis)
     if margin <= DEFAULT_TOL.eps_geom:
         raise NoSeparatingAngle(f"best margin {margin:.3e} does not clear eps_geom")
     target = np.real(np.exp(1j * xi) * lam)
@@ -266,15 +267,17 @@ def excluding_dilation_matrix(T: np.ndarray, k: int, lam: complex) -> DilationAr
     return art
 
 
-def _separating_direction(vals: np.ndarray, k: int, lam: complex) -> tuple[float, float]:
-    """The direction xi maximizing the margin Re(e^{i xi} lam) - L_k(xi)
-    (see :func:`_breakpoints`), and that margin.
+def _separating_direction(
+    vals: np.ndarray, k: int, lam: complex, breakpoints: np.ndarray
+) -> tuple[float, float]:
+    """The direction xi maximizing the margin Re(e^{i xi} lam) - L_k(xi),
+    given the breakpoints of L_k (:func:`_breakpoints`), and that margin.
 
     Between two breakpoints of L_k the margin is Re(e^{i xi} (lam - d))
     for one eigenvalue d, so its maximum lies at a breakpoint or at some
     -arg(lam - d): those candidates are scored.
     """
-    xis = np.concatenate([_breakpoints(vals, k), -np.angle(lam - vals)])
+    xis = np.concatenate([breakpoints, -np.angle(lam - vals)])
     margins = np.real(np.exp(1j * xis) * lam) - _support_levels(vals, k, xis)
     j = int(np.argmax(margins))
     return float(xis[j]), float(margins[j])
@@ -302,22 +305,12 @@ def _breakpoints(vals: np.ndarray, k: int) -> np.ndarray:
     L_k changes the eigenvalue it follows only at such a normal, so between
     two consecutive breakpoints, which lie less than pi apart, it follows
     one eigenvalue d.
-
-    For the eigenvalues of the last decomposition (the ``vals`` array that
-    :func:`_unitary_eigendecomposition` returned) the breakpoints of the
-    last k are kept beside it and returned, read-only, on the next call.
     """
-    entry = next((e for e in _LAST_DECOMPOSITION.values() if e[0] is vals), None)
-    if entry is not None and entry[2] == k:
-        return entry[3]
     xis = _grid(_FLOOR_ANGLES)
     if k <= vals.shape[0]:
         normals, first = _pair_normals(vals)
         own = np.real(np.exp(1j * normals) * vals[first])
         xis = np.concatenate([xis, normals[np.abs(own - _support_levels(vals, k, normals)) <= _TIE]])
-    if entry is not None:
-        xis.flags.writeable = False
-        entry[2:] = k, xis
     return xis
 
 
@@ -412,12 +405,15 @@ def wu_check(model: SpectralMeasureModel, k: int, region_est: RegionEstimate) ->
     the critical directions plus the direction of its edge: the half
     closed-half planes decide whether it is excluded, and the closed half
     planes of the same sweep give its witness.  Samples whose membership
-    is UNCERTAIN give no evidence and are counted.
+    is UNCERTAIN give no evidence and are counted.  ValueError unless the
+    estimate is of rank k.
     """
     eps = DEFAULT_TOL.eps_geom
     if model.max_abs() >= 1.0 + eps:
         raise NotStrictContraction("spectral mass leaves the closed unit disk")
     kf = _check_rank(model, k)
+    if region_est.k != kf:
+        raise ValueError(f"the region estimate is of rank {region_est.k}, not {k}")
     px, py, _ = model._point_data
     samples = _edge_samples(region_est.polygon, WU_SAMPLES_PER_EDGE)
     zs = np.array([z for z, _ in samples], dtype=complex)
@@ -513,38 +509,36 @@ def _support_levels(eigs: np.ndarray, k: int, xis: np.ndarray) -> np.ndarray:
     return out
 
 
-# The last decomposition, keyed by the shape and bytes of its complex
-# matrix, as [vals, V, k, breakpoints]: the L_k breakpoints of vals at the
-# last k (None before the first), see _breakpoints.  One entry, so a caller
-# that builds both the excluding dilation and the dilation-range
-# intersection of one (T, k) eigensolves T and scores its pair normals once.
-_LAST_DECOMPOSITION: dict = {}
-
-
 def _unitary_eigendecomposition(T):
     """(vals, V) with T = V diag(vals) V* and V unitary; NotNormal unless T
-    passes the normality gate.
-
-    The result of the last call is remembered and returned, read-only, for
-    a matrix with the same shape and entries; a failure is not remembered.
-    """
-    T = _finite_square_matrix(T)
-    key = (T.shape, T.tobytes())
-    hit = _LAST_DECOMPOSITION.get(key)
-    if hit is not None:
-        return hit[0], hit[1]
+    passes the normality gate."""
     T = require_normal(T)
     try:
         vals, vecs = np.linalg.eig(T)
         u, _, vh = np.linalg.svd(vecs)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
-    V = u @ vh
-    vals.flags.writeable = False
-    V.flags.writeable = False
-    _LAST_DECOMPOSITION.clear()
-    _LAST_DECOMPOSITION[key] = [vals, V, None, None]
-    return vals, V
+    return vals, u @ vh
+
+
+@functools.lru_cache(maxsize=1)
+def _analysis(shape: tuple[int, ...], data: bytes, k: int):
+    """(T, norm, vals, V, breakpoints) for the complex matrix T with that
+    shape and those bytes and the rank k, every array read-only: T and its
+    operator norm (:func:`_require_contraction`), its unitary
+    eigendecomposition (:func:`_unitary_eigendecomposition`) and the
+    breakpoints of L_k (:func:`_breakpoints`).
+
+    The last result is remembered, so a caller that builds both the
+    excluding dilation and the dilation-range intersection of one (T, k)
+    eigensolves T and scans its pair normals once; a failure is not.
+    """
+    T, norm = _require_contraction(np.frombuffer(data, dtype=complex).reshape(shape))
+    vals, V = _unitary_eigendecomposition(T)
+    xis = _breakpoints(vals, k)
+    for a in (vals, V, xis):
+        a.flags.writeable = False
+    return T, norm, vals, V, xis
 
 
 def _block_dilation(T, vals, V, xi, top) -> DilationArtifact:
@@ -629,14 +623,12 @@ def dilation_intersection(
     (ValueError otherwise) because the benchmark's dilation_lab workload
     passes them positionally; they go with its revision (ROADMAP item 7).
     """
-    T, norm = _require_contraction(T)
-    n = T.shape[0]
-    k = _check_finite_rank(k, 2 * n)
+    T = _finite_square_matrix(T)
+    k = _check_finite_rank(k, 2 * T.shape[0])
     if not (_is_count(n_samples) and _is_count(n_alpha) and n_samples >= 0 and n_alpha >= 0):
         raise ValueError(
             f"need integers n_samples >= 0 and n_alpha >= 0, got {n_samples!r} and {n_alpha!r}"
         )
-    vals, V = _unitary_eigendecomposition(T)
-    xis = _breakpoints(vals, k)
+    T, norm, vals, V, xis = _analysis(T.shape, T.tobytes(), k)
     levels = _block_dilation_levels(T, vals, V, k, xis)
     return halfplane_intersection(support_lines(xis, levels), norm + 1.0)

@@ -118,6 +118,17 @@ def _unit_normal(angle: float) -> tuple[float, float]:
     return nx, ny
 
 
+def _check_normal(normal: tuple[float, float], angle: float) -> None:
+    """ValueError unless a supplied plane normal is finite, nonzero and
+    points along the plane's normal_angle."""
+    nx, ny = normal
+    if not (math.isfinite(nx) and math.isfinite(ny) and (nx or ny)):
+        raise ValueError(f"normal must be finite and nonzero, got {normal!r}")
+    # compared in [0, 2 pi): one reduction of a tiny negative angle rounds to 2 pi
+    if math.atan2(ny, nx) % TWO_PI % TWO_PI != angle % TWO_PI:
+        raise ValueError(f"normal {normal!r} does not point along normal_angle {angle!r}")
+
+
 @dataclass(frozen=True)
 class HalfClosedHalfPlane:
     """An open half plane together with one closed boundary ray.
@@ -140,6 +151,8 @@ class HalfClosedHalfPlane:
         object.__setattr__(self, "normal_angle", float(self.normal_angle) % TWO_PI)
         if self.normal is None:
             object.__setattr__(self, "normal", _unit_normal(self.normal_angle))
+        else:
+            _check_normal(self.normal, self.normal_angle)
 
 
 @dataclass(frozen=True)
@@ -155,6 +168,8 @@ class ClosedHalfPlane:
         object.__setattr__(self, "normal_angle", float(self.normal_angle) % TWO_PI)
         if self.normal is None:
             object.__setattr__(self, "normal", _unit_normal(self.normal_angle))
+        else:
+            _check_normal(self.normal, self.normal_angle)
 
 
 @dataclass(frozen=True)

@@ -213,27 +213,5 @@ def dilation_to_obj(art) -> dict:
     }
 
 
-def certificate_to_obj(cert) -> dict:
-    return {
-        "point": [cert.point.real, cert.point.imag],
-        "plane": {
-            "anchor": [cert.plane.anchor.real, cert.plane.anchor.imag],
-            "normal_angle": cert.plane.normal_angle,
-        },
-        "scalar_dilations": [
-            {
-                "d": [d.real, d.imag],
-                "xi": [x.real, x.imag],
-                "eta": [e.real, e.imag],
-                "t": t,
-            }
-            for d, x, e, t in cert.scalar_dilations
-        ],
-        "beta": cert.beta,
-        "mu": cert.mu,
-        "certified_dim": cert.certified_dim,
-    }
-
-
 def dumps(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=False)

@@ -112,7 +112,7 @@ def random_plane_set(rng):
         if planes and rng.uniform() < 0.25:
             P = planes[-1]
             nx, ny = P.normal
-            planes.append(ClosedHalfPlane(P.anchor, P.normal_angle + math.pi, normal=(-nx, -ny)))
+            planes.append(ClosedHalfPlane(P.anchor, math.atan2(-ny, -nx), normal=(-nx, -ny)))
         else:
             anchor = complex(*rng.uniform(-1, 1, 2))
             planes.append(ClosedHalfPlane(anchor, rng.uniform(0, 2 * math.pi)))
@@ -159,7 +159,7 @@ def rng():
 
 
 @pytest.fixture(autouse=True)
-def _no_remembered_decomposition():
-    """Every test starts with no remembered eigendecomposition, so counts of
+def _no_remembered_analysis():
+    """Every test starts with no remembered analysis, so counts of
     eigensolves and breakpoint scans do not depend on the order of tests."""
-    dilation._LAST_DECOMPOSITION.clear()
+    dilation._analysis.cache_clear()

@@ -241,7 +241,7 @@ def test_separating_direction_matches_the_all_pair_scan(rng):
     calls = 0
     for T, k, lam in _separating_inputs(rng):
         vals, _ = dilation._unitary_eigendecomposition(T)
-        new = dilation._separating_direction(vals, k, lam)
+        new = dilation._separating_direction(vals, k, lam, dilation._breakpoints(vals, k))
         assert new == oracle._separating_direction(vals, k, lam)
         calls += 1
     assert calls == 3 * 243 + 3 * 3 * 78

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -442,7 +443,10 @@ _RANKED_CALLS = {
     "member_many": (lambda k: member_many(_TWO_ATOMS, k, [0j, 2j]), 2),
     "is_boundary": (lambda k: is_boundary(_TWO_ATOMS, k, 0j), 2),
     "excluding_certificate": (lambda k: excluding_certificate(_TWO_ATOMS, k, 2j), 2),
-    "wu_check": (lambda k: wu_check(_TWO_ATOMS, k, region(_TWO_ATOMS, 1, 16)), 2),
+    "wu_check": (
+        lambda k: wu_check(_TWO_ATOMS, k, dataclasses.replace(region(_TWO_ATOMS, 1, 16), k=k)),
+        2,
+    ),
     "region": (lambda k: region(_TWO_ATOMS, k, 16), 2),
     "selfadjoint_interval": (lambda k: selfadjoint_interval(_TWO_ATOMS, k), 2),
     "support_levels": (lambda k: support_levels(_TWO_ATOMS, k, [0.0]), 2),

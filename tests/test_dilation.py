@@ -304,6 +304,13 @@ class TestWuCheck:
         with pytest.raises(NotStrictContraction):
             wu_check(m, 1, region(m, 1, 16))
 
+    def test_rejects_an_estimate_of_another_rank(self):
+        # the rank-1 polygon used to give a rank-2 report its samples
+        m = from_normal_matrix(np.diag([0.5, -0.5, 0.3j, -0.4j, 0.2 + 0.2j]).astype(complex))
+        assert len(wu_check(m, 2, region(m, 2, 32)).evidence) > 0
+        with pytest.raises(ValueError, match="rank 1, not 2"):
+            wu_check(m, 2, region(m, 1, 32))
+
 
 class TestConjecture:
     def test_real_pair(self):
@@ -456,71 +463,80 @@ class TestDilationIntersection:
 
 
 class TestDecompositionMemo:
-    """One eigendecomposition per T: ``_unitary_eigendecomposition``
-    remembers its last result, keyed by the matrix's shape and bytes."""
+    """One analysis per (T, k): ``dilation._analysis`` remembers its last
+    result, keyed by the matrix's shape and bytes and the rank."""
 
     @staticmethod
     def _count(monkeypatch):
-        counts = {"eig": 0, "svd": 0}
-        for name in counts:
-            real = getattr(np.linalg, name)
+        counts = {"eig": 0, "svd": 0, "op_norm": 0}
+        for module, name in ((np.linalg, "eig"), (np.linalg, "svd"), (dilation, "_op_norm")):
+            real = getattr(module, name)
 
-            def counted(*args, _real=real, _name=name, **kwargs):
+            def counted(*args, _real=real, _name=name.lstrip("_"), **kwargs):
                 counts[_name] += 1
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return counts
 
     def test_one_eigensolve_per_operator(self, rng, monkeypatch):
+        # one eig, one polar-factor SVD and one operator norm across both
+        # public calls of one (T, k)
         counts = self._count(monkeypatch)
         T = random_normal_contraction(6, rng)
         excluding_dilation_matrix(T, 1, 0.99 + 0j)
         dilation_intersection(T, 1, 2, 4)
-        assert counts == {"eig": 1, "svd": 1}
+        assert counts == {"eig": 1, "svd": 1, "op_norm": 1}
 
     def test_one_breakpoint_scan_per_operator_and_rank(self, rng, monkeypatch):
-        # the L_k breakpoints of the last (T, k) are kept beside its
-        # decomposition; a new k or another eigenvalue array scans again
         scans = []
         real = dilation._pair_normals
         monkeypatch.setattr(dilation, "_pair_normals", lambda vals: scans.append(1) or real(vals))
-        dilation._LAST_DECOMPOSITION.clear()  # an earlier test may have left this T
         T = random_normal_contraction(6, rng)
         excluding_dilation_matrix(T, 1, 0.99 + 0j)
         dilation_intersection(T, 1, 2, 4)
         assert len(scans) == 1
-        vals, _ = dilation._unitary_eigendecomposition(T)
-        kept = dilation._breakpoints(vals, 1)
-        assert len(scans) == 1 and not kept.flags.writeable
-        assert np.array_equal(dilation._breakpoints(vals.copy(), 1), kept)
+        _, _, vals, _, kept = dilation._analysis(T.shape, T.tobytes(), 1)
+        assert len(scans) == 1
+        # _breakpoints itself remembers nothing
+        assert np.array_equal(dilation._breakpoints(vals, 1), kept)
         assert len(scans) == 2
+
+    def test_a_new_rank_decomposes_again(self, rng, monkeypatch):
+        # the key holds the rank, so one eigensolve is not shared across ranks
+        counts = self._count(monkeypatch)
+        T = random_normal_contraction(6, rng)
+        excluding_dilation_matrix(T, 1, 0.99 + 0j)
         dilation_intersection(T, 2, 2, 4)
-        assert len(scans) == 3
+        assert counts == {"eig": 2, "svd": 2, "op_norm": 2}
 
     def test_in_place_change_misses(self, rng, monkeypatch):
         counts = self._count(monkeypatch)
         T = random_normal_contraction(5, rng)
-        vals, _ = dilation._unitary_eigendecomposition(T)
+        _, _, vals, _, _ = dilation._analysis(T.shape, T.tobytes(), 1)
         T *= 0.5
-        new_vals, new_V = dilation._unitary_eigendecomposition(T)
+        _, _, new_vals, new_V, new_xis = dilation._analysis(T.shape, T.tobytes(), 1)
         assert counts["eig"] == 2
         assert not np.array_equal(new_vals, vals)
-        dilation._LAST_DECOMPOSITION.clear()
-        fresh_vals, fresh_V = dilation._unitary_eigendecomposition(T.copy())
+        dilation._analysis.cache_clear()
+        _, _, fresh_vals, fresh_V, fresh_xis = dilation._analysis(T.shape, T.copy().tobytes(), 1)
+        assert counts["eig"] == 3
         assert np.array_equal(new_vals, fresh_vals) and np.array_equal(new_V, fresh_V)
+        assert np.array_equal(new_xis, fresh_xis)
 
     def test_result_is_read_only(self, rng):
-        vals, V = dilation._unitary_eigendecomposition(random_normal_contraction(4, rng))
-        with pytest.raises(ValueError):
-            V[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            vals[0] = 0.0
+        T = random_normal_contraction(4, rng)
+        kept, _, vals, V, xis = dilation._analysis(T.shape, T.tobytes(), 2)
+        for a in (kept, vals, V, xis):
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.0
 
     def test_non_normal_fails_every_call(self):
         T = np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex)
         for _ in range(2):
             with pytest.raises(NotNormal):
-                dilation._unitary_eigendecomposition(T)
+                dilation._analysis(T.shape, T.tobytes(), 1)
             with pytest.raises(NotNormal):
                 excluding_dilation_matrix(T, 1, 0.9 + 0j)
+            with pytest.raises(NotNormal):
+                dilation_intersection(T, 1)

@@ -110,6 +110,31 @@ class TestHalfClosedHalfPlane:
             with pytest.raises(ValueError, match="anchor must have finite coordinates"):
                 plane(complex(math.nan, 0.0))
 
+    @pytest.mark.parametrize(
+        "normal, message",
+        [
+            ((0.0, 0.0), "finite and nonzero"),
+            ((math.nan, 1.0), "finite and nonzero"),
+            ((0.0, 1.0), "does not point along"),
+        ],
+        ids=["zero", "nan", "contradicting"],
+    )
+    def test_supplied_normal_must_agree_with_the_angle(self, normal, message):
+        # a normal that contradicts normal_angle used to decide dimensions for
+        # the other plane, and a zero normal ended in ZeroDivisionError
+        for plane in (
+            lambda: HalfClosedHalfPlane(0.5, 0.0, 1, normal=normal),
+            lambda: ClosedHalfPlane(0.5, 0.0, normal=normal),
+        ):
+            with pytest.raises(ValueError, match=message):
+                plane()
+        # an agreeing normal need not be unit; the angle of a tiny negative
+        # one reduces to 2 pi, a second reduction to 0, and both agree
+        assert ClosedHalfPlane(0j, math.atan2(1.0, -2.0), normal=(-2.0, 1.0)).normal == (-2.0, 1.0)
+        angle = math.atan2(-1e-16, 1.0)
+        for a in (angle, angle % (2 * math.pi)):
+            assert ClosedHalfPlane(0j, a, normal=(1.0, -1e-16)).normal == (1.0, -1e-16)
+
     def test_canonical_dir(self):
         assert canonical_dir(-2.0, 0.0) == (2.0, 0.0)
         assert canonical_dir(0.0, 3.0) == (0.0, -3.0)

@@ -41,20 +41,6 @@ class TestModelJson:
         model = jsonio.parse_document(json.dumps(doc))
         assert model.atoms[0].mult == hrnr.INF
 
-    def test_certificate_json(self):
-        model = hrnr.SpectralMeasureModel(
-            atoms=(hrnr.Atom(0.5 + 0j, 1),),
-            pieces=(hrnr.Segment(-0.9j, -0.1j),),
-            support_radius=1.0,
-        )
-        cert = hrnr.excluding_certificate(
-            model, 2, 0.5 + 0j, plane=hrnr.ClosedHalfPlane(0.5 + 0j, 0.0)
-        )
-        obj = jsonio.certificate_to_obj(cert)
-        assert obj["certified_dim"] == 1
-        assert obj["scalar_dilations"][0]["t"] == pytest.approx(0.75)
-        json.dumps(obj)  # serializable
-
     def test_dilation_json(self):
         art = hrnr.halmos(np.array([[0.5 + 0j]]), 0.25)
         obj = jsonio.dilation_to_obj(art)

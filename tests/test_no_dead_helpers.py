@@ -4,7 +4,8 @@ every name a module imports at top level is read in that module, every
 error type is raised somewhere in it, and every name the package exports
 is used by the package, its CLI or the benchmark, or is one of a few
 user-facing queries.  No randomness either: no module reads ``np.random``
-or imports ``random``."""
+or imports ``random``.  No hidden module state: no function changes what a
+module-level name holds."""
 
 import ast
 from pathlib import Path
@@ -165,3 +166,104 @@ def test_no_module_draws_random_numbers():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name} {source}" for source in _random_sources(tree)]
     assert not found, f"random number sources in the package: {found}"
+
+
+# Methods that change the object they are called on.
+MUTATORS = {
+    "add", "append", "clear", "discard", "extend", "fill", "insert", "pop", "popitem",
+    "remove", "resize", "reverse", "setdefault", "setflags", "sort", "update",
+    "__delitem__", "__setitem__",
+}
+
+
+def _module_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The names a module binds at top level, and of these the ones bound by
+    assignment (its data, as opposed to imports, functions and classes)."""
+    data = set()
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                data.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    return bound | data, data
+
+
+def _root(node: ast.AST) -> str | None:
+    """The name at the root of an attribute or subscript chain, if any."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _scope_nodes(fn: ast.AST) -> list[ast.AST]:
+    """The nodes of a function's own scope: its parameters and body, without
+    the bodies of the functions and classes nested in it."""
+    out = []
+    stack = [fn.args] + (fn.body if isinstance(fn.body, list) else [fn.body])
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if not isinstance(node, _SCOPES + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _state_changes(fn: ast.AST, names: set[str], data: set[str], shadowed: set[str]):
+    """(line, what) for each change a function, or a function nested in it,
+    makes to a module-level name that its scope does not shadow."""
+    nodes = _scope_nodes(fn)
+    declared = {n for node in nodes if isinstance(node, ast.Global) for n in node.names}
+    local = {node.arg for node in nodes if isinstance(node, ast.arg)}
+    local |= {
+        node.id
+        for node in nodes
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)
+    }
+    local = (local | shadowed) - declared
+    for node in nodes:
+        if isinstance(node, ast.Global):
+            yield node.lineno, f"global {', '.join(node.names)}"
+        elif isinstance(node, (ast.Attribute, ast.Subscript)) and not isinstance(node.ctx, ast.Load):
+            root = _root(node)
+            if root in names and root not in local:
+                verb = "deletes from" if isinstance(node.ctx, ast.Del) else "assigns into"
+                yield node.lineno, f"{verb} {root}"
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATORS
+        ):
+            root = _root(node.func.value)
+            if root in data and root not in local:
+                yield node.lineno, f"calls {root}.{node.func.attr}"
+        if isinstance(node, _SCOPES) and node is not fn:
+            yield from _state_changes(node, names, data, local)
+
+
+def test_no_function_changes_module_state():
+    # state kept at module level is shared by every caller in the process,
+    # so one call (or one test) changes what the next one sees; a function
+    # that remembers results does so through a standard bounded cache
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        names, data = _module_names(tree)
+        stack = [tree]
+        while stack:  # the outermost functions; _state_changes visits the nested ones
+            node = stack.pop()
+            if isinstance(node, _SCOPES):
+                found += [
+                    f"{path.name}:{line} {getattr(node, 'name', 'lambda')} {what}"
+                    for line, what in _state_changes(node, names, data, set())
+                ]
+            else:
+                stack.extend(ast.iter_child_nodes(node))
+    assert not found, f"functions that change module-level names: {found}"
