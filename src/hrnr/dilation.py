@@ -12,7 +12,10 @@ For a normal contraction T the equality proof is constructive: a point
 outside the closure of the rank-k range is separated from it in some
 direction xi, and the block dilation that splits off the fewer than k
 eigenvalues beyond the separating level through 2x2 scalar dilations, and
-carries the rest by a Halmos block rotated by xi, excludes the point.  One
+carries the rest by a Halmos block rotated by xi, excludes the point.  It
+is assembled in one array pass: the 2x2 blocks of all eigenvalues, the
+scalar dilations among them in one closed form, make four diagonals, and
+four n x n products with the eigenvectors give its four blocks.  One
 Hermitian eigensolve certifies the exclusion: if P U P = lam P for a rank-k
 projection P, then P Re(e^{i xi} U) P = Re(e^{i xi} lam) P, so by Cauchy
 interlacing the k-th largest eigenvalue of Re(e^{i xi} U) is at least
@@ -205,27 +208,50 @@ def halmos(T: np.ndarray, alpha: float = 0.0) -> DilationArtifact:
 
 
 def scalar_dilation(d: complex, xi: complex, eta: complex) -> np.ndarray:
-    """2x2 unitary with top-left entry d and eigenvalues {xi, eta} on the circle."""
+    """2x2 unitary with top-left entry d and eigenvalues {xi, eta} on the
+    circle: :func:`_scalar_blocks` applied to one value, with its checks."""
     d, xi, eta = require_finite(d, "d"), require_finite(xi, "xi"), require_finite(eta, "eta")
+    (a,), (b,), (e,) = _scalar_blocks(np.array([d]), np.array([xi]), np.array([eta]))
+    return np.array([[a, b], [b, e]])
+
+
+def _scalar_blocks(d: np.ndarray, xi: np.ndarray, eta: np.ndarray):
+    """Entries (a, b, e) of the 2x2 unitaries [[a, b], [b, e]] with top-left
+    entry d and eigenvalues {xi, eta} on the circle, one per entry of the
+    arrays d, xi and eta, in closed form: with t = |d - eta| / |xi - eta|,
+    a = t xi + (1 - t) eta, b = sqrt(t (1 - t)) (xi - eta) and
+    e = (1 - t) xi + t eta, the entries of q diag(xi, eta) q^T for the
+    rotation q = [[sqrt t, -sqrt(1 - t)], [sqrt(1 - t), sqrt t]].
+
+    NotOnSegment unless xi and eta are unimodular and d lies on the chord
+    [xi, eta], CoincidentEndpoints when xi and eta coincide, each to within
+    eps_geom; InvariantViolation when a misses d by more than
+    10 eps_geom max(1, |d|).
+    """
     eps = DEFAULT_TOL.eps_geom
-    if abs(abs(xi) - 1.0) > eps or abs(abs(eta) - 1.0) > eps:
-        raise NotOnSegment("xi and eta must be unimodular")
     chord = xi - eta
-    if abs(chord) <= eps:
-        raise CoincidentEndpoints("xi and eta coincide")
+    length = _modulus(chord)
     rel = d - eta
-    cross = rel.real * chord.imag - rel.imag * chord.real
-    if abs(cross) > eps * abs(chord):
-        raise NotOnSegment("d is not on the segment [xi, eta]")
-    t = abs(rel) / abs(chord)
-    if t > 1.0 + eps:
-        raise NotOnSegment("d lies outside the segment [xi, eta]")
-    t = min(1.0, t)
-    q = np.array([[math.sqrt(t), -math.sqrt(1.0 - t)], [math.sqrt(1.0 - t), math.sqrt(t)]])
-    U = q @ np.diag([xi, eta]).astype(complex) @ q.T
-    if not abs(U[0, 0] - d) <= 10 * eps * max(1.0, abs(d)):
-        raise InvariantViolation(f"top-left entry {U[0, 0]} misses d = {d}")
-    return U
+    t = _modulus(rel) / np.maximum(length, eps)  # CoincidentEndpoints where length <= eps
+    s = np.minimum(t, 1.0)
+    a = s * xi + (1.0 - s) * eta
+    unimodular = (np.abs(_modulus(xi) - 1.0) > eps) | (np.abs(_modulus(eta) - 1.0) > eps)
+    coincide = length <= eps
+    off_line = np.abs(rel.real * chord.imag - rel.imag * chord.real) > eps * length
+    beyond = t > 1.0 + eps
+    missed = ~(_modulus(a - d) <= 10 * eps * np.maximum(1.0, _modulus(d)))
+    if (unimodular | coincide | off_line | beyond | missed).any():
+        if unimodular.any():
+            raise NotOnSegment("xi and eta must be unimodular")
+        if coincide.any():
+            raise CoincidentEndpoints("xi and eta coincide")
+        if off_line.any():
+            raise NotOnSegment("d is not on the segment [xi, eta]")
+        if beyond.any():
+            raise NotOnSegment("d lies outside the segment [xi, eta]")
+        j = int(np.argmax(missed))
+        raise InvariantViolation(f"top-left entry {a[j]} misses d = {d[j]}")
+    return a, np.sqrt(s * (1.0 - s)) * chord, (1.0 - s) * xi + s * eta
 
 
 def excluding_dilation_matrix(T: np.ndarray, k: int, lam: complex) -> DilationArtifact:
@@ -287,7 +313,8 @@ def _pair_normals(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The directions xi where two distinct eigenvalues d_i, d_j (i < j)
     project equally, pi/2 - arg(d_i - d_j) for every pair and then that
     plus pi for every pair, and the index i of each."""
-    i, j = np.triu_indices(vals.shape[0], 1)
+    n = vals.shape[0]
+    i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
     diff = vals[i] - vals[j]
     distinct = diff != 0
     cross = math.pi / 2 - np.angle(diff[distinct])
@@ -360,7 +387,7 @@ def excluding_certificate(
             raise NoWuWitness("an infinite atom sits inside the witness plane")
         if abs(loc) >= 1.0 - eps:
             raise AtomNotStrictContraction(f"atom at {loc} is not strictly inside the disk")
-        xi = _second_circle_intersection(eta, loc)
+        xi = complex(_far_points(np.array([loc]), eta)[0])
         t = abs(loc - eta) / abs(xi - eta)
         s_xi = nx * (xi.real - lam.real) + ny * (xi.imag - lam.imag)
         if s_xi < -eps * scale:
@@ -381,16 +408,6 @@ def _plane_offset(plane: ClosedHalfPlane, z: complex) -> float:
     nx, ny = plane.normal
     sc = math.hypot(nx, ny)
     return (nx * (z.real - plane.anchor.real) + ny * (z.imag - plane.anchor.imag)) / sc
-
-
-def _second_circle_intersection(eta: complex, d: complex) -> complex:
-    rel = d - eta
-    a = abs(rel) ** 2
-    if a == 0.0:
-        return -eta
-    b = (rel * eta.conjugate()).real
-    s = -2.0 * b / a
-    return eta + s * rel
 
 
 def wu_check(model: SpectralMeasureModel, k: int, region_est: RegionEstimate) -> WuReport:
@@ -550,27 +567,60 @@ def _block_dilation(T, vals, V, xi, top) -> DilationArtifact:
     Every split-off eigenvalue d pairs with eta = -e^{-i xi}, the lowest
     point of the unit circle in direction xi, and with the second point
     where the line through eta and d meets the circle (d itself when d is
-    unimodular); both eigenvalues of the Halmos block of any other
-    eigenvalue d project to Re(e^{i xi} d) in direction xi.
+    unimodular, -eta when that point lies within eps_geom of eta); both
+    eigenvalues of the Halmos block of any other eigenvalue d project to
+    Re(e^{i xi} d) in direction xi.
+
+    Eigenvalue j contributes the 2x2 block [[a_j, b_j], [c_j, e_j]]: the
+    rotated Halmos entries (d, -e^{-i xi} D, e^{-i xi} D, e^{-2i xi} conj d),
+    D = sqrt(1 - |d|^2), or the closed form of :func:`_scalar_blocks`.  So
+    the dilation is [[V diag(a) V*, V diag(b) V*], [V diag(c) V*,
+    V diag(e) V*]], four n x n products.  It differs from the conjugation
+    of the 2n x 2n block array by kron(I_2, V) by rounding only: at most
+    about 5e-16 per entry on the benchmark's excluding dilations.
     """
-    n = vals.shape[0]
-    ph = np.exp(-1j * xi)
+    ph = complex(np.exp(-1j * xi))
     eta = -ph
     defect = np.sqrt(np.clip(1.0 - np.abs(vals) ** 2, 0.0, None))
-    U_t = np.zeros((2 * n, 2 * n), dtype=complex)
-    for i, d in enumerate(vals):
-        if top[i]:
-            far = _second_circle_intersection(eta, complex(d))
-            if abs(far - eta) <= DEFAULT_TOL.eps_geom:
-                far = -eta
-            U_t[i::n, i::n] = scalar_dilation(d, far, eta)
-        else:
-            U_t[i::n, i::n] = [[d, -ph * defect[i]], [ph * defect[i], ph * ph * np.conj(d)]]
-    big = np.kron(np.eye(2), V)
-    U = big @ U_t @ big.conj().T
+    a = vals.copy()
+    b = -ph * defect
+    c = ph * defect
+    e = ph * ph * np.conj(vals)
+    if top.any():
+        d = vals[top]
+        a[top], b[top], e[top] = _scalar_blocks(d, _far_points(d, eta), eta)
+        c[top] = b[top]
+    n = vals.shape[0]
+    Vh = V.conj().T
+    U = np.empty((2 * n, 2 * n), dtype=complex)
+    U[:n, :n] = (V * a) @ Vh
+    U[:n, n:] = (V * b) @ Vh
+    U[n:, :n] = (V * c) @ Vh
+    U[n:, n:] = (V * e) @ Vh
     unit, comp = _residuals(U, T)
     _require_residuals(unit, comp)
     return DilationArtifact(U, float(xi), unit, comp, _defect_rank(np.abs(vals)))
+
+
+def _far_points(d: np.ndarray, eta: complex) -> np.ndarray:
+    """For each d, the second point where the line through eta and d meets
+    the unit circle, or -eta where that point lies within eps_geom of eta
+    (as it does when d = eta).  |d - eta|^2 is float_power's, which rounds
+    as libm's pow does and not always as x * x does, so the far points of
+    the scalar dilations are those the earlier per-eigenvalue assembly,
+    kept as a test oracle, computed."""
+    rel = d - eta
+    sq = np.float_power(_modulus(rel), 2)
+    s = -2.0 * (rel.real * eta.real + rel.imag * eta.imag) / np.where(sq > 0, sq, 1.0)
+    far = eta + s * rel
+    return np.where(_modulus(far - eta) <= DEFAULT_TOL.eps_geom, -eta, far)
+
+
+def _modulus(z):
+    """|z| as Python's abs rounds it, which numpy's complex abs need not:
+    t = |d - eta| / |xi - eta| near 1 sets sqrt(1 - t), so an ulp of t
+    moves a scalar dilation's off-diagonal entries by about 1e-8."""
+    return np.hypot(z.real, z.imag)
 
 
 def _block_dilation_levels(T, vals, V, k, xis):

@@ -48,6 +48,11 @@ DEFAULT_TOL = TolerancePolicy()
 
 
 def require_finite(z: complex, what: str = "point") -> complex:
+    """z as a complex number; ValueError unless it is a number (a string,
+    bytes or a bool is not, although complex() accepts some of them) with
+    finite coordinates."""
+    if isinstance(z, (str, bytes, bool, np.bool_)):
+        raise ValueError(f"{what} must have finite coordinates, got {z!r}, which is not a number")
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{what} must have finite coordinates, got {z!r}")
@@ -118,6 +123,15 @@ def _unit_normal(angle: float) -> tuple[float, float]:
     return nx, ny
 
 
+def _finite_angle(angle) -> float:
+    """A plane's normal_angle as a float in [0, 2 pi); ValueError unless it
+    is finite."""
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise ValueError(f"normal_angle must be finite, got {angle!r}")
+    return angle % TWO_PI
+
+
 def _check_normal(normal: tuple[float, float], angle: float) -> None:
     """ValueError unless a supplied plane normal is finite, nonzero and
     points along the plane's normal_angle."""
@@ -146,9 +160,9 @@ class HalfClosedHalfPlane:
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", require_finite(self.anchor, "anchor"))
-        if self.ray_sign not in (-1, 1):
-            raise ValueError("ray_sign must be +1 or -1")
-        object.__setattr__(self, "normal_angle", float(self.normal_angle) % TWO_PI)
+        if isinstance(self.ray_sign, (bool, np.bool_)) or self.ray_sign not in (-1, 1):
+            raise ValueError(f"ray_sign must be +1 or -1, got {self.ray_sign!r}")
+        object.__setattr__(self, "normal_angle", _finite_angle(self.normal_angle))
         if self.normal is None:
             object.__setattr__(self, "normal", _unit_normal(self.normal_angle))
         else:
@@ -165,7 +179,7 @@ class ClosedHalfPlane:
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", require_finite(self.anchor, "anchor"))
-        object.__setattr__(self, "normal_angle", float(self.normal_angle) % TWO_PI)
+        object.__setattr__(self, "normal_angle", _finite_angle(self.normal_angle))
         if self.normal is None:
             object.__setattr__(self, "normal", _unit_normal(self.normal_angle))
         else:

@@ -76,7 +76,7 @@ class Atom:
     mult: float  # positive integer as float, or INF
 
     def __post_init__(self):
-        require_finite(self.location, "atom location")
+        object.__setattr__(self, "location", require_finite(self.location, "atom location"))
         object.__setattr__(self, "mult", _check_mult(self.mult))
 
 
@@ -86,8 +86,8 @@ class Segment:
     b: complex
 
     def __post_init__(self):
-        require_finite(self.a)
-        require_finite(self.b)
+        object.__setattr__(self, "a", require_finite(self.a, "segment end"))
+        object.__setattr__(self, "b", require_finite(self.b, "segment end"))
         if self.a == self.b:
             raise ValueError("segment must have positive length")
 
@@ -100,7 +100,7 @@ class Arc:
     theta1: float
 
     def __post_init__(self):
-        require_finite(self.center, "arc center")
+        object.__setattr__(self, "center", require_finite(self.center, "arc center"))
         if not self.radius > 0:
             raise ValueError("arc radius must be positive")
         if not (self.theta0 < self.theta1 <= self.theta0 + 2 * math.pi + 1e-12):
@@ -135,7 +135,7 @@ class SequenceFamily:
     tail_mult: int = 1
 
     def __post_init__(self):
-        require_finite(self.limit, "family limit")
+        object.__setattr__(self, "limit", require_finite(self.limit, "family limit"))
         if self.approach_side not in ("above", "below", "on"):
             raise ValueError("approach_side must be 'above', 'below' or 'on'")
         object.__setattr__(self, "tail_mult", _count(self.tail_mult, "tail_mult"))

@@ -4,7 +4,14 @@ This is the implementation ``hrnr.dilation`` had before its block-dilation
 support levels came from the construction in closed form: assemble the
 2n x 2n block dilation for every direction, check its residuals, and read
 the rank-k level back from its eigenvalues.  ``dilation_intersection`` is
-the version that used it.  ``_separating_direction`` is the scan that
+the version that used it.  ``_block_dilation`` and ``scalar_dilation``
+(with ``_second_circle_intersection``, the far-point rule that the
+exclusion certificates shared) are the assembly it used, and that
+``hrnr.dilation`` kept until its block dilations came from one closed
+form in four diagonal blocks: a loop over the eigenvalues that writes
+each 2x2 block into a 2n x 2n array, the scalar dilations as products
+q diag(xi, eta) q^T, and the conjugation by ``np.kron(np.eye(2), V)``.
+``_separating_direction`` is the scan that
 ``excluding_dilation_matrix`` used before it took its candidates from the
 breakpoints of L_k: every pair normal, a bounded chunk at a time.  The
 differential tests compare each with its replacement.
@@ -17,16 +24,30 @@ import math
 import numpy as np
 
 from hrnr.dilation import (
-    _block_dilation,
+    DilationArtifact,
+    _defect_rank,
     _op_norm,
     _pair_normals,
     _require_contraction,
+    _require_residuals,
     _residuals,
     _unitary_eigendecomposition,
     halmos,
 )
-from hrnr.errors import EigFailure, NotNormal
-from hrnr.geometry import DEFAULT_TOL, ConvexPolygon, TolerancePolicy, halfplane_intersection
+from hrnr.errors import (
+    CoincidentEndpoints,
+    EigFailure,
+    InvariantViolation,
+    NotNormal,
+    NotOnSegment,
+)
+from hrnr.geometry import (
+    DEFAULT_TOL,
+    ConvexPolygon,
+    TolerancePolicy,
+    halfplane_intersection,
+    require_finite,
+)
 
 from conftest import haar_unitary
 from geometry_oracle import plane_lines, support_plane
@@ -64,6 +85,72 @@ def _separating_direction(vals: np.ndarray, k: int, lam: complex) -> tuple[float
         if margins[j] > best:
             best_xi, best = float(x[j]), float(margins[j])
     return best_xi, best
+
+
+def _second_circle_intersection(eta: complex, d: complex) -> complex:
+    rel = d - eta
+    a = abs(rel) ** 2
+    if a == 0.0:
+        return -eta
+    b = (rel * eta.conjugate()).real
+    s = -2.0 * b / a
+    return eta + s * rel
+
+
+def scalar_dilation(d: complex, xi: complex, eta: complex) -> np.ndarray:
+    """2x2 unitary with top-left entry d and eigenvalues {xi, eta} on the circle."""
+    d, xi, eta = require_finite(d, "d"), require_finite(xi, "xi"), require_finite(eta, "eta")
+    eps = DEFAULT_TOL.eps_geom
+    if abs(abs(xi) - 1.0) > eps or abs(abs(eta) - 1.0) > eps:
+        raise NotOnSegment("xi and eta must be unimodular")
+    chord = xi - eta
+    if abs(chord) <= eps:
+        raise CoincidentEndpoints("xi and eta coincide")
+    rel = d - eta
+    cross = rel.real * chord.imag - rel.imag * chord.real
+    if abs(cross) > eps * abs(chord):
+        raise NotOnSegment("d is not on the segment [xi, eta]")
+    t = abs(rel) / abs(chord)
+    if t > 1.0 + eps:
+        raise NotOnSegment("d lies outside the segment [xi, eta]")
+    t = min(1.0, t)
+    q = np.array([[math.sqrt(t), -math.sqrt(1.0 - t)], [math.sqrt(1.0 - t), math.sqrt(t)]])
+    U = q @ np.diag([xi, eta]).astype(complex) @ q.T
+    if not abs(U[0, 0] - d) <= 10 * eps * max(1.0, abs(d)):
+        raise InvariantViolation(f"top-left entry {U[0, 0]} misses d = {d}")
+    return U
+
+
+def _block_dilation(T, vals, V, xi, top) -> DilationArtifact:
+    """Unitary dilation of T = V diag(vals) V* splitting off the eigenvalues
+    selected by the mask ``top`` through 2x2 scalar dilations and carrying
+    the rest by a Halmos block rotated by xi; EigFailure when its unitarity
+    or compression residual exceeds eps_unitary.
+
+    Every split-off eigenvalue d pairs with eta = -e^{-i xi}, the lowest
+    point of the unit circle in direction xi, and with the second point
+    where the line through eta and d meets the circle (d itself when d is
+    unimodular); both eigenvalues of the Halmos block of any other
+    eigenvalue d project to Re(e^{i xi} d) in direction xi.
+    """
+    n = vals.shape[0]
+    ph = np.exp(-1j * xi)
+    eta = -ph
+    defect = np.sqrt(np.clip(1.0 - np.abs(vals) ** 2, 0.0, None))
+    U_t = np.zeros((2 * n, 2 * n), dtype=complex)
+    for i, d in enumerate(vals):
+        if top[i]:
+            far = _second_circle_intersection(eta, complex(d))
+            if abs(far - eta) <= DEFAULT_TOL.eps_geom:
+                far = -eta
+            U_t[i::n, i::n] = scalar_dilation(d, far, eta)
+        else:
+            U_t[i::n, i::n] = [[d, -ph * defect[i]], [ph * defect[i], ph * ph * np.conj(d)]]
+    big = np.kron(np.eye(2), V)
+    U = big @ U_t @ big.conj().T
+    unit, comp = _residuals(U, T)
+    _require_residuals(unit, comp)
+    return DilationArtifact(U, float(xi), unit, comp, _defect_rank(np.abs(vals)))
 
 
 def _block_dilation_planes(T, k, xis, tol):

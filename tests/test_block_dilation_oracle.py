@@ -1,11 +1,16 @@
 """Differential tests: closed-form block-dilation levels against the
-eigensolve loop kept in ``block_dilation_oracle``, and the residual gate
-that checks one block dilation per operator.
+eigensolve loop kept in ``block_dilation_oracle``, the residual gate that
+checks one block dilation per operator, and the block dilations assembled
+in four diagonal blocks against the per-eigenvalue ``np.kron`` assembly
+kept there.
 
 Levels agree to 1e-13 on the 180-direction grid and on the tie normals
 ``dilation_intersection`` now uses; a T that is not normal, which the
 oracle skips, it refuses.  Its exact polygon lies inside the grid oracle's outer
-approximation, to eps_geom, and within the grid's error of it.
+approximation, to eps_geom, and within the grid's error of it.  The
+closed-form assembly raises what the ``np.kron`` one raised, its matrices
+lie within 1e-14 of that one's, and the dilation_lab polygons are
+``repr``-identical with either.
 """
 
 import importlib.util
@@ -15,14 +20,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hrnr
 from hrnr import dilation, jsonio, kernels
 from hrnr.cli import main
-from hrnr.errors import EigFailure, NotNormal
+from hrnr.errors import (
+    CoincidentEndpoints,
+    EigFailure,
+    HrnrError,
+    InvariantViolation,
+    NotNormal,
+    NotOnSegment,
+)
 from hrnr.geometry import DEFAULT_TOL, ConvexPolygon
 
 import block_dilation_oracle as oracle
 from geometry_oracle import hausdorff_distance, signed_distance
+from jsonio_writers import matrix_to_obj
 from conftest import haar_unitary, random_normal_contraction
+from test_exclusion_oracle import _beyond, _criterion_6_inputs, _lab_inputs, _near_threshold_inputs
 
 XIS = 2 * math.pi * np.arange(180) / 180
 JORDAN = np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex)  # not normal
@@ -196,14 +211,14 @@ def test_near_normal_contractions_fail_the_gate(tmp_path, capsys):
             dilation.dilation_intersection(bad, 2, 4, 16)
         with pytest.raises(EigFailure, match=r"residuals too large \(unitarity .+, compression .+\)"):
             dilation.excluding_dilation_matrix(bad, 2, 0.99 + 0j)
-        path.write_text(jsonio.dumps(jsonio.matrix_to_obj(bad)))
+        path.write_text(jsonio.dumps(matrix_to_obj(bad)))
         assert main(["intersect", "--input", str(path), "-k", "2"]) == 2
         assert capsys.readouterr().err.startswith("error: dilation residuals too large")
         for scale in (1e-8, 1e-7):
             bad = T + scale * noise
             with pytest.raises(NotNormal, match="commutator norm"):
                 dilation.dilation_intersection(bad, 2, 4, 16)
-            path.write_text(jsonio.dumps(jsonio.matrix_to_obj(bad)))
+            path.write_text(jsonio.dumps(matrix_to_obj(bad)))
             assert main(["intersect", "--input", str(path), "-k", "2"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: commutator norm") and "Traceback" not in err
@@ -278,3 +293,188 @@ def test_chunk_bound_does_not_change_the_outputs(monkeypatch):
     for cap in (3, 1 << 40):  # one direction per chunk, then one chunk
         monkeypatch.setattr(kernels, "BATCH_PAIRS", cap)
         assert outputs() == default
+
+
+def _outcome(call):
+    """What call returns, or the type of the package error it raises."""
+    try:
+        return call()
+    except (HrnrError, ValueError) as exc:
+        return type(exc)
+
+
+def _scalar_inputs(rng):
+    """(d, xi, eta): points on random chords, the endpoints, the midpoint,
+    then one input for every error."""
+    for _ in range(200):
+        xi, eta = np.exp(2j * math.pi * rng.uniform(size=2))
+        t = rng.choice([0.0, 1.0, rng.uniform()])
+        yield complex(t * xi + (1 - t) * eta), complex(xi), complex(eta)
+    yield 0, 1, -1
+    yield 0.5, 1, -1
+    yield 0.5j, 1, -1  # off the chord
+    yield 2, 1, -1  # beyond the chord
+    yield 1, 1, 1  # coincident endpoints
+    yield 0.5, 0.5, -1  # an endpoint off the circle
+    yield 0.5, 1, 1j * 0.5
+
+
+def test_scalar_dilation_matches_the_product_form(rng):
+    # the closed form gives the entries of q diag(xi, eta) q^T, and raises
+    # what the product form raised
+    kinds = set()
+    for d, xi, eta in _scalar_inputs(rng):
+        new = _outcome(lambda: dilation.scalar_dilation(d, xi, eta))
+        old = _outcome(lambda: oracle.scalar_dilation(d, xi, eta))
+        if isinstance(old, type):
+            assert new is old
+            kinds.add(old)
+            continue
+        assert new.shape == (2, 2) and new.dtype == complex
+        assert np.max(np.abs(new - old)) <= 1e-15
+        assert abs(new[0, 0] - d) <= 1e-15
+    assert kinds == {NotOnSegment, CoincidentEndpoints}
+
+
+def test_top_left_check_catches_what_the_others_pass():
+    # a NaN d passes every comparison of the other checks
+    with pytest.raises(InvariantViolation, match=r"top-left entry \(nan\+nanj\) misses d = "):
+        dilation._scalar_blocks(np.array([complex(math.nan, 0.0)]), np.array([1 + 0j]), -1 + 0j)
+
+
+def _assembly_cases(rng):
+    """(T, vals, V, xi, top): normal contractions with generic, repeated and
+    unimodular eigenvalues, one equal to eta = -e^{-i xi} and one whose far
+    point lies within eps_geom of eta, each split off through every mask
+    of one eigenvalue, none and all (the block dilation of k > n)."""
+    xi0 = 0.7
+    eta = complex(-np.exp(-1j * xi0))
+    near = eta * complex(np.exp(3e-10j))  # its chord from eta is shorter than eps_geom
+    mats = [np.diag([eta, 0.3, -0.2j]), np.diag([near, 0.5j, 0.5j]), np.zeros((1, 1), complex)]
+    for n in range(1, 9):
+        eigs = rng.uniform(0.05, 0.95, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        eigs[: n // 2] = eigs[0]
+        if n > 2:
+            eigs[-2:] = np.exp(2j * np.pi * rng.uniform(size=2))
+        Q = haar_unitary(n, rng)
+        mats.append((Q * eigs) @ Q.conj().T)
+    for T in mats:
+        T = np.asarray(T, dtype=complex)
+        n = T.shape[0]
+        vals, V = dilation._unitary_eigendecomposition(T)
+        masks = [np.zeros(n, bool), np.ones(n, bool)] + list(np.eye(n, dtype=bool))
+        for xi in (xi0, *rng.uniform(0, 2 * math.pi, 3)):
+            for top in masks:
+                yield T, vals, V, float(xi), top
+
+
+def test_block_dilations_match_the_kron_assembly(rng):
+    cases = 0
+    for T, vals, V, xi, top in _assembly_cases(rng):
+        new = dilation._block_dilation(T, vals, V, xi, top)
+        old = oracle._block_dilation(T, vals, V, xi, top)
+        assert np.max(np.abs(new.matrix - old.matrix)) <= 1e-14
+        assert (new.alpha, new.defect_rank) == (old.alpha, old.defect_rank)
+        assert max(new.unitarity_residual, new.compression_residual) <= DEFAULT_TOL.eps_unitary
+        cases += 1
+    assert cases == 260
+
+
+def _unimodular_inputs():
+    """(T, k, lam) on seeded normal contractions with repeated and
+    unimodular eigenvalues, at every k <= n + 1 (the rank check refuses
+    k = n + 1), 0.05 beyond L_min(k, n) in a random direction."""
+    rng = np.random.default_rng(2601)
+    for n in range(2, 9):
+        eigs = rng.uniform(0.05, 0.95, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        eigs[: n // 2] = np.exp(2j * np.pi * rng.uniform())
+        eigs[-1] = eigs[-2]
+        Q = haar_unitary(n, rng)
+        T = (Q * eigs) @ Q.conj().T
+        for k in range(1, n + 2):
+            yield T, k, _beyond(eigs, min(k, n), rng.uniform(0, 2 * math.pi), 0.05)
+
+
+@pytest.mark.parametrize(
+    "inputs",
+    [_lab_inputs, _criterion_6_inputs, _near_threshold_inputs, _unimodular_inputs],
+    ids=["dilation-lab", "criterion-6", "near-threshold", "unimodular-repeated"],
+)
+def test_excluding_dilations_match_the_kron_assembly(inputs, monkeypatch):
+    # the same raise or return as with the per-eigenvalue assembly, and a
+    # matrix within 1e-14 of its matrix
+    closed_form = dilation._block_dilation
+
+    def excluding(assembly, T, k, lam):
+        monkeypatch.setattr(dilation, "_block_dilation", assembly)
+        return _outcome(lambda: dilation.excluding_dilation_matrix(T, k, lam))
+
+    outcomes = set()
+    for T, k, lam in inputs():
+        new = excluding(closed_form, T, k, lam)
+        old = excluding(oracle._block_dilation, T, k, lam)
+        if isinstance(old, type) or isinstance(new, type):
+            assert new is old
+            outcomes.add(old)
+            continue
+        outcomes.add("returned")
+        assert np.max(np.abs(new.matrix - old.matrix)) <= 1e-14
+        assert (new.alpha, new.defect_rank) == (old.alpha, old.defect_rank)
+        for art in (new, old):
+            assert max(art.unitarity_residual, art.compression_residual) <= DEFAULT_TOL.eps_unitary
+    assert "returned" in outcomes
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_lab_intersections_are_identical_with_the_kron_assembly(seed, monkeypatch):
+    # the one gate dilation per T passes with either assembly, and the
+    # planes do not read it
+    lab = _load_workloads().DilationLab(seed)
+    cases = [(T, k) for T in lab.mats for k in (1, 2, 3)]
+    new = [repr(dilation.dilation_intersection(T, k)) for T, k in cases]
+    monkeypatch.setattr(dilation, "_block_dilation", oracle._block_dilation)
+    dilation._analysis.cache_clear()
+    assert [repr(dilation.dilation_intersection(T, k)) for T, k in cases] == new
+
+
+def test_a_lab_op_makes_no_kron_and_no_scalar_dilation_call(monkeypatch):
+    # the split-off eigenvalues of every rank go through the closed form
+    counts = dict.fromkeys(["kron", "scalar_dilation", "_scalar_blocks"], 0)
+    for module, name in ((np, "kron"), (dilation, "scalar_dilation"), (dilation, "_scalar_blocks")):
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    workloads = _load_workloads()
+    lab = workloads.DilationLab(1)
+    for i in (1, 2):  # ranks 2 and 3, which split eigenvalues off
+        lab.op(hrnr, None, i)
+    assert counts == {"kron": 0, "scalar_dilation": 0, "_scalar_blocks": 4}
+
+
+def test_far_points_follow_the_scalar_rule_bit_for_bit(rng):
+    # the block dilations and the exclusion certificates share one
+    # far-point rule, which puts every far point where the scalar rule of
+    # the earlier assembly put it
+    for eta in np.exp(2j * math.pi * rng.uniform(size=200)).tolist():
+        d = rng.uniform(0.0, 0.99, 100) * np.exp(2j * math.pi * rng.uniform(size=100))
+        far = dilation._far_points(d, eta).tolist()
+        assert far == [oracle._second_circle_intersection(eta, z) for z in d.tolist()]
+    entries = 0
+    for _ in range(20):
+        locs = rng.uniform(0.05, 0.9, 6) * np.exp(2j * math.pi * rng.uniform(size=6))
+        model = hrnr.SpectralMeasureModel(tuple(hrnr.Atom(z, 1) for z in locs), support_radius=1.0)
+        plane = hrnr.ClosedHalfPlane(0j, rng.uniform(0, 2 * math.pi))
+        nx, ny = plane.normal
+        inside = int(np.count_nonzero(nx * locs.real + ny * locs.imag >= 0))
+        if inside == 6:
+            continue
+        cert = hrnr.excluding_certificate(model, inside + 1, 0j, plane=plane)
+        for d, xi, eta, t in cert.scalar_dilations:
+            assert xi == oracle._second_circle_intersection(eta, d)
+            assert t == abs(d - eta) / abs(xi - eta)
+            entries += 1
+    assert entries > 20

@@ -357,7 +357,11 @@ _POINT_FUNCTIONS = {
 }
 
 
-@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf)])
+@pytest.mark.parametrize(
+    "z",
+    # complex() parses the string and takes the bool, but neither is a point
+    [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf), "0.5", True],
+)
 @pytest.mark.parametrize("name", sorted(_POINT_FUNCTIONS))
 def test_point_functions_reject_non_finite(name, z):
     with pytest.raises(ValueError, match="point must have finite coordinates"):
@@ -379,6 +383,9 @@ _NON_FINITE_CALLS = {
     "scalar_dilation d nan": lambda: scalar_dilation(math.nan, 1, -1),
     "scalar_dilation xi nan": lambda: scalar_dilation(0.5, math.nan, -1),
     "scalar_dilation eta inf": lambda: scalar_dilation(0.5, 1, complex(0.0, math.inf)),
+    "scalar_dilation d True": lambda: scalar_dilation(True, 1, -1),
+    "scalar_dilation xi str": lambda: scalar_dilation(0.5, "1", -1),
+    "scalar_dilation eta bytes": lambda: scalar_dilation(0.5, 1, b"-1"),
 }
 
 

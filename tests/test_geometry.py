@@ -10,9 +10,11 @@ from hrnr import (
     Verdict,
     HalfClosedHalfPlane,
     convex_hull,
+    dim_ran_closed,
     halfplane_intersection,
 )
 from hrnr.geometry import canonical_dir, trig_dir
+from hrnr.presets import durszt_model
 
 from geometry_oracle import classify, hausdorff_distance, hchp_member, plane_lines
 
@@ -106,9 +108,26 @@ class TestHalfClosedHalfPlane:
         assert P.normal_angle == 3 * math.pi / 2
         with pytest.raises(ValueError, match="ray_sign"):
             HalfClosedHalfPlane(0j, 0.0, 1.5)
+        for sign in (True, False, np.True_):  # bools are ints to `in`, not ray signs
+            with pytest.raises(ValueError, match="ray_sign"):
+                HalfClosedHalfPlane(0j, 0.0, sign)
         for plane in (lambda a: HalfClosedHalfPlane(a, 0.0, 1), lambda a: ClosedHalfPlane(a, 0.0)):
             with pytest.raises(ValueError, match="anchor must have finite coordinates"):
                 plane(complex(math.nan, 0.0))
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_normal_angle_must_be_finite(self, angle):
+        # a NaN angle gave the normal (nan, nan), on which dim_ran_closed
+        # raised UncertainGeometry; an infinite one stored normal_angle nan
+        for plane in (
+            lambda: HalfClosedHalfPlane(0j, angle, 1),
+            lambda: ClosedHalfPlane(0j, angle),
+            lambda: ClosedHalfPlane(0j, angle, normal=(1.0, 0.0)),
+        ):
+            with pytest.raises(ValueError, match="normal_angle must be finite"):
+                plane()
+        with pytest.raises(ValueError, match="normal_angle must be finite"):
+            dim_ran_closed(durszt_model(2), ClosedHalfPlane(0, angle))
 
     @pytest.mark.parametrize(
         "normal, message",

@@ -14,22 +14,24 @@ from hrnr.cli import main
 from hrnr.errors import ModelFormatError
 from hrnr.presets import durszt_model, infinity_empty_model, square_region_model
 
+from jsonio_writers import matrix_to_obj, model_to_obj
+
 
 class TestModelJson:
     def test_model_roundtrip(self):
         model = square_region_model(3)
-        text = jsonio.dumps(jsonio.model_to_obj(model))
+        text = jsonio.dumps(model_to_obj(model))
         back = jsonio.parse_document(text)
         assert back == model
 
     def test_family_roundtrip(self):
         model = infinity_empty_model(20)
-        back = jsonio.parse_document(jsonio.dumps(jsonio.model_to_obj(model)))
+        back = jsonio.parse_document(jsonio.dumps(model_to_obj(model)))
         assert back == model
 
     def test_matrix_roundtrip(self):
         M = np.array([[0.5, 1j], [0, -0.25]], dtype=complex)
-        back = jsonio.parse_document(jsonio.dumps(jsonio.matrix_to_obj(M)))
+        back = jsonio.parse_document(jsonio.dumps(matrix_to_obj(M)))
         assert np.array_equal(back, M)
 
     def test_infinite_multiplicity(self):
@@ -92,14 +94,14 @@ _JORDAN = {"kind": "matrix", "data": [[[0, 0], [0.5, 0]], [[0, 0], [0, 0]]]}  # 
 def matrix_file(tmp_path):
     path = tmp_path / "matrix.json"
     M = np.diag([0.5, -0.5, 0.3j]).astype(complex)
-    path.write_text(jsonio.dumps(jsonio.matrix_to_obj(M)))
+    path.write_text(jsonio.dumps(matrix_to_obj(M)))
     return str(path)
 
 
 @pytest.fixture
 def model_file(tmp_path):
     path = tmp_path / "model.json"
-    path.write_text(jsonio.dumps(jsonio.model_to_obj(durszt_model(2))))
+    path.write_text(jsonio.dumps(model_to_obj(durszt_model(2))))
     return str(path)
 
 
@@ -175,7 +177,7 @@ class TestCli:
     def test_selfadjoint(self, capsys, tmp_path):
         path = tmp_path / "herm.json"
         M = np.diag([1.0, 0.5, 0.0, -0.2, -1.0]).astype(complex)
-        path.write_text(jsonio.dumps(jsonio.matrix_to_obj(M)))
+        path.write_text(jsonio.dumps(matrix_to_obj(M)))
         assert main(["selfadjoint", "--input", str(path), "-k", "2"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["interval"] == pytest.approx([-0.2, 0.5])
@@ -218,10 +220,10 @@ class TestCli:
 
     def test_exit_code_precondition(self, tmp_path, capsys):
         path = tmp_path / "nonnormal.json"
-        path.write_text(jsonio.dumps(jsonio.matrix_to_obj(np.array([[0, 1], [0, 0]]))))
+        path.write_text(jsonio.dumps(matrix_to_obj(np.array([[0, 1], [0, 0]]))))
         assert main(["member", "--input", str(path), "-k", "1", "--point", "0,0"]) == 2
         path2 = tmp_path / "expansive.json"
-        path2.write_text(jsonio.dumps(jsonio.matrix_to_obj(np.diag([2.0, 0.0]))))
+        path2.write_text(jsonio.dumps(matrix_to_obj(np.diag([2.0, 0.0]))))
         assert main(["dilate", "--input", str(path2)]) == 2
 
     @pytest.mark.parametrize(

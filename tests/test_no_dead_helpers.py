@@ -2,10 +2,10 @@
 package source is referenced somewhere in it besides its own definition,
 every name a module imports at top level is read in that module, every
 error type is raised somewhere in it, and every name the package exports
-is used by the package, its CLI or the benchmark, or is one of a few
-user-facing queries.  No randomness either: no module reads ``np.random``
-or imports ``random``.  No hidden module state: no function changes what a
-module-level name holds."""
+and every public function of its modules is used by the package, its CLI
+or the benchmark, or is one of a few user-facing queries.  No randomness
+either: no module reads ``np.random`` or imports ``random``.  No hidden
+module state: no function changes what a module-level name holds."""
 
 import ast
 from pathlib import Path
@@ -21,6 +21,7 @@ USER_QUERIES = {
     "excluding_certificate": "the symbolic exclusion of a point by 2x2 scalar dilations",
     "dim_ran_hchp": "dim ran E(H) of a half closed-half plane, which defines membership",
     "dim_ran_open": "dim ran E of an open half plane, which decides the boundary",
+    "scalar_dilation": "the 2x2 unitary with a given top-left entry and eigenvalues",
 }
 
 
@@ -98,6 +99,30 @@ def test_every_export_is_used():
         == (_referenced_names(definitions[name]).count(name) if name in definitions else 0)
     ]
     assert not unused, f"exported names used nowhere in the package, CLI or benchmark: {unused}"
+
+
+def test_every_public_function_is_used():
+    # a public function of a module that __init__.py does not export is
+    # checked here only: re-exporting a function does not use it
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in paths}
+    functions = [
+        (path.name, node)
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    ]
+    assert functions
+    for path in sorted((ROOT / "hrnrbench").glob("*.py")):
+        trees[path] = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    everywhere = [n for tree in trees.values() for n in _referenced_names(tree)]
+    unused = [
+        f"{module}::{node.name}"
+        for module, node in functions
+        if node.name not in USER_QUERIES
+        and everywhere.count(node.name) == _referenced_names(node).count(node.name)
+    ]
+    assert not unused, f"public functions used nowhere in the package, CLI or benchmark: {unused}"
 
 
 def test_every_top_level_import_is_read():

@@ -69,6 +69,33 @@ class TestModelValidation:
         ok = SpectralMeasureModel((Atom(0j, 2**52), Atom(0.5j, 2**52 - 1), Atom(0.1j, INF)))
         assert ok.total_dim == INF
 
+    @pytest.mark.parametrize("bad", ["0.5", b"0.5", True, np.True_, complex(math.nan, 0.0)])
+    def test_locations_must_be_finite_numbers(self, bad):
+        # complex() parses a string and takes a bool; before the check a
+        # string location built an Atom that SpectralMeasureModel then
+        # failed on with a bare TypeError
+        for build in (
+            lambda: Atom(bad, 1),
+            lambda: Segment(bad, 1j),
+            lambda: Segment(0j, bad),
+            lambda: Arc(bad, 0.5, 0.0, 1.0),
+            lambda: SequenceFamily(((0.5 + 0j, 1),), bad, 0.0, "on", 1),
+        ):
+            with pytest.raises(ValueError, match="must have finite coordinates"):
+                build()
+
+    def test_locations_are_stored_as_complex(self):
+        # an int location becomes the equal complex number
+        atom = Atom(1, 2)
+        seg = Segment(0, np.float64(1.0))
+        arc = Arc(np.int64(0), 0.5, 0.0, 1.0)
+        fam = SequenceFamily(((0.5, 1),), 0, 0.0, "on", 1)
+        values = (atom.location, seg.a, seg.b, arc.center, fam.limit, fam.prefix[0][0])
+        assert all(type(z) is complex for z in values)
+        assert values == (1, 0, 1, 0, 0, 0.5)
+        model = SpectralMeasureModel(atoms=(atom,), support_radius=1.0)
+        assert model == SpectralMeasureModel(atoms=(Atom(1 + 0j, 2),), support_radius=1.0)
+
     def test_segment_positive_length(self):
         with pytest.raises(ValueError):
             Segment(1j, 1j)
