@@ -56,12 +56,10 @@ from .core import (
     selfadjoint_interval,
 )
 from .dilation import (
-    ConjectureResult,
     DilationArtifact,
     ExclusionCertificate,
     WuReport,
     WuVerdict,
-    conjecture_check,
     dilation_intersection,
     excluding_certificate,
     excluding_dilation_matrix,

@@ -23,13 +23,12 @@ from .core import (
 )
 from .dilation import (
     WuVerdict,
-    conjecture_check,
     dilation_intersection,
     halmos,
     wu_check,
 )
 from .errors import HrnrError, ModelFormatError, UncertainGeometry
-from .geometry import Verdict, require_finite
+from .geometry import Verdict, require_finite, require_finite_real
 from .spectral import from_normal_matrix
 from .svgplot import write_region_svg
 
@@ -44,7 +43,7 @@ def _parse_point(text: str) -> complex:
 
 def _parse_alpha(text: str) -> float:
     try:
-        return require_finite(float(text), "alpha").real
+        return require_finite_real(float(text), "alpha")
     except ValueError as exc:
         raise ModelFormatError(f"alpha must be a finite decimal, got {text!r}") from exc
 
@@ -148,18 +147,6 @@ def _cmd_wu_check(args) -> int:
     }
     print(jsonio.dumps(obj))
     return 3 if report.verdict is WuVerdict.INCONCLUSIVE else 0
-
-
-def _cmd_conjecture(args) -> int:
-    T = _as_matrix(_load(args.input))
-    z = _parse_point(args.point)
-    res = conjecture_check(T, args.k, z, args.thetas)
-    print(
-        jsonio.dumps(
-            {"condition_holds": res.condition_holds, "theta": res.theta}
-        )
-    )
-    return 0
 
 
 def _cmd_intersect(args) -> int:
@@ -331,10 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, rank=True):
+    def add_common(sp):
         sp.add_argument("--input", required=True, help="model or matrix JSON file")
-        if rank:
-            sp.add_argument("-k", type=int, required=True, help="rank (positive integer)")
+        sp.add_argument("-k", type=int, required=True, help="rank (positive integer)")
 
     sp = sub.add_parser("region", help="support sweep, polygon and boundary report")
     add_common(sp)
@@ -362,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--angles", type=int, default=96)
     sp.set_defaults(fn=_cmd_wu_check)
-
-    sp = sub.add_parser("conjecture", help="scan the spectral exclusion condition")
-    add_common(sp)
-    sp.add_argument("--point", required=True)
-    sp.add_argument("--thetas", type=int, default=360)
-    sp.set_defaults(fn=_cmd_conjecture)
 
     sp = sub.add_parser(
         "intersect",

@@ -62,6 +62,7 @@ from .geometry import (
     _grid,
     halfplane_intersection,
     require_finite,
+    require_finite_real,
     support_lines,
 )
 from .spectral import (
@@ -72,7 +73,6 @@ from .spectral import (
     _check_finite_rank,
     _finite_square_matrix,
     _is_count,
-    _is_finite_rank,
     dim_ran_closed,
     require_normal,
 )
@@ -134,12 +134,6 @@ class WuReport:
     uncertain_samples: int = 0
 
 
-@dataclass(frozen=True)
-class ConjectureResult:
-    condition_holds: bool
-    theta: float | None = None
-
-
 def _op_norm(T: np.ndarray) -> float:
     return float(np.linalg.norm(T, 2))
 
@@ -189,8 +183,7 @@ def halmos(T: np.ndarray, alpha: float = 0.0) -> DilationArtifact:
     D = Vh* diag(sqrt(1 - s^2)) Vh and D_* = W diag(sqrt(1 - s^2)) W*, and
     the defect rank.
     """
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    alpha = require_finite_real(alpha, "alpha")
     T = _finite_square_matrix(T)
     try:
         W, s, Vh = np.linalg.svd(T)
@@ -204,7 +197,7 @@ def halmos(T: np.ndarray, alpha: float = 0.0) -> DilationArtifact:
     U = np.block([[T, -ph * dts], [ph * dt, ph * ph * T.conj().T]])
     unit, comp = _residuals(U, T)
     _require_residuals(unit, comp)
-    return DilationArtifact(U, float(alpha), unit, comp, _defect_rank(s))
+    return DilationArtifact(U, alpha, unit, comp, _defect_rank(s))
 
 
 def scalar_dilation(d: complex, xi: complex, eta: complex) -> np.ndarray:
@@ -479,32 +472,6 @@ def _edge_samples(poly: ConvexPolygon, per_edge: int):
             t = (i + 1) / (per_edge + 1)
             out.append((a + t * (b - a), ang))
     return out
-
-
-def conjecture_check(
-    T: np.ndarray,
-    k: int,
-    lam: complex,
-    n_theta: int,
-) -> ConjectureResult:
-    """Scan rotations for Re(e^{i theta}T - lam) having fewer than k
-    eigenvalues above -eps; reports the first angle where that holds.
-
-    This evaluates the conjectured exclusion condition only; nothing is
-    asserted about its sufficiency for dilation-range equality.
-    """
-    lam = require_finite(lam, "point")
-    if not (_is_finite_rank(k) and _is_count(n_theta) and n_theta >= 1):
-        raise ValueError(f"need integers k >= 1 and n_theta >= 1, got {k!r} and {n_theta!r}")
-    T = _finite_square_matrix(T)
-    if _op_norm(T) >= 1.0 - DEFAULT_TOL.eps_eig:
-        raise NotStrictContraction("need a strict contraction")
-    for theta in _grid(n_theta).tolist():
-        A = np.exp(1j * theta) * T - lam * np.eye(T.shape[0])
-        S = 0.5 * (A + A.conj().T)
-        if np.count_nonzero(np.linalg.eigvalsh(S) >= -DEFAULT_TOL.eps_eig) < k:
-            return ConjectureResult(True, theta)
-    return ConjectureResult(False, None)
 
 
 # ---------------------------------------------------------------------------

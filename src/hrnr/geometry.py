@@ -59,6 +59,20 @@ def require_finite(z: complex, what: str = "point") -> complex:
     return z
 
 
+def require_finite_real(x, what: str) -> float:
+    """x as a float; ValueError unless it is a finite real number (a string,
+    bytes, a bool or a NumPy complex is not, although float() takes them)."""
+    try:
+        if isinstance(x, (str, bytes, bool, np.bool_, np.complexfloating)):
+            raise TypeError("not a number")
+        x = float(x)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{what} must be finite, got {x!r}, which is not a real number") from exc
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x!r}")
+    return x
+
+
 def snap_dir(vx: float, vy: float) -> tuple[float, float]:
     """Zero out a direction component that is pure rounding noise."""
     if vx != 0.0 and abs(vx) < _DIR_SNAP * abs(vy):
@@ -123,24 +137,22 @@ def _unit_normal(angle: float) -> tuple[float, float]:
     return nx, ny
 
 
-def _finite_angle(angle) -> float:
-    """A plane's normal_angle as a float in [0, 2 pi); ValueError unless it
-    is finite."""
-    angle = float(angle)
-    if not math.isfinite(angle):
-        raise ValueError(f"normal_angle must be finite, got {angle!r}")
-    return angle % TWO_PI
-
-
-def _check_normal(normal: tuple[float, float], angle: float) -> None:
-    """ValueError unless a supplied plane normal is finite, nonzero and
-    points along the plane's normal_angle."""
-    nx, ny = normal
+def _set_normal(plane) -> None:
+    """Store a plane's normal_angle reduced to [0, 2 pi) and, unless one is
+    supplied, its unit normal.  ValueError unless the angle is a finite
+    real number and a supplied normal is finite, nonzero and points along
+    the angle."""
+    angle = require_finite_real(plane.normal_angle, "normal_angle") % TWO_PI
+    object.__setattr__(plane, "normal_angle", angle)
+    if plane.normal is None:
+        object.__setattr__(plane, "normal", _unit_normal(angle))
+        return
+    nx, ny = plane.normal
     if not (math.isfinite(nx) and math.isfinite(ny) and (nx or ny)):
-        raise ValueError(f"normal must be finite and nonzero, got {normal!r}")
+        raise ValueError(f"normal must be finite and nonzero, got {plane.normal!r}")
     # compared in [0, 2 pi): one reduction of a tiny negative angle rounds to 2 pi
     if math.atan2(ny, nx) % TWO_PI % TWO_PI != angle % TWO_PI:
-        raise ValueError(f"normal {normal!r} does not point along normal_angle {angle!r}")
+        raise ValueError(f"normal {plane.normal!r} does not point along normal_angle {angle!r}")
 
 
 @dataclass(frozen=True)
@@ -162,11 +174,7 @@ class HalfClosedHalfPlane:
         object.__setattr__(self, "anchor", require_finite(self.anchor, "anchor"))
         if isinstance(self.ray_sign, (bool, np.bool_)) or self.ray_sign not in (-1, 1):
             raise ValueError(f"ray_sign must be +1 or -1, got {self.ray_sign!r}")
-        object.__setattr__(self, "normal_angle", _finite_angle(self.normal_angle))
-        if self.normal is None:
-            object.__setattr__(self, "normal", _unit_normal(self.normal_angle))
-        else:
-            _check_normal(self.normal, self.normal_angle)
+        _set_normal(self)
 
 
 @dataclass(frozen=True)
@@ -179,11 +187,7 @@ class ClosedHalfPlane:
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", require_finite(self.anchor, "anchor"))
-        object.__setattr__(self, "normal_angle", _finite_angle(self.normal_angle))
-        if self.normal is None:
-            object.__setattr__(self, "normal", _unit_normal(self.normal_angle))
-        else:
-            _check_normal(self.normal, self.normal_angle)
+        _set_normal(self)
 
 
 @dataclass(frozen=True)

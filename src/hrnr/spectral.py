@@ -592,18 +592,13 @@ def _is_count(n) -> bool:
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
-def _is_finite_rank(k) -> bool:
-    """k is a positive integer; booleans are not ranks."""
-    return _is_count(k) and k >= 1
-
-
 def _check_finite_rank(k, dim: float) -> int:
     """k as an int, for a finite rank 1 <= k <= dim: RankExceedsDimension
     when k exceeds dim (k = inf against a finite dim included), ValueError
     for anything else that is not a positive integer."""
     if k == INF and dim != INF:
         raise RankExceedsDimension(f"rank inf exceeds the finite dimension {int(dim)}")
-    if not _is_finite_rank(k):
+    if not (_is_count(k) and k >= 1):
         raise ValueError(f"rank must be a positive integer, got {k!r}")
     if k > dim:
         raise RankExceedsDimension(f"rank {k} exceeds the dimension {int(dim)}")

@@ -19,7 +19,6 @@ from hrnr import (
     SequenceFamily,
     SpectralMeasureModel,
     Verdict,
-    conjecture_check,
     convex_hull,
     dilation_intersection,
     dim_ran_hchp,
@@ -351,7 +350,6 @@ _POINT_FUNCTIONS = {
     "is_boundary": lambda z: is_boundary(durszt_model(2), 2, z),
     "excluding_certificate": lambda z: excluding_certificate(durszt_model(2), 2, z),
     "excluding_dilation_matrix": lambda z: excluding_dilation_matrix(_DIAG, 1, z),
-    "conjecture_check": lambda z: conjecture_check(_DIAG, 1, z, 8),
     "ckz_member": lambda z: ckz_member(_DIAG, 1, z),
     "hchp_member": lambda z: hchp_member(HalfClosedHalfPlane(0j, 0.0, 1), z),
 }
@@ -373,12 +371,19 @@ _NAN_DIAG = np.diag([math.nan, 0.1])
 _NON_FINITE_CALLS = {
     "halmos alpha nan": lambda: halmos(_DIAG, math.nan),
     "halmos alpha inf": lambda: halmos(_DIAG, math.inf),
+    # float() takes the string, the bytes, the bools and the NumPy complex,
+    # but none is a phase
+    "halmos alpha str": lambda: halmos(_DIAG, "0"),
+    "halmos alpha bytes": lambda: halmos(_DIAG, b"1"),
+    "halmos alpha True": lambda: halmos(_DIAG, True),
+    "halmos alpha numpy bool": lambda: halmos(_DIAG, np.bool_(False)),
+    "halmos alpha complex": lambda: halmos(_DIAG, 1 + 0j),
+    "halmos alpha numpy complex": lambda: halmos(_DIAG, np.complex64(0.3 + 2j)),
+    "halmos alpha huge int": lambda: halmos(_DIAG, 10**400),
     "halmos inf matrix": lambda: halmos(np.diag([math.inf, 0.1])),
     "halmos nan matrix": lambda: halmos(_NAN_DIAG),
     "excluding_dilation_matrix nan matrix": lambda: excluding_dilation_matrix(_NAN_DIAG, 1, 0.9),
     "dilation_intersection nan matrix": lambda: dilation_intersection(_NAN_DIAG, 1, 1, 1),
-    "conjecture_check nan matrix": lambda: conjecture_check(_NAN_DIAG, 1, 0j, 8),
-    "conjecture_check inf matrix": lambda: conjecture_check(np.diag([math.inf, 0.1]), 1, 0j, 8),
     "from_normal_matrix nan matrix": lambda: from_normal_matrix(_NAN_DIAG),
     "scalar_dilation d nan": lambda: scalar_dilation(math.nan, 1, -1),
     "scalar_dilation xi nan": lambda: scalar_dilation(0.5, math.nan, -1),
@@ -415,9 +420,6 @@ _BAD_RANKS_AND_COUNTS = {
     "dilation_intersection rank True": lambda: dilation_intersection(_DIAG, True, 1, 1),
     "dilation_intersection n_samples 1.5": lambda: dilation_intersection(_DIAG, 1, 1.5, 1),
     "dilation_intersection n_alpha True": lambda: dilation_intersection(_DIAG, 1, 1, True),
-    "conjecture_check rank 1.5": lambda: conjecture_check(_DIAG, 1.5, 0.9 + 0j, 8),
-    "conjecture_check rank True": lambda: conjecture_check(_DIAG, True, 0.9 + 0j, 8),
-    "conjecture_check n_theta 2.5": lambda: conjecture_check(_DIAG, 1, 0.9 + 0j, 2.5),
     "region n_angles 8.5": lambda: region(durszt_model(2), 2, 8.5),
 }
 
@@ -430,10 +432,8 @@ def test_ranks_and_counts_must_be_integers(name):
 
 def test_numpy_integer_ranks_and_counts():
     one, two, eight = np.int64(1), np.int64(2), np.int64(8)
-    lam = 0.9 + 0j
     assert matrix_lambda_k(_DIAG, one, 0.0) == matrix_lambda_k(_DIAG, 1, 0.0)
     assert ckz_member(_DIAG, one, 0j) is ckz_member(_DIAG, 1, 0j)
-    assert conjecture_check(_DIAG, one, lam, eight) == conjecture_check(_DIAG, 1, lam, 8)
     assert dilation_intersection(_DIAG, two, one, two) == dilation_intersection(_DIAG, 2, 1, 2)
     model = durszt_model(2)
     assert region(model, two, eight).polygon == region(model, 2, 8).polygon
@@ -475,7 +475,3 @@ def test_one_rank_rule_at_every_entry_point(name):
         with pytest.raises(ValueError) as exc:
             call(k)
         assert exc.type is ValueError
-
-
-def test_conjecture_check_takes_ranks_above_n():
-    assert conjecture_check(_TWO, 3, 0j, 8).condition_holds

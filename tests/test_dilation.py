@@ -21,7 +21,6 @@ from hrnr import (
     SpectralMeasureModel,
     Verdict,
     WuVerdict,
-    conjecture_check,
     dilation,
     dilation_intersection,
     excluding_certificate,
@@ -312,27 +311,56 @@ class TestWuCheck:
             wu_check(m, 2, region(m, 1, 32))
 
 
-class TestConjecture:
-    def test_real_pair(self):
-        T = np.diag([0.5, -0.5]).astype(complex)
-        res = conjecture_check(T, 1, 0.6 + 0j, 360)
-        assert res.condition_holds
-        # verify the reported angle satisfies the scanned condition
-        A = np.exp(1j * res.theta) * T - 0.6 * np.eye(2)
-        evals = np.linalg.eigvalsh(0.5 * (A + A.conj().T))
-        assert np.sum(evals >= -1e-8) < 1
+def _excludes(T, k, lam) -> bool:
+    """Whether excluding_dilation_matrix returns a dilation for lam."""
+    try:
+        excluding_dilation_matrix(T, k, lam)
+    except NoSeparatingAngle:
+        return False
+    return True
 
-    def test_interior_point_fails(self):
-        T = np.diag([0.5, -0.5]).astype(complex)
-        assert not conjecture_check(T, 1, 0j, 360).condition_holds
 
-    def test_zero(self):
-        res = conjecture_check(np.array([[0j]]), 1, 0.5 + 0j, 360)
-        assert res.condition_holds
+def _seeded_exclusion_cases():
+    rng = np.random.default_rng(2008)
+    for n in range(2, 7):
+        T = random_normal_contraction(n, rng)
+        points = (rng.uniform(-1.1, 1.1, 16) + 1j * rng.uniform(-1.1, 1.1, 16)).tolist()
+        for k in range(1, n + 1):
+            yield pytest.param(T, k, points, id=f"seeded n={n} k={k}")
 
-    def test_strictness_required(self):
-        with pytest.raises(NotStrictContraction):
-            conjecture_check(np.eye(2, dtype=complex), 1, 2 + 0j, 8)
+
+_REAL_PAIR = np.diag([0.5, -0.5]).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "T, k, points",
+    [
+        # all four lie outside Lambda_1 = [-0.5, 0.5]; a condition that
+        # reads lam only through Re(lam) tells them apart
+        pytest.param(_REAL_PAIR, 1, [0.6], id="real pair at 0.6"),
+        pytest.param(_REAL_PAIR, 1, [-0.6], id="real pair at -0.6"),
+        pytest.param(_REAL_PAIR, 1, [0.6j], id="real pair at 0.6i"),
+        pytest.param(_REAL_PAIR, 1, [-0.6j], id="real pair at -0.6i"),
+        *_seeded_exclusion_cases(),
+    ],
+)
+def test_exclusion_turns_with_T(T, k, points):
+    # u T excludes u lam exactly when T excludes lam, and exactly when lam
+    # lies outside the polygon of dilation_intersection(T, k)
+    poly = dilation_intersection(T, k)
+    if len(poly.vertices) >= 3:
+        centre = sum(poly.vertices) / len(poly.vertices)
+        points = [*points, centre, *((v + centre) / 2 for v in poly.vertices)]
+    checked = 0
+    for lam in points:
+        sd = signed_distance(poly, lam)
+        if abs(sd) <= 1e-6:
+            continue
+        checked += 1
+        assert _excludes(T, k, lam) is (sd > 0)
+        for u in np.exp(1j * np.array([0.7, 2.0, math.pi, 4.5])).tolist():
+            assert _excludes(u * T, k, u * lam) is (sd > 0)
+    assert checked
 
 
 # The quarter-integer lattice points of the closed unit disk: every

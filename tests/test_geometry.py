@@ -130,6 +130,23 @@ class TestHalfClosedHalfPlane:
             dim_ran_closed(durszt_model(2), ClosedHalfPlane(0, angle))
 
     @pytest.mark.parametrize(
+        "angle",
+        ["0", b"1", True, np.bool_(True), 1 + 0j, np.complex128(0.3 + 1j), None, 10**400],
+        ids=["str", "bytes", "bool", "numpy bool", "complex", "numpy complex", "None", "huge int"],
+    )
+    def test_normal_angle_must_be_a_real_number(self, angle):
+        # float() takes the string, the bytes, the bools and the NumPy complex
+        # (dropping its imaginary part), but none is an angle; the rest it
+        # refuses with TypeError or OverflowError
+        for plane in (
+            lambda: HalfClosedHalfPlane(0j, angle, 1),
+            lambda: ClosedHalfPlane(0j, angle),
+            lambda: ClosedHalfPlane(0j, angle, normal=(1.0, 0.0)),
+        ):
+            with pytest.raises(ValueError, match="normal_angle must be finite"):
+                plane()
+
+    @pytest.mark.parametrize(
         "normal, message",
         [
             ((0.0, 0.0), "finite and nonzero"),

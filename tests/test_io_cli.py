@@ -196,13 +196,6 @@ class TestCli:
         assert out["skipped_near_eigenvalue"] == report.skipped_near_eigenvalue == 1
         assert out["uncertain_samples"] == report.uncertain_samples
 
-    def test_conjecture(self, capsys, matrix_file):
-        assert main(
-            ["conjecture", "--input", matrix_file, "-k", "1", "--point", "0.9,0.0",
-             "--thetas", "90"]
-        ) == 0
-        assert json.loads(capsys.readouterr().out)["condition_holds"] is True
-
     def test_intersect_normal_prints_the_eigenvalue_triangle(self, capsys, matrix_file):
         # exact planes: the rank-1 range of diag(0.5, -0.5, 0.3i) is the
         # triangle of its eigenvalues, with no grid corners beside them
@@ -295,9 +288,9 @@ class TestCli:
                 1,
             ),
             # rank and grid sizes out of range are precondition violations
-            (["conjecture", "-k", "0", "--point", "0,0"], _HALF_DIAG, 2),
-            (["conjecture", "-k", "1", "--point", "0,0", "--thetas", "0"], _HALF_DIAG, 2),
-            (["conjecture", "-k", "1", "--point", "0,0", "--thetas", "-4"], _HALF_DIAG, 2),
+            (["selfadjoint", "-k", "0"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 2),
+            (["region", "-k", "1", "--angles", "0"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 2),
+            (["wu-check", "-k", "1", "--angles", "-4"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 2),
             (["intersect", "-k", "5"], _HALF_DIAG, 2),
             # a matrix that is not normal has no dilation intersection here
             (["intersect", "-k", "1"], _JORDAN, 2),
@@ -305,7 +298,8 @@ class TestCli:
             (["member", "-k", "1", "--point", "nan,0"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 1),
             (["member", "-k", "1", "--point", "0,inf"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 1),
             (["member", "-k", "1", "--point=-inf,nan"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 1),
-            (["conjecture", "-k", "1", "--point", "nan,0"], _HALF_DIAG, 1),
+            # the spectral scan's subcommand is gone: an unknown command
+            (["conjecture", "-k", "1", "--point", "0,0"], _HALF_DIAG, 1),
             (["dilate", "--alpha", "nan"], _HALF_DIAG, 1),
             (["dilate", "--alpha", "inf"], _HALF_DIAG, 1),
             # usage errors are malformed input too
@@ -327,7 +321,8 @@ class TestCli:
                 {"atoms": [{"point": [0, 0], "mult": 1}]},
                 2,
             ),
-            (["conjecture", "-k", "1", "--point", "0,0", "--thetas", str(10**15)], _HALF_DIAG, 2),
+            # a rank below 1 at the point query
+            (["member", "-k", "0", "--point", "0,0"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 2),
         ],
     )
     def test_exit_code_contract(self, tmp_path, capsys, command, doc, code):
@@ -340,7 +335,7 @@ class TestCli:
             if command[0] == "selfadjoint":
                 assert result["interval"] is None
         else:
-            assert out.err.startswith("error: ")
+            assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
     def test_integral_float_multiplicities(self):
         doc = {
@@ -532,7 +527,6 @@ _COMMANDS = [
     ["selfadjoint", "-k", "1"],
     ["dilate", "--alpha", "0.3"],
     ["wu-check", "-k", "1", "--angles", "8"],
-    ["conjecture", "-k", "1", "--point", "0.5,0", "--thetas", "8"],
     ["intersect", "-k", "1"],
 ]
 
@@ -563,7 +557,7 @@ def _bad_command_line(draw):
     count, a missing required option, or a malformed point or phase."""
     command = draw(st.sampled_from(_COMMANDS))
     argv = [command[0], "--input", None, *command[1:]]
-    ints = [i for i, a in enumerate(argv) if a in ("-k", "--angles", "--thetas")]
+    ints = [i for i, a in enumerate(argv) if a in ("-k", "--angles")]
     values = [i for i, a in enumerate(argv) if a in ("--point", "--alpha")]
     kind = draw(st.sampled_from(["flag", "missing"] + ["int"] * bool(ints) + ["value"] * bool(values)))
     if kind == "flag":
