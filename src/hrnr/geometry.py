@@ -50,10 +50,14 @@ DEFAULT_TOL = TolerancePolicy()
 def require_finite(z: complex, what: str = "point") -> complex:
     """z as a complex number; ValueError unless it is a number (a string,
     bytes or a bool is not, although complex() accepts some of them) with
-    finite coordinates."""
-    if isinstance(z, (str, bytes, bool, np.bool_)):
-        raise ValueError(f"{what} must have finite coordinates, got {z!r}, which is not a number")
-    z = complex(z)
+    finite coordinates, and so is anything ``complex()`` refuses (None, a
+    list, an int too large for a float)."""
+    try:
+        if isinstance(z, (str, bytes, bool, np.bool_)):
+            raise TypeError("not a number")
+        z = complex(z)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{what} must have finite coordinates, got {z!r}, which is not a number") from exc
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError(f"{what} must have finite coordinates, got {z!r}")
     return z

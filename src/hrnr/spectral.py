@@ -241,6 +241,12 @@ class SpectralMeasureModel:
         return sum(a.mult for a in self.atoms)
 
     @cached_property
+    def _level_tables(self) -> dict:
+        """The k-th support level tables of ``core.member_many``'s interior
+        certificate, by rank, each built on the first query of its rank."""
+        return {}
+
+    @cached_property
     def _point_data(self):
         xs, ys, ws = [], [], []
         for a in self.atoms:

@@ -357,8 +357,9 @@ _POINT_FUNCTIONS = {
 
 @pytest.mark.parametrize(
     "z",
-    # complex() parses the string and takes the bool, but neither is a point
-    [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf), "0.5", True],
+    # complex() parses the string and takes the bool, but neither is a point;
+    # it refuses None and a list with a TypeError
+    [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, -math.inf), "0.5", True, None, [1, 2]],
 )
 @pytest.mark.parametrize("name", sorted(_POINT_FUNCTIONS))
 def test_point_functions_reject_non_finite(name, z):
