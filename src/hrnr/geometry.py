@@ -49,9 +49,9 @@ DEFAULT_TOL = TolerancePolicy()
 
 def require_finite(z: complex, what: str = "point") -> complex:
     """z as a complex number; ValueError unless it is a number (a string,
-    bytes or a bool is not, although complex() accepts some of them) with
-    finite coordinates, and so is anything ``complex()`` refuses (None, a
-    list, an int too large for a float)."""
+    bytes or a bool is not, although complex() accepts some of them, and
+    neither is anything complex() refuses, such as None or a list) with
+    finite coordinates."""
     try:
         if isinstance(z, (str, bytes, bool, np.bool_)):
             raise TypeError("not a number")

@@ -243,7 +243,7 @@ class SpectralMeasureModel:
     @cached_property
     def _level_tables(self) -> dict:
         """The k-th support level tables of ``core.member_many``'s interior
-        certificate, by rank, each built on the first query of its rank."""
+        certificate, by rank; None for a rank queried once, by one point."""
         return {}
 
     @cached_property

@@ -5,8 +5,8 @@ support level table certifies it (``core._certified_in``).  Every such
 point must get IN from ``core._decide`` as well, and ``member_many`` must
 equal a ``_decide``-only oracle bit for bit, witnesses included, on matrix
 models with repeated eigenvalues, on the region_wu model pool and on the
-presets.  The table is built once per (model, rank), and points it
-certifies make no kernel call.
+presets.  The table is built once per (model, rank), not for a lone first
+query, and points it certifies make no kernel call.
 """
 
 import importlib.util
@@ -136,16 +136,22 @@ def test_interior_points_make_no_kernel_call(monkeypatch):
     inner = [complex(z) for z in 0.3 * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * np.pi * rng.uniform(size=40))]
     calls = _counting(monkeypatch)
     for k in (1, 2):
-        hrnr.member(model, k, inner[0])
-        assert calls == {"kernel": 0, "levels": k}
+        # a rank's first query of one point is swept, and builds no table
+        assert hrnr.member(model, k, inner[0]).value is hrnr.Verdict.IN
+        swept = calls["kernel"]
+        assert swept > 0 and calls["levels"] == k - 1
         for z in inner[1:]:
             assert hrnr.member(model, k, z).value is hrnr.Verdict.IN
         assert member_many(model, k, inner) == [MembershipVerdict(hrnr.Verdict.IN)] * len(inner)
-        assert calls == {"kernel": 0, "levels": k}
+        assert calls == {"kernel": swept, "levels": k}
     assert sorted(model._level_tables) == [1, 2]
     # a point outside the range goes through the sweep, with the same table
     assert hrnr.member(model, 2, 1.5 + 0j).value is hrnr.Verdict.OUT
-    assert calls == {"kernel": 1, "levels": 2}
+    assert calls["kernel"] > swept and calls["levels"] == 2
+    # a first call of several points builds the table at once
+    swept = calls["kernel"]
+    assert member_many(model, 3, inner[:2]) == [MembershipVerdict(hrnr.Verdict.IN)] * 2
+    assert calls == {"kernel": swept, "levels": 3}
 
 
 def test_rank_inf_and_no_points_bypass_the_table(monkeypatch):
