@@ -68,7 +68,7 @@ _TANGENT_SLACK = 1e-7
 
 # Directions of the k-th support level table that certifies interior points
 # in member_many (see _certified_in): 1024 certify nearly as many points as
-# a finer grid, for one table build of about 50-70 ms at n = 800 atoms.
+# a finer grid, for one table build of about 4-5 ms at n = 800 atoms.
 _LEVEL_DIRS = 1024
 
 
@@ -376,7 +376,7 @@ def _certified_in(model: SpectralMeasureModel, k: int, points: list[complex]) ->
     :func:`hrnr.spectral.support_levels` call) and R = ``model.max_abs()``.
     It is built once per rank and remembered on the model, but not for a
     rank's first call when that call holds one point: a table costs as much
-    as 5 to 35 sweeps of one point (32 to 800 atoms), so a model queried
+    as 1 to 3 sweeps of one point (32 to 800 atoms), so a model queried
     once, as by ``hrnr member``, is swept as before.
 
     f(xi) = h_k(xi) - Re(e^{i xi} z) moves by at most (R + |z|) |xi - xi'|
@@ -421,6 +421,8 @@ def member_many(model: SpectralMeasureModel, k, points) -> list[MembershipVerdic
     rest = range(len(points))
     if kf != INF and points:
         rest = [i for i, ok in enumerate(_certified_in(model, int(kf), points)) if not ok]
+    if not rest:
+        return out
     decided = _decide(model, kf, [points[i] for i in rest], [(_HCHP, True)])
     for i, (hchp,) in zip(rest, decided):
         out[i] = MembershipVerdict(*hchp)

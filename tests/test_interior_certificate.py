@@ -6,7 +6,8 @@ point must get IN from ``core._decide`` as well, and ``member_many`` must
 equal a ``_decide``-only oracle bit for bit, witnesses included, on matrix
 models with repeated eigenvalues, on the region_wu model pool and on the
 presets.  The table is built once per (model, rank), not for a lone first
-query, and points it certifies make no kernel call.
+query, and a batch it certifies in full makes no direction build and no
+kernel call.
 """
 
 import importlib.util
@@ -114,19 +115,21 @@ def test_certificate_agrees_with_the_sweep_on_the_region_wu_pool_and_presets():
 
 
 def _counting(monkeypatch):
-    calls = {"kernel": 0, "levels": 0}
-    kernel, levels = kernels.atom_side_sweep, core.support_levels
+    """Counts of kernel calls, level table builds, direction builds and
+    ``_decide`` calls, as the patched functions are called."""
+    calls = {"kernel": 0, "levels": 0, "directions": 0, "decide": 0}
 
-    def counting_kernel(*args):
-        calls["kernel"] += 1
-        return kernel(*args)
+    def counting(key, f):
+        def counted(*args):
+            calls[key] += 1
+            return f(*args)
 
-    def counting_levels(*args):
-        calls["levels"] += 1
-        return levels(*args)
+        return counted
 
-    monkeypatch.setattr(kernels, "atom_side_sweep", counting_kernel)
-    monkeypatch.setattr(core, "support_levels", counting_levels)
+    monkeypatch.setattr(kernels, "atom_side_sweep", counting("kernel", kernels.atom_side_sweep))
+    monkeypatch.setattr(core, "support_levels", counting("levels", core.support_levels))
+    monkeypatch.setattr(core, "critical_directions", counting("directions", core.critical_directions))
+    monkeypatch.setattr(core, "_decide", counting("decide", core._decide))
     return calls
 
 
@@ -138,20 +141,23 @@ def test_interior_points_make_no_kernel_call(monkeypatch):
     for k in (1, 2):
         # a rank's first query of one point is swept, and builds no table
         assert hrnr.member(model, k, inner[0]).value is hrnr.Verdict.IN
-        swept = calls["kernel"]
-        assert swept > 0 and calls["levels"] == k - 1
+        swept = dict(calls)
+        assert swept["kernel"] > 0 and swept["directions"] == swept["decide"] == k
+        assert swept["levels"] == k - 1
+        # a batch the table certifies in full goes nowhere near the sweep
         for z in inner[1:]:
             assert hrnr.member(model, k, z).value is hrnr.Verdict.IN
         assert member_many(model, k, inner) == [MembershipVerdict(hrnr.Verdict.IN)] * len(inner)
-        assert calls == {"kernel": swept, "levels": k}
+        assert calls == {**swept, "levels": k}
     assert sorted(model._level_tables) == [1, 2]
     # a point outside the range goes through the sweep, with the same table
     assert hrnr.member(model, 2, 1.5 + 0j).value is hrnr.Verdict.OUT
-    assert calls["kernel"] > swept and calls["levels"] == 2
+    assert calls["kernel"] > swept["kernel"] and calls["directions"] == calls["decide"] == 3
+    assert calls["levels"] == 2
     # a first call of several points builds the table at once
-    swept = calls["kernel"]
+    swept = dict(calls)
     assert member_many(model, 3, inner[:2]) == [MembershipVerdict(hrnr.Verdict.IN)] * 2
-    assert calls == {"kernel": swept, "levels": 3}
+    assert calls == {**swept, "levels": 3}
 
 
 def test_rank_inf_and_no_points_bypass_the_table(monkeypatch):

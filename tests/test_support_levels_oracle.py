@@ -1,11 +1,15 @@
 """Differential tests: the array support levels of ``hrnr.spectral``
-against the per-direction pushforward scans kept in ``pushforward_oracle``.
+against the per-direction pushforward scans kept in ``pushforward_oracle``,
+and against the full-sort body kept in ``support_levels_oracle``.
 
 Levels are ``repr``-identical, signed zeros included, on the region_wu
-pools and the presets, on random models and on a matrix model with
-repeated eigenvalues; the self-adjoint interval equals the oracle's
-(``lambda_k_inf``, ``lambda_k_sup``) at 0 under ``==``, which takes a zero
-of either sign as equal.  The finite points are scored a chunk of
+pools and the presets, on random models, on a matrix model with repeated
+eigenvalues and on lattice models whose k-th and (k+1)-th projections tie;
+the self-adjoint interval equals the oracle's (``lambda_k_inf``,
+``lambda_k_sup``) at 0 under ``==``, which takes a zero of either sign as
+equal.  At the size of ``member``'s level table (1,024 directions, up to
+800 points) the levels are byte-identical to the full sort's, by top-k
+selection and by full sort alike.  The finite points are scored a chunk of
 directions at a time, and the levels do not depend on the chunk size.
 """
 
@@ -19,10 +23,11 @@ import pytest
 
 import hrnr
 from hrnr import INF, Atom, Segment, SequenceFamily, SpectralMeasureModel, kernels, presets
-from hrnr.geometry import _grid
+from hrnr.geometry import _grid, snap_dirs
 from hrnr.spectral import support_levels
 
 import pushforward_oracle as oracle
+import support_levels_oracle
 from conftest import random_model
 
 
@@ -51,6 +56,12 @@ def _pool(name):
             for mults in ((1, 1, 2, 1), (INF, 1, INF, 2))
             for fams in ((), (fam,))
         ]
+    if name == "lattice":
+        # 36 atoms on the 1/8 lattice, imaginary parts >= 0 (zeros of either
+        # sign): on axis and diagonal directions the k-th and (k+1)-th
+        # projections tie, and at xi = pi/2 the tie is between signed zeros
+        rng = np.random.default_rng(29)
+        return [_lattice_model(rng, 36, mults) for mults in ((1,), (1, 2, 3), (1, 1, 1, INF))]
     if name == "matrix":
         # repeated eigenvalues, and projections that tie in some directions
         vals = [0.5, 0.5, -0.5j, 0.3 + 0.4j, 0.3 + 0.4j, 0.3 + 0.4j, 0.0, 1j, 0.5j]
@@ -64,9 +75,27 @@ def _oracle_levels(model, k_max, xis):
     return {k: [oracle.lambda_k_sup(rm, k) for rm in images] for k in range(1, k_max + 1)}
 
 
-@pytest.mark.parametrize("pool", ["1", "2", "3", "presets", "random", "zeros", "matrix"])
+def _lattice_model(rng, n, mults, families=False):
+    """n atoms on the 1/8 lattice of [-3/4, 3/4] x [0, 3/4], their imaginary
+    zeros of either sign, multiplicities drawn from ``mults``; with
+    ``families``, a family with a lattice limit and a three-point prefix."""
+    real = rng.integers(-6, 7, n) / 8
+    imag = np.where(rng.uniform(size=n) < 0.5, -0.0, 0.0) + rng.integers(0, 7, n) * (rng.uniform(size=n) < 0.7) / 8
+    atoms = tuple(
+        Atom(complex(x, y), mults[int(rng.integers(len(mults)))]) for x, y in zip(real, imag)
+    )
+    fams = ()
+    if families:
+        lim = complex(rng.integers(-6, 7) / 8, rng.integers(0, 7) / 8)
+        fams = (SequenceFamily(tuple((lim + 0.25 * 0.5**j, 1 + j % 3) for j in range(3)), lim, 0.0, "on"),)
+    return SpectralMeasureModel(atoms, families=fams, support_radius=2.0)
+
+
+@pytest.mark.parametrize("pool", ["1", "2", "3", "presets", "random", "zeros", "matrix", "lattice"])
 def test_levels_match_oracle(pool):
     for model in _pool(pool):
+        if pool == "lattice":
+            assert all(_cut_ties(model, k, _grid(96))[0] > 0 for k in (1, 2, 3))
         k_max = int(min(3, model.total_dim))
         for n in (8, 96, 812):
             xis = _grid(n).tolist()
@@ -135,14 +164,55 @@ def test_chunks_do_not_change_the_levels(monkeypatch):
 
 
 def test_levels_stay_within_the_chunk_memory():
-    # unchunked, 4,096 directions over 800 atoms take 26 MB per array
+    # unchunked, 4,096 directions over 800 atoms take 26 MB per array; at
+    # k = 3 the top-k selection's index arrays are chunked as well
     model = _matrix_model()
     xis = _grid(4096)
     support_levels(model, 1, xis[:8])  # cached point data is not working memory
-    tracemalloc.start()
-    try:
-        support_levels(model, 1, xis)
-        peak = tracemalloc.get_traced_memory()[1] / 2**20
-    finally:
-        tracemalloc.stop()
-    assert peak < 4.0
+    for k in (1, 3):
+        tracemalloc.start()
+        try:
+            support_levels(model, k, xis)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0
+
+
+def _cut_ties(model, k, xis):
+    """How many directions put equal k-th and (k+1)-th finite projections
+    in descending order, and how many of those are zeros of unlike sign."""
+    px, py, _ = model._point_data
+    c, s = snap_dirs(np.cos(xis), np.sin(xis))
+    x = c[:, None] * px - s[:, None] * py
+    x = np.take_along_axis(x, np.argsort(-x, axis=1, kind="stable"), axis=1)
+    a, b = x[:, k - 1], x[:, k]
+    tie = a == b
+    return int(tie.sum()), int((tie & (np.signbit(a) != np.signbit(b))).sum())
+
+
+def _table_scale_models():
+    rng = np.random.default_rng(2029)
+    models = [
+        _lattice_model(rng, n, mults, families)
+        for n in (30, 200, 800)
+        for mults, families in (((1,), False), ((1, 2, 3), True), ((1, 2, INF), False))
+    ]
+    models.append(_matrix_model())
+    return models
+
+
+def test_levels_match_the_full_sort_at_table_scale():
+    xis = _grid(1024)
+    ties = zero_ties = 0
+    for model in _table_scale_models():
+        n = len(model._point_data[0])
+        for k in (1, 2, 3, 400, n):
+            if k > model.total_dim:
+                continue
+            expected = support_levels_oracle.support_levels(model, k, xis)
+            assert support_levels(model, k, xis).tobytes() == expected.tobytes()
+            if 8 * k < n:  # the top-k selection, tested where the cut ties
+                t, z = _cut_ties(model, k, xis)
+                ties, zero_ties = ties + t, zero_ties + z
+    assert ties > 0 and zero_ties > 0
