@@ -59,7 +59,7 @@ def _pool(name):
     if name == "lattice":
         # 36 atoms on the 1/8 lattice, imaginary parts >= 0 (zeros of either
         # sign): on axis and diagonal directions the k-th and (k+1)-th
-        # projections tie, and at xi = pi/2 the tie is between signed zeros
+        # projections tie, at xi = pi/2 as zeros of either sign
         rng = np.random.default_rng(29)
         return [_lattice_model(rng, 36, mults) for mults in ((1,), (1, 2, 3), (1, 1, 1, INF))]
     if name == "matrix":
@@ -80,7 +80,7 @@ def _lattice_model(rng, n, mults, families=False):
     zeros of either sign, multiplicities drawn from ``mults``; with
     ``families``, a family with a lattice limit and a three-point prefix."""
     real = rng.integers(-6, 7, n) / 8
-    imag = np.where(rng.uniform(size=n) < 0.5, -0.0, 0.0) + rng.integers(0, 7, n) * (rng.uniform(size=n) < 0.7) / 8
+    imag = np.where(rng.uniform(size=n) < 0.3, rng.choice([-0.0, 0.0], n), rng.integers(0, 7, n) / 8)
     atoms = tuple(
         Atom(complex(x, y), mults[int(rng.integers(len(mults)))]) for x, y in zip(real, imag)
     )
