@@ -300,11 +300,12 @@ def halfplane_intersection(lines: list[tuple[float, float, float]], bound: float
     lines exact.  Every vertex lies within ``eps_geom`` of every half plane.
 
     Degenerate intersections survive as segments or points; an empty
-    intersection gives the empty polygon.  ValueError unless ``bound`` > 0,
-    every line entry is finite and every normal has length 1 within 4 ulps,
-    which a normal divided by its ``math.hypot`` meets.
+    intersection gives the empty polygon.  ValueError unless ``bound`` is
+    positive and finite, every line entry is finite and every normal has
+    length 1 within 4 ulps, which a normal divided by its ``math.hypot``
+    meets.
     """
-    if not bound > 0:
+    if not 0 < bound < math.inf:
         raise ValueError("bound must be positive")
     if not all(map(math.isfinite, chain.from_iterable(lines))):
         raise ValueError("line entries must be finite")

@@ -9,54 +9,15 @@ import numpy as np
 
 from .core import RegionEstimate
 from .errors import ModelFormatError
-from .geometry import ConvexPolygon
+from .geometry import ConvexPolygon, require_finite_real
 from .spectral import INF, Arc, Atom, Region, Segment, SequenceFamily, SpectralMeasureModel
 
 
-def _num(val, what: str) -> float:
-    """A finite JSON number; booleans, strings and non-finite or overflowing
-    values are malformed."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ModelFormatError(f"{what} must be a number, got {val!r}")
-    try:
-        x = float(val)
-    except OverflowError as exc:
-        raise ModelFormatError(f"{what} too large for a float") from exc
-    if not math.isfinite(x):
-        raise ModelFormatError(f"non-finite {what} {val!r}")
-    return x
-
-
 def _pt(val) -> complex:
-    try:
-        x, y = val[0], val[1]
-    except (TypeError, IndexError, KeyError) as exc:
-        raise ModelFormatError(f"expected a [x, y] pair, got {val!r}") from exc
-    return complex(_num(x, "coordinate"), _num(y, "coordinate"))
-
-
-def _count(val) -> int:
-    """A finite multiplicity: a JSON integer >= 1 or an integral float such
-    as 2.0; booleans, strings and fractions are malformed."""
-    x = _num(val, "multiplicity")  # weights are summed as floats
-    if not x.is_integer():
-        raise ModelFormatError(f"multiplicity must be an integer, got {val!r}")
-    if x < 1:
-        raise ModelFormatError(f"multiplicity must be at least 1, got {val!r}")
-    return int(val)
-
-
-def _mult(val) -> float:
-    """An atom multiplicity: a finite count or "inf"."""
-    return INF if val == "inf" else float(_count(val))
-
-
-def _objects(doc: dict, key: str) -> list[dict]:
-    """The list of JSON objects under doc[key] (absent: empty)."""
-    entries = doc.get(key, [])
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ModelFormatError(f'"{key}" must be a list of objects')
-    return entries
+    """An [x, y] pair of finite reals; ValueError otherwise."""
+    if not (isinstance(val, list) and len(val) == 2):
+        raise ValueError(f"expected a [x, y] pair, got {val!r}")
+    return complex(*(require_finite_real(x, "coordinate") for x in val))
 
 
 def parse_document(text: str):
@@ -84,61 +45,62 @@ def matrix_from_obj(doc: dict) -> np.ndarray:
         raise ModelFormatError('"matrix" document needs a nonempty "data" array')
     try:
         M = np.asarray([[_pt(e) for e in row] for row in data], dtype=complex)
-    except (TypeError, ValueError) as exc:  # a row that is not a list, or ragged rows
-        raise ModelFormatError("matrix rows must be lists of [re, im] pairs") from exc
+    except (TypeError, ValueError) as exc:  # a bad entry, a row that is not a list, ragged rows
+        raise ModelFormatError(f"matrix rows must be lists of [re, im] pairs: {exc}") from exc
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ModelFormatError("matrix must be square")
     return M
 
 
+def _atom(a: dict) -> Atom:
+    mult = a["mult"]
+    if isinstance(mult, float) and not math.isfinite(mult):
+        raise ValueError(f'multiplicity must be a finite number or "inf", got {mult!r}')
+    return Atom(_pt(a["point"]), INF if mult == "inf" else mult)
+
+
+def _piece(p: dict):
+    kind = p.get("type")
+    if kind == "segment":
+        return Segment(_pt(p["a"]), _pt(p["b"]))
+    if kind == "arc":
+        return Arc(_pt(p["center"]), p["radius"], p["theta0"], p["theta1"])
+    if kind == "polygon":
+        return Region(ConvexPolygon(tuple(_pt(v) for v in p["vertices"])))
+    raise ValueError(f"unknown piece type {kind!r}")
+
+
+def _family(f: dict) -> SequenceFamily:
+    prefix = tuple((_pt(e["point"]), e["mult"]) for e in f.get("prefix", []))
+    return SequenceFamily(
+        prefix, _pt(f["limit"]), f["approach_angle"], f["approach_side"], f.get("tail_mult", 1)
+    )
+
+
+def _components(doc: dict, key: str, build) -> tuple:
+    """The model components in the list of objects doc[key] (absent: none).
+    The constructors check every number, and their ValueError, like a
+    missing or mistyped field, makes the document malformed."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ModelFormatError(f'"{key}" must be a list of objects')
+    parts = []
+    for obj in entries:
+        try:
+            parts.append(build(obj))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"bad {key} entry {obj!r}: {exc}") from exc
+    return tuple(parts)
+
+
 def model_from_obj(doc: dict) -> SpectralMeasureModel:
     if "support_radius" not in doc:
         raise ModelFormatError('"model" document needs a numeric "support_radius"')
-    radius = _num(doc["support_radius"], "support_radius")
-    atoms = []
-    for a in _objects(doc, "atoms"):
-        try:
-            atoms.append(Atom(_pt(a["point"]), _mult(a["mult"])))
-        except KeyError as exc:
-            raise ModelFormatError(f"atom {a!r} lacks {exc}") from exc
-    pieces = []
-    for p in _objects(doc, "pieces"):
-        kind = p.get("type")
-        try:
-            if kind == "segment":
-                pieces.append(Segment(_pt(p["a"]), _pt(p["b"])))
-            elif kind == "arc":
-                pieces.append(
-                    Arc(
-                        _pt(p["center"]),
-                        _num(p["radius"], "radius"),
-                        _num(p["theta0"], "theta0"),
-                        _num(p["theta1"], "theta1"),
-                    )
-                )
-            elif kind == "polygon":
-                pieces.append(Region(ConvexPolygon(tuple(_pt(v) for v in p["vertices"]))))
-            else:
-                raise ModelFormatError(f"unknown piece type {kind!r}")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ModelFormatError(f"bad piece {p!r}: {exc}") from exc
-    families = []
-    for f in _objects(doc, "families"):
-        try:
-            prefix = tuple((_pt(e["point"]), _count(e["mult"])) for e in f.get("prefix", []))
-            families.append(
-                SequenceFamily(
-                    prefix,
-                    _pt(f["limit"]),
-                    _num(f["approach_angle"], "approach_angle"),
-                    str(f["approach_side"]),
-                    _count(f.get("tail_mult", 1)),
-                )
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ModelFormatError(f"bad family {f!r}: {exc}") from exc
+    atoms = _components(doc, "atoms", _atom)
+    pieces = _components(doc, "pieces", _piece)
+    families = _components(doc, "families", _family)
     try:
-        return SpectralMeasureModel(tuple(atoms), tuple(pieces), tuple(families), radius)
+        return SpectralMeasureModel(atoms, pieces, families, doc["support_radius"])
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from exc
 

@@ -12,8 +12,9 @@ import numpy as np
 # at 24,000 to 26,000 pairs, and the sweep wins at 28,800 (143-196 against
 # 171-223 us), so the cut sits a little below the crossover; neither side
 # of it costs much there.  Member on a matrix model with hundreds of
-# eigenvalues (about 10^6 pairs) sorts, while the one-point check of an
-# excluding dilation (about 1,800 pairs) stays dense.  One anchor per
+# eigenvalues (about 10^6 pairs) sorts, while the shared-anchor calls on
+# small models stay dense: member, is_boundary, excluding_certificate, the
+# dim_ran_* queries and a batched chunk of one point.  One anchor per
 # direction (the batched sweeps of region and wu_check) always runs dense,
 # up to ``BATCH_PAIRS`` = 65,536 pairs per call.
 SORTED_MIN_PAIRS = 20_480

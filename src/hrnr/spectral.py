@@ -36,6 +36,7 @@ from .geometry import (
     HalfClosedHalfPlane,
     canonical_dir,
     require_finite,
+    require_finite_real,
     snap_dir,
     snap_dirs,
     trig_dir,
@@ -54,9 +55,11 @@ _MAX_FINITE_TOTAL = 2**53
 
 
 def _count(mult, what: str) -> int:
-    """A finite multiplicity as an int; booleans and fractions raise."""
+    """A finite multiplicity as an int; booleans, fractions and counts past
+    the float range (weights are summed as floats) raise."""
     try:
         m = None if isinstance(mult, (bool, np.bool_)) else int(mult)
+        float(m)  # OverflowError past the float range
     except (TypeError, ValueError, OverflowError):
         m = None
     if m is None or m != mult or m < 1:
@@ -101,6 +104,8 @@ class Arc:
 
     def __post_init__(self):
         object.__setattr__(self, "center", require_finite(self.center, "arc center"))
+        for name in ("radius", "theta0", "theta1"):
+            object.__setattr__(self, name, require_finite_real(getattr(self, name), f"arc {name}"))
         if not self.radius > 0:
             raise ValueError("arc radius must be positive")
         if not (self.theta0 < self.theta1 <= self.theta0 + 2 * math.pi + 1e-12):
@@ -112,6 +117,8 @@ class Region:
     polygon: ConvexPolygon
 
     def __post_init__(self):
+        for v in self.polygon.vertices:
+            require_finite(v, "region vertex")
         if self.polygon.area() <= 0:
             raise ValueError("region must have positive area")
 
@@ -136,6 +143,7 @@ class SequenceFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "limit", require_finite(self.limit, "family limit"))
+        object.__setattr__(self, "approach_angle", require_finite_real(self.approach_angle, "approach_angle"))
         if self.approach_side not in ("above", "below", "on"):
             raise ValueError("approach_side must be 'above', 'below' or 'on'")
         object.__setattr__(self, "tail_mult", _count(self.tail_mult, "tail_mult"))
@@ -212,6 +220,7 @@ class SpectralMeasureModel:
         object.__setattr__(self, "atoms", tuple(self.atoms))
         object.__setattr__(self, "pieces", tuple(self.pieces))
         object.__setattr__(self, "families", tuple(self.families))
+        object.__setattr__(self, "support_radius", require_finite_real(self.support_radius, "support_radius"))
         if not self.support_radius > 0:
             raise ValueError("support_radius must be positive")
         if not (self.atoms or self.pieces or self.families):
@@ -310,8 +319,8 @@ class SpectralMeasureModel:
 
 def transform_model(model: SpectralMeasureModel, a: complex, b: complex) -> SpectralMeasureModel:
     """The model of a*T + b (affine image of every component)."""
-    a = complex(a)
-    b = complex(b)
+    a = require_finite(a, "scale factor")
+    b = require_finite(b, "shift")
     if a == 0:
         raise ValueError("scale factor must be nonzero")
     rot = math.atan2(a.imag, a.real)

@@ -240,7 +240,7 @@ class TestHalfPlaneIntersection:
         assert halfplane_intersection(plane_lines(planes), bound=3.0).is_empty
 
     def test_bound_and_lines_are_checked(self):
-        for bound in (0.0, -1.0, math.nan):
+        for bound in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="bound must be positive"):
                 halfplane_intersection([], bound)
         for bad in (math.nan, math.inf, -math.inf):

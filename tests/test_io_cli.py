@@ -68,6 +68,15 @@ class TestModelJson:
             pytest.param(
                 '{"kind": "model", "support_radius": 1%s}' % ("0" * 400), id="huge-support-radius"
             ),
+            # JSON spells an infinite atom "inf"; a numeric one is malformed
+            '{"kind": "model", "support_radius": 1.0, "atoms": [{"point": [0, 0], "mult": Infinity}]}',
+            '{"kind": "model", "support_radius": 1.0, "atoms": [{"point": [0, 0], "mult": NaN}]}',
+            # a point has exactly two coordinates
+            '{"kind": "model", "support_radius": 1.0, "atoms": [{"point": [0, 0, 0], "mult": 1}]}',
+            '{"kind": "model", "support_radius": 1.0, "pieces": [{"type": "arc", "center": [0, 0], '
+            '"radius": true, "theta0": 0, "theta1": 1}]}',
+            '{"kind": "model", "support_radius": 1.0, "families": [{"prefix": [], "limit": [0, 0], '
+            '"approach_angle": "0", "approach_side": "on"}]}',
         ],
     )
     def test_malformed(self, text):

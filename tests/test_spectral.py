@@ -9,6 +9,7 @@ from hrnr import (
     Arc,
     Atom,
     ClosedHalfPlane,
+    ConvexPolygon,
     HalfClosedHalfPlane,
     NotNormal,
     Region,
@@ -38,11 +39,23 @@ class TestModelValidation:
             Atom(0j, 1.5)
         with pytest.raises(ValueError):
             Atom(0j, True)
+        with pytest.raises(ValueError):  # past the float range
+            Atom(0j, 10**400)
         assert Atom(0j, INF).mult == INF
 
     @pytest.mark.parametrize(
         "mult, tail_mult",
-        [(0.5, 1), (1.5, 1), (True, 1), (INF, 1), ("2", 1), (1, True), (1, 1.5), (1, 0)],
+        [
+            (0.5, 1),
+            (1.5, 1),
+            (True, 1),
+            (INF, 1),
+            ("2", 1),
+            (1, True),
+            (1, 1.5),
+            (1, 0),
+            pytest.param(1, 10**400, id="tail_mult-past-the-float-range"),
+        ],
     )
     def test_family_mult_rejected(self, mult, tail_mult):
         # fractions and booleans are not truncated to a multiplicity
@@ -95,6 +108,52 @@ class TestModelValidation:
         assert values == (1, 0, 1, 0, 0, 0.5)
         model = SpectralMeasureModel(atoms=(atom,), support_radius=1.0)
         assert model == SpectralMeasureModel(atoms=(Atom(1 + 0j, 2),), support_radius=1.0)
+
+    # every real or complex field, and the scale and shift of
+    # transform_model: a valid value, and the build that puts a value there
+    # with the others valid; theta1 = 2 lets theta0 = True (1) pass the
+    # order check
+    _FIELDS = {
+        "Atom.location": (0j, lambda v: Atom(v, 1)),
+        "Segment.a": (0j, lambda v: Segment(v, 1j)),
+        "Segment.b": (0j, lambda v: Segment(1j, v)),
+        "Arc.center": (0j, lambda v: Arc(v, 0.5, 0.0, 2.0)),
+        "Arc.radius": (0.5, lambda v: Arc(0j, v, 0.0, 2.0)),
+        "Arc.theta0": (0.0, lambda v: Arc(0j, 0.5, v, 2.0)),
+        "Arc.theta1": (2.0, lambda v: Arc(0j, 0.5, 0.0, v)),
+        "Region.vertex": (1j, lambda v: Region(ConvexPolygon((0j, 1 + 0j, v)))),
+        "SequenceFamily.prefix": (0.5, lambda v: SequenceFamily(((v, 1),), 0j, 0.0, "on", 1)),
+        "SequenceFamily.limit": (0j, lambda v: SequenceFamily(((0.5 + 0j, 1),), v, 0.0, "on", 1)),
+        "SequenceFamily.approach_angle": (0.0, lambda v: SequenceFamily(((0.5 + 0j, 1),), 0j, v, "on", 1)),
+        "SpectralMeasureModel.support_radius": (
+            1.0,
+            lambda v: SpectralMeasureModel((Atom(0j, 1),), support_radius=v),
+        ),
+        "transform_model scale": (1, lambda v: transform_model(durszt_model(2), v, 0)),
+        "transform_model shift": (0, lambda v: transform_model(durszt_model(2), 1, v)),
+        # a NaN angle once made member(m, 1, 0.3) OUT, although 0.3 is IN
+        "nan-angle model": (
+            0.0,
+            lambda v: SpectralMeasureModel(
+                (Atom(0.5 + 0j, 1),), families=(SequenceFamily((), 0.1 + 0j, v, "on", 1),)
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1"])
+    @pytest.mark.parametrize("field", list(_FIELDS))
+    def test_every_number_field_is_checked(self, field, bad):
+        valid, build = self._FIELDS[field]
+        build(valid)
+        with pytest.raises(ValueError):
+            build(bad)
+
+    def test_fields_are_stored_as_float(self):
+        arc = Arc(0j, np.int64(1), 0, np.float32(2.0))
+        fam = SequenceFamily((), 0j, 0, "on", 1)
+        model = SpectralMeasureModel((Atom(0j, 1),), support_radius=2)
+        values = (arc.radius, arc.theta0, arc.theta1, fam.approach_angle, model.support_radius)
+        assert all(type(x) is float for x in values) and values == (1, 0, 2, 0, 2)
 
     def test_segment_positive_length(self):
         with pytest.raises(ValueError):
