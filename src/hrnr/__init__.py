@@ -24,7 +24,6 @@ from .geometry import (
     ClosedHalfPlane,
     ConvexPolygon,
     HalfClosedHalfPlane,
-    TolerancePolicy,
     Verdict,
     convex_hull,
     halfplane_intersection,

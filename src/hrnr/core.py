@@ -166,20 +166,15 @@ def critical_directions(
 
     # per anchor: the angles in ascending order, each paired with the next
     # one, the largest with the smallest plus pi, and the midpoints of the
-    # pairs; row is sorted, so the regrouped angles keep it (one anchor
-    # needs no regrouping, which keeps its build as cheap as before)
+    # pairs; row is sorted, so the regrouped angles keep it
     angles = _angles(vx, vy)
     counts = np.bincount(row, minlength=n)
-    if n == 1:
-        breaks = np.sort(angles)
-        following = np.concatenate([breaks[1:], breaks[:1] + math.pi])
-    else:
-        by = np.argsort(angles)
-        breaks = angles[by[np.argsort(row[by], kind="stable")]]
-        ends = np.cumsum(counts)[counts > 0]
-        following = np.empty_like(breaks)
-        following[:-1] = breaks[1:]
-        following[ends - 1] = breaks[ends - counts[counts > 0]] + math.pi
+    by = np.argsort(angles)
+    breaks = angles[by[np.argsort(row[by], kind="stable")]]
+    ends = np.cumsum(counts)[counts > 0]
+    following = np.empty_like(breaks)
+    following[:-1] = breaks[1:]
+    following[ends - 1] = breaks[ends - counts[counts > 0]] + math.pi
     mid = following - breaks > 1e-12
     mx, my = trig_dirs((0.5 * (breaks + following))[mid])
 
@@ -192,10 +187,9 @@ def critical_directions(
         zx, zy = trig_dirs(np.zeros(len(empty)))
         vx, vy = np.concatenate([vx, zx]), np.concatenate([vy, zy])
         approx, row = np.concatenate([approx, np.zeros(len(empty))]), np.concatenate([row, empty])
-    if n > 1:
-        # breakpoints, then midpoints, then the lone directions: stably by anchor
-        order = np.argsort(row, kind="stable")
-        vx, vy, approx, row = vx[order], vy[order], approx[order], row[order]
+    # breakpoints, then midpoints, then the lone directions: stably by anchor
+    order = np.argsort(row, kind="stable")
+    vx, vy, approx, row = vx[order], vy[order], approx[order], row[order]
 
     # only angles within 2e-12 of another can share a rounded key; those of
     # other anchors only add candidates, since the keys include the anchor

@@ -44,7 +44,6 @@ from hrnr.errors import (
 from hrnr.geometry import (
     DEFAULT_TOL,
     ConvexPolygon,
-    TolerancePolicy,
     halfplane_intersection,
     require_finite,
 )
@@ -179,7 +178,7 @@ def dilation_intersection(
     n_samples: int,
     n_alpha: int,
     seed: int = 0,
-    tol: TolerancePolicy = DEFAULT_TOL,
+    tol=DEFAULT_TOL,
     n_angles: int = 180,
 ) -> ConvexPolygon:
     """Intersect the rank-k region polygons over a family of unitary

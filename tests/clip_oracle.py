@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from hrnr.geometry import DEFAULT_TOL, ClosedHalfPlane, ConvexPolygon, TolerancePolicy, convex_hull
+from hrnr.geometry import DEFAULT_TOL, ClosedHalfPlane, ConvexPolygon, convex_hull
 
 
 def clip_intersection(
-    planes: list[ClosedHalfPlane], bound: float, tol: TolerancePolicy = DEFAULT_TOL
+    planes: list[ClosedHalfPlane], bound: float, tol=DEFAULT_TOL
 ) -> ConvexPolygon:
     """Clip the square box of radius ``bound`` by every closed half plane.
 

@@ -182,6 +182,11 @@ def test_anchor_without_breakpoints_in_a_batch():
         old = oracle.critical_directions(m, anchor, extra)
         assert_bits(vx[row == a], old[0])
         assert_bits(vy[row == a], old[1])
+        # the anchor alone, the lone atom among them without a breakpoint
+        ax, ay, arow = critical_directions(m, [anchor], [extra])
+        assert_bits(ax, vx[row == a])
+        assert_bits(ay, vy[row == a])
+        assert (arow == 0).all()
     assert (row == 3).sum() == 1
     for k in (1, 2):
         for new, z in zip(member_many(m, k, anchors), anchors):

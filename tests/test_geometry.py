@@ -6,7 +6,6 @@ import pytest
 from hrnr import (
     ClosedHalfPlane,
     ConvexPolygon,
-    TolerancePolicy,
     Verdict,
     HalfClosedHalfPlane,
     convex_hull,
@@ -17,13 +16,6 @@ from hrnr.geometry import canonical_dir, trig_dir
 from hrnr.presets import durszt_model
 
 from geometry_oracle import classify, hausdorff_distance, hchp_member, plane_lines
-
-
-def test_tolerance_policy_positive():
-    with pytest.raises(ValueError):
-        TolerancePolicy(eps_geom=0.0)
-    with pytest.raises(ValueError):
-        TolerancePolicy(eps_eig=-1e-9)
 
 
 class TestHalfClosedHalfPlane:

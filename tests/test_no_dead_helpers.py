@@ -85,9 +85,14 @@ def test_every_export_is_used():
     assert set(USER_QUERIES) <= set(exported), "USER_QUERIES names a name that is not exported"
     paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in paths}
-    definitions = {}
+    # per exported name, the nodes whose references to it are no use: its
+    # own definition and the module-level assignments of its module, so a
+    # name read only to build another module-level value is unused
+    own = {}
     for tree in trees.values():
-        definitions.update(_definitions(tree))
+        assignments = [node for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))]
+        for name, node in _definitions(tree).items():
+            own[name] = assignments + ([] if node in assignments else [node])
     for path in sorted((ROOT / "hrnrbench").glob("*.py")):
         trees[path] = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     everywhere = [n for tree in trees.values() for n in _referenced_names(tree)]
@@ -96,7 +101,7 @@ def test_every_export_is_used():
         for name in exported
         if name not in USER_QUERIES
         and everywhere.count(name)
-        == (_referenced_names(definitions[name]).count(name) if name in definitions else 0)
+        == sum(_referenced_names(node).count(name) for node in own.get(name, []))
     ]
     assert not unused, f"exported names used nowhere in the package, CLI or benchmark: {unused}"
 
