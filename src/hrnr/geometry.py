@@ -132,11 +132,6 @@ def _grid(m: int) -> np.ndarray:
     return 2 * math.pi * np.arange(m) / m
 
 
-def _unit_normal(angle: float) -> tuple[float, float]:
-    nx, ny = snap_dir(math.cos(angle), math.sin(angle))
-    return nx, ny
-
-
 def _set_normal(plane) -> None:
     """Store a plane's normal_angle reduced to [0, 2 pi) and, unless one is
     supplied, its unit normal.  ValueError unless the angle is a finite
@@ -145,7 +140,7 @@ def _set_normal(plane) -> None:
     angle = require_finite_real(plane.normal_angle, "normal_angle") % TWO_PI
     object.__setattr__(plane, "normal_angle", angle)
     if plane.normal is None:
-        object.__setattr__(plane, "normal", _unit_normal(angle))
+        object.__setattr__(plane, "normal", snap_dir(math.cos(angle), math.sin(angle)))
         return
     nx, ny = plane.normal
     if not (math.isfinite(nx) and math.isfinite(ny) and (nx or ny)):

@@ -4,20 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 
-# A shared anchor takes the dense outer product below this many
-# point-direction pairs and the angular sweep from it on.  Timed on 2n
-# directions over n random points (2-core Xeon, numpy 2.4.6; minimum to
-# median of 25 repeats of 100 calls, two runs), the dense body costs
-# 119-153 us at 20,000 pairs against 127-182 us for the sweep, the two tie
-# at 24,000 to 26,000 pairs, and the sweep wins at 28,800 (143-196 against
-# 171-223 us), so the cut sits a little below the crossover; neither side
-# of it costs much there.  Member on a matrix model with hundreds of
-# eigenvalues (about 10^6 pairs) sorts, while the shared-anchor calls on
-# small models stay dense: member, is_boundary, excluding_certificate, the
-# dim_ran_* queries and a batched chunk of one point.  One anchor per
-# direction (the batched sweeps of region and wu_check) always runs dense,
-# up to ``BATCH_PAIRS`` = 65,536 pairs per call.
-SORTED_MIN_PAIRS = 20_480
+# A shared anchor takes the dense body below this many point-direction
+# pairs and the angular sweep from it on.  Timed on 2n directions over n
+# random points (2-core Xeon, numpy 2.4.6; minimum to median of 25 repeats
+# of 100 calls, two runs), the dense body costs 108-139 us at 15,500 pairs
+# against 123-142 us for the sweep, the two tie from about 18,000 to 20,800
+# pairs, and the sweep wins at 24,200 (132-147 against 151-180 us), so the
+# cut sits at the low end of the tie; neither side of it costs much there.
+# The crossover also moves with the shape: at 20,000 pairs the dense body
+# wins on 25 points and 800 directions (160-173 against 203-216 us) and
+# the sweep on 200 points and 100 directions (113-135 against 130-149 us).
+# No benchmark workload comes near the cut.  Member on a matrix model with
+# hundreds of eigenvalues (about 10^6 pairs) sorts, while the shared-anchor
+# calls on small models stay dense: member, is_boundary,
+# excluding_certificate, the dim_ran_* queries and a batched chunk of one
+# point.  One anchor per direction (the batched sweeps of region and
+# wu_check) always runs dense, up to ``BATCH_PAIRS`` = 65,536 pairs per call.
+SORTED_MIN_PAIRS = 18_432
 
 # Batched sweeps take their anchors in chunks whose directions times points
 # stay within this many pairs, which bounds the working memory of the dense
@@ -64,14 +67,15 @@ def atom_side_sweep(px, py, w, vx, vy, eps: float, ax=0.0, ay=0.0):
     does not depend on the order of summation.  Returns the (m, 6) float64
     array of bucket weights, one row per direction.
 
-    Per-direction anchors take the dense body, which evaluates every pair
-    (O(m n)); callers bound m n.  A shared anchor takes one of two paths
-    that compute the same array bit for bit.  Below ``SORTED_MIN_PAIRS``
-    point-direction pairs it is the dense body.  Above it the angular sweep
-    sorts the point angles once and reads the clear side-A and side-B
-    weight of each direction from prefix sums (O((m + n) log n)),
-    re-checking with the dense arithmetic only the points near the anchor
-    and those in guard windows around the line.
+    The dense body evaluates every pair (O(m n)), with either kind of
+    anchor; callers bound m n.  Per-direction anchors always take it, and a
+    shared anchor takes it below ``SORTED_MIN_PAIRS`` point-direction pairs.
+    From there on a shared anchor takes the angular sweep, which computes
+    the same array bit for bit: it sorts the anchor-relative point angles
+    once and reads the clear side-A and side-B weight of each direction
+    from prefix sums (O((m + n) log n)), re-checking with the dense body
+    only the points near the anchor and those in guard windows around the
+    line.
     """
     px = np.ascontiguousarray(px, dtype=np.float64)
     py = np.ascontiguousarray(py, dtype=np.float64)
@@ -81,33 +85,27 @@ def atom_side_sweep(px, py, w, vx, vy, eps: float, ax=0.0, ay=0.0):
     ax = np.asarray(ax, dtype=np.float64)
     ay = np.asarray(ay, dtype=np.float64)
     eps = float(eps)
-    if ax.ndim:
+    if ax.ndim or vx.shape[0] * px.shape[0] < SORTED_MIN_PAIRS:
         return _dense_sweep(px, py, w, vx, vy, eps, ax, ay)
-    px, py = px - ax, py - ay
-    if vx.shape[0] * px.shape[0] < SORTED_MIN_PAIRS:
-        return _dense_sweep(px, py, w, vx, vy, eps)
-    return _sorted_sweep(px, py, w, vx, vy, eps)
+    return _sorted_sweep(px - ax, py - ay, w, vx, vy, eps)
 
 
-def _dense_sweep(px, py, w, vx, vy, eps, ax=None, ay=None):
+def _dense_sweep(px, py, w, vx, vy, eps, ax=0.0, ay=0.0):
     """Every pair at once; the (m, 6) buckets out.  The points are float64
-    arrays of shape (n,): relative to one anchor shared by every direction
-    when ``ax`` and ``ay`` are None, else absolute, with one anchor
-    (ax[i], ay[i]) per direction."""
+    arrays of shape (n,), the anchor one shared pair of scalars or one per
+    direction (arrays of shape (m,)).  Anchor-relative points take the
+    default origin: x - 0.0 is x bit for bit."""
     m, n = vx.shape[0], px.shape[0]
     out = np.zeros((m, 6), dtype=np.float64)
     if m == 0 or n == 0:
         return out
+    ax, ay = np.broadcast_to(ax, (m,)), np.broadcast_to(ay, (m,))
     # s = vx*dy - vy*dx in two float64 buffers of the pair count, the only
     # ones alive at once; after them, three bool masks and the float64 copy
     # that each mat-vec makes of its mask
-    cx, cy = vx[:, None], vy[:, None]
-    if ax is None:
-        s, sub = np.multiply(cx, py), np.multiply(cy, px)
-    else:
-        s, sub = np.subtract(py, ay[:, None]), np.subtract(px, ax[:, None])
-        s *= cx
-        sub *= cy
+    s, sub = np.subtract(py, ay[:, None]), np.subtract(px, ax[:, None])
+    s *= vx[:, None]
+    sub *= vy[:, None]
     s -= sub
     del sub
     e = (eps * np.hypot(vx, vy))[:, None]
@@ -133,9 +131,8 @@ def _dense_sweep(px, py, w, vx, vy, eps, ax=None, ay=None):
     # flat indices and divmod cost far less than a 2-D np.nonzero)
     r, j = np.divmod(np.flatnonzero(on_line), n)
     if len(r):
-        x, y = (px[j], py[j]) if ax is None else (px[j] - ax[r], py[j] - ay[r])
-        t = vx[r] * x
-        t += vy[r] * y
+        t = vx[r] * (px[j] - ax[r])
+        t += vy[r] * (py[j] - ay[r])
         bucket = _bucket(0.0, 0.0, t)  # s == 0 on these pairs
         out += np.bincount(r * 6 + bucket, weights=w[j], minlength=6 * m).reshape(m, 6)
     return out
@@ -150,7 +147,7 @@ def _bucket(s, e, t):
 
 def _sorted_sweep(px, py, w, vx, vy, eps):
     """The angular sweep; same arguments and result as :func:`_dense_sweep`
-    with a shared anchor."""
+    on anchor-relative points."""
     m = vx.shape[0]
     length = np.hypot(vx, vy)
     if m == 0 or not (eps >= 0.0 and length.min() > _TINY and length.max() < _HUGE):

@@ -439,17 +439,13 @@ def _add_piece_masks(inf_masks, piece, ax, ay, vx, vy, L, epsl):
         sb, tb = _side_vals(piece.b, ax, ay, vx, vy)
         inf_a = np.maximum(sa, sb) > epsl
         inf_b = np.minimum(sa, sb) < -epsl
+        # a segment along the line adds to the closed flavors and to the
+        # half-closed ones whose ray it overlaps
         collinear = (np.abs(sa) <= epsl) & (np.abs(sb) <= epsl)
-        ov_p = np.maximum(ta, tb) > epsl
-        ov_m = np.minimum(ta, tb) < -epsl
-        inf_masks[HAP] |= inf_a | (collinear & ov_p)
-        inf_masks[HAM] |= inf_a | (collinear & ov_m)
-        inf_masks[HBP] |= inf_b | (collinear & ov_p)
-        inf_masks[HBM] |= inf_b | (collinear & ov_m)
-        inf_masks[CA] |= inf_a | collinear
-        inf_masks[CB] |= inf_b | collinear
-        inf_masks[OA] |= inf_a
-        inf_masks[OB] |= inf_b
+        ov_p = collinear & (np.maximum(ta, tb) > epsl)
+        ov_m = collinear & (np.minimum(ta, tb) < -epsl)
+        for f, mask in ((HAP, ov_p), (HBP, ov_p), (HAM, ov_m), (HBM, ov_m), (CA, collinear), (CB, collinear)):
+            inf_masks[f] |= mask
     elif isinstance(piece, Arc):
         sc, _ = _side_vals(piece.center, ax, ay, vx, vy)
         psi = np.arctan2(vy, vx)
@@ -464,18 +460,14 @@ def _add_piece_masks(inf_masks, piece, ax, ay, vx, vy, L, epsl):
         rL = piece.radius * L
         inf_a = sc + rL * maxsin > epsl
         inf_b = -(sc + rL * minsin) > epsl
-        for f in (HAP, HAM, CA, OA):
-            inf_masks[f] |= inf_a
-        for f in (HBP, HBM, CB, OB):
-            inf_masks[f] |= inf_b
     else:  # Region
         sv = np.stack([_side_vals(v, ax, ay, vx, vy)[0] for v in piece.polygon.vertices])
         inf_a = sv.max(axis=0) > epsl
         inf_b = -sv.min(axis=0) > epsl
-        for f in (HAP, HAM, CA, OA):
-            inf_masks[f] |= inf_a
-        for f in (HBP, HBM, CB, OB):
-            inf_masks[f] |= inf_b
+    for f in (HAP, HAM, CA, OA):
+        inf_masks[f] |= inf_a
+    for f in (HBP, HBM, CB, OB):
+        inf_masks[f] |= inf_b
 
 
 def _add_tail_masks(inf_masks, fuzzy, fam, ax, ay, vx, vy, L, epsl):
@@ -729,10 +721,18 @@ def require_normal(M: np.ndarray) -> np.ndarray:
     """M as a finite complex square array; NotNormal unless ||MM* - M*M||_F
     is within eps_eig * max(1, ||M||_F^2)."""
     M = _finite_square_matrix(M)
-    fro2 = float(np.linalg.norm(M, "fro")) ** 2
-    comm = np.linalg.norm(M @ M.conj().T - M.conj().T @ M, "fro")
-    if comm > DEFAULT_TOL.eps_eig * max(1.0, fro2):
-        raise NotNormal(f"commutator norm {comm:.3e} exceeds tolerance")
+    # tested on S = M / 2**e with 2**e just above the largest entry part, so
+    # no square overflows; both sides scale by exactly 4**-e, and the test
+    # decides as on M whenever no product of S underflows.  Entries below 1
+    # need no scale, and S is M itself, with no copy of a large matrix
+    big = max(np.abs(M.real).max(initial=0.0), np.abs(M.imag).max(initial=0.0))
+    e = max(math.frexp(big)[1], 0)
+    S = M * 2.0**-e if e else M
+    fro2 = float(np.linalg.norm(S, "fro")) ** 2
+    comm = float(np.linalg.norm(S @ S.conj().T - S.conj().T @ S, "fro"))
+    tol = DEFAULT_TOL.eps_eig * max(4.0**-e, fro2)
+    if not comm <= tol:
+        raise NotNormal(f"commutator norm is {comm / tol:.3e} times the tolerance")
     return M
 
 

@@ -97,6 +97,7 @@ def _family(mult=1, tail_mult=1):
 # diag(0.5, -0.5) as a matrix document: a strict normal contraction
 _HALF_DIAG = {"kind": "matrix", "data": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]}
 _JORDAN = {"kind": "matrix", "data": [[[0, 0], [0.5, 0]], [[0, 0], [0, 0]]]}  # not normal
+_BIG_JORDAN = {"kind": "matrix", "data": [[[1e160, 0], [1e160, 0]], [[0, 0], [1e160, 0]]]}
 
 
 @pytest.fixture
@@ -332,6 +333,8 @@ class TestCli:
             ),
             # a rank below 1 at the point query
             (["member", "-k", "0", "--point", "0,0"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 2),
+            # a non-normal matrix whose squares overflow is still not normal
+            (["member", "-k", "1", "--point", "0,0"], _BIG_JORDAN, 2),
         ],
     )
     def test_exit_code_contract(self, tmp_path, capsys, command, doc, code):

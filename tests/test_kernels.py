@@ -42,7 +42,8 @@ def test_empty_batches():
 
 # The dense body as it was before its mat-vec bucket sums (kernel_oracle) is
 # the oracle of both paths: they are called directly, whatever the size, and
-# must agree with it bit for bit.
+# must agree with it bit for bit.  Each layout also runs shifted to a shared
+# anchor off the origin and to that anchor repeated per direction.
 
 EPS_VALUES = (0.0, 1e-9, 1e-3)
 
@@ -53,6 +54,19 @@ def _both_paths(px, py, w, vx, vy, eps):
     assert np.array_equal(kernels._dense_sweep(*args, eps), ref)
     assert np.array_equal(kernels._sorted_sweep(*args, eps), ref)
     assert np.array_equal(kernels.atom_side_sweep(*args, eps), ref)
+    # the dyadic anchor keeps shifted lattice points exactly on their lines;
+    # the points gain the anchor itself and signed zeros, two of them on the
+    # axis lines through the anchor
+    px, py, w, vx, vy = args
+    ax, ay = 0.75, -0.5
+    qx = np.append(px + ax, [ax, -0.0, ax, -0.0, 0.0])
+    qy = np.append(py + ay, [ay, ay, -0.0, -0.0, -0.0])
+    qw = np.append(w, [2.0, 1.0, np.inf, 3.0, 1.0])
+    shifted = kernel_oracle._dense_sweep(qx - ax, qy - ay, qw, vx, vy, eps)
+    m = vx.shape[0]
+    for a, b in ((ax, ay), (np.full(m, ax), np.full(m, ay))):
+        assert np.array_equal(kernels._dense_sweep(qx, qy, qw, vx, vy, eps, a, b), shifted)
+        assert np.array_equal(kernels.atom_side_sweep(qx, qy, qw, vx, vy, eps, a, b), shifted)
     return ref
 
 

@@ -27,6 +27,7 @@ from hrnr import (
 )
 from hrnr.errors import RankExceedsDimension
 from hrnr.presets import durszt_model, infinity_empty_model
+from hrnr.spectral import require_normal
 
 from conftest import haar_unitary, random_model
 
@@ -224,8 +225,15 @@ class TestFromNormalMatrix:
             assert res <= 10 * 1e-8 * max(1.0, norm)
 
     def test_not_normal(self):
+        # also at entry sizes whose squares overflow float64: the gate
+        # neither overflows nor lets a NaN commutator norm through
+        for big in (1e160, 1e200):
+            with pytest.raises(NotNormal):
+                from_normal_matrix(np.array([[big, big], [0, big]], dtype=complex))
         with pytest.raises(NotNormal):
             from_normal_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
+        D = np.diag([1e160, -1e160j])
+        assert np.array_equal(require_normal(D), D)
 
     def test_support_radius(self):
         m = from_normal_matrix(np.diag([2.0, -1.0]).astype(complex))
