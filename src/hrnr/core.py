@@ -368,10 +368,7 @@ def _certified_in(model: SpectralMeasureModel, k: int, points: list[complex]) ->
     The table holds the snapped directions xi_j = 2 pi j / J, J =
     ``_LEVEL_DIRS``, their k-th levels (one
     :func:`hrnr.spectral.support_levels` call) and R = ``model.max_abs()``.
-    It is built once per rank and remembered on the model, but not for a
-    rank's first call when that call holds one point: a table costs as much
-    as 1 to 3 sweeps of one point (32 to 800 atoms), so a model queried
-    once, as by ``hrnr member``, is swept as before.
+    It is built on the rank's first call and remembered on the model.
 
     f(xi) = h_k(xi) - Re(e^{i xi} z) moves by at most (R + |z|) |xi - xi'|
     between directions, and every xi lies within pi / J of the grid, so f
@@ -385,10 +382,7 @@ def _certified_in(model: SpectralMeasureModel, k: int, points: list[complex]) ->
     and of the sweep.
     """
     tables = model._level_tables
-    if tables.get(k) is None:
-        if k not in tables and len(points) == 1:
-            tables[k] = None
-            return [False]
+    if k not in tables:
         xis = _grid(_LEVEL_DIRS)
         c, s = snap_dirs(np.cos(xis), np.sin(xis))
         tables[k] = (c, s, support_levels(model, k, xis), model.max_abs())

@@ -38,9 +38,9 @@ _NEAR = 1e3
 # and of the wrapped angles (below 1e-14 rad) and keeps every point outside
 # a window clear of the eps band by a margin far above the rounding of s.
 _ANGLE_SLACK = 1e-12
-# Point radii and direction lengths outside (_TINY, _HUGE) go dense, so the
-# products in s neither overflow nor underflow to the margin's scale.
-_TINY, _HUGE = 1e-100, 1e100
+# The near radius r0 is at least _TINY: the guard half-width needs r0 > 0 at
+# eps = 0, and s could underflow for points closer to the anchor.
+_TINY = 1e-100
 
 
 def atom_side_sweep(px, py, w, vx, vy, eps: float, ax=0.0, ay=0.0):
@@ -61,11 +61,12 @@ def atom_side_sweep(px, py, w, vx, vy, eps: float, ax=0.0, ay=0.0):
     with (dx, dy) = (px - ax, py - ay), s = vx*dy - vy*dx, t = vx*dx + vy*dy,
     bucket 0 when s > eps*|v|, bucket 1 when s < -eps*|v| and buckets 2-4
     only when s == 0 exactly.
-    Directions must already be canonicalized.  Weights are multiplicities:
-    positive integers or +inf, the finite ones totalling below 2**53, which
-    ``SpectralMeasureModel`` enforces.  Every bucket sum is then exact, so it
-    does not depend on the order of summation.  Returns the (m, 6) float64
-    array of bucket weights, one row per direction.
+    Directions must already be canonicalized, and scaled as by
+    :func:`hrnr.spectral.direction_sweep` (larger component in [0.5, 1)).
+    Weights are multiplicities: positive integers or +inf, the finite ones
+    totalling below 2**53, which ``SpectralMeasureModel`` enforces.  Every
+    bucket sum is then exact, so it does not depend on the order of summation.
+    Returns the (m, 6) float64 array of bucket weights, one row per direction.
 
     The dense body evaluates every pair (O(m n)), with either kind of
     anchor; callers bound m n.  Per-direction anchors always take it, and a
@@ -150,11 +151,10 @@ def _sorted_sweep(px, py, w, vx, vy, eps):
     on anchor-relative points."""
     m = vx.shape[0]
     length = np.hypot(vx, vy)
-    if m == 0 or not (eps >= 0.0 and length.min() > _TINY and length.max() < _HUGE):
+    if m == 0 or not eps >= 0.0:
         return _dense_sweep(px, py, w, vx, vy, eps)
     r0 = max(_NEAR * eps, _TINY)
-    r = np.hypot(px, py)
-    far = (r > r0) & (r < _HUGE)
+    far = np.hypot(px, py) > r0
     out = _dense_sweep(px[~far], py[~far], w[~far], vx, vy, eps)
     idx = np.flatnonzero(far)
     n = idx.shape[0]

@@ -252,7 +252,7 @@ class SpectralMeasureModel:
     @cached_property
     def _level_tables(self) -> dict:
         """The k-th support level tables of ``core.member_many``'s interior
-        certificate, by rank; None for a rank queried once, by one point."""
+        certificate, by rank, each built on its rank's first query."""
         return {}
 
     @cached_property
@@ -383,7 +383,9 @@ def direction_sweep(
     Directions must be canonical (see :func:`hrnr.geometry.canonical_dir`);
     side A is the open side of the canonical-left normal (-vy, vx).  Each
     line's dimensions are those of a sweep with its anchor alone, bit for
-    bit.
+    bit.  The kernel and the masks see each direction scaled by the power
+    of two that puts its larger component in [0.5, 1): every sign test is
+    homogeneous in (vx, vy), and no product overflows below about 1e307.
     """
     if np.ndim(anchor):
         anchor = np.asarray(anchor, dtype=complex)
@@ -394,12 +396,14 @@ def direction_sweep(
     vx = np.asarray(vx, dtype=np.float64)
     vy = np.asarray(vy, dtype=np.float64)
     m = vx.shape[0]
+    e = np.frexp(np.maximum(np.abs(vx), np.abs(vy)))[1]
+    ux, uy = np.ldexp(vx, -e), np.ldexp(vy, -e)
     eps = DEFAULT_TOL.eps_geom
-    L = np.hypot(vx, vy)
+    L = np.hypot(ux, uy)
     epsl = eps * L
 
     px, py, w = model._point_data
-    buckets = kernels.atom_side_sweep(px, py, w, vx, vy, eps, ax, ay)
+    buckets = kernels.atom_side_sweep(px, py, w, ux, uy, eps, ax, ay)
     a_, b_, rp, rm, an, un = (buckets[:, i] for i in range(6))
 
     lo = np.zeros((8, m))
@@ -416,9 +420,9 @@ def direction_sweep(
 
     inf_masks = np.zeros((8, m), dtype=bool)
     for piece in model.pieces:
-        _add_piece_masks(inf_masks, piece, ax, ay, vx, vy, L, epsl)
+        _add_piece_masks(inf_masks, piece, ax, ay, ux, uy, L, epsl)
     for fam in model.families:
-        _add_tail_masks(inf_masks, fuzzy, fam, ax, ay, vx, vy, L, epsl)
+        _add_tail_masks(inf_masks, fuzzy, fam, ax, ay, ux, uy, L, epsl)
 
     lo[inf_masks] = INF
     hi[inf_masks] = INF

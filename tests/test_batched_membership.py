@@ -156,6 +156,12 @@ def test_batch_matches_per_anchor_oracles(seed, kind):
         alone = direction_sweep(model, anchor, old_x, old_y)
         for field in ("lo", "hi", "fuzzy"):
             assert_bits(getattr(sweep, field)[:, sel], getattr(alone, field))
+        # every sign test is homogeneous in the direction, and a power of
+        # two scales it exactly
+        for e in (400, -400):
+            scaled = direction_sweep(model, anchor, np.ldexp(old_x, e), np.ldexp(old_y, e))
+            for field in ("lo", "hi", "fuzzy"):
+                assert_bits(getattr(scaled, field), getattr(alone, field))
         for (flavors, k), (values, flavor, index) in decisions.items():
             value, f, i = oracle.sweep_decision(alone, list(flavors), k)
             assert (values[a], flavor[a]) == (value, f)

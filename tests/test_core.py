@@ -476,3 +476,41 @@ def test_one_rank_rule_at_every_entry_point(name):
         with pytest.raises(ValueError) as exc:
             call(k)
         assert exc.type is ValueError
+
+
+def _huge_model(which, scale):
+    """Two simple atoms at +-1e160, or the segment [-1e160, 1e160] with a
+    simple atom at 1e160 i; every coordinate times ``scale``."""
+    big = 1e160 * scale
+    if which == "atoms":
+        atoms, pieces = (Atom(big + 0j, 1), Atom(-big + 0j, 1)), ()
+    else:
+        atoms, pieces = (Atom(complex(0.0, big), 1),), (Segment(-big + 0j, big + 0j),)
+    return SpectralMeasureModel(atoms=atoms, pieces=pieces, support_radius=2 * big)
+
+
+@pytest.mark.parametrize(
+    "which,k,expected",
+    [
+        ("atoms", 1, [Verdict.IN, Verdict.OUT, Verdict.IN]),
+        ("segment", 1, [Verdict.IN, Verdict.IN, Verdict.IN]),
+        ("segment", 2, [Verdict.IN, Verdict.OUT, Verdict.IN]),
+    ],
+)
+def test_huge_models_decide_as_their_exact_rescaling(which, k, expected):
+    # difference vectors of 1e160 once overflowed the sweep's sign tests;
+    # 2^-532 scales every coordinate exactly (exact zeros stay exact), and
+    # the verdicts, boundary kinds and boundary report verdicts must not
+    # move (the region's vertices agree to rounding)
+    scale = math.ldexp(1.0, -532)
+    points = [0j, 1e159 * (1 + 1j), 3e159 + 0j]
+    big, small = _huge_model(which, 1.0), _huge_model(which, scale)
+    verdicts = [member(big, k, z).value for z in points]
+    assert verdicts == expected
+    assert verdicts == [member(small, k, z * scale).value for z in points]
+    for z, verdict in zip(points, verdicts):
+        if verdict is Verdict.IN:
+            assert is_boundary(big, k, z) is is_boundary(small, k, z * scale)
+    report, ref = region(big, k, 16).boundary_report, region(small, k, 16).boundary_report
+    assert [v for _, v in report] == [v for _, v in ref]
+    assert [z * scale for z, _ in report] == pytest.approx([z for z, _ in ref], abs=1e-12)

@@ -5,9 +5,9 @@ support level table certifies it (``core._certified_in``).  Every such
 point must get IN from ``core._decide`` as well, and ``member_many`` must
 equal a ``_decide``-only oracle bit for bit, witnesses included, on matrix
 models with repeated eigenvalues, on the region_wu model pool and on the
-presets.  The table is built once per (model, rank), not for a lone first
-query, and a batch it certifies in full makes no direction build and no
-kernel call.
+presets.  The table is built once per (model, rank), on the rank's first
+query, and a batch it certifies in full, a lone first point included,
+makes no direction build and no kernel call.
 """
 
 import importlib.util
@@ -139,20 +139,20 @@ def test_interior_points_make_no_kernel_call(monkeypatch):
     inner = [complex(z) for z in 0.3 * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(2j * np.pi * rng.uniform(size=40))]
     calls = _counting(monkeypatch)
     for k in (1, 2):
-        # a rank's first query of one point is swept, and builds no table
+        # a rank's first query of one point builds the rank's table, which
+        # certifies it: no kernel call, no direction build, no decision
         assert hrnr.member(model, k, inner[0]).value is hrnr.Verdict.IN
         swept = dict(calls)
-        assert swept["kernel"] > 0 and swept["directions"] == swept["decide"] == k
-        assert swept["levels"] == k - 1
+        assert swept == {"kernel": 0, "levels": k, "directions": 0, "decide": 0}
         # a batch the table certifies in full goes nowhere near the sweep
         for z in inner[1:]:
             assert hrnr.member(model, k, z).value is hrnr.Verdict.IN
         assert member_many(model, k, inner) == [MembershipVerdict(hrnr.Verdict.IN)] * len(inner)
-        assert calls == {**swept, "levels": k}
+        assert calls == swept
     assert sorted(model._level_tables) == [1, 2]
     # a point outside the range goes through the sweep, with the same table
     assert hrnr.member(model, 2, 1.5 + 0j).value is hrnr.Verdict.OUT
-    assert calls["kernel"] > swept["kernel"] and calls["directions"] == calls["decide"] == 3
+    assert calls["kernel"] > swept["kernel"] and calls["directions"] == calls["decide"] == 1
     assert calls["levels"] == 2
     # a first call of several points builds the table at once
     swept = dict(calls)

@@ -98,6 +98,7 @@ def _family(mult=1, tail_mult=1):
 _HALF_DIAG = {"kind": "matrix", "data": [[[0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]}
 _JORDAN = {"kind": "matrix", "data": [[[0, 0], [0.5, 0]], [[0, 0], [0, 0]]]}  # not normal
 _BIG_JORDAN = {"kind": "matrix", "data": [[[1e160, 0], [1e160, 0]], [[0, 0], [1e160, 0]]]}
+_BIG_DIAG = {"kind": "matrix", "data": [[[1e160, 0], [0, 0]], [[0, 0], [-1e160, 0]]]}
 
 
 @pytest.fixture
@@ -335,6 +336,9 @@ class TestCli:
             (["member", "-k", "0", "--point", "0,0"], {"atoms": [{"point": [0, 0], "mult": 1}]}, 2),
             # a non-normal matrix whose squares overflow is still not normal
             (["member", "-k", "1", "--point", "0,0"], _BIG_JORDAN, 2),
+            # a normal matrix of that scale is decided like any other
+            (["member", "-k", "1", "--point", "0,0"], _BIG_DIAG, 0),
+            (["member", "-k", "1", "--point", "1e159,1e159"], _BIG_DIAG, 0),
         ],
     )
     def test_exit_code_contract(self, tmp_path, capsys, command, doc, code):

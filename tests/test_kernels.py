@@ -42,8 +42,10 @@ def test_empty_batches():
 
 # The dense body as it was before its mat-vec bucket sums (kernel_oracle) is
 # the oracle of both paths: they are called directly, whatever the size, and
-# must agree with it bit for bit.  Each layout also runs shifted to a shared
-# anchor off the origin and to that anchor repeated per direction.
+# must agree with it bit for bit.  Each layout also runs with its points
+# scaled by 2^340 (radii above 1e100, where the sweep sorts them like any
+# other), and shifted to a shared anchor off the origin and to that anchor
+# repeated per direction.
 
 EPS_VALUES = (0.0, 1e-9, 1e-3)
 
@@ -54,6 +56,10 @@ def _both_paths(px, py, w, vx, vy, eps):
     assert np.array_equal(kernels._dense_sweep(*args, eps), ref)
     assert np.array_equal(kernels._sorted_sweep(*args, eps), ref)
     assert np.array_equal(kernels.atom_side_sweep(*args, eps), ref)
+    far = [np.ldexp(a, 340) for a in args[:2]] + args[2:]
+    far_ref = kernel_oracle._dense_sweep(*far, eps)
+    assert np.array_equal(kernels._dense_sweep(*far, eps), far_ref)
+    assert np.array_equal(kernels._sorted_sweep(*far, eps), far_ref)
     # the dyadic anchor keeps shifted lattice points exactly on their lines;
     # the points gain the anchor itself and signed zeros, two of them on the
     # axis lines through the anchor

@@ -1,9 +1,9 @@
-"""No dead code: every module-level private function or class of the
-package source is referenced somewhere in it besides its own definition,
-every name a module imports at top level is read in that module, every
-error type is raised somewhere in it, and every name the package exports
-and every public function of its modules is used by the package, its CLI
-or the benchmark, or is one of a few user-facing queries.  No randomness
+"""No dead code: every module-level private function, class or assigned
+name of the package source is referenced somewhere in it besides its own
+definition, every name a module imports at top level is read in that
+module, every error type is raised somewhere in it, and every name the
+package exports and every public function of its modules is used by the
+package, its CLI or the benchmark, or is one of a few user-facing queries.  No randomness
 either: no module reads ``np.random`` or imports ``random``.  No hidden
 module state: no function changes what a module-level name holds."""
 
@@ -43,20 +43,29 @@ def test_every_private_helper_is_referenced():
         path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for path in sorted(SRC.glob("*.py"))
     }
-    helpers = [
-        (name, node)
-        for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-    ]
+    # (module, name, defining node): functions and classes, and the names
+    # that module-level assignments bind, tuple targets included
+    helpers = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            helpers += [
+                (module, name, node)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
     assert helpers
     everywhere = [n for tree in trees.values() for n in _referenced_names(tree)]
     dead = [
-        f"{module}::{node.name}"
-        for module, node in helpers
-        if everywhere.count(node.name) == _referenced_names(node).count(node.name)
+        f"{module}::{name}"
+        for module, name, node in helpers
+        if everywhere.count(name) == _referenced_names(node).count(name)
     ]
     assert not dead, f"private definitions referenced nowhere else: {dead}"
 
