@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 
 import numpy as np
 
@@ -103,25 +102,22 @@ def _check_rank(model: SpectralMeasureModel, k) -> float:
 
 
 def critical_directions(
-    model: SpectralMeasureModel,
-    anchors,
-    extra_angles=None,
+    model: SpectralMeasureModel, anchors
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical direction vectors of every breakpoint line through each
     anchor, plus the midpoints between consecutive breakpoints.
 
-    ``anchors`` is a sequence of complex points and ``extra_angles``, when
-    given, holds one sequence of extra line angles per anchor.  Returns
-    flat ``vx, vy`` and ``row``, the anchor index of each direction; the
-    directions of one anchor are contiguous, anchors in order, and bit for
-    bit those of a call with that anchor alone.
+    ``anchors`` is a sequence of complex points.  Returns flat ``vx, vy``
+    and ``row``, the anchor index of each direction; the directions of one
+    anchor are contiguous, anchors in order, and bit for bit those of a
+    call with that anchor alone.
 
     Per anchor, the breakpoints come in a fixed order: the model's cached
     template (``SpectralMeasureModel._direction_template``: atoms, piece
     extremities, family limits, prefix points and approach directions),
     taken relative to the anchor with exact zeros dropped, with the tangents
     from the anchor to each arc circle and tail clearance circle after the
-    entries of their component, then the extra angles, then the midpoints.
+    entries of their component, then the midpoints.
     Lines whose angles mod pi round to the same 12 decimals keep their first
     direction.
 
@@ -152,11 +148,6 @@ def critical_directions(
         parts.append((np.tile(fx, n), np.tile(fy, n), np.tile(fpos, n), np.arange(n).repeat(len(fx))))
     if circles:
         parts.append(_tangents(ax, ay, circles))
-    if extra_angles is not None:
-        # after every template entry of their anchor, in the given order
-        counts = [len(e) for e in extra_angles]
-        ex, ey = trig_dirs(np.fromiter(chain.from_iterable(extra_angles), np.float64, sum(counts)))
-        parts.append((ex, ey, np.full(len(ex), np.inf), np.arange(n).repeat(counts)))
     if parts:
         vx, vy, pos, row = (np.concatenate(p) for p in zip((vx, vy, ppos[col], row), *parts))
         # by anchor, then position; lexsort is stable, so the tangents of
@@ -302,31 +293,24 @@ def sweep_decision(sweep, flavors, k: float, row: np.ndarray):
 _HCHP = [HAP, HAM, HBP, HBM]
 
 
-def _anchor_chunks(model: SpectralMeasureModel, n_extra: list[int]):
-    """Slices of consecutive anchors, given each anchor's number of extra
-    angles, whose direction-point pairs stay within ``kernels.BATCH_PAIRS``.
+def _anchor_chunks(model: SpectralMeasureModel, n: int) -> list[slice]:
+    """Slices of n consecutive anchors, each of as many anchors as keep
+    their direction-point pairs within ``kernels.BATCH_PAIRS`` (at least
+    one).
 
     An anchor has at most twice as many directions as breakpoints (each
     breakpoint adds at most one midpoint), and at most three tangents per
-    circle; that bound is counted, since the directions are not built yet.
+    circle; that bound, the same for every anchor, is counted, since the
+    directions are not built yet.
     """
     (px, _, _), (fx, _, _), circles = model._direction_template
-    base = len(px) + len(fx) + 3 * len(circles)
-    points = max(1, len(model._point_data[0]))
-    start, total = 0, 0
-    for a, extra in enumerate(n_extra):
-        pairs = max(1, 2 * (base + extra)) * points
-        if a > start and total + pairs > kernels.BATCH_PAIRS:
-            yield slice(start, a)
-            start, total = a, 0
-        total += pairs
-    if start < len(n_extra):
-        yield slice(start, len(n_extra))
+    breakpoints = len(px) + len(fx) + 3 * len(circles)
+    pairs = max(1, 2 * breakpoints) * max(1, len(model._point_data[0]))
+    step = max(1, kernels.BATCH_PAIRS // pairs)
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
-def _decide(
-    model: SpectralMeasureModel, kf: float, points: list[complex], flavor_sets, extra_angles=None
-):
+def _decide(model: SpectralMeasureModel, kf: float, points: list[complex], flavor_sets):
     """Per point, one (verdict, plane, dim) per (flavors, witness) pair of
     ``flavor_sets``: the :func:`sweep_decision` over those flavors at the
     point and, when ``witness`` is true and the verdict is OUT, the plane
@@ -335,16 +319,13 @@ def _decide(
     reads only a verdict builds no plane for it.
 
     The points go in chunks (see ``kernels.BATCH_PAIRS``), one direction
-    build and one sweep per chunk; ``extra_angles``, when given, holds one
-    sequence of extra line angles per point.  A chunk of one point sweeps
-    with that point shared by every direction.
+    build and one sweep per chunk.  A chunk of one point sweeps with that
+    point shared by every direction.
     """
-    n_extra = [0] * len(points) if extra_angles is None else [len(e) for e in extra_angles]
     out = []
-    for part in _anchor_chunks(model, n_extra):
+    for part in _anchor_chunks(model, len(points)):
         chunk = points[part]
-        extra = None if extra_angles is None else extra_angles[part]
-        vx, vy, row = critical_directions(model, chunk, extra)
+        vx, vy, row = critical_directions(model, chunk)
         anchor = chunk[0] if len(chunk) == 1 else np.array(chunk, dtype=complex)[row]
         sweep = direction_sweep(model, anchor, vx, vy)
         per_set = []

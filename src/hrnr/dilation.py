@@ -412,11 +412,10 @@ def wu_check(model: SpectralMeasureModel, k: int, region_est: RegionEstimate) ->
     points of each edge.  Samples within 10 eps_geom of a point mass are
     skipped and counted.  The rest are swept in chunks, one direction build
     and one sweep per chunk (see ``kernels.BATCH_PAIRS``), each sample over
-    the critical directions plus the direction of its edge: the half
-    closed-half planes decide whether it is excluded, and the closed half
-    planes of the same sweep give its witness.  Samples whose membership
-    is UNCERTAIN give no evidence and are counted.  ValueError unless the
-    estimate is of rank k.
+    its critical directions: the half closed-half planes decide whether it
+    is excluded, and the closed half planes of the same sweep give its
+    witness.  Samples whose membership is UNCERTAIN give no evidence and
+    are counted.  ValueError unless the estimate is of rank k.
     """
     eps = DEFAULT_TOL.eps_geom
     if model.max_abs() >= 1.0 + eps:
@@ -426,18 +425,16 @@ def wu_check(model: SpectralMeasureModel, k: int, region_est: RegionEstimate) ->
         raise ValueError(f"the region estimate is of rank {region_est.k}, not {k}")
     px, py, _ = model._point_data
     samples = _edge_samples(region_est.polygon, WU_SAMPLES_PER_EDGE)
-    zs = np.array([z for z, _ in samples], dtype=complex)
+    zs = np.array(samples, dtype=complex)
     near = np.hypot(zs.real[:, None] - px, zs.imag[:, None] - py) <= 10 * eps
     # inside the tolerance ball of an eigenvalue: unresolvable artifact
-    swept = [s for s, skip in zip(samples, near.any(axis=1).tolist()) if not skip]
-    points = [z for z, _ in swept]
-    extra = [() if edge_angle is None else (edge_angle,) for _, edge_angle in swept]
+    points = [z for z, skip in zip(samples, near.any(axis=1).tolist()) if not skip]
     evidence = []
     uncertain = 0
     saw_failure = False
     saw_unresolved = False
     for z, ((value, _, _), (closed, plane, dim)) in zip(
-        points, _decide(model, kf, points, [(_HCHP, False), ([CA, CB], True)], extra)
+        points, _decide(model, kf, points, [(_HCHP, False), ([CA, CB], True)])
     ):
         uncertain += value is Verdict.UNCERTAIN
         if value is not Verdict.OUT:
@@ -459,18 +456,17 @@ def wu_check(model: SpectralMeasureModel, k: int, region_est: RegionEstimate) ->
         verdict = WuVerdict.INCONCLUSIVE
     else:
         verdict = WuVerdict.EQUALITY_PREDICTED
-    return WuReport(verdict, tuple(evidence), len(samples) - len(swept), uncertain)
+    return WuReport(verdict, tuple(evidence), len(samples) - len(points), uncertain)
 
 
-def _edge_samples(poly: ConvexPolygon, per_edge: int):
-    out = []
-    for v in poly.vertices:
-        out.append((v, None))
+def _edge_samples(poly: ConvexPolygon, per_edge: int) -> list[complex]:
+    """The polygon's vertices, then per_edge evenly spaced interior points
+    of each edge."""
+    out = list(poly.vertices)
     for a, b in poly.edges():
-        ang = math.atan2((b - a).imag, (b - a).real)
         for i in range(per_edge):
             t = (i + 1) / (per_edge + 1)
-            out.append((a + t * (b - a), ang))
+            out.append(a + t * (b - a))
     return out
 
 

@@ -229,29 +229,27 @@ def convex_hull(points: list[complex]) -> ConvexPolygon:
     pts = sorted({(require_finite(p).real, p.imag) for p in points})
     if len(pts) == 1:
         return ConvexPolygon((complex(*pts[0]),))
+    # the turn tests multiply coordinate differences, which overflow beyond
+    # about 1e154, so they run on the points scaled by the power of two that
+    # puts the largest coordinate in [0.5, 1): exact, so every sign is kept
+    e = math.frexp(max(max(abs(x), abs(y)) for x, y in pts))[1]
+    xy = [complex(math.ldexp(x, -e), math.ldexp(y, -e)) for x, y in pts]
 
-    def half(seq):
+    def half(order):
         out = []
-        for p in seq:
-            while (
-                len(out) >= 2
-                and _cross(
-                    complex(*out[-1]) - complex(*out[-2]),
-                    complex(*p) - complex(*out[-2]),
-                )
-                <= 0.0
-            ):
+        for i in order:
+            while len(out) >= 2 and _cross(xy[out[-1]] - xy[out[-2]], xy[i] - xy[out[-2]]) <= 0.0:
                 out.pop()
-            out.append(p)
+            out.append(i)
         return out
 
-    lower = half(pts)
-    upper = half(reversed(pts))
+    lower = half(range(len(pts)))
+    upper = half(reversed(range(len(pts))))
     verts = lower[:-1] + upper[:-1]
     if len(verts) < 3:
         # all collinear: keep the two extremes
-        verts = [pts[0], pts[-1]]
-    return ConvexPolygon(tuple(complex(*v) for v in verts))
+        verts = [0, len(pts) - 1]
+    return ConvexPolygon(tuple(complex(*pts[i]) for i in verts))
 
 
 def support_lines(xis, levels) -> list[tuple[float, float, float]]:

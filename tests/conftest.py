@@ -5,10 +5,10 @@ import pytest
 
 import hrnr
 from hrnr import dilation
-from hrnr.core import critical_directions
 from hrnr.geometry import ClosedHalfPlane
 from hrnr.spectral import direction_sweep
 
+import critical_directions_oracle
 from geometry_oracle import support_plane
 
 
@@ -91,8 +91,9 @@ DENSE_ANGLES = tuple(math.pi * j / 4096 for j in range(4096))
 
 def dense_member(model, k, lam):
     """Oracle for ``member``: (verdict, witness_dim) from the same decision
-    over the critical directions plus 4096 evenly spaced angles."""
-    vx, vy, _ = critical_directions(model, [lam], [DENSE_ANGLES])
+    over the critical directions plus 4096 evenly spaced angles, built by
+    the per-anchor builder kept in ``critical_directions_oracle``."""
+    vx, vy = critical_directions_oracle.critical_directions(model, lam, DENSE_ANGLES)
     sweep = direction_sweep(model, lam, vx, vy)
     lo, hi, fz = sweep.lo[:4], sweep.hi[:4], sweep.fuzzy[:4]
     below = np.isfinite(hi) if k == hrnr.RANK_INF else (~fz) & (hi < k)

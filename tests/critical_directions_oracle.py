@@ -40,7 +40,8 @@ _TANGENT_SLACK = 1e-7
 
 def critical_directions(model, anchor, extra_angles=()):
     """Canonical direction vectors of every breakpoint line through anchor,
-    plus the midpoints between consecutive breakpoints."""
+    then of the extra angles (``conftest.dense_member`` adds an evenly
+    spaced grid), plus the midpoints between consecutive directions."""
     vecs: list[tuple[float, float]] = []
 
     def add_point(p: complex):
@@ -171,8 +172,8 @@ def is_boundary(model, k, lam):
     raise UncertainGeometry("open-side dimensions are unresolved at this point")
 
 
-def _closed_witness_sweep(model, lam, k, tol, extra_angles=()):
-    vx, vy = critical_directions(model, lam, extra_angles=extra_angles)
+def _closed_witness_sweep(model, lam, k, tol):
+    vx, vy = critical_directions(model, lam)
     sweep = direction_sweep(model, lam, vx, vy)
     value, flavor, i = sweep_decision(sweep, [CA, CB], k)
     if value is Verdict.OUT:
@@ -190,12 +191,12 @@ def wu_check(model, k, region_est, tol=DEFAULT_TOL, samples_per_edge=9):
         raise NotStrictContraction("spectral mass leaves the closed unit disk")
     px, py, _ = model._point_data
     samples = _edge_samples(region_est.polygon, samples_per_edge)
-    zs = np.array([z for z, _ in samples], dtype=complex)
+    zs = np.array(samples, dtype=complex)
     near = np.hypot(zs.real[:, None] - px, zs.imag[:, None] - py) <= 10 * tol.eps_geom
     evidence = []
     saw_failure = False
     saw_unresolved = False
-    for (z, edge_angle), skip in zip(samples, near.any(axis=1)):
+    for z, skip in zip(samples, near.any(axis=1)):
         if skip:
             continue
         try:
@@ -204,8 +205,7 @@ def wu_check(model, k, region_est, tol=DEFAULT_TOL, samples_per_edge=9):
             continue
         if mv.value is not Verdict.OUT:
             continue
-        extra = (edge_angle,) if edge_angle is not None else ()
-        plane, dim = _closed_witness_sweep(model, z, k, tol, extra_angles=extra)
+        plane, dim = _closed_witness_sweep(model, z, k, tol)
         if isinstance(plane, ClosedHalfPlane):
             evidence.append(WuEvidence(z, plane, dim))
         elif plane == "none":

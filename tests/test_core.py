@@ -514,3 +514,10 @@ def test_huge_models_decide_as_their_exact_rescaling(which, k, expected):
     report, ref = region(big, k, 16).boundary_report, region(small, k, 16).boundary_report
     assert [v for _, v in report] == [v for _, v in ref]
     assert [z * scale for z, _ in report] == pytest.approx([z for z, _ in ref], abs=1e-12)
+
+
+def test_region_of_a_huge_model_has_distinct_vertices():
+    # the hull of the clipped vertices once kept a repeated vertex here
+    atoms = tuple(Atom(z, 1) for z in (1e306 + 0j, -1e306 + 0j, 0.3e306j))
+    vertices = region(SpectralMeasureModel(atoms=atoms, support_radius=2e306), 1, 16).polygon.vertices
+    assert len(set(vertices)) == len(vertices) == 4

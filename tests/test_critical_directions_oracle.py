@@ -5,6 +5,8 @@ kept in ``critical_directions_oracle``.
 Directions must match bit for bit, in order and with the signs of zeros,
 because ``sweep_decision`` breaks ties by direction index; ``member``
 verdicts, witness dimensions and every field of a ``WuReport`` must match.
+The Wu check's closed verdicts and witness dimensions must also be those of
+a sweep over the critical directions plus dense evenly spaced angles.
 """
 
 import importlib.util
@@ -20,17 +22,10 @@ from hypothesis import strategies as st
 import hrnr
 from hrnr import presets
 from hrnr.core import _TANGENT_SLACK, _angles, _round_keys, critical_directions, member
+from hrnr.spectral import CA, CB, direction_sweep
 
 import critical_directions_oracle as oracle
 from conftest import DENSE_ANGLES, random_family, random_model
-
-EXTRAS = {
-    "none": lambda rng: (),
-    "zero": lambda rng: (0.0,),
-    "half_pi": lambda rng: (math.pi / 2,),
-    "random": lambda rng: tuple(rng.uniform(-2 * math.pi, 2 * math.pi, 3)),
-    "dense": lambda rng: DENSE_ANGLES,
-}
 
 
 def _arc(rng):
@@ -80,15 +75,13 @@ def assert_same_directions(new, old):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), extra=st.sampled_from(sorted(EXTRAS)))
-def test_directions_and_verdicts_match_oracle(seed, extra):
+@given(seed=st.integers(0, 2**32 - 1))
+def test_directions_and_verdicts_match_oracle(seed):
     rng = np.random.default_rng(seed)
     model = _model(rng)
-    extra_angles = EXTRAS[extra](rng)
     for anchor in _anchors(model, rng):
         assert_same_directions(
-            critical_directions(model, [anchor], [extra_angles])[:2],
-            oracle.critical_directions(model, anchor, extra_angles),
+            critical_directions(model, [anchor])[:2], oracle.critical_directions(model, anchor)
         )
         for k in (1, 2, 3, hrnr.RANK_INF):
             new, old = member(model, k, anchor), oracle.member(model, k, anchor)
@@ -126,6 +119,29 @@ def test_wu_reports_match_oracle(pool):
                 assert a.witness.normal == b.witness.normal
 
 
+# the closed verdict a WuEvidence records without a witness
+CLOSED_NOTES = {
+    "every critical closed half plane has dim >= k": hrnr.Verdict.IN,
+    "unresolved dimensions": hrnr.Verdict.UNCERTAIN,
+}
+
+
+@pytest.mark.parametrize("pool", ["1", "2", "presets"])
+def test_wu_closed_decisions_match_dense_directions(pool):
+    # the critical directions alone decide the closed flavors: every 7th
+    # evidence entry gets the verdict and the witness dimension of the
+    # closed half planes over the critical directions plus 4096 evenly
+    # spaced angles
+    for model, k in _pool(pool)[:4]:
+        est = hrnr.region(model, k, 96)
+        for e in hrnr.wu_check(model, k, est).evidence[::7]:
+            vx, vy = oracle.critical_directions(model, e.point, DENSE_ANGLES)
+            sweep = direction_sweep(model, e.point, vx, vy)
+            value, f, i = oracle.sweep_decision(sweep, [CA, CB], k)
+            assert value is (hrnr.Verdict.OUT if e.witness is not None else CLOSED_NOTES[e.note])
+            assert e.dim == (None if f is None else float(sweep.hi[f, i]))
+
+
 def _key_inputs(name):
     rng = np.random.default_rng(23)
     if name == "dyadic ties":
@@ -152,15 +168,17 @@ def test_round_keys_are_python_round(name):
 
 
 def test_equal_angles_across_anchors_merge_per_anchor():
-    # both anchors see the atom at angle 0 and the same extra angles:
-    # clusters of nine angles one ulp apart around (K + 1/2) * 1e-12, which
-    # merge by their rounded keys, and whose keys differ from np.rint of
-    # the product for many K
+    # both anchors sit at 0 and see atoms at e^{ix} for clusters of nine
+    # angles x one ulp apart around (K + 1/2) * 1e-12, which merge by their
+    # rounded keys, and whose keys differ from np.rint of the product for
+    # many K
     rng = np.random.default_rng(5)
     x = (rng.integers(1, int(3e12), 40) + 0.5) * 1e-12
-    extra = tuple((x[:, None] + np.arange(-4, 5) * np.spacing(x)[:, None]).ravel().tolist())
-    model = hrnr.SpectralMeasureModel((hrnr.Atom(0j, 1),), (), (), 1.0)
-    anchors = [0.5 + 0j, 0.25 + 0j]
-    vx, vy, row = critical_directions(model, anchors, [extra, extra])
+    angles = (x[:, None] + np.arange(-4, 5) * np.spacing(x)[:, None]).ravel().tolist()
+    atoms = tuple(hrnr.Atom(complex(math.cos(t), math.sin(t)), 1) for t in angles)
+    model = hrnr.SpectralMeasureModel(atoms, (), (), 1.0)
+    anchors = [0j, 0j]
+    vx, vy, row = critical_directions(model, anchors)
     for a, anchor in enumerate(anchors):
-        assert_same_directions((vx[row == a], vy[row == a]), oracle.critical_directions(model, anchor, extra))
+        assert (row == a).sum() < len(angles)
+        assert_same_directions((vx[row == a], vy[row == a]), oracle.critical_directions(model, anchor))

@@ -195,6 +195,15 @@ class TestConvexHull:
         for p in pts:
             assert classify(h1, p) in (Verdict.IN, Verdict.UNCERTAIN)
 
+    @pytest.mark.parametrize("scale", [1e160, 1e307])
+    def test_huge_coordinates_keep_their_vertices(self, scale):
+        # products of coordinate differences beyond about 1e154 once
+        # overflowed to inf, and inf - inf failed every turn test
+        pts = [-1 + 0j, 1 + 0j, 0.2757 + 0.3j, -0.2757 + 0.3j, 0.1 + 0.1j]
+        base = convex_hull(pts).vertices
+        assert len(base) == 4
+        assert convex_hull([p * scale for p in pts]).vertices == tuple(v * scale for v in base)
+
     def test_classify_exact_boundary(self):
         tri = convex_hull([1, 1j, -1])
         assert classify(tri, 0j) is Verdict.IN  # exactly on the bottom edge

@@ -3,7 +3,9 @@ name of the package source is referenced somewhere in it besides its own
 definition, every name a module imports at top level is read in that
 module, every error type is raised somewhere in it, and every name the
 package exports and every public function of its modules is used by the
-package, its CLI or the benchmark, or is one of a few user-facing queries.  No randomness
+package, its CLI or the benchmark, or is one of a few user-facing queries,
+and every defaulted parameter is passed by some call in the package or
+the benchmark, but for a few listed ones.  No randomness
 either: no module reads ``np.random`` or imports ``random``.  No hidden
 module state: no function changes what a module-level name holds."""
 
@@ -137,6 +139,66 @@ def test_every_public_function_is_used():
         and everywhere.count(node.name) == _referenced_names(node).count(node.name)
     ]
     assert not unused, f"public functions used nowhere in the package, CLI or benchmark: {unused}"
+
+
+# Defaulted parameters that no package or benchmark call passes; each stays
+# for the stated reason.
+UNPASSED_DEFAULTS = {
+    "cli.py::main.argv": "the console script passes none; a caller passes its own argument list",
+    "dilation.py::excluding_certificate.plane": "a documented option of a user query: the caller's witness",
+    "presets.py::infinity_empty_model.n_prefix": "tests build 20-term prefixes for speed",
+}
+
+
+def _defaulted(fn: ast.AST, shift: int) -> list[tuple[int | None, str]]:
+    """(position in a call, name) of each parameter of fn that has a
+    default; None for keyword-only ones.  A method's calls skip its first
+    parameter, self or cls (``shift`` 1)."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    out = [(i - shift, p.arg) for i, p in enumerate(pos) if i >= len(pos) - len(a.defaults)]
+    return out + [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether a call passes the parameter, by keyword or by position; a
+    ``*`` or ``**`` argument may pass any."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that only tests override is a test-only knob of the package
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "hrnrbench").glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in paths}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    defaulted, methods = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(trees[path]):
+            if isinstance(node, ast.ClassDef):
+                methods.update(id(sub) for sub in node.body)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                shift = int(id(node) in methods)
+                defaulted += [(path.name, node.name, i, name) for i, name in _defaulted(node, shift)]
+    assert defaulted
+    keys = {f"{module}::{fn}.{name}" for module, fn, _, name in defaulted}
+    assert set(UNPASSED_DEFAULTS) <= keys, "UNPASSED_DEFAULTS names no defaulted parameter"
+    unpassed = [
+        f"{module}::{fn}.{name}"
+        for module, fn, position, name in defaulted
+        if f"{module}::{fn}.{name}" not in UNPASSED_DEFAULTS
+        and not any(_passes(call, position, name) for call in calls.get(fn, []))
+    ]
+    assert not unpassed, f"defaulted parameters no package or benchmark call passes: {unpassed}"
 
 
 def test_every_top_level_import_is_read():
