@@ -17,8 +17,11 @@ planes of the Wu check and of exclusion certificates) takes one path:
 :func:`sweep_decision` decides each requested set of plane flavors per
 point, and :func:`hrnr.spectral.flavor_plane` turns the flavor and direction
 that decided an OUT verdict into its plane where the caller reads it.
-Before that path, :func:`member_many` calls IN every point that a table of
-the model's k-th support levels certifies (:func:`_certified_in`).
+Before that path, :func:`member_many` checks each point against a table of
+the model's k-th support levels (:func:`_level_check`): it calls IN every
+point the table certifies, and OUT every point the table puts well outside
+whose one line from the table decides OUT in the sweep kernel
+(:func:`_table_out`).
 """
 
 from __future__ import annotations
@@ -65,9 +68,10 @@ RANK_INF = INF
 
 _TANGENT_SLACK = 1e-7
 
-# Directions of the k-th support level table that certifies interior points
-# in member_many (see _certified_in): 1024 certify nearly as many points as
-# a finer grid, for one table build of about 4-5 ms at n = 800 atoms.
+# Directions of the k-th support level table of member_many, which
+# certifies interior points and picks the line of an exterior point's OUT
+# (see _level_check): 1024 certify nearly as many points as a finer grid,
+# for one table build of about 4-5 ms at n = 800 atoms.
 _LEVEL_DIRS = 1024
 
 
@@ -341,26 +345,60 @@ def _decide(model: SpectralMeasureModel, kf: float, points: list[complex], flavo
     return out
 
 
-def _certified_in(model: SpectralMeasureModel, k: int, points: list[complex]) -> list[bool]:
-    """Per point z, whether the model's k-th support level table proves z
-    IN: min_j [h_k(xi_j) - Re(e^{i xi_j} z)] exceeds (R + |z|) pi / J +
-    4 eps_geom.
+def _level_check(model: SpectralMeasureModel, k: int, points: list[complex]) -> list[Verdict | int | None]:
+    """Per point z, what the model's k-th support level table proves:
+    ``Verdict.IN``; the index j of a table direction whose line through z
+    is expected to decide OUT (:func:`_table_out` sweeps it); or None, for
+    a point left to :func:`_decide`.  With the margin m = min_j [h_k(xi_j)
+    - Re(e^{i xi_j} z)], z is IN when m exceeds (R + |z|) pi / J +
+    4 eps_geom, and gets the first arg-min j when m lies below
+    -(4 eps_geom + 1e-11 (R + |z|)).
 
     The table holds the snapped directions xi_j = 2 pi j / J, J =
     ``_LEVEL_DIRS``, their k-th levels (one
     :func:`hrnr.spectral.support_levels` call) and R = ``model.max_abs()``.
     It is built on the rank's first call and remembered on the model.
 
-    f(xi) = h_k(xi) - Re(e^{i xi} z) moves by at most (R + |z|) |xi - xi'|
-    between directions, and every xi lies within pi / J of the grid, so f
-    exceeds 4 eps_geom everywhere: on each side of each line through z the
-    k-th level lies beyond the eps band, so the finite point masses reaching
-    k fall in the clear side bucket, or a piece, an infinite atom or a
-    family limit crosses it and sets that side's mask infinite.  Every
-    half closed-half plane then has lo >= k, which is the IN of
+    IN.  f(xi) = h_k(xi) - Re(e^{i xi} z) moves by at most (R + |z|)
+    |xi - xi'| between directions, and every xi lies within pi / J of the
+    grid, so f exceeds 4 eps_geom everywhere: on each side of each line
+    through z the k-th level lies beyond the eps band, so the finite point
+    masses reaching k fall in the clear side bucket, or a piece, an infinite
+    atom or a family limit crosses it and sets that side's mask infinite.
+    Every half closed-half plane then has lo >= k, which is the IN of
     :func:`sweep_decision`.  The chord bound 2 sin(pi / 2J) falls short of
     pi / J by about 1e-9 (R + |z|), which covers the rounding of the table
     and of the sweep.
+
+    OUT.  Let l be the line through z normal to xi_j.  Every p with
+    Re(e^{i xi_j} p) <= h_k(xi_j), pieces, infinite atoms and family limits
+    included, lies at least |m| from l on one side of it, and the measure
+    above h_k(xi_j) has dimension below k.  :func:`_decide` sweeps the
+    breakpoints of z (directions toward atoms, prefix points, segment ends,
+    region vertices and family limits, arc ends, and tangents to arc
+    circles and tail clearance circles) and the midpoint of each cell
+    between two of them.  Within a cell no point crosses the line, nor does
+    a segment, region or arc, and the line meets a clearance circle
+    throughout or nowhere; the distance |p - z| |sin(theta - theta_p)| of a
+    point is concave in the line angle theta, and so is its minimum over a
+    segment, region or arc.  So at the midpoint of the cell holding l,
+    every such p lies at least |m| / 2 > 2 eps_geom from the line, on the
+    same side.  The sweep's band is at most 2 eps_geom wide in distance: it
+    scales each direction v to a length of at least 1/2 and tests
+    |v x (p - z)| against eps_geom |v|, which is eps_geom in distance.
+    Every such p then falls on the clear far side,
+    and the plane of the other side holds only the measure above
+    h_k(xi_j), with hi below k and, the tails resolved as at l, no fuzzy
+    bound: :func:`_decide` returns OUT too, though its witness may be
+    another plane, of smaller hi.  The 1e-11 (R + |z|) covers the
+    rounding: about 2e-15 (R + |z|) in the table, the projection of z and
+    the sweep's side values, and up to 1e-12 (R + |z|) from a swept angle
+    within 1e-12 of the cell's midpoint (:func:`critical_directions` merges
+    angles at 12 decimals) or of l (a cell without a midpoint is at most
+    1e-12 wide).  The argument covers point masses, finite and infinite,
+    with that rounding, and pieces and family tails in exact arithmetic;
+    the differential tests on the region_wu pool hold the float arithmetic
+    of their masks to :func:`_decide`.
     """
     tables = model._level_tables
     if k not in tables:
@@ -369,40 +407,93 @@ def _certified_in(model: SpectralMeasureModel, k: int, points: list[complex]) ->
         tables[k] = (c, s, support_levels(model, k, xis), model.max_abs())
     c, s, levels, radius = tables[k]
     step, eps = math.pi / _LEVEL_DIRS, DEFAULT_TOL.eps_geom
-    return [
-        float((levels - (c * z.real - s * z.imag)).min()) > (radius + abs(z)) * step + 4 * eps
-        for z in points
-    ]
+    out = []
+    for z in points:
+        gap = levels - (c * z.real - s * z.imag)
+        m, scale = float(gap.min()), radius + abs(z)
+        if m > scale * step + 4 * eps:
+            out.append(Verdict.IN)
+        elif m < -(4 * eps + 1e-11 * scale):
+            out.append(int(gap.argmin()))
+        else:
+            out.append(None)
+    return out
+
+
+def _table_out(
+    model: SpectralMeasureModel, kf: float, points: list[complex], dirs: list[int]
+) -> list[MembershipVerdict | None]:
+    """Per point z with table direction j (:func:`_level_check`), the OUT
+    verdict of the line through z normal to xi_j, or None where that line
+    does not decide OUT by a plane of exact dimension.  The lines go through
+    one sweep with one anchor per direction, in chunks of at most
+    ``kernels.BATCH_PAIRS`` direction-point pairs, then
+    :func:`sweep_decision` and :func:`hrnr.spectral.flavor_plane` build
+    verdict, witness and ``witness_dim`` as :func:`_decide` does.  A plane
+    whose dimension is only bracketed (a point mass in the eps band of its
+    line) is left to :func:`_decide`, which may find one of exact
+    dimension, so a witness from the table always has the exact dimension
+    ``witness_dim``.
+    """
+    c, s, _, _ = model._level_tables[int(kf)]
+    step = max(1, kernels.BATCH_PAIRS // max(1, len(model._point_data[0])))
+    out = []
+    for start in range(0, len(points), step):
+        chunk, j = points[start : start + step], dirs[start : start + step]
+        # the line direction is the normal (cos xi_j, -sin xi_j) turned by pi / 2
+        vx, vy = canonical_dirs(s[j], c[j])
+        sweep = direction_sweep(model, np.array(chunk, dtype=complex), vx, vy)
+        values, flavor, index = sweep_decision(sweep, _HCHP, kf, np.arange(len(chunk)))
+        out += [
+            MembershipVerdict(value, flavor_plane(sweep, f, i, z), float(sweep.hi[f, i]))
+            if value is Verdict.OUT and sweep.lo[f, i] == sweep.hi[f, i]
+            else None
+            for z, value, f, i in zip(chunk, values, flavor, index)
+        ]
+    return out
 
 
 def member_many(model: SpectralMeasureModel, k, points) -> list[MembershipVerdict]:
-    """:func:`member` at every point, in order.  Each verdict, witness
-    included, is bit for bit that of the point alone.
+    """:func:`member` at every point, in order.  The verdict of each point
+    is that of the point alone.
 
-    At a finite rank the points that the model's k-th support level table
-    certifies (:func:`_certified_in`) are IN at once; the others go to
-    :func:`_decide`, in order, with one direction build, one sweep and one
-    decision per chunk of points (see ``kernels.BATCH_PAIRS``).
+    At a finite rank the model's k-th support level table
+    (:func:`_level_check`) calls IN every point it certifies, and decides
+    OUT, from one kernel row each (:func:`_table_out`), the points it puts
+    well outside; their witness plane has exact dimension ``witness_dim``
+    below k, though not always the least of all planes through the point.  The other points go
+    to :func:`_decide`, in order, with one direction build, one sweep and
+    one decision per chunk of points (see ``kernels.BATCH_PAIRS``); their
+    witnesses are bit for bit those of the point alone.
     """
     kf = _check_rank(model, k)
     points = [require_finite(z, "point") for z in points]
-    out = [MembershipVerdict(Verdict.IN)] * len(points)
-    rest = range(len(points))
+    out: list[MembershipVerdict | None] = [None] * len(points)
     if kf != INF and points:
-        rest = [i for i, ok in enumerate(_certified_in(model, int(kf), points)) if not ok]
-    if not rest:
-        return out
-    decided = _decide(model, kf, [points[i] for i in rest], [(_HCHP, True)])
-    for i, (hchp,) in zip(rest, decided):
-        out[i] = MembershipVerdict(*hchp)
+        inside, far, dirs = MembershipVerdict(Verdict.IN), [], []
+        for i, check in enumerate(_level_check(model, int(kf), points)):
+            if check is Verdict.IN:
+                out[i] = inside
+            elif check is not None:
+                far.append(i)
+                dirs.append(check)
+        if far:
+            for i, verdict in zip(far, _table_out(model, kf, [points[i] for i in far], dirs)):
+                out[i] = verdict
+    rest = [i for i, verdict in enumerate(out) if verdict is None]
+    if rest:
+        decided = _decide(model, kf, [points[i] for i in rest], [(_HCHP, True)])
+        for i, (hchp,) in zip(rest, decided):
+            out[i] = MembershipVerdict(*hchp)
     return out
 
 
 def member(model: SpectralMeasureModel, k, lam: complex) -> MembershipVerdict:
-    """Decide lambda against the rank-k range by the critical-direction sweep.
+    """Decide lambda against the rank-k range: from the level table where it
+    decides (see :func:`member_many`), else by the critical-direction sweep.
 
     OUT verdicts carry a witness half closed-half plane whose measure
-    dimension is certainly below k.
+    dimension ``witness_dim`` is certainly below k.
     """
     return member_many(model, k, [lam])[0]
 

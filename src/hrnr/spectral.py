@@ -251,8 +251,8 @@ class SpectralMeasureModel:
 
     @cached_property
     def _level_tables(self) -> dict:
-        """The k-th support level tables of ``core.member_many``'s interior
-        certificate, by rank, each built on its rank's first query."""
+        """The k-th support level tables of ``core.member_many``, by rank,
+        each built on its rank's first query."""
         return {}
 
     @cached_property

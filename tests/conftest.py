@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import hrnr
-from hrnr import dilation
+from hrnr import core, dilation
 from hrnr.geometry import ClosedHalfPlane
-from hrnr.spectral import direction_sweep
+from hrnr.spectral import dim_ran_hchp, direction_sweep
 
 import critical_directions_oracle
 from geometry_oracle import support_plane
@@ -102,6 +102,44 @@ def dense_member(model, k, lam):
     if (lo >= k).all():
         return hrnr.Verdict.IN, None
     return hrnr.Verdict.UNCERTAIN, None
+
+
+def swept_members(model, k, points):
+    """``member_many`` without the level table: every point through
+    ``core._decide``, the sweep over its critical directions."""
+    kf = core._check_rank(model, k)
+    return [core.MembershipVerdict(*hchp) for (hchp,) in core._decide(model, kf, list(points), [(core._HCHP, True)])]
+
+
+def table_decided(model, k, points):
+    """The indices of the points that ``member_many`` decides OUT from the
+    level table (``core._level_check``, then ``core._table_out``)."""
+    kf = core._check_rank(model, k)
+    if kf == hrnr.RANK_INF or not points:
+        return set()
+    checks = core._level_check(model, int(kf), list(points))
+    far = [i for i, check in enumerate(checks) if isinstance(check, int)]
+    rows = core._table_out(model, kf, [points[i] for i in far], [checks[i] for i in far])
+    return {i for i, verdict in zip(far, rows) if verdict is not None}
+
+
+def assert_member_many(model, k, points, got, expected):
+    """``member_many``'s verdicts ``got`` against the sweep's ``expected``:
+    equal verdicts, UNCERTAIN included; on a point decided from the level
+    table a witness through the point whose dimension is ``witness_dim``,
+    below k; on every other point the witness and its normal bit for bit."""
+    assert len(got) == len(expected) == len(points)
+    table = table_decided(model, k, points)
+    for i, (new, old) in enumerate(zip(got, expected)):
+        assert new.value is old.value
+        if i in table:
+            assert new.value is hrnr.Verdict.OUT and new.witness.anchor == complex(points[i])
+            assert dim_ran_hchp(model, new.witness) == new.witness_dim < k
+        else:
+            assert (new.witness_dim, new.witness) == (old.witness_dim, old.witness)
+            if new.witness is not None:
+                assert new.witness.normal == old.witness.normal
+    return table
 
 
 def random_plane_set(rng):

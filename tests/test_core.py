@@ -46,7 +46,7 @@ from hrnr.presets import (
     infinity_empty_model,
 )
 
-from conftest import dense_member, random_family, random_model, random_normal_matrix
+from conftest import dense_member, random_family, random_model, random_normal_matrix, swept_members
 from geometry_oracle import hchp_member, signed_distance
 from matrix_oracle import ckz_member, matrix_lambda_k
 
@@ -143,7 +143,9 @@ class TestMember:
             for _ in range(5):
                 k = int(rng.integers(1, 4))
                 lam = fam.limit + complex(*rng.uniform(-0.8, 0.8, 2))
-                mv = member(m, k, lam)
+                # the sweep's witness, not the level table's: the dense
+                # oracle finds the least dimension over all lines
+                (mv,) = swept_members(m, k, [lam])
                 want, dim = dense_member(m, k, lam)
                 assert mv.value is want
                 if want is Verdict.OUT:

@@ -3,8 +3,10 @@ one-sweep Wu loop against the per-direction builder and the two-sweep loop
 kept in ``critical_directions_oracle``.
 
 Directions must match bit for bit, in order and with the signs of zeros,
-because ``sweep_decision`` breaks ties by direction index; ``member``
-verdicts, witness dimensions and every field of a ``WuReport`` must match.
+because ``sweep_decision`` breaks ties by direction index; the sweep's
+membership verdicts (``core._decide``, which ``member`` uses where its level
+table decides nothing), witness dimensions and every field of a
+``WuReport`` must match.
 The Wu check's closed verdicts and witness dimensions must also be those of
 a sweep over the critical directions plus dense evenly spaced angles.
 """
@@ -21,11 +23,11 @@ from hypothesis import strategies as st
 
 import hrnr
 from hrnr import presets
-from hrnr.core import _TANGENT_SLACK, _angles, _round_keys, critical_directions, member
+from hrnr.core import _TANGENT_SLACK, _angles, _round_keys, critical_directions
 from hrnr.spectral import CA, CB, direction_sweep
 
 import critical_directions_oracle as oracle
-from conftest import DENSE_ANGLES, random_family, random_model
+from conftest import DENSE_ANGLES, random_family, random_model, swept_members
 
 
 def _arc(rng):
@@ -84,7 +86,7 @@ def test_directions_and_verdicts_match_oracle(seed):
             critical_directions(model, [anchor])[:2], oracle.critical_directions(model, anchor)
         )
         for k in (1, 2, 3, hrnr.RANK_INF):
-            new, old = member(model, k, anchor), oracle.member(model, k, anchor)
+            (new,), old = swept_members(model, k, [anchor]), oracle.member(model, k, anchor)
             assert new.value is old.value
             assert new.witness_dim == old.witness_dim
             assert new.witness == old.witness
