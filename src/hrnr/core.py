@@ -121,19 +121,13 @@ def critical_directions(
     extremities, family limits, prefix points and approach directions),
     taken relative to the anchor with exact zeros dropped, with the tangents
     from the anchor to each arc circle and tail clearance circle after the
-    entries of their component, then the midpoints.
-    Lines whose angles mod pi round to the same 12 decimals keep their first
-    direction.
+    entries of their component, then the midpoints of the cells wider than
+    1e-12 between consecutive breakpoint angles mod pi.  Every direction is
+    kept, so one anchor has at most twice as many directions as
+    breakpoints, or one direction when it has none.
 
     Breakpoint angles come from ``math.atan2``, because ``np.arctan2`` can
-    differ in the last bit and they fix the midpoints.  Rounded angles can
-    only be equal within about 1e-12, so only the angles within 2e-12 of
-    another (midpoint angles located by ``np.arctan2``) are rounded, from
-    their ``math.atan2`` angles, to integer keys equal to Python's
-    ``round(angle, 12)`` (``_round_keys``): ``np.rint`` of the angle times
-    1e12 where that product lies more than 1e-2 from a half-integer, and
-    Python's ``round`` within that band, where the product's rounding
-    could send ``np.rint`` the other way.
+    differ in the last bit and they fix the midpoints.
     """
     anchors = [complex(a) for a in anchors]
     n = len(anchors)
@@ -161,11 +155,10 @@ def critical_directions(
 
     # per anchor: the angles in ascending order, each paired with the next
     # one, the largest with the smallest plus pi, and the midpoints of the
-    # pairs; row is sorted, so the regrouped angles keep it
+    # pairs
     angles = _angles(vx, vy)
     counts = np.bincount(row, minlength=n)
-    by = np.argsort(angles)
-    breaks = angles[by[np.argsort(row[by], kind="stable")]]
+    breaks = angles[np.lexsort((angles, row))]
     ends = np.cumsum(counts)[counts > 0]
     following = np.empty_like(breaks)
     following[:-1] = breaks[1:]
@@ -173,52 +166,16 @@ def critical_directions(
     mid = following - breaks > 1e-12
     mx, my = trig_dirs((0.5 * (breaks + following))[mid])
 
-    approx = np.concatenate([angles, np.arctan2(my, mx) % math.pi])
     vx, vy, row = np.concatenate([vx, mx]), np.concatenate([vy, my]), np.concatenate([row, row[mid]])
     empty = np.flatnonzero(counts == 0)
     if len(empty):
         # an anchor without breakpoints takes one direction: its dimensions
         # do not depend on the direction
         zx, zy = trig_dirs(np.zeros(len(empty)))
-        vx, vy = np.concatenate([vx, zx]), np.concatenate([vy, zy])
-        approx, row = np.concatenate([approx, np.zeros(len(empty))]), np.concatenate([row, empty])
+        vx, vy, row = np.concatenate([vx, zx]), np.concatenate([vy, zy]), np.concatenate([row, empty])
     # breakpoints, then midpoints, then the lone directions: stably by anchor
     order = np.argsort(row, kind="stable")
-    vx, vy, approx, row = vx[order], vy[order], approx[order], row[order]
-
-    # only angles within 2e-12 of another can share a rounded key; those of
-    # other anchors only add candidates, since the keys include the anchor
-    by = np.argsort(approx)
-    close = np.flatnonzero(approx[by[1:]] - approx[by[:-1]] <= 2e-12)
-    keep = np.ones(len(vx), dtype=bool)
-    keep[by[close]] = keep[by[close + 1]] = False
-    near = np.flatnonzero(~keep)
-    keys, rows = _round_keys(_angles(vx[near], vy[near])), row[near]
-    # the earliest index per (anchor, key): lexsort is stable
-    order = np.lexsort((keys, rows))
-    keys, rows = keys[order], rows[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (keys[1:] != keys[:-1]) | (rows[1:] != rows[:-1])
-    keep[near[order[first]]] = True
-    return vx[keep], vy[keep], row[keep]
-
-
-def _round_keys(a: np.ndarray) -> np.ndarray:
-    """``round(x, 12) * 1e12`` for each angle x in [0, pi], as exact
-    integer-valued float64 keys.
-
-    a * 1e12 lies within 2.5e-4 of the exact product (half an ulp below
-    2**42), so ``np.rint`` rounds it the way Python's ``round`` rounds the
-    exact decimal value, except within that distance of a half-integer;
-    the values within 1e-2 of one, the dyadic ties m / 8192 among them, go
-    through Python's ``round``.
-    """
-    x = a * 1e12
-    keys = np.rint(x)
-    tie = np.flatnonzero(np.abs(np.abs(x - keys) - 0.5) < 1e-2)
-    if len(tie):
-        keys[tie] = np.rint(np.array([round(v, 12) for v in a[tie].tolist()]) * 1e12)
-    return keys
+    return vx[order], vy[order], row[order]
 
 
 def _angles(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
@@ -393,9 +350,8 @@ def _level_check(model: SpectralMeasureModel, k: int, points: list[complex]) -> 
     another plane, of smaller hi.  The 1e-11 (R + |z|) covers the
     rounding: about 2e-15 (R + |z|) in the table, the projection of z and
     the sweep's side values, and up to 1e-12 (R + |z|) from a swept angle
-    within 1e-12 of the cell's midpoint (:func:`critical_directions` merges
-    angles at 12 decimals) or of l (a cell without a midpoint is at most
-    1e-12 wide).  The argument covers point masses, finite and infinite,
+    within 1e-12 of l (a cell without a midpoint is at most 1e-12 wide).
+    The argument covers point masses, finite and infinite,
     with that rounding, and pieces and family tails in exact arithmetic;
     the differential tests on the region_wu pool hold the float arithmetic
     of their masks to :func:`_decide`.

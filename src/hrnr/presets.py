@@ -39,14 +39,15 @@ def bilateral_shift_model() -> SpectralMeasureModel:
     )
 
 
-def infinity_empty_model(n_prefix: int = 100) -> SpectralMeasureModel:
+def infinity_empty_model() -> SpectralMeasureModel:
     """Two eigenvalue sequences accumulating at 0 from different directions:
-    -1/n on the real axis and e^{i pi/n}/n from above.  Every finite-rank
-    range is nonempty while the rank-infinity range is empty."""
-    neg = tuple((complex(-1.0 / n, 0.0), 1) for n in range(2, n_prefix + 2))
+    -1/n on the real axis and e^{i pi/n}/n from above, each listed for
+    n = 2..101.  Every finite-rank range is nonempty while the rank-infinity
+    range is empty."""
+    neg = tuple((complex(-1.0 / n, 0.0), 1) for n in range(2, 102))
     spiral = tuple(
         (complex(math.cos(math.pi / n) / n, math.sin(math.pi / n) / n), 1)
-        for n in range(2, n_prefix + 2)
+        for n in range(2, 102)
     )
     fam_neg = SequenceFamily(neg, 0j, math.pi, "on", 1)
     fam_spiral = SequenceFamily(spiral, 0j, 0.0, "above", 1)

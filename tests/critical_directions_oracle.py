@@ -3,7 +3,10 @@ and the two-sweep Wu loop, kept as test oracles.
 
 ``critical_directions`` and ``_add_tangents`` are the implementations
 ``hrnr.core`` had before the directions were built from a per-model
-template with array operations; ``sweep_decision`` is the one-anchor
+template with array operations, less the merge of lines whose angles
+agree to 12 decimals, which ``hrnr.core`` no longer makes;
+``merge_rounded_angles`` puts that merge back on ``hrnr.core``'s directions,
+to show that it changes no output; ``sweep_decision`` is the one-anchor
 decision ``hrnr.core`` had before it decided a batch of anchors at once;
 ``member``, ``is_boundary`` and ``_closed_witness_sweep`` decide one anchor
 on those directions through one ``direction_sweep`` call, and build the
@@ -84,17 +87,24 @@ def critical_directions(model, anchor, extra_angles=()):
         if a1 - a0 > 1e-12:
             vecs.append(trig_dir(0.5 * (a0 + a1)))
 
-    out, seen = [], set()
-    for vx, vy in vecs:
-        key = round(math.atan2(vy, vx) % math.pi, 12)
-        if key not in seen:
-            seen.add(key)
-            out.append((vx, vy))
-    if not out:
+    if not vecs:
         # no breakpoint: the dimension does not depend on the direction
-        out.append(trig_dir(0.0))
-    arr = np.asarray(out, dtype=np.float64)
+        vecs.append(trig_dir(0.0))
+    arr = np.asarray(vecs, dtype=np.float64)
     return arr[:, 0], arr[:, 1]
+
+
+def merge_rounded_angles(vx, vy, row):
+    """The merge ``hrnr.core.critical_directions`` made before it kept every
+    direction, applied to its output: per anchor ``row``, only the first
+    direction of each line angle mod pi rounded to 12 decimals."""
+    keep, seen = [], set()
+    for x, y, r in zip(vx.tolist(), vy.tolist(), row.tolist()):
+        key = (r, round(math.atan2(y, x) % math.pi, 12))
+        keep.append(key not in seen)
+        seen.add(key)
+    keep = np.array(keep, dtype=bool)
+    return vx[keep], vy[keep], row[keep]
 
 
 def _add_tangents(vecs, anchor: complex, center: complex, radius: float):

@@ -9,11 +9,14 @@ table decides nothing), witness dimensions and every field of a
 ``WuReport`` must match.
 The Wu check's closed verdicts and witness dimensions must also be those of
 a sweep over the critical directions plus dense evenly spaced angles.
+Putting back the merge of lines whose angles agree to 12 decimals must
+change no verdict, witness, region report or Wu report, and each anchor's
+direction count must stay within the bound ``core._anchor_chunks`` sizes
+its chunks by.
 """
 
 import importlib.util
 import math
-from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hrnr
-from hrnr import presets
-from hrnr.core import _TANGENT_SLACK, _angles, _round_keys, critical_directions
+from hrnr import core, presets
+from hrnr.core import _TANGENT_SLACK, critical_directions
 from hrnr.spectral import CA, CB, direction_sweep
 
 import critical_directions_oracle as oracle
 from conftest import DENSE_ANGLES, random_family, random_model, swept_members
+from test_interior_certificate import _lattice_model, _pool_and_presets
 
 
 def _arc(rng):
@@ -144,43 +148,84 @@ def test_wu_closed_decisions_match_dense_directions(pool):
             assert e.dim == (None if f is None else float(sweep.hi[f, i]))
 
 
-def _key_inputs(name):
-    rng = np.random.default_rng(23)
-    if name == "dyadic ties":
-        # m / 8192 times 1e12 is exactly a half-integer
-        return np.arange(1, int(8192 * math.pi), 2) / 8192
-    if name == "near half-integers":
-        x = (rng.integers(0, int(math.pi * 1e12), 2000) + 0.5) * 1e-12
-        return (x[:, None] + np.arange(-4, 5) * np.spacing(x)[:, None]).ravel()
-    lattice = rng.integers(-60, 61, (2, 50_000)).astype(float)
-    d = np.concatenate((lattice, rng.normal(size=(2, 50_000))), axis=1)
-    d = d[:, (d[0] != 0.0) | (d[1] != 0.0)]
-    return _angles(d[0], d[1])
-
-
-@pytest.mark.parametrize("name", ["dyadic ties", "near half-integers", "atan2 angles"])
-def test_round_keys_are_python_round(name):
-    # the exact binary value rounded half to even to 12 decimals: Python's
-    # round returns it as the nearest float, the keys as an integer count of
-    # 1e-12, so equal keys mean equal rounded angles and vice versa
-    a = _key_inputs(name)
-    exact = [Decimal(x).quantize(Decimal("1e-12"), ROUND_HALF_EVEN) for x in a.tolist()]
-    assert [round(x, 12) for x in a.tolist()] == [float(q) for q in exact]
-    assert _round_keys(a).tolist() == [float(q.scaleb(12)) for q in exact]
-
-
-def test_equal_angles_across_anchors_merge_per_anchor():
-    # both anchors sit at 0 and see atoms at e^{ix} for clusters of nine
-    # angles x one ulp apart around (K + 1/2) * 1e-12, which merge by their
-    # rounded keys, and whose keys differ from np.rint of the product for
-    # many K
+def _cluster_model():
+    """Atoms at e^{ix} for 40 clusters of nine angles x one ulp apart
+    around (K + 1/2) * 1e-12, whose lines from 0 agree to 12 decimals."""
     rng = np.random.default_rng(5)
     x = (rng.integers(1, int(3e12), 40) + 0.5) * 1e-12
     angles = (x[:, None] + np.arange(-4, 5) * np.spacing(x)[:, None]).ravel().tolist()
     atoms = tuple(hrnr.Atom(complex(math.cos(t), math.sin(t)), 1) for t in angles)
-    model = hrnr.SpectralMeasureModel(atoms, (), (), 1.0)
+    return hrnr.SpectralMeasureModel(atoms, (), (), 1.0)
+
+
+def test_one_ulp_clusters_match_oracle_per_anchor():
+    # both anchors sit at 0: each gets the directions of the anchor alone
+    model = _cluster_model()
     anchors = [0j, 0j]
     vx, vy, row = critical_directions(model, anchors)
     for a, anchor in enumerate(anchors):
-        assert (row == a).sum() < len(angles)
         assert_same_directions((vx[row == a], vy[row == a]), oracle.critical_directions(model, anchor))
+
+
+def _merge_cases(name):
+    if name == "presets":
+        return [(presets.durszt_model(k), k) for k in (1, 2, 3)] + [
+            (presets.square_region_model(k), k) for k in (2, 3)
+        ]
+    if name == "lattice":
+        rng = np.random.default_rng(2033)
+        models = [_lattice_model(rng) for _ in range(12)]
+        return [(model, k) for model in models for k in (1, 2, 3) if k <= model.total_dim]
+    if name == "clusters":
+        return [(_cluster_model(), k) for k in (1, 2, 5, 50)]
+    return _pool(name)
+
+
+def _outputs(model, k):
+    """The region report, the Wu report where the model is a contraction,
+    and the verdicts of ``member_many`` and of the sweep alone at 0, at 20
+    atoms and at the region's boundary points, as they are and pushed
+    across the eps band both ways."""
+    est = hrnr.region(model, k, 96)
+    wu = hrnr.wu_check(model, k, est) if model.max_abs() < 1.0 else None
+    boundary = np.array([z for z, _ in est.boundary_report], dtype=complex)
+    away = boundary - boundary.mean() if len(boundary) else boundary
+    boundary, away = boundary[away != 0], away[away != 0]
+    points = [0j] + [a.location for a in model.atoms[:20]]
+    points += [complex(z) for d in (0.0, 1e-9, -1e-9, 4e-9, 1e-6) for z in boundary + d * away / np.abs(away)]
+    return est, wu, hrnr.member_many(model, k, points), swept_members(model, k, points)
+
+
+@pytest.mark.parametrize("pool", ["1", "presets", "lattice", "clusters"])
+def test_merging_equal_rounded_angles_changes_no_output(pool, monkeypatch):
+    # critical_directions once kept only the first line per anchor and
+    # angle rounded to 12 decimals; the merge removes directions here, yet
+    # no verdict, witness or report changes
+    cases = _merge_cases(pool)
+    every = [_outputs(model, k) for model, k in cases]
+    dropped = []
+
+    def merged(model, anchors):
+        vx, vy, row = critical_directions(model, anchors)
+        out = oracle.merge_rounded_angles(vx, vy, row)
+        dropped.append(len(vx) - len(out[0]))
+        return out
+
+    monkeypatch.setattr(core, "critical_directions", merged)
+    for (model, k), want in zip(cases, every):
+        assert _outputs(model, k) == want
+    assert sum(dropped) > 0
+
+
+def test_directions_per_anchor_stay_within_the_chunk_budget():
+    # core._anchor_chunks sizes its chunks by this bound before any
+    # direction is built; with every direction kept, nothing else limits
+    # the memory of a sweep
+    rng = np.random.default_rng(41)
+    for model in _pool_and_presets():
+        (px, _, _), (fx, _, _), circles = model._direction_template
+        bound = max(1, 2 * (len(px) + len(fx) + 3 * len(circles)))
+        boundary = [z for z, _ in hrnr.region(model, 1, 96).boundary_report]
+        anchors = _anchors(model, rng) + boundary + [0j]
+        _, _, row = critical_directions(model, anchors)
+        assert np.bincount(row, minlength=len(anchors)).max() <= bound

@@ -81,7 +81,7 @@ def test_region_polygons(rng):
         (presets.durszt_model(2), 2, 96),
         (presets.square_region_model(2), 2, 96),
         (presets.bilateral_shift_model(), 2, 96),
-        (presets.infinity_empty_model(20), 2, 96),
+        (presets.infinity_empty_model(), 2, 96),
         (presets.hermitian_model(), 1, 32),
         (presets.hermitian_model(), 3, 32),
         (presets.hermitian_model(), 4, 32),

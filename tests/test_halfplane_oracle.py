@@ -76,7 +76,7 @@ def test_region_polygons(calls, rng):
     for model, k in (
         (presets.durszt_model(2), 2),
         (presets.bilateral_shift_model(), 2),
-        (presets.infinity_empty_model(20), 2),
+        (presets.infinity_empty_model(), 2),
     ):
         core.region(model, k, 96)
 

@@ -25,7 +25,7 @@ class TestModelJson:
         assert back == model
 
     def test_family_roundtrip(self):
-        model = infinity_empty_model(20)
+        model = infinity_empty_model()
         back = jsonio.parse_document(jsonio.dumps(model_to_obj(model)))
         assert back == model
 

@@ -146,7 +146,6 @@ def test_every_public_function_is_used():
 UNPASSED_DEFAULTS = {
     "cli.py::main.argv": "the console script passes none; a caller passes its own argument list",
     "dilation.py::excluding_certificate.plane": "a documented option of a user query: the caller's witness",
-    "presets.py::infinity_empty_model.n_prefix": "tests build 20-term prefixes for speed",
 }
 
 
