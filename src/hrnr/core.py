@@ -45,7 +45,6 @@ from .geometry import (
     require_finite,
     snap_dirs,
     support_lines,
-    trig_dirs,
 )
 from .spectral import (
     HAM,
@@ -121,13 +120,16 @@ def critical_directions(
     extremities, family limits, prefix points and approach directions),
     taken relative to the anchor with exact zeros dropped, with the tangents
     from the anchor to each arc circle and tail clearance circle after the
-    entries of their component, then the midpoints of the cells wider than
-    1e-12 between consecutive breakpoint angles mod pi.  Every direction is
-    kept, so one anchor has at most twice as many directions as
-    breakpoints, or one direction when it has none.
-
-    Breakpoint angles come from ``math.atan2``, because ``np.arctan2`` can
-    differ in the last bit and they fix the midpoints.
+    entries of their component, then the midpoints.  Per anchor, the lines
+    are ordered by ``np.arctan2`` of their vectors; the midpoint of each
+    line and the next (of the last and the first turned by pi) is the sum
+    of their unit vectors, or the quarter turn of the first where the two
+    are parallel in floating point.  It is kept where the sweep's own sign
+    tests put it strictly between the two lines, so a half turn keeps its
+    quarter turn, exactly collinear lines bound no midpoint, and a cell
+    without one is a few ulps wide.  No breakpoint is merged away, so one
+    anchor has at most twice as many directions as breakpoints, or one
+    direction when it has none.
     """
     anchors = [complex(a) for a in anchors]
     n = len(anchors)
@@ -153,34 +155,32 @@ def critical_directions(
         order = np.lexsort((pos, row))
         vx, vy, row = vx[order], vy[order], row[order]
 
-    # per anchor: the angles in ascending order, each paired with the next
-    # one, the largest with the smallest plus pi, and the midpoints of the
-    # pairs
-    angles = _angles(vx, vy)
+    # per anchor, in the order of the line angles: the vectors scaled
+    # exactly so that no product overflows, then the unit vectors; beside
+    # them the next line's, and after the last the first one's turned by pi
+    e = np.frexp(np.maximum(np.abs(vx), np.abs(vy)))[1]
+    scaled = np.ldexp((vx, vy), -e)
+    line = np.concatenate((scaled, scaled / np.hypot(*scaled)))[:, np.lexsort((np.arctan2(vy, vx), row))]
     counts = np.bincount(row, minlength=n)
-    breaks = angles[np.lexsort((angles, row))]
     ends = np.cumsum(counts)[counts > 0]
-    following = np.empty_like(breaks)
-    following[:-1] = breaks[1:]
-    following[ends - 1] = breaks[ends - counts[counts > 0]] + math.pi
-    mid = following - breaks > 1e-12
-    mx, my = trig_dirs((0.5 * (breaks + following))[mid])
+    following = np.arange(1, len(vx) + 1)
+    following[ends - 1] = ends - counts[counts > 0]
+    nxt = line[:, following]
+    nxt[:, ends - 1] *= -1.0
+    # float cross products: the sweep's own, up to exact scaling
+    parallel = line[0] * nxt[1] == line[1] * nxt[0]
+    m = np.where(parallel, (-line[3], line[2]), line[2:] + nxt[2:])
+    mid = (line[0] * m[1] > line[1] * m[0]) & (m[0] * nxt[1] > m[1] * nxt[0])
+    mx, my = canonical_dirs(*m[:, mid])
 
-    vx, vy, row = np.concatenate([vx, mx]), np.concatenate([vy, my]), np.concatenate([row, row[mid]])
+    # an anchor without breakpoints takes one direction: its dimensions do
+    # not depend on the direction
     empty = np.flatnonzero(counts == 0)
-    if len(empty):
-        # an anchor without breakpoints takes one direction: its dimensions
-        # do not depend on the direction
-        zx, zy = trig_dirs(np.zeros(len(empty)))
-        vx, vy, row = np.concatenate([vx, zx]), np.concatenate([vy, zy]), np.concatenate([row, empty])
+    lone = (np.ones(len(empty)), np.zeros(len(empty)), empty)
+    vx, vy, row = (np.concatenate(p) for p in zip((vx, vy, row), (mx, my, row[mid]), lone))
     # breakpoints, then midpoints, then the lone directions: stably by anchor
     order = np.argsort(row, kind="stable")
     return vx[order], vy[order], row[order]
-
-
-def _angles(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    """Line angles in [0, pi), by ``math.atan2``."""
-    return np.fromiter(map(math.atan2, vy.tolist(), vx.tolist()), np.float64, len(vx)) % math.pi
 
 
 def _tangents(ax: np.ndarray, ay: np.ndarray, circles):
@@ -190,9 +190,9 @@ def _tangents(ax: np.ndarray, ay: np.ndarray, circles):
     beta - delta]).  An anchor within ``_TANGENT_SLACK`` of the circle has
     the touching line, normal to the radius; an anchor outside it the two
     tangents at beta +- delta around the direction beta to the center; the
-    center itself has none.  Angles, cosines and sines come from ``math``,
-    as in :func:`_angles`, so the directions do not depend on numpy's
-    vectorized trigonometry."""
+    center itself has none.  The tangents are the unit vector toward the
+    center turned by +- delta, with sin delta = r / d and cos delta =
+    sqrt((1 - sin delta)(1 + sin delta)) at distance d > r."""
     center = np.array([c for c, _, _ in circles], dtype=complex)
     radius = np.array([r for _, r, _ in circles], dtype=np.float64)
     pos = np.array([p for _, _, p in circles], dtype=np.float64)
@@ -203,14 +203,11 @@ def _tangents(ax: np.ndarray, ay: np.ndarray, circles):
     have = np.stack((touch, cross, cross), axis=-1)
     tx, ty = np.zeros(have.shape), np.zeros(have.shape)
     tx[touch, 0], ty[touch, 0] = canonical_dirs(-ry[touch], rx[touch])
-    beta = np.fromiter(map(math.atan2, ry[cross].tolist(), rx[cross].tolist()), np.float64)
-    ratio = np.minimum(1.0, np.broadcast_to(radius, d.shape)[cross] / d[cross])
-    delta = np.fromiter(map(math.asin, ratio.tolist()), np.float64)
-    for slot, phi in ((1, beta + delta), (2, beta - delta)):
-        phi = phi.tolist()
-        cos = np.fromiter(map(math.cos, phi), np.float64, len(phi))
-        sin = np.fromiter(map(math.sin, phi), np.float64, len(phi))
-        tx[cross, slot], ty[cross, slot] = canonical_dirs(*snap_dirs(cos, sin))
+    ux, uy = rx[cross] / d[cross], ry[cross] / d[cross]
+    sin = np.broadcast_to(radius, d.shape)[cross] / d[cross]
+    cos = np.sqrt((1.0 - sin) * (1.0 + sin))
+    for slot, s in ((1, sin), (2, -sin)):
+        tx[cross, slot], ty[cross, slot] = canonical_dirs(cos * ux - s * uy, cos * uy + s * ux)
     row, circle, _ = np.nonzero(have)
     return tx[have], ty[have], pos[circle], row
 
@@ -340,17 +337,20 @@ def _level_check(model: SpectralMeasureModel, k: int, points: list[complex]) -> 
     point is concave in the line angle theta, and so is its minimum over a
     segment, region or arc.  So at the midpoint of the cell holding l,
     every such p lies at least |m| / 2 > 2 eps_geom from the line, on the
-    same side.  The sweep's band is at most 2 eps_geom wide in distance: it
-    scales each direction v to a length of at least 1/2 and tests
-    |v x (p - z)| against eps_geom |v|, which is eps_geom in distance.
-    Every such p then falls on the clear far side,
+    same side; a cell without a midpoint is a few ulps wide, and at either
+    of its lines every such p lies at least |m| less a few ulps of
+    (R + |z|) from it.  The sweep's band is at most 2 eps_geom wide in
+    distance: it scales each direction v to a length of at least 1/2 and
+    tests |v x (p - z)| against eps_geom |v|, which is eps_geom in
+    distance.  Every such p then falls on the clear far side,
     and the plane of the other side holds only the measure above
     h_k(xi_j), with hi below k and, the tails resolved as at l, no fuzzy
     bound: :func:`_decide` returns OUT too, though its witness may be
     another plane, of smaller hi.  The 1e-11 (R + |z|) covers the
     rounding: about 2e-15 (R + |z|) in the table, the projection of z and
-    the sweep's side values, and up to 1e-12 (R + |z|) from a swept angle
-    within 1e-12 of l (a cell without a midpoint is at most 1e-12 wide).
+    the sweep's side values, and a few ulps of angle, times R + |z|, from
+    a midpoint vector (the sum of two rounded unit vectors, within a few
+    ulps of the bisector) or from a line of a cell without a midpoint.
     The argument covers point masses, finite and infinite,
     with that rounding, and pieces and family tails in exact arithmetic;
     the differential tests on the region_wu pool hold the float arithmetic

@@ -122,11 +122,6 @@ def canonical_dirs(vx: np.ndarray, vy: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return sign * vx, sign * vy
 
 
-def trig_dirs(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`trig_dir`."""
-    return canonical_dirs(*snap_dirs(np.cos(angles), np.sin(angles)))
-
-
 def _grid(m: int) -> np.ndarray:
     """The m evenly spaced directions 2 pi j / m, j = 0, ..., m - 1."""
     return 2 * math.pi * np.arange(m) / m

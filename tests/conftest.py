@@ -5,6 +5,7 @@ import pytest
 
 import hrnr
 from hrnr import core, dilation
+from hrnr.errors import UncertainGeometry
 from hrnr.geometry import ClosedHalfPlane
 from hrnr.spectral import dim_ran_hchp, direction_sweep
 
@@ -121,6 +122,60 @@ def table_decided(model, k, points):
     far = [i for i, check in enumerate(checks) if isinstance(check, int)]
     rows = core._table_out(model, kf, [points[i] for i in far], [checks[i] for i in far])
     return {i for i, verdict in zip(far, rows) if verdict is not None}
+
+
+def _line_angles(vx, vy):
+    return np.arctan2(vy, vx) % math.pi
+
+
+def _apart(a, b):
+    """Angles mod pi between every line of a and every line of b."""
+    d = np.abs(a[:, None] - b[None, :]) % math.pi
+    return np.minimum(d, math.pi - d)
+
+
+def assert_same_lines(model, anchor, vx, vy):
+    """The directions ``core.critical_directions`` builds at anchor against
+    the angle-based builder kept in ``critical_directions_oracle``: the same
+    breakpoints in the same order, the same lines to rounding (the tangents
+    differ in the last bits); a midpoint within 1e-14 rad of each of the
+    oracle's, and any other midpoint within 1e-12 rad of a breakpoint, in a
+    cell the oracle leaves without one."""
+    old_x, old_y = critical_directions_oracle.critical_directions(model, anchor)
+    b = len(critical_directions_oracle.breakpoints(model, anchor))
+    ax, ay, bx, by = vx[:b], vy[:b], old_x[:b], old_y[:b]
+    assert len(ax) == b
+    assert (np.abs(ax * by - ay * bx) <= 1e-15 * np.hypot(ax, ay) * np.hypot(bx, by)).all()
+    assert (ax * bx + ay * by > 0).all()
+    near = _apart(_line_angles(vx[b:], vy[b:]), _line_angles(old_x[b:], old_y[b:])) <= 1e-14
+    assert near.any(axis=0).all()
+    extra = _line_angles(vx[b:], vy[b:])[~near.any(axis=1)]
+    assert (_apart(extra, _line_angles(ax, ay)) <= 1e-12).any(axis=1).all()
+
+
+def assert_witness(model, point, witness, dim, measure):
+    """A witness plane through the point whose dimension, measured again by
+    ``measure`` (``dim_ran_hchp`` for a membership witness,
+    ``dim_ran_closed`` for a closed one), is ``dim``, unless that plane's
+    dimension is only bracketed, where ``measure`` raises
+    ``UncertainGeometry``."""
+    assert witness.anchor == complex(point)
+    try:
+        measured = measure(model, witness)
+    except UncertainGeometry:
+        return
+    assert measured == dim
+
+
+def assert_same_verdicts(model, points, got, expected):
+    """Membership verdicts ``got`` against the oracle's ``expected``: equal
+    verdicts and witness dimensions, and each witness of ``got`` re-measured
+    (:func:`assert_witness`)."""
+    assert len(got) == len(expected) == len(points)
+    for z, new, old in zip(points, got, expected):
+        assert (new.value, new.witness_dim) == (old.value, old.witness_dim)
+        if new.witness is not None:
+            assert_witness(model, z, new.witness, new.witness_dim, dim_ran_hchp)
 
 
 def assert_member_many(model, k, points, got, expected):

@@ -1,10 +1,13 @@
 """The per-direction critical-direction builder, the per-anchor decision
 and the two-sweep Wu loop, kept as test oracles.
 
-``critical_directions`` and ``_add_tangents`` are the implementations
-``hrnr.core`` had before the directions were built from a per-model
-template with array operations, less the merge of lines whose angles
-agree to 12 decimals, which ``hrnr.core`` no longer makes;
+``critical_directions`` (with ``breakpoints``) and ``_add_tangents`` are
+the implementations ``hrnr.core`` had before the directions were built from
+a per-model template with array operations, less the merge of lines whose
+angles agree to 12 decimals, which ``hrnr.core`` no longer makes; they take
+tangents and midpoints from angles (``math.atan2``, ``asin``, ``cos`` and
+``sin``) and give no midpoint to a cell narrower than 1e-12 rad, where
+``hrnr.core`` builds them from vectors;
 ``merge_rounded_angles`` puts that merge back on ``hrnr.core``'s directions,
 to show that it changes no output; ``sweep_decision`` is the one-anchor
 decision ``hrnr.core`` had before it decided a batch of anchors at once;
@@ -45,6 +48,24 @@ def critical_directions(model, anchor, extra_angles=()):
     """Canonical direction vectors of every breakpoint line through anchor,
     then of the extra angles (``conftest.dense_member`` adds an evenly
     spaced grid), plus the midpoints between consecutive directions."""
+    vecs = breakpoints(model, anchor, extra_angles)
+    angles = sorted({math.atan2(vy, vx) % math.pi for vx, vy in vecs})
+    for i in range(len(angles)):
+        a0 = angles[i]
+        a1 = angles[(i + 1) % len(angles)] if i + 1 < len(angles) else angles[0] + math.pi
+        if a1 - a0 > 1e-12:
+            vecs.append(trig_dir(0.5 * (a0 + a1)))
+
+    if not vecs:
+        # no breakpoint: the dimension does not depend on the direction
+        vecs.append(trig_dir(0.0))
+    arr = np.asarray(vecs, dtype=np.float64)
+    return arr[:, 0], arr[:, 1]
+
+
+def breakpoints(model, anchor, extra_angles=()):
+    """The breakpoint directions of :func:`critical_directions`, in its
+    order, as a list of (vx, vy)."""
     vecs: list[tuple[float, float]] = []
 
     def add_point(p: complex):
@@ -79,19 +100,7 @@ def critical_directions(model, anchor, extra_angles=()):
             _add_tangents(vecs, anchor, fam.limit, 2 * fam.min_prefix_distance)
     for phi in extra_angles:
         add_angle(phi)
-
-    angles = sorted({math.atan2(vy, vx) % math.pi for vx, vy in vecs})
-    for i in range(len(angles)):
-        a0 = angles[i]
-        a1 = angles[(i + 1) % len(angles)] if i + 1 < len(angles) else angles[0] + math.pi
-        if a1 - a0 > 1e-12:
-            vecs.append(trig_dir(0.5 * (a0 + a1)))
-
-    if not vecs:
-        # no breakpoint: the dimension does not depend on the direction
-        vecs.append(trig_dir(0.0))
-    arr = np.asarray(vecs, dtype=np.float64)
-    return arr[:, 0], arr[:, 1]
+    return vecs
 
 
 def merge_rounded_angles(vx, vy, row):

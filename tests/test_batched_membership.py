@@ -1,15 +1,19 @@
 """Batched membership against the per-anchor oracles.
 
 ``critical_directions`` over a batch of anchors, ``direction_sweep`` with
-one anchor per row, ``sweep_decision`` per anchor, ``member_many``,
-``is_boundary`` and ``excluding_certificate`` must give, for every anchor,
-bit for bit what the per-anchor builder, a sweep at that anchor alone, the
-one-anchor decision and the per-anchor ``member``, ``is_boundary`` and
-closed-plane witness kept in ``critical_directions_oracle`` give, except
-that ``member_many`` may decide a point OUT from its level table, with a
-witness of its own (``conftest.assert_member_many``).  The batches go in
-chunks of bounded size, so the working memory and the number of kernel
-calls are checked too.
+one anchor per row, ``sweep_decision`` per anchor and ``member_many`` must
+give, for every anchor, bit for bit what ``critical_directions`` with that
+anchor alone, a sweep at that anchor alone, the one-anchor decision kept in
+``critical_directions_oracle`` and the sweep at the point alone give,
+except that ``member_many`` may decide a point OUT from its level table,
+with a witness of its own (``conftest.assert_member_many``).  Against the
+angle-based builder and the per-anchor ``member``, ``is_boundary`` and
+closed-plane witness kept in ``critical_directions_oracle``, the directions
+must be the same lines (``conftest.assert_same_lines``) and the verdicts
+and witness dimensions the same, each witness plane passing through its
+point with the dimension it reports (``conftest.assert_witness``).  The
+batches go in chunks of bounded size, so the working memory and the number
+of kernel calls are checked too.
 """
 
 import importlib.util
@@ -34,10 +38,18 @@ from hrnr.dilation import (
     excluding_certificate,
 )
 from hrnr.errors import AtomNotStrictContraction, HrnrError, InvariantViolation, NoWuWitness
-from hrnr.spectral import CA, CB, OA, OB, direction_sweep
+from hrnr.spectral import CA, CB, OA, OB, dim_ran_closed, direction_sweep
 
 import critical_directions_oracle as oracle
-from conftest import assert_member_many, random_family, random_model
+from conftest import (
+    assert_member_many,
+    assert_same_lines,
+    assert_same_verdicts,
+    assert_witness,
+    random_family,
+    random_model,
+    swept_members,
+)
 
 RANKS = (1, 2, 3, hrnr.RANK_INF)
 
@@ -98,10 +110,10 @@ def _outcome(fn, *args):
 
 
 def assert_same_certificate(model, k, z):
-    """``excluding_certificate`` without a supplied plane picks the oracle's
-    closed witness plane, or finds none where the oracle finds none.  Past
-    the plane, an atom on or beyond the unit circle, or a bracketed witness
-    dimension, may still refuse the certificate."""
+    """``excluding_certificate`` without a supplied plane picks a closed
+    witness plane of the oracle's dimension, or finds none where the oracle
+    finds none.  Past the plane, an atom on or beyond the unit circle, or a
+    bracketed witness dimension, may still refuse the certificate."""
     plane, dim = oracle._closed_witness_sweep(model, z, k, hrnr.DEFAULT_TOL)
     if not isinstance(plane, hrnr.ClosedHalfPlane):
         with pytest.raises(NoWuWitness, match="no critical-direction closed half plane"):
@@ -114,7 +126,8 @@ def assert_same_certificate(model, k, z):
     except InvariantViolation as exc:
         assert str(exc).startswith(f"witness dimension {dim} ")
         return
-    assert (cert.plane, cert.plane.normal, cert.certified_dim) == (plane, plane.normal, dim)
+    assert cert.certified_dim == dim
+    assert_witness(model, z, cert.plane, dim, dim_ran_closed)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -134,16 +147,17 @@ def test_batch_matches_per_anchor_oracles(seed):
     }
     for a, anchor in enumerate(anchors):
         sel = np.flatnonzero(row == a)
-        old_x, old_y = oracle.critical_directions(model, anchor)
-        assert_bits(vx[sel], old_x)
-        assert_bits(vy[sel], old_y)
-        alone = direction_sweep(model, anchor, old_x, old_y)
+        one_x, one_y, _ = critical_directions(model, [anchor])
+        assert_bits(vx[sel], one_x)
+        assert_bits(vy[sel], one_y)
+        assert_same_lines(model, anchor, one_x, one_y)
+        alone = direction_sweep(model, anchor, one_x, one_y)
         for field in ("lo", "hi", "fuzzy"):
             assert_bits(getattr(sweep, field)[:, sel], getattr(alone, field))
         # every sign test is homogeneous in the direction, and a power of
         # two scales it exactly
         for e in (400, -400):
-            scaled = direction_sweep(model, anchor, np.ldexp(old_x, e), np.ldexp(old_y, e))
+            scaled = direction_sweep(model, anchor, np.ldexp(one_x, e), np.ldexp(one_y, e))
             for field in ("lo", "hi", "fuzzy"):
                 assert_bits(getattr(scaled, field), getattr(alone, field))
         for (flavors, k), (values, flavor, index) in decisions.items():
@@ -152,11 +166,12 @@ def test_batch_matches_per_anchor_oracles(seed):
             assert index[a] == (None if i is None else sel[0] + i)
 
     for k in RANKS:
-        old = [oracle.member(model, k, z) for z in anchors]
+        single = [swept_members(model, k, [z])[0] for z in anchors]
+        assert_same_verdicts(model, anchors, single, [oracle.member(model, k, z) for z in anchors])
         # one chunk, and every anchor in a chunk of its own
         for cap in (kernels.BATCH_PAIRS, 1):
             with mock.patch.object(kernels, "BATCH_PAIRS", cap):
-                assert_member_many(model, k, anchors, member_many(model, k, anchors), old)
+                assert_member_many(model, k, anchors, member_many(model, k, anchors), single)
         for z in anchors:
             assert _outcome(is_boundary, model, k, z) == _outcome(oracle.is_boundary, model, k, z)
             assert_same_certificate(model, k, z)
@@ -168,9 +183,7 @@ def test_anchor_without_breakpoints_in_a_batch():
     anchors = [0.4 + 0j, 0.5 + 0j, 0.3 + 0.2j, 0.5 + 0j]
     vx, vy, row = critical_directions(m, anchors)
     for a, anchor in enumerate(anchors):
-        old = oracle.critical_directions(m, anchor)
-        assert_bits(vx[row == a], old[0])
-        assert_bits(vy[row == a], old[1])
+        assert_same_lines(m, anchor, vx[row == a], vy[row == a])
         # the anchor alone, the lone atom among them without a breakpoint
         ax, ay, arow = critical_directions(m, [anchor])
         assert_bits(ax, vx[row == a])
@@ -178,8 +191,9 @@ def test_anchor_without_breakpoints_in_a_batch():
         assert (arow == 0).all()
     assert (row == 1).sum() == (row == 3).sum() == 1
     for k in (1, 2):
-        old = [oracle.member(m, k, z) for z in anchors]
-        assert_member_many(m, k, anchors, member_many(m, k, anchors), old)
+        single = [swept_members(m, k, [z])[0] for z in anchors]
+        assert_same_verdicts(m, anchors, single, [oracle.member(m, k, z) for z in anchors])
+        assert_member_many(m, k, anchors, member_many(m, k, anchors), single)
 
 
 def test_member_many_of_no_points():

@@ -2,11 +2,15 @@
 one-sweep Wu loop against the per-direction builder and the two-sweep loop
 kept in ``critical_directions_oracle``.
 
-Directions must match bit for bit, in order and with the signs of zeros,
-because ``sweep_decision`` breaks ties by direction index; the sweep's
+The oracle builds tangents and midpoints from angles, the library from
+vectors, so directions must match as lines (``conftest.assert_same_lines``:
+breakpoints in order to rounding, midpoints to rounding, and extra
+midpoints only in cells the oracle leaves without one).  The sweep's
 membership verdicts (``core._decide``, which ``member`` uses where its level
-table decides nothing), witness dimensions and every field of a
-``WuReport`` must match.
+table decides nothing), witness dimensions, and the verdict and every
+evidence field of a ``WuReport`` but the witness plane must match; each
+witness plane must pass through its point and have the dimension it
+reports (``conftest.assert_witness``).
 The Wu check's closed verdicts and witness dimensions must also be those of
 a sweep over the critical directions plus dense evenly spaced angles.
 Putting back the merge of lines whose angles agree to 12 decimals must
@@ -27,10 +31,19 @@ from hypothesis import strategies as st
 import hrnr
 from hrnr import core, presets
 from hrnr.core import _TANGENT_SLACK, critical_directions
-from hrnr.spectral import CA, CB, direction_sweep
+from hrnr.dilation import WU_SAMPLES_PER_EDGE, _edge_samples
+from hrnr.spectral import CA, CB, dim_ran_closed, direction_sweep
 
 import critical_directions_oracle as oracle
-from conftest import DENSE_ANGLES, random_family, random_model, swept_members
+from conftest import (
+    DENSE_ANGLES,
+    assert_same_lines,
+    assert_same_verdicts,
+    assert_witness,
+    random_family,
+    random_model,
+    swept_members,
+)
 from test_interior_certificate import _lattice_model, _pool_and_presets
 
 
@@ -74,26 +87,15 @@ def _anchors(model, rng):
     return out
 
 
-def assert_same_directions(new, old):
-    for a, b in zip(new, old):
-        assert np.array_equal(a, b)
-        assert np.array_equal(np.signbit(a), np.signbit(b))
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_directions_and_verdicts_match_oracle(seed):
     rng = np.random.default_rng(seed)
     model = _model(rng)
     for anchor in _anchors(model, rng):
-        assert_same_directions(
-            critical_directions(model, [anchor])[:2], oracle.critical_directions(model, anchor)
-        )
+        assert_same_lines(model, anchor, *critical_directions(model, [anchor])[:2])
         for k in (1, 2, 3, hrnr.RANK_INF):
-            (new,), old = swept_members(model, k, [anchor]), oracle.member(model, k, anchor)
-            assert new.value is old.value
-            assert new.witness_dim == old.witness_dim
-            assert new.witness == old.witness
+            assert_same_verdicts(model, [anchor], swept_members(model, k, [anchor]), [oracle.member(model, k, anchor)])
 
 
 def _region_wu():
@@ -122,7 +124,22 @@ def test_wu_reports_match_oracle(pool):
             assert (a.point, a.dim, a.note) == (b.point, b.dim, b.note)
             assert (a.witness is None) == (b.witness is None)
             if a.witness is not None:
-                assert a.witness.normal == b.witness.normal
+                assert_witness(model, a.point, a.witness, a.dim, dim_ran_closed)
+
+
+@pytest.mark.parametrize("pool", ["1", "2", "3", "presets"])
+def test_member_witnesses_measure_their_dimension(pool):
+    # every OUT of member_many at the Wu samples and the boundary report
+    # has a witness through its point whose dimension is witness_dim
+    outs = 0
+    for model, k in _pool(pool):
+        est = hrnr.region(model, k, 96)
+        points = _edge_samples(est.polygon, WU_SAMPLES_PER_EDGE) + [z for z, _ in est.boundary_report]
+        for z, verdict in zip(points, hrnr.member_many(model, k, points)):
+            if verdict.value is hrnr.Verdict.OUT:
+                assert_witness(model, z, verdict.witness, verdict.witness_dim, hrnr.dim_ran_hchp)
+                outs += 1
+    assert outs > 0
 
 
 # the closed verdict a WuEvidence records without a witness
@@ -159,12 +176,16 @@ def _cluster_model():
 
 
 def test_one_ulp_clusters_match_oracle_per_anchor():
-    # both anchors sit at 0: each gets the directions of the anchor alone
+    # both anchors sit at 0: each gets, bit for bit, the directions of the
+    # anchor alone, and those match the oracle's lines
     model = _cluster_model()
     anchors = [0j, 0j]
     vx, vy, row = critical_directions(model, anchors)
+    alone = critical_directions(model, [0j])
     for a, anchor in enumerate(anchors):
-        assert_same_directions((vx[row == a], vy[row == a]), oracle.critical_directions(model, anchor))
+        for new, old in zip((vx[row == a], vy[row == a]), alone):
+            assert np.array_equal(new, old) and np.array_equal(np.signbit(new), np.signbit(old))
+        assert_same_lines(model, anchor, vx[row == a], vy[row == a])
 
 
 def _merge_cases(name):

@@ -367,3 +367,30 @@ def test_no_function_changes_module_state():
             else:
                 stack.extend(ast.iter_child_nodes(node))
     assert not found, f"functions that change module-level names: {found}"
+
+
+def _math_maps_into_arrays(tree: ast.AST) -> list[str]:
+    """Each ``np.fromiter(map(math.f, ...))`` within tree: a Python loop of
+    scalar ``math`` calls over the elements of an array."""
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        if node.func.attr != "fromiter" or not node.args:
+            continue
+        inner = node.args[0]
+        if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Name) and inner.func.id == "map":
+            f = inner.args[0] if inner.args else None
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "math":
+                out.append(f"line {node.lineno}: math.{f.attr}")
+    return out
+
+
+def test_no_per_element_math_maps():
+    # array arithmetic goes through numpy: a map of a scalar math function
+    # over an array's elements runs one Python call per element
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name} {where}" for where in _math_maps_into_arrays(tree)]
+    assert not found, f"per-element math maps in the package: {found}"
