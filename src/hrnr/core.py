@@ -120,16 +120,14 @@ def critical_directions(
     extremities, family limits, prefix points and approach directions),
     taken relative to the anchor with exact zeros dropped, with the tangents
     from the anchor to each arc circle and tail clearance circle after the
-    entries of their component, then the midpoints.  Per anchor, the lines
-    are ordered by ``np.arctan2`` of their vectors; the midpoint of each
-    line and the next (of the last and the first turned by pi) is the sum
-    of their unit vectors, or the quarter turn of the first where the two
-    are parallel in floating point.  It is kept where the sweep's own sign
-    tests put it strictly between the two lines, so a half turn keeps its
-    quarter turn, exactly collinear lines bound no midpoint, and a cell
-    without one is a few ulps wide.  No breakpoint is merged away, so one
-    anchor has at most twice as many directions as breakpoints, or one
-    direction when it has none.
+    entries of their component, then the midpoints.  A
+    midpoint lies within a few ulps of the bisector of two lines
+    consecutive by ``np.arctan2`` (the last and the first turned by pi), and
+    is kept where the sweep's own sign tests put it strictly between them:
+    a half turn takes the quarter turn, exactly collinear lines bound none,
+    and a cell without one is a few ulps wide.  No breakpoint is merged
+    away, so one anchor has at most twice as many directions as
+    breakpoints, or one direction when it has none.
     """
     anchors = [complex(a) for a in anchors]
     n = len(anchors)
@@ -155,29 +153,36 @@ def critical_directions(
         order = np.lexsort((pos, row))
         vx, vy, row = vx[order], vy[order], row[order]
 
-    # per anchor, in the order of the line angles: the vectors scaled
-    # exactly so that no product overflows, then the unit vectors; beside
-    # them the next line's, and after the last the first one's turned by pi
+    # per anchor, in the order of the line angles (a key only): the vectors
+    # scaled exactly by powers of two, so that no product overflows, and
+    # their unit vectors
+    order = np.lexsort((np.arctan2(vy, vx), row))
     e = np.frexp(np.maximum(np.abs(vx), np.abs(vy)))[1]
-    scaled = np.ldexp((vx, vy), -e)
-    line = np.concatenate((scaled, scaled / np.hypot(*scaled)))[:, np.lexsort((np.arctan2(vy, vx), row))]
+    sx, sy = np.ldexp(vx, -e)[order], np.ldexp(vy, -e)[order]
+    ux, uy = (sx, sy) / np.hypot(sx, sy)
+    # beside each line the next, and beside an anchor's last its first
+    # turned by pi
     counts = np.bincount(row, minlength=n)
     ends = np.cumsum(counts)[counts > 0]
     following = np.arange(1, len(vx) + 1)
     following[ends - 1] = ends - counts[counts > 0]
-    nxt = line[:, following]
-    nxt[:, ends - 1] *= -1.0
-    # float cross products: the sweep's own, up to exact scaling
-    parallel = line[0] * nxt[1] == line[1] * nxt[0]
-    m = np.where(parallel, (-line[3], line[2]), line[2:] + nxt[2:])
-    mid = (line[0] * m[1] > line[1] * m[0]) & (m[0] * nxt[1] > m[1] * nxt[0])
-    mx, my = canonical_dirs(*m[:, mid])
+    turn = np.ones(len(vx))
+    turn[ends - 1] = -1.0
+    nx, ny = turn * sx[following], turn * sy[following]
+    wx, wy = turn * ux[following], turn * uy[following]
+    # u + w plus w - u turned a quarter turn clockwise is 2 (cos phi/2 +
+    # sin phi/2) >= 2 times the bisector of a cell phi in [0, pi] wide, so
+    # a few ulps off it at any width; kept where the float cross products
+    # with the scaled vectors, the sweep's own sign tests, put it inside
+    mx, my = ux + wx + (wy - uy), uy + wy + (ux - wx)
+    mid = (sx * my > sy * mx) & (mx * ny > my * nx)
+    mx, my = canonical_dirs(mx[mid], my[mid])
 
     # an anchor without breakpoints takes one direction: its dimensions do
     # not depend on the direction
     empty = np.flatnonzero(counts == 0)
-    lone = (np.ones(len(empty)), np.zeros(len(empty)), empty)
-    vx, vy, row = (np.concatenate(p) for p in zip((vx, vy, row), (mx, my, row[mid]), lone))
+    vx, vy = np.concatenate((vx, mx, np.ones(len(empty)))), np.concatenate((vy, my, np.zeros(len(empty))))
+    row = np.concatenate((row, row[mid], empty))
     # breakpoints, then midpoints, then the lone directions: stably by anchor
     order = np.argsort(row, kind="stable")
     return vx[order], vy[order], row[order]
@@ -342,19 +347,18 @@ def _level_check(model: SpectralMeasureModel, k: int, points: list[complex]) -> 
     (R + |z|) from it.  The sweep's band is at most 2 eps_geom wide in
     distance: it scales each direction v to a length of at least 1/2 and
     tests |v x (p - z)| against eps_geom |v|, which is eps_geom in
-    distance.  Every such p then falls on the clear far side,
-    and the plane of the other side holds only the measure above
-    h_k(xi_j), with hi below k and, the tails resolved as at l, no fuzzy
-    bound: :func:`_decide` returns OUT too, though its witness may be
-    another plane, of smaller hi.  The 1e-11 (R + |z|) covers the
-    rounding: about 2e-15 (R + |z|) in the table, the projection of z and
-    the sweep's side values, and a few ulps of angle, times R + |z|, from
-    a midpoint vector (the sum of two rounded unit vectors, within a few
-    ulps of the bisector) or from a line of a cell without a midpoint.
-    The argument covers point masses, finite and infinite,
-    with that rounding, and pieces and family tails in exact arithmetic;
-    the differential tests on the region_wu pool hold the float arithmetic
-    of their masks to :func:`_decide`.
+    distance.  Every such p then falls on the clear far side, and the
+    plane of the other side holds only the measure above h_k(xi_j), with hi
+    below k and, the tails resolved as at l, no fuzzy bound: :func:`_decide`
+    returns OUT too, though its witness may be another plane, of smaller
+    hi.  The 1e-11 (R + |z|) covers the rounding: about 2e-15 (R + |z|) in
+    the table, the projection of z and the sweep's side values, and a few
+    ulps of angle, times R + |z|, from a midpoint (within a few ulps of the
+    bisector at any cell width) or from a line of a cell without one.  The
+    argument covers point masses, finite and infinite, with that rounding,
+    and pieces and family tails in exact arithmetic; the differential tests
+    on the region_wu pool hold the float arithmetic of their masks to
+    :func:`_decide`.
     """
     tables = model._level_tables
     if k not in tables:

@@ -6,8 +6,9 @@ an anchor and the open cells between them are computed here exactly with
 ``fractions``.  Every such line must be swept, and every open cell between
 two distinct consecutive lines must hold a swept direction strictly inside
 it.  Off the lattice, a cell 1e-13 rad wide between two lines that are not
-collinear must hold one too, and two exactly collinear points must add no
-midpoint.
+collinear must hold one too, and so must the cell nearly a half turn wide
+beside two lines whose rounded unit vectors are an ulp apart; two exactly
+collinear points must add no midpoint.
 """
 
 import math
@@ -145,6 +146,21 @@ def test_exactly_collinear_points_add_no_midpoint():
     swept = [_key(x, y) for x, y in zip(vx.tolist(), vy.tolist())]
     assert _uncovered({_key(*u), _key(*_exact(z, 0.15 + 0.11j))}, set(swept)) == ([], [])
 
+
+def test_a_wide_cell_between_nearly_collinear_lines_is_swept():
+    # z is a + t (b - a) rounded, so z - a and z - b are exact (Sterbenz)
+    # and not parallel, and their rounded unit vectors are one ulp apart:
+    # the cell between the two lines that is nearly a half turn wide holds
+    # exactly one swept direction
+    a, b = 1.8607014095476777 + 1.2471467403221075j, 1.1412465569010317 + 1.670061849314936j
+    z = a + 0.6931566829892775 * (b - a)
+    u, w = _exact(z, a), _exact(b, z)
+    assert complex(*map(float, u)) == a - z and complex(*map(float, w)) == z - b
+    assert _cross(u, w) != 0
+    model = hrnr.SpectralMeasureModel((hrnr.Atom(a, 1), hrnr.Atom(b, 1)), (), (), 4.0)
+    vx, vy, _ = critical_directions(model, [z])
+    swept = [(Fraction(x), Fraction(y)) for x, y in zip(vx.tolist(), vy.tolist())]
+    assert sum(_cross(u, d) * _cross(d, w) < 0 for d in swept) == 1
 
 def test_one_line_takes_the_quarter_turn():
     # a half turn: every line of the anchor is one line, and its midpoint is
