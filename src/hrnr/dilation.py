@@ -19,12 +19,12 @@ four n x n products with the eigenvectors give its four blocks.  One
 Hermitian eigensolve certifies the exclusion: if P U P = lam P for a rank-k
 projection P, then P Re(e^{i xi} U) P = Re(e^{i xi} lam) P, so by Cauchy
 interlacing the k-th largest eigenvalue of Re(e^{i xi} U) is at least
-Re(e^{i xi} lam), for any square U, normal or not.  The block construction
-fixes the spectrum, so the rank-k levels of the block dilations need no
-eigensolve, and since by interlacing no dilation has a rank-k level below
-T's own, these dilations alone give the intersection of the dilations'
-ranges; their planes at the directions where two eigenvalues tie at the
-k-th level give it exactly.
+Re(e^{i xi} lam), for any square U, normal or not.  By the same
+interlacing no dilation has a rank-k level below T's own L_k(xi), and the
+block dilation that splits off exactly the eigenvalues beyond L_k(xi)
+attains it, so the planes Re(e^{i xi} z) <= L_k(xi) at the breakpoints of
+L_k cut out the intersection of the dilations' ranges exactly.  One scan
+per (T, k) gives those breakpoints together with their levels.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ from .spectral import (
 # contraction, so that no gap between consecutive plane normals reaches pi.
 _FLOOR_ANGLES = 8
 
-# Projections closer than this count as tied: the split threshold of the
-# block dilations and the tie test of their plane directions.
+# A pair normal is a breakpoint of L_k when the pair projects within this
+# of L_k there: the tie test of the plane directions.
 _TIE = 1e-12
 
 # Interior samples per polygon edge in a Wu check, besides the vertices.
@@ -268,8 +268,8 @@ def excluding_dilation_matrix(T: np.ndarray, k: int, lam: complex) -> DilationAr
     lam = require_finite(lam, "point")
     T = _finite_square_matrix(T)
     k = _check_finite_rank(k, T.shape[0])
-    T, _, vals, V, xis = _analysis(T.shape, T.tobytes(), k)
-    xi, margin = _separating_direction(vals, k, lam, xis)
+    T, _, vals, V, xis, levels = _analysis(T.shape, T.tobytes(), k)
+    xi, margin = _separating_direction(vals, k, lam, xis, levels)
     if margin <= DEFAULT_TOL.eps_geom:
         raise NoSeparatingAngle(f"best margin {margin:.3e} does not clear eps_geom")
     target = np.real(np.exp(1j * xi) * lam)
@@ -287,17 +287,21 @@ def excluding_dilation_matrix(T: np.ndarray, k: int, lam: complex) -> DilationAr
 
 
 def _separating_direction(
-    vals: np.ndarray, k: int, lam: complex, breakpoints: np.ndarray
+    vals: np.ndarray, k: int, lam: complex, breakpoints: np.ndarray, levels: np.ndarray
 ) -> tuple[float, float]:
     """The direction xi maximizing the margin Re(e^{i xi} lam) - L_k(xi),
-    given the breakpoints of L_k (:func:`_breakpoints`), and that margin.
+    given the breakpoints of L_k and L_k at them (:func:`_breakpoints`),
+    and that margin.
 
     Between two breakpoints of L_k the margin is Re(e^{i xi} (lam - d))
     for one eigenvalue d, so its maximum lies at a breakpoint or at some
-    -arg(lam - d): those candidates are scored.
+    -arg(lam - d): those candidates are scored, and only the n directions
+    -arg(lam - d) need their levels.
     """
-    xis = np.concatenate([breakpoints, -np.angle(lam - vals)])
-    margins = np.real(np.exp(1j * xis) * lam) - _support_levels(vals, k, xis)
+    candidates = -np.angle(lam - vals)
+    xis = np.concatenate([breakpoints, candidates])
+    levels = np.concatenate([levels, _support_levels(vals, k, candidates)])
+    margins = np.real(np.exp(1j * xis) * lam) - levels
     j = int(np.argmax(margins))
     return float(xis[j]), float(margins[j])
 
@@ -315,23 +319,26 @@ def _pair_normals(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([cross, cross + math.pi]), np.concatenate([first, first])
 
 
-def _breakpoints(vals: np.ndarray, k: int) -> np.ndarray:
+def _breakpoints(vals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Breakpoints of L_k(xi), the k-th largest Re(e^{i xi} d) over the
-    eigenvalues d: _FLOOR_ANGLES evenly spaced directions, then the pair
-    normals (:func:`_pair_normals`) at which the pair's projection lies
-    within _TIE of L_k, i.e. where the tie group of the pair covers rank k;
-    the floor alone when k > n.
+    eigenvalues d, and L_k at them, from one :func:`_support_levels` call:
+    _FLOOR_ANGLES evenly spaced directions, then the pair normals
+    (:func:`_pair_normals`) at which the pair's projection lies within
+    _TIE of L_k, i.e. where the tie group of the pair covers rank k; none
+    when k > n, where L_k is not defined.
 
     L_k changes the eigenvalue it follows only at such a normal, so between
     two consecutive breakpoints, which lie less than pi apart, it follows
     one eigenvalue d.
     """
-    xis = _grid(_FLOOR_ANGLES)
-    if k <= vals.shape[0]:
-        normals, first = _pair_normals(vals)
-        own = np.real(np.exp(1j * normals) * vals[first])
-        xis = np.concatenate([xis, normals[np.abs(own - _support_levels(vals, k, normals)) <= _TIE]])
-    return xis
+    if k > vals.shape[0]:
+        return np.empty(0), np.empty(0)
+    normals, first = _pair_normals(vals)
+    xis = np.concatenate([_grid(_FLOOR_ANGLES), normals])
+    levels = _support_levels(vals, k, xis)
+    own = np.real(np.exp(1j * normals) * vals[first])
+    keep = np.concatenate([np.ones(_FLOOR_ANGLES, bool), np.abs(own - levels[_FLOOR_ANGLES:]) <= _TIE])
+    return xis[keep], levels[keep]
 
 
 def excluding_certificate(
@@ -424,7 +431,7 @@ def wu_check(model: SpectralMeasureModel, k: int, region_est: RegionEstimate) ->
     if region_est.k != kf:
         raise ValueError(f"the region estimate is of rank {region_est.k}, not {k}")
     px, py, _ = model._point_data
-    samples = _edge_samples(region_est.polygon, WU_SAMPLES_PER_EDGE)
+    samples = _edge_samples(region_est.polygon)
     zs = np.array(samples, dtype=complex)
     near = np.hypot(zs.real[:, None] - px, zs.imag[:, None] - py) <= 10 * eps
     # inside the tolerance ball of an eigenvalue: unresolvable artifact
@@ -459,13 +466,13 @@ def wu_check(model: SpectralMeasureModel, k: int, region_est: RegionEstimate) ->
     return WuReport(verdict, tuple(evidence), len(samples) - len(points), uncertain)
 
 
-def _edge_samples(poly: ConvexPolygon, per_edge: int) -> list[complex]:
-    """The polygon's vertices, then per_edge evenly spaced interior points
-    of each edge."""
+def _edge_samples(poly: ConvexPolygon) -> list[complex]:
+    """The polygon's vertices, then WU_SAMPLES_PER_EDGE evenly spaced
+    interior points of each edge."""
     out = list(poly.vertices)
     for a, b in poly.edges():
-        for i in range(per_edge):
-            t = (i + 1) / (per_edge + 1)
+        for i in range(WU_SAMPLES_PER_EDGE):
+            t = (i + 1) / (WU_SAMPLES_PER_EDGE + 1)
             out.append(a + t * (b - a))
     return out
 
@@ -503,11 +510,11 @@ def _unitary_eigendecomposition(T):
 
 @functools.lru_cache(maxsize=1)
 def _analysis(shape: tuple[int, ...], data: bytes, k: int):
-    """(T, norm, vals, V, breakpoints) for the complex matrix T with that
-    shape and those bytes and the rank k, every array read-only: T and its
-    operator norm (:func:`_require_contraction`), its unitary
+    """(T, norm, vals, V, breakpoints, levels) for the complex matrix T
+    with that shape and those bytes and the rank k, every array read-only:
+    T and its operator norm (:func:`_require_contraction`), its unitary
     eigendecomposition (:func:`_unitary_eigendecomposition`) and the
-    breakpoints of L_k (:func:`_breakpoints`).
+    breakpoints of L_k with L_k at them (:func:`_breakpoints`).
 
     The last result is remembered, so a caller that builds both the
     excluding dilation and the dilation-range intersection of one (T, k)
@@ -515,10 +522,10 @@ def _analysis(shape: tuple[int, ...], data: bytes, k: int):
     """
     T, norm = _require_contraction(np.frombuffer(data, dtype=complex).reshape(shape))
     vals, V = _unitary_eigendecomposition(T)
-    xis = _breakpoints(vals, k)
-    for a in (vals, V, xis):
+    xis, levels = _breakpoints(vals, k)
+    for a in (vals, V, xis, levels):
         a.flags.writeable = False
-    return T, norm, vals, V, xis
+    return T, norm, vals, V, xis, levels
 
 
 def _block_dilation(T, vals, V, xi, top) -> DilationArtifact:
@@ -586,28 +593,6 @@ def _modulus(z):
     return np.hypot(z.real, z.imag)
 
 
-def _block_dilation_levels(T, vals, V, k, xis):
-    """Rank-k levels, per direction xi, of the block dilations of
-    T = V diag(vals) V* that split off the r < k eigenvalues projecting
-    beyond L_k + 1e-12 (all of them when k > n), L_1 >= ... >= L_n being
-    the Re(e^{i xi} d): by the spectra ``_block_dilation`` gives them,
-    L_{r + ceil((k - r) / 2)}, or -1 when k > n.  Residuals change with xi
-    only through rounding, so the dilation at the first direction, checked
-    against eps_unitary less a rounding allowance, gates them all:
-    EigFailure when it fails.
-    """
-    n = vals.shape[0]
-    proj = np.sort(np.real(np.exp(1j * xis)[:, None] * vals[None, :]), axis=1)  # L_j: column n - j
-    cut = -np.inf if k > n else proj[0, n - k] + _TIE
-    art = _block_dilation(T, vals, V, float(xis[0]), np.real(np.exp(1j * xis[0]) * vals) > cut)
-    limit = DEFAULT_TOL.eps_unitary - 16 * n * np.finfo(float).eps  # less the rounding allowance
-    _require_residuals(art.unitarity_residual, art.compression_residual, limit)
-    if k > n:
-        return np.full(xis.shape[0], -1.0)
-    r = np.count_nonzero(proj > proj[:, n - k, None] + _TIE, axis=1)
-    return proj[np.arange(xis.shape[0]), n - r - (k - r + 1) // 2]
-
-
 def dilation_intersection(
     T: np.ndarray,
     k: int,
@@ -618,19 +603,22 @@ def dilation_intersection(
     contraction T through their support planes; NotNormal when T fails the
     normality gate.
 
-    The per-direction block dilations give the planes in closed form.  By
-    interlacing no unitary dilation has a rank-k level below T's own L_k,
-    which the block levels attain to within their _TIE split threshold, so
-    no other dilation can tighten these planes and they are the whole
-    intersection; EigFailure when the one block dilation built per T fails
-    its residual check.  The planes stand at the breakpoints of L_k
+    The planes are Re(e^{i xi} z) <= L_k(xi) at the breakpoints of L_k
     (:func:`_breakpoints`): the normals where two eigenvalues tie at the
-    k-th level, plus _FLOOR_ANGLES evenly spaced ones.  The plane of any
-    direction between two consecutive breakpoints contains the cone at d
-    that their two planes cut out, so these planes are exact, and since
-    the half planes Re(e^{i xi} z) <= L_k(xi) cut out the rank-k range of
-    T (Li & Sze, Proc. AMS 136, 2008), the polygon is Lambda_k(T) up to
-    rounding, and empty when k > n.
+    k-th level, plus _FLOOR_ANGLES evenly spaced ones.  By interlacing no
+    unitary dilation has a rank-k level below T's own L_k, and the block
+    dilation that splits off exactly the eigenvalues beyond L_k(xi)
+    attains it, so these planes are the whole intersection.  The plane of
+    any direction between two consecutive breakpoints contains the cone at
+    d that their two planes cut out, so they are exact, and since the half
+    planes Re(e^{i xi} z) <= L_k(xi) cut out the rank-k range of T (Li &
+    Sze, Proc. AMS 136, 2008), the polygon is Lambda_k(T) up to rounding,
+    and empty when k > n.
+
+    One block dilation per T gates them all: the rotated Halmos blocks of
+    every eigenvalue through V at xi = 0, whose residuals differ from those
+    of any split dilation by rounding only, checked against eps_unitary
+    less 16 n ulps of rounding allowance; EigFailure when it fails.
 
     n_samples and n_alpha act on nothing.  They are still checked as counts
     (ValueError otherwise) because the benchmark's dilation_lab workload
@@ -642,6 +630,11 @@ def dilation_intersection(
         raise ValueError(
             f"need integers n_samples >= 0 and n_alpha >= 0, got {n_samples!r} and {n_alpha!r}"
         )
-    T, norm, vals, V, xis = _analysis(T.shape, T.tobytes(), k)
-    levels = _block_dilation_levels(T, vals, V, k, xis)
+    T, norm, vals, V, xis, levels = _analysis(T.shape, T.tobytes(), k)
+    n = vals.shape[0]
+    gate = _block_dilation(T, vals, V, 0.0, np.zeros(n, dtype=bool))
+    limit = DEFAULT_TOL.eps_unitary - 16 * n * np.finfo(float).eps
+    _require_residuals(gate.unitarity_residual, gate.compression_residual, limit)
+    if k > n:
+        return ConvexPolygon()
     return halfplane_intersection(support_lines(xis, levels), norm + 1.0)

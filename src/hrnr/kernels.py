@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import DEFAULT_TOL
+
 # A shared anchor takes the dense body below this many point-direction
 # pairs and the angular sweep from it on.  Timed on 2n directions over n
 # random points (2-core Xeon, numpy 2.4.6; minimum to median of 25 repeats
@@ -30,20 +32,18 @@ SORTED_MIN_PAIRS = 18_432
 # Callers read it as ``kernels.BATCH_PAIRS`` at call time.
 BATCH_PAIRS = 1 << 16
 
-# Points within _NEAR * eps of the anchor go through the dense body.  Beyond
-# that radius r0, a sign test can land in the eps band only for angles within
-# asin(2 eps / r0) of the line, so only those angles need the exact re-check.
+# Points within _NEAR * eps_geom of the anchor go through the dense body.
+# Beyond that radius r0, a sign test can land in the eps band only for angles
+# within asin(2 eps_geom / r0) of the line, so only those angles need the
+# exact re-check.
 _NEAR = 1e3
 # Extra half-width of the guard windows.  It covers the rounding of arctan2
 # and of the wrapped angles (below 1e-14 rad) and keeps every point outside
 # a window clear of the eps band by a margin far above the rounding of s.
 _ANGLE_SLACK = 1e-12
-# The near radius r0 is at least _TINY: the guard half-width needs r0 > 0 at
-# eps = 0, and s could underflow for points closer to the anchor.
-_TINY = 1e-100
 
 
-def atom_side_sweep(px, py, w, vx, vy, eps: float, ax=0.0, ay=0.0):
+def atom_side_sweep(px, py, w, vx, vy, ax=0.0, ay=0.0):
     """Bucket weighted points against canonical directions through anchors.
 
     For every direction (vx[i], vy[i]) through its anchor (ax, ay), one
@@ -59,8 +59,8 @@ def atom_side_sweep(px, py, w, vx, vy, eps: float, ax=0.0, ay=0.0):
         5: within eps of the line but not exactly on it (unresolved)
 
     with (dx, dy) = (px - ax, py - ay), s = vx*dy - vy*dx, t = vx*dx + vy*dy,
-    bucket 0 when s > eps*|v|, bucket 1 when s < -eps*|v| and buckets 2-4
-    only when s == 0 exactly.
+    eps = DEFAULT_TOL.eps_geom, bucket 0 when s > eps*|v|, bucket 1 when
+    s < -eps*|v| and buckets 2-4 only when s == 0 exactly.
     Directions must already be canonicalized, and scaled as by
     :func:`hrnr.spectral.direction_sweep` (larger component in [0.5, 1)).
     Weights are multiplicities: positive integers or +inf, the finite ones
@@ -85,13 +85,12 @@ def atom_side_sweep(px, py, w, vx, vy, eps: float, ax=0.0, ay=0.0):
     vy = np.ascontiguousarray(vy, dtype=np.float64)
     ax = np.asarray(ax, dtype=np.float64)
     ay = np.asarray(ay, dtype=np.float64)
-    eps = float(eps)
     if ax.ndim or vx.shape[0] * px.shape[0] < SORTED_MIN_PAIRS:
-        return _dense_sweep(px, py, w, vx, vy, eps, ax, ay)
-    return _sorted_sweep(px - ax, py - ay, w, vx, vy, eps)
+        return _dense_sweep(px, py, w, vx, vy, ax, ay)
+    return _sorted_sweep(px - ax, py - ay, w, vx, vy)
 
 
-def _dense_sweep(px, py, w, vx, vy, eps, ax=0.0, ay=0.0):
+def _dense_sweep(px, py, w, vx, vy, ax=0.0, ay=0.0):
     """Every pair at once; the (m, 6) buckets out.  The points are float64
     arrays of shape (n,), the anchor one shared pair of scalars or one per
     direction (arrays of shape (m,)).  Anchor-relative points take the
@@ -109,7 +108,7 @@ def _dense_sweep(px, py, w, vx, vy, eps, ax=0.0, ay=0.0):
     sub *= vy[:, None]
     s -= sub
     del sub
-    e = (eps * np.hypot(vx, vy))[:, None]
+    e = (DEFAULT_TOL.eps_geom * np.hypot(vx, vy))[:, None]
     side_a = s > e
     side_b = s < -e
     on_line = s == 0.0
@@ -146,16 +145,17 @@ def _bucket(s, e, t):
     return 5 - 5 * (s > e) - 4 * (s < -e) - (s == 0.0) * (1 + 2 * (t > 0.0) + (t < 0.0))
 
 
-def _sorted_sweep(px, py, w, vx, vy, eps):
+def _sorted_sweep(px, py, w, vx, vy):
     """The angular sweep; same arguments and result as :func:`_dense_sweep`
     on anchor-relative points."""
     m = vx.shape[0]
+    if m == 0:
+        return _dense_sweep(px, py, w, vx, vy)
+    eps = DEFAULT_TOL.eps_geom
     length = np.hypot(vx, vy)
-    if m == 0 or not eps >= 0.0:
-        return _dense_sweep(px, py, w, vx, vy, eps)
-    r0 = max(_NEAR * eps, _TINY)
+    r0 = _NEAR * eps
     far = np.hypot(px, py) > r0
-    out = _dense_sweep(px[~far], py[~far], w[~far], vx, vy, eps)
+    out = _dense_sweep(px[~far], py[~far], w[~far], vx, vy)
     idx = np.flatnonzero(far)
     n = idx.shape[0]
     if n == 0:

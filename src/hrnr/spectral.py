@@ -403,7 +403,7 @@ def direction_sweep(
     epsl = eps * L
 
     px, py, w = model._point_data
-    buckets = kernels.atom_side_sweep(px, py, w, ux, uy, eps, ax, ay)
+    buckets = kernels.atom_side_sweep(px, py, w, ux, uy, ax, ay)
     a_, b_, rp, rm, an, un = (buckets[:, i] for i in range(6))
 
     lo = np.zeros((8, m))
@@ -748,20 +748,21 @@ def from_normal_matrix(M: np.ndarray) -> SpectralMeasureModel:
         eigvals = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(str(exc)) from exc
-    atoms = _cluster(eigvals, DEFAULT_TOL.eps_eig)
+    atoms = _cluster(eigvals)
     radius = float(max(abs(eigvals))) + 1.0 if len(eigvals) else 1.0
     return SpectralMeasureModel(atoms=atoms, support_radius=radius)
 
 
-def _cluster(vals: np.ndarray, eps: float) -> tuple[Atom, ...]:
-    """Single-linkage clusters of the values at distance eps, as atoms at
-    their means, sorted by location.
+def _cluster(vals: np.ndarray) -> tuple[Atom, ...]:
+    """Single-linkage clusters of the values at distance eps = eps_eig, as
+    atoms at their means, sorted by location.
 
     Values within eps of each other differ by at most eps in real part, so
     only the pairs within a 2 * eps window of the real parts in sorted order
     take the distance test (``np.hypot``, which rounds like ``abs`` of a
     complex scalar).
     """
+    eps = DEFAULT_TOL.eps_eig
     n = len(vals)
     parent = list(range(n))
 

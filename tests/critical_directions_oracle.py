@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from hrnr.core import _HCHP, BoundaryKind, MembershipVerdict, _check_rank
-from hrnr.dilation import WuEvidence, WuReport, WuVerdict, _edge_samples
+from hrnr.dilation import WuEvidence, WuReport, WuVerdict
 from hrnr.errors import NotStrictContraction, UncertainGeometry
 from hrnr.geometry import (
     DEFAULT_TOL,
@@ -203,6 +203,18 @@ def _closed_witness_sweep(model, lam, k, tol):
     if value is Verdict.IN:
         return "none", None
     return "unresolved", None
+
+
+def _edge_samples(poly, per_edge):
+    """The polygon's vertices, then per_edge evenly spaced interior points
+    of each edge: the sampler ``hrnr.dilation`` had when the Wu check took
+    the count as an argument."""
+    out = list(poly.vertices)
+    for a, b in poly.edges():
+        for i in range(per_edge):
+            t = (i + 1) / (per_edge + 1)
+            out.append(a + t * (b - a))
+    return out
 
 
 def wu_check(model, k, region_est, tol=DEFAULT_TOL, samples_per_edge=9):

@@ -31,7 +31,7 @@ def excluding_dilation_matrix(T: np.ndarray, k: int, lam: complex) -> DilationAr
     T, _ = _require_contraction(T)
     vals, V = _unitary_eigendecomposition(T)
     k = _check_finite_rank(k, vals.shape[0])
-    xi, margin = _separating_direction(vals, k, lam, _breakpoints(vals, k))
+    xi, margin = _separating_direction(vals, k, lam, *_breakpoints(vals, k))
     if margin <= DEFAULT_TOL.eps_geom:
         raise NoSeparatingAngle(f"best margin {margin:.3e} does not clear eps_geom")
     cut = np.real(np.exp(1j * xi) * lam) - 0.5 * margin

@@ -31,7 +31,6 @@ import hrnr
 from hrnr import kernels, presets
 from hrnr.core import _HCHP, critical_directions, is_boundary, member_many, sweep_decision
 from hrnr.dilation import (
-    WU_SAMPLES_PER_EDGE,
     WuReport,
     WuVerdict,
     _edge_samples,
@@ -271,7 +270,7 @@ def test_wu_report_counts_skips():
         atoms = [a.location for a in model.atoms]
         atoms += [p for fam in model.families for p, _ in fam.prefix]
         skipped, uncertain = 0, 0
-        for z in _edge_samples(est.polygon, WU_SAMPLES_PER_EDGE):
+        for z in _edge_samples(est.polygon):
             if any(abs(z - p) <= 10 * hrnr.DEFAULT_TOL.eps_geom for p in atoms):
                 skipped += 1
             elif oracle.member(model, k, z).value is hrnr.Verdict.UNCERTAIN:

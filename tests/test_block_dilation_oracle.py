@@ -1,16 +1,18 @@
-"""Differential tests: closed-form block-dilation levels against the
-eigensolve loop kept in ``block_dilation_oracle``, the residual gate that
-checks one block dilation per operator, and the block dilations assembled
-in four diagonal blocks against the per-eigenvalue ``np.kron`` assembly
-kept there.
+"""Differential tests: the planes of ``dilation_intersection`` against the
+block dilations that attain them and the eigensolve loop kept in
+``block_dilation_oracle``, the residual gate that checks one block
+dilation per operator, and the block dilations assembled in four diagonal
+blocks against the per-eigenvalue ``np.kron`` assembly kept there.
 
-Levels agree to 1e-13 on the 180-direction grid and on the tie normals
-``dilation_intersection`` now uses; a T that is not normal, which the
-oracle skips, it refuses.  Its exact polygon lies inside the grid oracle's outer
-approximation, to eps_geom, and within the grid's error of it.  The
-closed-form assembly raises what the ``np.kron`` one raised, its matrices
-lie within 1e-14 of that one's, and the dilation_lab polygons are
-``repr``-identical with either.
+Each plane's level is T's own L_k from the one scan of (T, k); the block
+dilation that splits off exactly the eigenvalues beyond it attains it to
+1e-13, and the oracle's dilations, split 1e-12 above L_k, lie at most that
+far above it.  A T that is not normal, which the oracle skips, it refuses.
+The exact polygon lies inside the grid oracle's outer approximation, to
+eps_geom, and within the grid's error of it.  The closed-form assembly
+raises what the ``np.kron`` one raised, its matrices lie within 1e-14 of
+that one's, and the dilation_lab polygons are ``repr``-identical with
+either.
 """
 
 import importlib.util
@@ -41,6 +43,7 @@ from test_exclusion_oracle import _beyond, _criterion_6_inputs, _lab_inputs, _ne
 
 XIS = 2 * math.pi * np.arange(180) / 180
 JORDAN = np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex)  # not normal
+NEAR_TIE = np.diag([0.5, 0.5 + 5e-13, 0.5 - 5e-13, -0.3j])
 
 
 def _load_workloads():
@@ -65,32 +68,59 @@ def _contractions(rng):
             Q = haar_unitary(n, rng)
             yield (Q * eigs) @ Q.conj().T
     yield np.diag([1.0, 0.5, -0.5]).astype(complex)
-    # projections closer than the 1e-12 split threshold, yet resolvable:
-    # the level picks L_{r + ceil((k - r) / 2)} out of the near tie
-    yield np.diag([0.5, 0.5 + 5e-13, 0.5 - 5e-13, -0.3j])
+    # projections closer than the 1e-12 tie test, yet resolvable: the
+    # planes stand at L_k itself, not within the near tie above it
+    yield NEAR_TIE
     yield np.diag([1j, 1j, -0.25]).astype(complex)
     yield np.zeros((1, 1), dtype=complex)
 
 
-def test_levels_match_oracle(rng):
-    # on the grid and on the plane directions, tie normals included
-    calls = 0
+def _planes(rng):
+    """(T, vals, V, k, xis, levels): the planes of every T of
+    ``_contractions`` at every rank k <= n, from one scan each."""
     for T in _contractions(rng):
         vals, V = dilation._unitary_eigendecomposition(T)
-        for k in range(1, 2 * T.shape[0] + 1):
-            for xis in (XIS, dilation._breakpoints(vals, k)):
-                old = oracle._block_dilation_planes(T, k, xis, DEFAULT_TOL)
-                new = dilation._block_dilation_levels(T, vals, V, k, xis)
-                calls += 1
-                assert not np.isnan(old).any()
-                assert np.max(np.abs(new - old)) <= 1e-13
-    assert calls == 2 * 166
-    # a T that is not normal has no block levels: the oracle skips it, and
-    # the intersection refuses it
+        for k in range(1, T.shape[0] + 1):
+            yield T, vals, V, k, *dilation._breakpoints(vals, k)
+
+
+def test_planes_are_attained_at_the_support_levels(rng):
+    # each level is L_k at its direction, bit for bit, and the block
+    # dilation that splits off exactly the eigenvalues projecting above it
+    # has it as its rank-k level (eigensolved)
+    planes = 0
+    for T, vals, V, k, xis, levels in _planes(rng):
+        assert np.array_equal(levels, dilation._support_levels(vals, k, xis))
+        n = T.shape[0]
+        for xi, level in zip(xis, levels):
+            art = dilation._block_dilation(T, vals, V, xi, np.real(np.exp(1j * xi) * vals) > level)
+            proj = np.sort(np.real(np.exp(1j * xi) * np.linalg.eigvals(art.matrix)))
+            assert abs(proj[2 * n - k] - level) <= 1e-13
+            planes += 1
+    assert planes == 1626
+    # a T that is not normal has no planes: the oracle skips it, and the
+    # intersection refuses it
     for k in range(1, 5):
         assert np.isnan(oracle._block_dilation_planes(JORDAN, k, XIS, DEFAULT_TOL)).all()
         with pytest.raises(NotNormal):
             dilation.dilation_intersection(JORDAN, k)
+
+
+def test_split_oracle_levels_lie_within_the_tie_above(rng):
+    # the oracle's dilations split 1e-12 above L_k, so their rank-k levels
+    # lie in the tie above the plane's level, less the rounding of their
+    # eigensolve (at most 1.5e-15 here)
+    for T, _, _, k, xis, levels in _planes(rng):
+        old = oracle._block_dilation_planes(T, k, xis, DEFAULT_TOL)
+        assert not np.isnan(old).any()
+        assert (levels - 1e-13 <= old).all() and (old <= levels + 1e-12 + 1e-13).all()
+
+
+def test_near_tie_is_the_exact_point():
+    # Lambda_2 of 0.5, 0.5 +- 5e-13 and -0.3i is the point 0.5; a plane
+    # split 1e-12 above L_2 would stand at 0.5 + 5e-13
+    poly = dilation.dilation_intersection(NEAR_TIE, 2)
+    assert len(poly.vertices) == 1 and abs(poly.vertices[0] - 0.5) <= 1e-15
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -114,34 +144,36 @@ def test_intersections_match_oracle_on_dilation_lab(seed):
 
 
 def test_gate_residuals_and_levels(rng, monkeypatch):
-    # the one dilation the gate assembles has the residuals of the dilation
-    # in any other direction, whose eigenvalues give the closed-form level
+    # the one dilation the gate assembles, unsplit at xi = 0, has the
+    # residuals of the split dilation in any other direction (every
+    # eigenvalue split off when k > n), whose eigenvalues give L_k
     real = dilation._block_dilation
     built = []
 
-    def record(*args):
-        built.append(real(*args))
-        return built[-1]
+    def record(T, vals, V, xi, top):
+        built.append((xi, top.copy()))
+        return real(T, vals, V, xi, top)
 
     monkeypatch.setattr(dilation, "_block_dilation", record)
     for _ in range(12):
         n = int(rng.integers(1, 9))
         T = random_normal_contraction(n, rng)
         k = int(rng.integers(1, 2 * n + 1))
-        xis = rng.uniform(0, 2 * math.pi, 8)
-        vals, V = dilation._unitary_eigendecomposition(T)
         built.clear()
-        levels = dilation._block_dilation_levels(T, vals, V, k, xis)
-        assert len(built) == 1
-        gate = built[0]
-        for xi, level in zip(xis, levels):
+        dilation.dilation_intersection(T, k)
+        ((xi0, top0),) = built
+        assert xi0 == 0.0 and not top0.any()
+        vals, V = dilation._unitary_eigendecomposition(T)
+        gate = real(T, vals, V, 0.0, top0)
+        xis = rng.uniform(0, 2 * math.pi, 8)
+        for xi, level in zip(xis, dilation._support_levels(vals, min(k, n), xis)):
             c = np.real(np.exp(1j * xi) * vals)
-            top = c > (np.sort(c)[n - k] + 1e-12 if k <= n else -np.inf)
-            art = real(T, vals, V, xi, top)
+            art = real(T, vals, V, xi, c > level if k <= n else np.ones(n, bool))
             assert abs(art.unitarity_residual - gate.unitarity_residual) <= 1e-13
             assert abs(art.compression_residual - gate.compression_residual) <= 1e-13
-            proj = np.sort(np.real(np.exp(1j * xi) * np.linalg.eigvals(art.matrix)))
-            assert proj[2 * n - k] == pytest.approx(level, abs=1e-13)
+            if k <= n:
+                proj = np.sort(np.real(np.exp(1j * xi) * np.linalg.eigvals(art.matrix)))
+                assert proj[2 * n - k] == pytest.approx(level, abs=1e-13)
 
 
 def _count_work(monkeypatch):
@@ -188,11 +220,10 @@ def test_failed_gate_adds_no_block_planes(rng, monkeypatch):
     monkeypatch.setattr(dilation, "_unitary_eigendecomposition", perturbed)
     monkeypatch.setattr(oracle, "_unitary_eigendecomposition", perturbed)
     assert np.isnan(oracle._block_dilation_planes(T, k, XIS, DEFAULT_TOL)).all()
-    vals, V = dilation._unitary_eigendecomposition(T)
-    with pytest.raises(EigFailure, match="residuals too large"):
-        dilation._block_dilation_levels(T, vals, V, k, XIS)
-    with pytest.raises(EigFailure, match="residuals too large"):
-        dilation.dilation_intersection(T, k, 2, 4)
+    # the gate runs before the empty polygon of k > n too
+    for rank in (k, 6):
+        with pytest.raises(EigFailure, match="residuals too large"):
+            dilation.dilation_intersection(T, rank, 2, 4)
 
 
 def test_near_normal_contractions_fail_the_gate(tmp_path, capsys):
@@ -256,7 +287,7 @@ def test_separating_direction_matches_the_all_pair_scan(rng):
     calls = 0
     for T, k, lam in _separating_inputs(rng):
         vals, _ = dilation._unitary_eigendecomposition(T)
-        new = dilation._separating_direction(vals, k, lam, dilation._breakpoints(vals, k))
+        new = dilation._separating_direction(vals, k, lam, *dilation._breakpoints(vals, k))
         assert new == oracle._separating_direction(vals, k, lam)
         calls += 1
     assert calls == 3 * 243 + 3 * 3 * 78
@@ -281,7 +312,7 @@ def test_chunk_bound_does_not_change_the_outputs(monkeypatch):
             out.append(
                 (
                     dilation._support_levels(vals, k, dilation._pair_normals(vals)[0]).tobytes(),
-                    dilation._breakpoints(vals, k).tobytes(),
+                    b"".join(a.tobytes() for a in dilation._breakpoints(vals, k)),
                     art.matrix.tobytes(),
                     art.alpha,
                     repr(dilation.dilation_intersection(T, k, lab.n_samples, lab.n_alpha)),
@@ -438,7 +469,8 @@ def test_lab_intersections_are_identical_with_the_kron_assembly(seed, monkeypatc
 
 
 def test_a_lab_op_makes_no_kron_and_no_scalar_dilation_call(monkeypatch):
-    # the split-off eigenvalues of every rank go through the closed form
+    # the split-off eigenvalues of every rank go through the closed form,
+    # once per excluding dilation; the intersection's gate splits none off
     counts = dict.fromkeys(["kron", "scalar_dilation", "_scalar_blocks"], 0)
     for module, name in ((np, "kron"), (dilation, "scalar_dilation"), (dilation, "_scalar_blocks")):
         real = getattr(module, name)
@@ -452,7 +484,7 @@ def test_a_lab_op_makes_no_kron_and_no_scalar_dilation_call(monkeypatch):
     lab = workloads.DilationLab(1)
     for i in (1, 2):  # ranks 2 and 3, which split eigenvalues off
         lab.op(hrnr, None, i)
-    assert counts == {"kron": 0, "scalar_dilation": 0, "_scalar_blocks": 4}
+    assert counts == {"kron": 0, "scalar_dilation": 0, "_scalar_blocks": 2}
 
 
 def test_far_points_follow_the_scalar_rule_bit_for_bit(rng):

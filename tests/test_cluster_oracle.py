@@ -42,7 +42,7 @@ def _spectra(rng):
 def test_clusters_match_oracle(rng):
     merged = 0
     for vals in _spectra(rng):
-        new = _cluster(vals, EPS)
+        new = _cluster(vals)
         assert repr(new) == repr(cluster(vals, EPS))
         merged += len(new) < len(vals)
     assert merged >= 200  # most spectra have values to join

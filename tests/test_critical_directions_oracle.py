@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 import hrnr
 from hrnr import core, presets
 from hrnr.core import _TANGENT_SLACK, critical_directions
-from hrnr.dilation import WU_SAMPLES_PER_EDGE, _edge_samples
+from hrnr.dilation import _edge_samples
 from hrnr.spectral import CA, CB, dim_ran_closed, direction_sweep
 
 import critical_directions_oracle as oracle
@@ -134,7 +134,7 @@ def test_member_witnesses_measure_their_dimension(pool):
     outs = 0
     for model, k in _pool(pool):
         est = hrnr.region(model, k, 96)
-        points = _edge_samples(est.polygon, WU_SAMPLES_PER_EDGE) + [z for z, _ in est.boundary_report]
+        points = _edge_samples(est.polygon) + [z for z, _ in est.boundary_report]
         for z, verdict in zip(points, hrnr.member_many(model, k, points)):
             if verdict.value is hrnr.Verdict.OUT:
                 assert_witness(model, z, verdict.witness, verdict.witness_dim, hrnr.dim_ran_hchp)

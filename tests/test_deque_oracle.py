@@ -106,18 +106,19 @@ def _dilation_cases(rng):
 
 
 def test_dilation_intersections(rng):
-    # every rank up to 2n; the planes are rebuilt from the same directions
-    # and levels
+    # every rank up to n, the planes rebuilt from the same directions and
+    # levels; above n the polygon is empty
     *normal, last = _dilation_cases(rng)
     for T in normal:
         bound = dilation._op_norm(T) + 1.0
-        vals, V = dilation._unitary_eigendecomposition(T)
-        for k in range(1, 2 * T.shape[0] + 1):
-            xis = dilation._breakpoints(vals, k)
-            levels = dilation._block_dilation_levels(T, vals, V, k, xis)
-            planes = [support_plane(xi, h) for xi, h in zip(xis, levels)]
+        vals, _ = dilation._unitary_eigendecomposition(T)
+        n = T.shape[0]
+        for k in range(1, n + 1):
+            planes = [support_plane(xi, h) for xi, h in zip(*dilation._breakpoints(vals, k))]
             poly = dilation.dilation_intersection(T, k, 2, 4)
             assert poly == assert_same(planes, bound)
+        for k in range(n + 1, 2 * n + 1):
+            assert dilation.dilation_intersection(T, k, 2, 4).is_empty
     for k in range(1, 5):
         with pytest.raises(NotNormal):
             dilation.dilation_intersection(last, k)

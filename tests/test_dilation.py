@@ -524,11 +524,31 @@ class TestDecompositionMemo:
         excluding_dilation_matrix(T, 1, 0.99 + 0j)
         dilation_intersection(T, 1, 2, 4)
         assert len(scans) == 1
-        _, _, vals, _, kept = dilation._analysis(T.shape, T.tobytes(), 1)
+        *_, vals, _, kept, levels = dilation._analysis(T.shape, T.tobytes(), 1)
         assert len(scans) == 1
         # _breakpoints itself remembers nothing
-        assert np.array_equal(dilation._breakpoints(vals, 1), kept)
+        xis, new_levels = dilation._breakpoints(vals, 1)
+        assert np.array_equal(xis, kept) and np.array_equal(new_levels, levels)
         assert len(scans) == 2
+
+    def test_one_level_scan_per_operator_and_rank(self, rng, monkeypatch):
+        # the excluding dilation and the intersection of one (T, k) score
+        # each floor angle, each pair normal and each of the n separating
+        # candidates -arg(lam - d) once: the breakpoints' levels are read
+        # from the scan that kept them
+        scored = []
+        real = dilation._support_levels
+        monkeypatch.setattr(
+            dilation, "_support_levels", lambda eigs, k, xis: scored.append(xis) or real(eigs, k, xis)
+        )
+        T = random_normal_contraction(6, rng)
+        lam = 0.99 + 0j
+        excluding_dilation_matrix(T, 2, lam)
+        dilation_intersection(T, 2, 2, 4)
+        vals = dilation._analysis(T.shape, T.tobytes(), 2)[2]
+        floor = dilation._grid(dilation._FLOOR_ANGLES)
+        expected = [floor, dilation._pair_normals(vals)[0], -np.angle(lam - vals)]
+        assert np.array_equal(np.sort(np.concatenate(scored)), np.sort(np.concatenate(expected)))
 
     def test_a_new_rank_decomposes_again(self, rng, monkeypatch):
         # the key holds the rank, so one eigensolve is not shared across ranks
@@ -541,21 +561,23 @@ class TestDecompositionMemo:
     def test_in_place_change_misses(self, rng, monkeypatch):
         counts = self._count(monkeypatch)
         T = random_normal_contraction(5, rng)
-        _, _, vals, _, _ = dilation._analysis(T.shape, T.tobytes(), 1)
+        vals = dilation._analysis(T.shape, T.tobytes(), 1)[2]
         T *= 0.5
-        _, _, new_vals, new_V, new_xis = dilation._analysis(T.shape, T.tobytes(), 1)
+        _, _, new_vals, new_V, new_xis, new_levels = dilation._analysis(T.shape, T.tobytes(), 1)
         assert counts["eig"] == 2
         assert not np.array_equal(new_vals, vals)
         dilation._analysis.cache_clear()
-        _, _, fresh_vals, fresh_V, fresh_xis = dilation._analysis(T.shape, T.copy().tobytes(), 1)
+        _, _, fresh_vals, fresh_V, fresh_xis, fresh_levels = dilation._analysis(
+            T.shape, T.copy().tobytes(), 1
+        )
         assert counts["eig"] == 3
         assert np.array_equal(new_vals, fresh_vals) and np.array_equal(new_V, fresh_V)
-        assert np.array_equal(new_xis, fresh_xis)
+        assert np.array_equal(new_xis, fresh_xis) and np.array_equal(new_levels, fresh_levels)
 
     def test_result_is_read_only(self, rng):
         T = random_normal_contraction(4, rng)
-        kept, _, vals, V, xis = dilation._analysis(T.shape, T.tobytes(), 2)
-        for a in (kept, vals, V, xis):
+        kept, _, vals, V, xis, levels = dilation._analysis(T.shape, T.tobytes(), 2)
+        for a in (kept, vals, V, xis, levels):
             with pytest.raises(ValueError):
                 a.flat[0] = 0.0
 

@@ -102,7 +102,7 @@ def test_certificate_matches_the_membership_run(inputs, returned_count):
             continue
         returned += 1
         vals, _ = dilation._unitary_eigendecomposition(T)
-        xi, margin = dilation._separating_direction(vals, k, lam, dilation._breakpoints(vals, k))
+        xi, margin = dilation._separating_direction(vals, k, lam, *dilation._breakpoints(vals, k))
         A = np.exp(1j * xi) * np.frombuffer(new[0], dtype=complex).reshape(2 * T.shape[0], -1)
         slack = np.real(np.exp(1j * xi) * lam) - np.linalg.eigvalsh(0.5 * (A + A.conj().T))[-k]
         assert 0.5 * margin - 1e-12 <= slack <= margin + 1e-12
@@ -141,7 +141,7 @@ def test_failed_certificate_names_direction_level_and_target(monkeypatch):
     with pytest.raises(NoSeparatingAngle) as info:
         excluding_dilation_matrix(T, k, lam)
     vals, _ = dilation._unitary_eigendecomposition(T)
-    xi, _ = dilation._separating_direction(vals, k, lam, dilation._breakpoints(vals, k))
+    xi, _ = dilation._separating_direction(vals, k, lam, *dilation._breakpoints(vals, k))
     A = np.exp(1j * xi) * halmos(T, xi).matrix
     level = np.linalg.eigvalsh(0.5 * (A + A.conj().T))[-k]
     target = np.real(np.exp(1j * xi) * lam)

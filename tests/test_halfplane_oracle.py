@@ -99,7 +99,9 @@ def test_hermitian_segment_point_and_empty(calls):
     assert core.region(model, 4, 32).polygon.is_empty
 
 
-def test_dilation_above_n_is_empty(calls, rng):
+def test_dilation_above_n_is_empty(rng, monkeypatch):
+    # L_k is not defined above n: no planes, and no line intersection
+    monkeypatch.setattr(dilation, "halfplane_intersection", None)
     T = random_normal_contraction(3, rng)
     for k in (4, 5, 6):
         assert dilation.dilation_intersection(T, k, 2, 8).is_empty

@@ -5,7 +5,9 @@ module, every error type is raised somewhere in it, and every name the
 package exports and every public function of its modules is used by the
 package, its CLI or the benchmark, or is one of a few user-facing queries,
 and every defaulted parameter is passed by some call in the package or
-the benchmark, but for a few listed ones.  No randomness
+the benchmark, but for a few listed ones.  No parameter carries one
+value: none is named as a tolerance, and no private function takes from
+every package call the same module-level name or attribute.  No randomness
 either: no module reads ``np.random`` or imports ``random``.  No hidden
 module state: no function changes what a module-level name holds."""
 
@@ -198,6 +200,107 @@ def test_every_defaulted_parameter_is_passed():
         and not any(_passes(call, position, name) for call in calls.get(fn, []))
     ]
     assert not unpassed, f"defaulted parameters no package or benchmark call passes: {unpassed}"
+
+
+# Parameters that every package call passes the same module-level value, or
+# that are named as tolerances, which stay for the stated reason.
+ONE_VALUE_PARAMETERS: dict[str, str] = {}
+
+
+def _is_tolerance(name: str) -> bool:
+    """Whether a parameter is named as a tolerance: eps, eps_* or tol."""
+    return name in ("eps", "tol") or name.startswith("eps_")
+
+
+def _scoped_calls(tree: ast.Module) -> list[tuple[ast.Call, set[str]]]:
+    """(call, the names bound in the functions around it) for every call."""
+    out = []
+
+    def visit(node, local):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _SCOPES):
+                nodes = _scope_nodes(child)
+                inner = local | {n.arg for n in nodes if isinstance(n, ast.arg)}
+                inner |= {
+                    n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)
+                }
+                visit(child, inner)
+                continue
+            if isinstance(child, ast.Call):
+                out.append((child, local))
+            visit(child, local)
+
+    visit(tree, set())
+    return out
+
+
+def _passed(call: ast.Call, position: int | None, name: str) -> ast.AST | None:
+    """The argument a call passes for the parameter, or None when it passes
+    none or may pass it through a ``*`` or ``**`` argument."""
+    for kw in call.keywords:
+        if kw.arg == name:
+            return kw.value
+    if any(kw.arg is None for kw in call.keywords):
+        return None
+    if position is None or any(isinstance(arg, ast.Starred) for arg in call.args):
+        return None
+    return call.args[position] if len(call.args) > position else None
+
+
+def _module_value(arg: ast.AST, module: set[str], local: set[str]) -> str | None:
+    """The source of arg when it is a module-level name, or an attribute of
+    one, that no enclosing function binds; None otherwise."""
+    node = arg
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in module and node.id not in local:
+        return ast.unparse(arg)
+    return None
+
+
+def test_no_parameter_carries_one_value():
+    # a parameter that every package call passes the same module-level name
+    # or attribute (a fixed tolerance, a sample count) is an option with one
+    # value, and so is any parameter named as a tolerance, since the
+    # tolerances are fixed: the function reads the constant itself
+    paths = sorted(SRC.glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in paths}
+    calls = {}
+    for tree in trees.values():
+        module = _module_names(tree)[0]
+        for call, local in _scoped_calls(tree):
+            f = call.func
+            callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            calls.setdefault(callee, []).append((call, module, local))
+    found, keys = [], set()
+    for path, tree in trees.items():
+        methods = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                methods.update(id(sub) for sub in node.body)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                shift = int(id(node) in methods)
+                params = [(i - shift, p.arg) for i, p in enumerate(a.posonlyargs + a.args)]
+                params += [(None, p.arg) for p in a.kwonlyargs]
+                for position, name in params[shift:]:
+                    key = f"{path.name}::{node.name}.{name}"
+                    keys.add(key)
+                    if _is_tolerance(name):
+                        found.append(f"{key} (named as a tolerance)")
+                        continue
+                    if not node.name.startswith("_") or node.name.startswith("__"):
+                        continue
+                    passed = {
+                        _module_value(arg, module, local) if arg is not None else None
+                        for call, module, local in calls.get(node.name, [])
+                        for arg in [_passed(call, position, name)]
+                    }
+                    if len(passed) == 1 and None not in passed:
+                        found.append(f"{key} (always {passed.pop()})")
+    assert set(ONE_VALUE_PARAMETERS) <= keys, "ONE_VALUE_PARAMETERS names no parameter"
+    found = [f for f in found if f.split(" ")[0] not in ONE_VALUE_PARAMETERS]
+    assert not found, f"parameters that carry one value: {found}"
 
 
 def test_every_top_level_import_is_read():
