@@ -63,6 +63,7 @@ from .geometry import (
     halfplane_intersection,
     require_finite,
     require_finite_real,
+    snap_dirs,
     support_lines,
 )
 from .spectral import (
@@ -272,9 +273,10 @@ def excluding_dilation_matrix(T: np.ndarray, k: int, lam: complex) -> DilationAr
     xi, margin = _separating_direction(vals, k, lam, xis, levels)
     if margin <= DEFAULT_TOL.eps_geom:
         raise NoSeparatingAngle(f"best margin {margin:.3e} does not clear eps_geom")
-    target = np.real(np.exp(1j * xi) * lam)
+    c, s = snap_dirs(np.cos(xi), np.sin(xi))
+    target = c * lam.real - s * lam.imag
     cut = target - 0.5 * margin
-    art = _block_dilation(T, vals, V, xi, np.real(np.exp(1j * xi) * vals) >= cut)
+    art = _block_dilation(T, vals, V, xi, c * vals.real - s * vals.imag >= cut)
     A = np.exp(1j * xi) * art.matrix
     level = np.linalg.eigvalsh(0.5 * (A + A.conj().T))[-k]
     if not level < target - DEFAULT_TOL.eps_geom:
@@ -298,10 +300,11 @@ def _separating_direction(
     -arg(lam - d): those candidates are scored, and only the n directions
     -arg(lam - d) need their levels.
     """
-    candidates = -np.angle(lam - vals)
-    xis = np.concatenate([breakpoints, candidates])
-    levels = np.concatenate([levels, _support_levels(vals, k, candidates)])
-    margins = np.real(np.exp(1j * xis) * lam) - levels
+    xis = np.concatenate([breakpoints, -np.angle(lam - vals)])
+    c, s = snap_dirs(np.cos(xis), np.sin(xis))
+    m = breakpoints.shape[0]
+    levels = np.concatenate([levels, _support_levels(vals, k, c[m:], s[m:])])
+    margins = c * lam.real - s * lam.imag - levels
     j = int(np.argmax(margins))
     return float(xis[j]), float(margins[j])
 
@@ -335,8 +338,10 @@ def _breakpoints(vals: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         return np.empty(0), np.empty(0)
     normals, first = _pair_normals(vals)
     xis = np.concatenate([_grid(_FLOOR_ANGLES), normals])
-    levels = _support_levels(vals, k, xis)
-    own = np.real(np.exp(1j * normals) * vals[first])
+    c, s = snap_dirs(np.cos(xis), np.sin(xis))
+    levels = _support_levels(vals, k, c, s)
+    d = vals[first]
+    own = c[_FLOOR_ANGLES:] * d.real - s[_FLOOR_ANGLES:] * d.imag
     keep = np.concatenate([np.ones(_FLOOR_ANGLES, bool), np.abs(own - levels[_FLOOR_ANGLES:]) <= _TIE])
     return xis[keep], levels[keep]
 
@@ -482,17 +487,21 @@ def _edge_samples(poly: ConvexPolygon) -> list[complex]:
 # ---------------------------------------------------------------------------
 
 
-def _support_levels(eigs: np.ndarray, k: int, xis: np.ndarray) -> np.ndarray:
-    """k-th largest of Re(e^{i xi} eigs) for every xi (1 <= k <= len(eigs)),
-    a chunk of directions at a time within ``kernels.BATCH_PAIRS``
-    direction-eigenvalue pairs."""
+def _support_levels(eigs: np.ndarray, k: int, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """k-th largest of Re(e^{i xi} d) = c Re(d) - s Im(d) over the
+    eigenvalues d (1 <= k <= len(eigs)) for every snapped direction
+    (c, s) = snap_dirs(cos xi, sin xi), a chunk of directions at a time
+    within ``kernels.BATCH_PAIRS`` direction-eigenvalue pairs: the
+    arithmetic of :func:`hrnr.spectral.support_levels`, so each level is
+    that of the model with a unit atom at every eigenvalue, bit for bit."""
     n = eigs.shape[0]
     rows = max(1, kernels.BATCH_PAIRS // n)
-    out = np.empty(xis.shape[0])
-    for start in range(0, xis.shape[0], rows):
-        proj = np.real(np.exp(1j * xis[start : start + rows])[:, None] * eigs[None, :])
+    out = np.empty(c.shape[0])
+    for start in range(0, c.shape[0], rows):
+        part = slice(start, start + rows)
+        proj = c[part, None] * eigs.real - s[part, None] * eigs.imag
         proj.sort(axis=1)
-        out[start : start + rows] = proj[:, n - k]
+        out[part] = proj[:, n - k]
     return out
 
 

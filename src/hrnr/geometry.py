@@ -73,39 +73,9 @@ def require_finite_real(x, what: str) -> float:
     return x
 
 
-def snap_dir(vx: float, vy: float) -> tuple[float, float]:
-    """Zero out a direction component that is pure rounding noise."""
-    if vx != 0.0 and abs(vx) < _DIR_SNAP * abs(vy):
-        vx = 0.0
-    if vy != 0.0 and abs(vy) < _DIR_SNAP * abs(vx):
-        vy = 0.0
-    return vx, vy
-
-
-def canonical_dir(vx: float, vy: float) -> tuple[float, float]:
-    """Canonical direction of the line spanned by (vx, vy).
-
-    The representative has vx > 0, or vx == 0 and vy < 0; for a horizontal
-    line it is +x, for a vertical line it is -y.  Both rays from an anchor
-    are then ray_sign * d with d independent of which side a half plane opens
-    toward.  Components are taken as given: callers snap trig-built vectors
-    (see :func:`snap_dir`), while exact difference vectors must not be
-    perturbed.
-    """
-    if vx == 0.0 and vy == 0.0:
-        raise ValueError("zero direction vector")
-    if vx < 0.0 or (vx == 0.0 and vy > 0.0):
-        return -vx, -vy
-    return vx, vy
-
-
-def trig_dir(angle: float) -> tuple[float, float]:
-    """Canonical direction vector of a line at the given angle."""
-    return canonical_dir(*snap_dir(math.cos(angle), math.sin(angle)))
-
-
 def snap_dirs(vx: np.ndarray, vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`snap_dir`."""
+    """The direction vectors (vx, vy) with every component that is pure
+    rounding noise, below _DIR_SNAP times the other, zeroed."""
     # at most one component of a vector is snapped, so both tests can use
     # the unsnapped magnitudes
     ax, ay = np.abs(vx), np.abs(vy)
@@ -116,8 +86,16 @@ def snap_dirs(vx: np.ndarray, vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def canonical_dirs(vx: np.ndarray, vy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`canonical_dir` for nonzero vectors, with the
-    same signs of zeros."""
+    """Canonical directions of the lines spanned by the nonzero vectors
+    (vx, vy).
+
+    The representative has vx > 0, or vx == 0 and vy < 0; for a horizontal
+    line it is +x, for a vertical line it is -y.  Both rays from an anchor
+    are then ray_sign * d with d independent of which side a half plane opens
+    toward.  Components are taken as given: callers snap trig-built vectors
+    (see :func:`snap_dirs`), while exact difference vectors must not be
+    perturbed.
+    """
     sign = np.where((vx < 0.0) | ((vx == 0.0) & (vy > 0.0)), -1.0, 1.0)
     return sign * vx, sign * vy
 
@@ -135,7 +113,8 @@ def _set_normal(plane) -> None:
     angle = require_finite_real(plane.normal_angle, "normal_angle") % TWO_PI
     object.__setattr__(plane, "normal_angle", angle)
     if plane.normal is None:
-        object.__setattr__(plane, "normal", snap_dir(math.cos(angle), math.sin(angle)))
+        nx, ny = snap_dirs(np.cos(angle), np.sin(angle))
+        object.__setattr__(plane, "normal", (float(nx), float(ny)))
         return
     nx, ny = plane.normal
     if not (math.isfinite(nx) and math.isfinite(ny) and (nx or ny)):
@@ -253,9 +232,10 @@ def support_lines(xis, levels) -> list[tuple[float, float, float]]:
     :func:`halfplane_intersection`: the plane through the anchor
     h * e^{-i xi}, with the snapped normal -e^{-i xi}.  ValueError for a
     non-finite anchor."""
+    xis = np.asarray(xis, dtype=np.float64)
+    cs, sn = snap_dirs(np.cos(xis), -np.sin(xis))
     lines = []
-    for xi, h in zip(xis, levels):
-        ux, uy = snap_dir(math.cos(xi), -math.sin(xi))
+    for ux, uy, h in zip(cs.tolist(), sn.tolist(), levels):
         # a NumPy level gives the same products, only slower
         h = float(h)
         ax, ay = h * ux, h * uy

@@ -34,12 +34,10 @@ from .geometry import (
     ClosedHalfPlane,
     ConvexPolygon,
     HalfClosedHalfPlane,
-    canonical_dir,
+    canonical_dirs,
     require_finite,
     require_finite_real,
-    snap_dir,
     snap_dirs,
-    trig_dir,
 )
 
 INF = math.inf
@@ -293,16 +291,17 @@ class SpectralMeasureModel:
             if isinstance(piece, Segment):
                 entries += [(piece.a, False), (piece.b, False)]
             elif isinstance(piece, Arc):
-                for t in (piece.theta0, piece.theta1):
-                    end = piece.center + piece.radius * complex(*snap_dir(math.cos(t), math.sin(t)))
-                    entries.append((end, False))
+                ends = np.array([piece.theta0, piece.theta1])
+                ex, ey = snap_dirs(np.cos(ends), np.sin(ends))
+                entries += [(piece.center + piece.radius * complex(x, y), False) for x, y in zip(ex, ey)]
                 circles.append((piece.center, piece.radius, len(entries) - 0.5))
             else:
                 entries += [(v, False) for v in piece.polygon.vertices]
         for fam in self.families:
             entries.append((fam.limit, False))
             entries += [(p, False) for p, _ in fam.prefix]
-            entries.append((complex(*trig_dir(fam.approach_angle)), True))
+            dx, dy = canonical_dirs(*snap_dirs(np.cos(fam.approach_angle), np.sin(fam.approach_angle)))
+            entries.append((complex(dx, dy), True))
             if fam.prefix:
                 # the tail counts as zero only on lines clearing the limit by
                 # twice the last prefix distance (see _add_tail_masks)
@@ -380,7 +379,7 @@ def direction_sweep(
     anchor: one complex anchor for every line, or an array of them, one per
     line.
 
-    Directions must be canonical (see :func:`hrnr.geometry.canonical_dir`);
+    Directions must be canonical (see :func:`hrnr.geometry.canonical_dirs`);
     side A is the open side of the canonical-left normal (-vy, vx).  Each
     line's dimensions are those of a sweep with its anchor alone, bit for
     bit.  The kernel and the masks see each direction scaled by the power
@@ -532,7 +531,7 @@ def _add_tail_masks(inf_masks, fuzzy, fam, ax, ay, vx, vy, L, epsl):
 
 def _flavor_for(normal: tuple[float, float], hchp_ray: int | None, mode: str):
     nx, ny = normal
-    dx, dy = canonical_dir(-ny, nx)
+    dx, dy = canonical_dirs(-ny, nx)
     # A-side normal is (-dy, dx); does the instance normal agree with it?
     side_a = (-dy) * nx + dx * ny > 0
     if mode == "hchp":

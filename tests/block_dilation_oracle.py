@@ -13,7 +13,9 @@ each 2x2 block into a 2n x 2n array, the scalar dilations as products
 q diag(xi, eta) q^T, and the conjugation by ``np.kron(np.eye(2), V)``.
 ``_separating_direction`` is the scan that
 ``excluding_dilation_matrix`` used before it took its candidates from the
-breakpoints of L_k: every pair normal, a bounded chunk at a time.  The
+breakpoints of L_k: every pair normal, a bounded chunk at a time.  Every
+projection Re(e^{i xi} z) is taken on the snapped direction vector
+(``snap_dirs(cos xi, sin xi)``), as ``hrnr.dilation`` takes it.  The
 differential tests compare each with its replacement.
 """
 
@@ -46,10 +48,17 @@ from hrnr.geometry import (
     ConvexPolygon,
     halfplane_intersection,
     require_finite,
+    snap_dirs,
 )
 
 from conftest import haar_unitary
 from geometry_oracle import plane_lines, support_plane
+
+
+def _proj(xis: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Re(e^{i xi} z) on the snapped direction of every xi, one row per xi."""
+    c, s = snap_dirs(np.cos(xis), np.sin(xis))
+    return c[:, None] * z.real - s[:, None] * z.imag
 
 
 def _support_levels(eigs: np.ndarray, k: int, xis: np.ndarray) -> np.ndarray:
@@ -57,7 +66,7 @@ def _support_levels(eigs: np.ndarray, k: int, xis: np.ndarray) -> np.ndarray:
     the number of eigenvalues."""
     if k > eigs.shape[0]:
         return np.full(xis.shape[0], -np.inf)
-    proj = np.real(np.exp(1j * xis)[:, None] * eigs[None, :])
+    proj = _proj(xis, eigs)
     proj.sort(axis=1)
     return proj[:, eigs.shape[0] - k]
 
@@ -79,7 +88,7 @@ def _separating_direction(vals: np.ndarray, k: int, lam: complex) -> tuple[float
     rows = max(n, 4096 // n)
     for start in range(0, xis.shape[0], rows):
         x = xis[start : start + rows]
-        margins = np.real(np.exp(1j * x) * lam) - _support_levels(vals, k, x)
+        margins = _proj(x, np.array([lam]))[:, 0] - _support_levels(vals, k, x)
         j = int(np.argmax(margins))
         if margins[j] > best:
             best_xi, best = float(x[j]), float(margins[j])
@@ -162,8 +171,7 @@ def _block_dilation_planes(T, k, xis, tol):
     except NotNormal:
         return levels
     cuts = _support_levels(vals, k, xis)
-    for j, xi in enumerate(xis):
-        c = np.real(np.exp(1j * xi) * vals)
+    for j, (xi, c) in enumerate(zip(xis, _proj(xis, vals))):
         try:
             art = _block_dilation(T, vals, V, xi, c > cuts[j] + 1e-12)
         except EigFailure:

@@ -35,13 +35,17 @@ from hrnr.geometry import (
     ClosedHalfPlane,
     HalfClosedHalfPlane,
     Verdict,
-    canonical_dir,
-    snap_dir,
-    trig_dir,
+    canonical_dirs,
+    snap_dirs,
 )
 from hrnr.spectral import CA, CB, HAM, HAP, HBP, INF, OA, OB, Arc, Segment, direction_sweep
 
 _TANGENT_SLACK = 1e-7
+
+
+def _trig_dir(angle: float):
+    """Canonical direction vector of a line at the given angle."""
+    return canonical_dirs(*snap_dirs(np.cos(angle), np.sin(angle)))
 
 
 def critical_directions(model, anchor, extra_angles=()):
@@ -54,11 +58,11 @@ def critical_directions(model, anchor, extra_angles=()):
         a0 = angles[i]
         a1 = angles[(i + 1) % len(angles)] if i + 1 < len(angles) else angles[0] + math.pi
         if a1 - a0 > 1e-12:
-            vecs.append(trig_dir(0.5 * (a0 + a1)))
+            vecs.append(_trig_dir(0.5 * (a0 + a1)))
 
     if not vecs:
         # no breakpoint: the dimension does not depend on the direction
-        vecs.append(trig_dir(0.0))
+        vecs.append(_trig_dir(0.0))
     arr = np.asarray(vecs, dtype=np.float64)
     return arr[:, 0], arr[:, 1]
 
@@ -71,10 +75,10 @@ def breakpoints(model, anchor, extra_angles=()):
     def add_point(p: complex):
         vx, vy = p.real - anchor.real, p.imag - anchor.imag
         if vx != 0.0 or vy != 0.0:
-            vecs.append(canonical_dir(vx, vy))
+            vecs.append(canonical_dirs(vx, vy))
 
     def add_angle(phi: float):
-        vecs.append(trig_dir(phi))
+        vecs.append(_trig_dir(phi))
 
     for a in model.atoms:
         add_point(a.location)
@@ -84,7 +88,7 @@ def breakpoints(model, anchor, extra_angles=()):
             add_point(piece.b)
         elif isinstance(piece, Arc):
             for t in (piece.theta0, piece.theta1):
-                add_point(piece.center + piece.radius * complex(*snap_dir(math.cos(t), math.sin(t))))
+                add_point(piece.center + piece.radius * complex(*snap_dirs(np.cos(t), np.sin(t))))
             _add_tangents(vecs, anchor, piece.center, piece.radius)
         else:
             for v in piece.polygon.vertices:
@@ -123,12 +127,12 @@ def _add_tangents(vecs, anchor: complex, center: complex, radius: float):
     if d == 0.0:
         return
     if abs(d - radius) <= _TANGENT_SLACK * max(1.0, radius):
-        vecs.append(canonical_dir(-rel.imag, rel.real))
+        vecs.append(canonical_dirs(-rel.imag, rel.real))
     if d > radius:
         beta = math.atan2(rel.imag, rel.real)
         delta = math.asin(min(1.0, radius / d))
         for phi in (beta + delta, beta - delta):
-            vecs.append(trig_dir(phi))
+            vecs.append(_trig_dir(phi))
 
 
 def sweep_decision(sweep, flavors, k):

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from hrnr.geometry import (
     DEFAULT_TOL,
     ClosedHalfPlane,
@@ -21,15 +23,15 @@ from hrnr.geometry import (
     HalfClosedHalfPlane,
     Verdict,
     _cross,
-    canonical_dir,
+    canonical_dirs,
     require_finite,
-    snap_dir,
+    snap_dirs,
 )
 
 
 def support_plane(xi: float, h: float) -> ClosedHalfPlane:
     """The closed half plane Re(e^{i xi} z) <= h of a support sample (xi, h)."""
-    ux, uy = snap_dir(math.cos(xi), -math.sin(xi))
+    ux, uy = (float(u) for u in snap_dirs(np.cos(xi), -np.sin(xi)))
     return ClosedHalfPlane(complex(h * ux, h * uy), math.atan2(-uy, -ux), normal=(-ux, -uy))
 
 
@@ -45,7 +47,7 @@ def plane_lines(planes: list[ClosedHalfPlane]) -> list[tuple[float, float, float
 
 def line_dir(H: HalfClosedHalfPlane) -> tuple[float, float]:
     nx, ny = H.normal
-    return canonical_dir(-ny, nx)
+    return canonical_dirs(-ny, nx)
 
 
 def hchp_member(H: HalfClosedHalfPlane, z: complex) -> Verdict:

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from hrnr.geometry import snap_dir
+import numpy as np
+
+from hrnr.geometry import snap_dirs
 from hrnr.spectral import (
     INF,
     Arc,
@@ -52,7 +54,7 @@ def _proj(z: complex, c: float, s: float) -> float:
 
 def pushforward(model: SpectralMeasureModel, theta: float) -> RealSpectralModel:
     """Image of the measure under z -> Re(e^{i theta} z)."""
-    c, s = snap_dir(math.cos(theta), math.sin(theta))
+    c, s = (float(v) for v in snap_dirs(np.cos(theta), np.sin(theta)))
     atoms = [(_proj(a.location, c, s), a.mult) for a in model.atoms]
     intervals = []
     for p in model.pieces:

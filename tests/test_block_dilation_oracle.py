@@ -33,7 +33,7 @@ from hrnr.errors import (
     NotNormal,
     NotOnSegment,
 )
-from hrnr.geometry import DEFAULT_TOL, ConvexPolygon
+from hrnr.geometry import DEFAULT_TOL, ConvexPolygon, snap_dirs
 
 import block_dilation_oracle as oracle
 from geometry_oracle import hausdorff_distance, signed_distance
@@ -90,10 +90,11 @@ def test_planes_are_attained_at_the_support_levels(rng):
     # has it as its rank-k level (eigensolved)
     planes = 0
     for T, vals, V, k, xis, levels in _planes(rng):
-        assert np.array_equal(levels, dilation._support_levels(vals, k, xis))
+        c, s = snap_dirs(np.cos(xis), np.sin(xis))
+        assert np.array_equal(levels, dilation._support_levels(vals, k, c, s))
         n = T.shape[0]
-        for xi, level in zip(xis, levels):
-            art = dilation._block_dilation(T, vals, V, xi, np.real(np.exp(1j * xi) * vals) > level)
+        for xi, cx, sx, level in zip(xis, c, s, levels):
+            art = dilation._block_dilation(T, vals, V, xi, cx * vals.real - sx * vals.imag > level)
             proj = np.sort(np.real(np.exp(1j * xi) * np.linalg.eigvals(art.matrix)))
             assert abs(proj[2 * n - k] - level) <= 1e-13
             planes += 1
@@ -166,9 +167,10 @@ def test_gate_residuals_and_levels(rng, monkeypatch):
         vals, V = dilation._unitary_eigendecomposition(T)
         gate = real(T, vals, V, 0.0, top0)
         xis = rng.uniform(0, 2 * math.pi, 8)
-        for xi, level in zip(xis, dilation._support_levels(vals, min(k, n), xis)):
-            c = np.real(np.exp(1j * xi) * vals)
-            art = real(T, vals, V, xi, c > level if k <= n else np.ones(n, bool))
+        c, s = snap_dirs(np.cos(xis), np.sin(xis))
+        for xi, cx, sx, level in zip(xis, c, s, dilation._support_levels(vals, min(k, n), c, s)):
+            top = cx * vals.real - sx * vals.imag > level if k <= n else np.ones(n, bool)
+            art = real(T, vals, V, xi, top)
             assert abs(art.unitarity_residual - gate.unitarity_residual) <= 1e-13
             assert abs(art.compression_residual - gate.compression_residual) <= 1e-13
             if k <= n:
@@ -308,10 +310,12 @@ def test_chunk_bound_does_not_change_the_outputs(monkeypatch):
         out = []
         for T, k, lam in cases:
             vals, _ = dilation._unitary_eigendecomposition(T)
+            normals = dilation._pair_normals(vals)[0]
+            c, s = snap_dirs(np.cos(normals), np.sin(normals))
             art = dilation.excluding_dilation_matrix(T, k, lam)
             out.append(
                 (
-                    dilation._support_levels(vals, k, dilation._pair_normals(vals)[0]).tobytes(),
+                    dilation._support_levels(vals, k, c, s).tobytes(),
                     b"".join(a.tobytes() for a in dilation._breakpoints(vals, k)),
                     art.matrix.tobytes(),
                     art.alpha,

@@ -32,6 +32,7 @@ from hrnr import (
     scalar_dilation,
     wu_check,
 )
+from hrnr.geometry import snap_dirs
 from hrnr.presets import durszt_model, square_region_model
 
 from clip_oracle import exact_clip
@@ -489,6 +490,49 @@ class TestDilationIntersection:
             if member(model, 1, z).value is Verdict.IN:
                 assert member(up, 1, z).value in (Verdict.IN, Verdict.UNCERTAIN)
 
+    def test_plane_levels_are_the_unit_atom_support_levels(self, rng):
+        # one projection convention: the level of every plane is
+        # support_levels of the model with a unit atom at each eigenvalue,
+        # bit for bit, on spectra with many ties and on generic ones
+        pairs = 0
+        for n in range(1, 20):
+            for kind in ("dyadic-real", "dyadic-complex", "disk"):
+                if kind == "dyadic-real":
+                    vals = rng.integers(-8, 9, n) / 8 + 0j
+                elif kind == "dyadic-complex":
+                    vals = (rng.integers(-4, 5, n) + 1j * rng.integers(-4, 5, n)) / 8
+                else:
+                    vals = np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+                model = SpectralMeasureModel(tuple(Atom(complex(d), 1) for d in vals))
+                for k in range(1, n + 1):
+                    xis, levels = dilation._breakpoints(vals, k)
+                    assert np.array_equal(levels, hrnr.support_levels(model, k, xis))
+                    pairs += 1
+        assert pairs == 3 * 190
+
+    def test_selfadjoint_intersection_is_the_real_interval(self, rng):
+        # Lambda_k of a self-adjoint T is the real interval between its
+        # k-th levels from the left and from the right: every vertex lies
+        # on the real axis exactly, and the ends are selfadjoint_interval's
+        for draw in range(300):
+            n = int(rng.integers(1, 12))
+            if draw % 2:
+                vals = rng.integers(-64, 65, n) / 64
+            else:
+                vals = rng.uniform(-1, 1, n)
+            T = np.diag(vals).astype(complex)
+            model = SpectralMeasureModel(tuple(Atom(float(d), 1) for d in vals))
+            for k in range(1, n + 1):
+                verts = dilation_intersection(T, k).vertices
+                interval = hrnr.selfadjoint_interval(model, k)
+                if interval is None:
+                    assert verts == ()
+                    continue
+                assert all(v.imag == 0.0 for v in verts)
+                ends = sorted(v.real for v in verts)
+                assert (ends[0], ends[-1]) == interval
+                assert len(verts) == (1 if interval[0] == interval[1] else 2)
+
 
 class TestDecompositionMemo:
     """One analysis per (T, k): ``dilation._analysis`` remembers its last
@@ -539,7 +583,7 @@ class TestDecompositionMemo:
         scored = []
         real = dilation._support_levels
         monkeypatch.setattr(
-            dilation, "_support_levels", lambda eigs, k, xis: scored.append(xis) or real(eigs, k, xis)
+            dilation, "_support_levels", lambda eigs, k, c, s: scored.append((c, s)) or real(eigs, k, c, s)
         )
         T = random_normal_contraction(6, rng)
         lam = 0.99 + 0j
@@ -547,8 +591,10 @@ class TestDecompositionMemo:
         dilation_intersection(T, 2, 2, 4)
         vals = dilation._analysis(T.shape, T.tobytes(), 2)[2]
         floor = dilation._grid(dilation._FLOOR_ANGLES)
-        expected = [floor, dilation._pair_normals(vals)[0], -np.angle(lam - vals)]
-        assert np.array_equal(np.sort(np.concatenate(scored)), np.sort(np.concatenate(expected)))
+        xis = np.concatenate([floor, dilation._pair_normals(vals)[0], -np.angle(lam - vals)])
+        expected = snap_dirs(np.cos(xis), np.sin(xis))
+        c, s = (np.concatenate(part) for part in zip(*scored))
+        assert sorted(zip(c.tolist(), s.tolist())) == sorted(zip(*(a.tolist() for a in expected)))
 
     def test_a_new_rank_decomposes_again(self, rng, monkeypatch):
         # the key holds the rank, so one eigensolve is not shared across ranks

@@ -12,7 +12,7 @@ from hrnr import (
     dim_ran_closed,
     halfplane_intersection,
 )
-from hrnr.geometry import canonical_dir, trig_dir
+from hrnr.geometry import canonical_dirs, snap_dirs
 from hrnr.presets import durszt_model
 
 from geometry_oracle import classify, hausdorff_distance, hchp_member, plane_lines
@@ -70,7 +70,8 @@ class TestHalfClosedHalfPlane:
             n_in = sum(hchp_member(H, z_off) is Verdict.IN for H in variants)
             assert n_in == 2
             # a point on the line, away from the anchor
-            dx, dy = trig_dir(phi + math.pi / 2)
+            t = phi + math.pi / 2
+            dx, dy = canonical_dirs(*snap_dirs(np.cos(t), np.sin(t)))
             z_line = a + rng.uniform(0.2, 2.0) * complex(dx, dy)
             verdicts = [hchp_member(H, z_line) for H in variants]
             # trig dirt can land the constructed point in the band
@@ -164,11 +165,8 @@ class TestHalfClosedHalfPlane:
             assert ClosedHalfPlane(0j, a, normal=(1.0, -1e-16)).normal == (1.0, -1e-16)
 
     def test_canonical_dir(self):
-        assert canonical_dir(-2.0, 0.0) == (2.0, 0.0)
-        assert canonical_dir(0.0, 3.0) == (0.0, -3.0)
-        assert canonical_dir(0.0, -1.0) == (0.0, -1.0)
-        with pytest.raises(ValueError):
-            canonical_dir(0.0, 0.0)
+        vx, vy = canonical_dirs(np.array([-2.0, 0.0, 0.0]), np.array([0.0, 3.0, -1.0]))
+        assert list(zip(vx, vy)) == [(2.0, 0.0), (0.0, -3.0), (0.0, -1.0)]
 
 
 class TestConvexHull:

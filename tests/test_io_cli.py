@@ -229,6 +229,18 @@ class TestCli:
         for d in (0.5, -0.5, 0.3j):
             assert min(abs(v - d) for v in verts) <= 1e-12
 
+    def test_intersect_of_a_selfadjoint_matrix_is_its_interval(self, capsys, tmp_path):
+        # Lambda_2 of diag(1, 0.5, -0.5) is the interval [0.5, 0.5]: the
+        # intersection prints that point, on the real axis exactly
+        path = tmp_path / "herm.json"
+        path.write_text(jsonio.dumps(matrix_to_obj(np.diag([1.0, 0.5, -0.5]).astype(complex))))
+        assert main(["intersect", "--input", str(path), "-k", "2"]) == 0
+        polygon = json.loads(capsys.readouterr().out)["polygon"]
+        assert main(["selfadjoint", "--input", str(path), "-k", "2"]) == 0
+        interval = json.loads(capsys.readouterr().out)["interval"]
+        assert [y for _, y in polygon] == [0.0]
+        assert [polygon[0][0], polygon[-1][0]] == interval == [0.5, 0.5]
+
     def test_exit_code_malformed(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{")

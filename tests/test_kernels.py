@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import hrnr
 from hrnr import kernels
 from hrnr.core import critical_directions
-from hrnr.geometry import DEFAULT_TOL, canonical_dir
+from hrnr.geometry import DEFAULT_TOL, canonical_dirs
 
 import kernel_oracle
 from conftest import haar_unitary
@@ -85,8 +85,7 @@ def _guard():
 
 def _canonical(vx, vy):
     keep = (vx != 0.0) | (vy != 0.0)
-    d = np.array([canonical_dir(a, b) for a, b in zip(vx[keep], vy[keep])]).reshape(-1, 2)
-    return d[:, 0], d[:, 1]
+    return canonical_dirs(vx[keep], vy[keep])
 
 
 def _points(rng, layout, n):

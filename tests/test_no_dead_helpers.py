@@ -9,7 +9,9 @@ the benchmark, but for a few listed ones.  No parameter carries one
 value: none is named as a tolerance, and no private function takes from
 every package call the same module-level name or attribute.  No randomness
 either: no module reads ``np.random`` or imports ``random``.  No hidden
-module state: no function changes what a module-level name holds."""
+module state: no function changes what a module-level name holds.  One
+implementation per rule: no projection Re(e^{i xi} z) goes through
+``np.real(np.exp(...))``, and no function has an array twin f + "s"."""
 
 import ast
 from pathlib import Path
@@ -497,3 +499,45 @@ def test_no_per_element_math_maps():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name} {where}" for where in _math_maps_into_arrays(tree)]
     assert not found, f"per-element math maps in the package: {found}"
+
+
+def _unsnapped_projections(tree: ast.AST) -> list[str]:
+    """Each ``np.real(np.exp(...))`` within tree: a projection
+    Re(e^{i xi} z) taken through the complex exponential."""
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.real", "numpy.real")):
+            continue
+        if any(
+            isinstance(sub, ast.Call) and ast.unparse(sub.func) in ("np.exp", "numpy.exp")
+            for arg in node.args
+            for sub in ast.walk(arg)
+        ):
+            out.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return out
+
+
+def test_every_projection_is_on_a_snapped_direction():
+    # Re(e^{i xi} z) is c x - s y with (c, s) = snap_dirs(cos xi, sin xi),
+    # as every support level takes it; the exponential leaves about 1e-16
+    # of trig dirt at the axis directions, so a projection through it
+    # disagrees with those levels and puts real points off the real axis
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name} {where}" for where in _unsnapped_projections(tree)]
+    assert not found, f"projections through np.real(np.exp(...)) in the package: {found}"
+
+
+def test_no_function_has_an_array_twin():
+    # a module function f beside an f + "s" is one decision implemented
+    # twice, once for a value and once for an array: the array form serves
+    # both
+    functions = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        functions.update(
+            node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        )
+    twins = sorted(f"{name}/{name}s" for name in functions if name + "s" in functions)
+    assert not twins, f"functions beside an array twin: {twins}"
