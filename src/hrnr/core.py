@@ -11,17 +11,17 @@ membership is decided by sweeping those directions and the midpoints between
 them, which together represent every cell on which each flavor's dimension
 is constant.
 
-Every decision here (membership, boundary kind, and the closed witness
-planes of the Wu check and of exclusion certificates) takes one path:
-``_decide`` builds the directions of a chunk of points and sweeps them once,
-:func:`sweep_decision` decides each requested set of plane flavors per
-point, and :func:`hrnr.spectral.flavor_plane` turns the flavor and direction
-that decided an OUT verdict into its plane where the caller reads it.
-Before that path, :func:`member_many` checks each point against a table of
-the model's k-th support levels (:func:`_level_check`): it calls IN every
-point the table certifies, and OUT every point the table puts well outside
-whose one line from the table decides OUT in the sweep kernel
-(:func:`_table_out`).
+Every decision here (membership, the region's boundary report, boundary
+kind, and the closed witness planes of the Wu check and of exclusion
+certificates) takes one path, ``_decide``: a table of the model's k-th
+support levels (:func:`_level_check`) calls IN every point it certifies,
+one kernel row decides OUT a point it puts well outside (:func:`_table_out`),
+and the rest are swept, one direction build and one sweep per chunk of
+points, :func:`sweep_decision` deciding each requested set of plane flavors
+per point.  The table goes first only on models where one point's sweep
+costs more than its 1,024 directions.  :func:`hrnr.spectral.flavor_plane`
+turns the flavor and direction that decided an OUT verdict into its plane
+where the caller reads it.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ RANK_INF = INF
 
 _TANGENT_SLACK = 1e-7
 
-# Directions of the k-th support level table of member_many, which
-# certifies interior points and picks the line of an exterior point's OUT
+# Directions of the k-th support level table of _decide, which certifies
+# interior points and picks the line of an exterior point's OUT
 # (see _level_check): 1024 certify nearly as many points as a finer grid,
 # for one table build of about 4-5 ms at n = 800 atoms.
 _LEVEL_DIRS = 1024
@@ -256,38 +256,51 @@ def sweep_decision(sweep, flavors, k: float, row: np.ndarray):
 _HCHP = [HAP, HAM, HBP, HBM]
 
 
-def _anchor_chunks(model: SpectralMeasureModel, n: int) -> list[slice]:
-    """Slices of n consecutive anchors, each of as many anchors as keep
-    their direction-point pairs within ``kernels.BATCH_PAIRS`` (at least
-    one).
-
-    An anchor has at most twice as many directions as breakpoints (each
-    breakpoint adds at most one midpoint), and at most three tangents per
-    circle; that bound, the same for every anchor, is counted, since the
-    directions are not built yet.
-    """
-    (px, _, _), (fx, _, _), circles = model._direction_template
-    breakpoints = len(px) + len(fx) + 3 * len(circles)
-    pairs = max(1, 2 * breakpoints) * max(1, len(model._point_data[0]))
-    step = max(1, kernels.BATCH_PAIRS // pairs)
-    return [slice(start, start + step) for start in range(0, n, step)]
-
-
 def _decide(model: SpectralMeasureModel, kf: float, points: list[complex], flavor_sets):
     """Per point, one (verdict, plane, dim) per (flavors, witness) pair of
     ``flavor_sets``: the :func:`sweep_decision` over those flavors at the
     point and, when ``witness`` is true and the verdict is OUT, the plane
-    (:func:`hrnr.spectral.flavor_plane`) and the dimension bound of the line
-    that decided it; plane and dim are None otherwise, so a caller that
+    (:func:`hrnr.spectral.flavor_plane`) and the dimension bound of a line
+    that decides it; plane and dim are None otherwise, so a caller that
     reads only a verdict builds no plane for it.
 
-    The points go in chunks (see ``kernels.BATCH_PAIRS``), one direction
-    build and one sweep per chunk.  A chunk of one point sweeps with that
-    point shared by every direction.
+    At a finite rank, where one point's sweep may hold more pairs than
+    ``_LEVEL_DIRS`` (``SpectralMeasureModel._anchor_pairs``), the level
+    table goes first: a point it certifies is IN for every set
+    (:func:`_level_check`), and a point it puts well outside is OUT from
+    one kernel row that decides every set OUT by a plane of exact dimension
+    (:func:`_table_out`).  The rest are swept (:func:`_decide_by_sweep`).
     """
+    out = [None] * len(points)
+    if kf != INF and points and model._anchor_pairs > _LEVEL_DIRS:
+        inside, far, dirs = ((Verdict.IN, None, None),) * len(flavor_sets), [], []
+        for i, check in enumerate(_level_check(model, int(kf), points)):
+            if check is Verdict.IN:
+                out[i] = inside
+            elif check is not None:
+                far.append(i)
+                dirs.append(check)
+        if far:
+            for i, row in zip(far, _table_out(model, kf, [points[i] for i in far], dirs, flavor_sets)):
+                out[i] = row
+    rest = [i for i, decided in enumerate(out) if decided is None]
+    if rest:
+        for i, decided in zip(rest, _decide_by_sweep(model, kf, [points[i] for i in rest], flavor_sets)):
+            out[i] = decided
+    return out
+
+
+def _decide_by_sweep(model: SpectralMeasureModel, kf: float, points: list[complex], flavor_sets):
+    """:func:`_decide` by the sweep alone, each point's decisions bit for
+    bit those of the point alone.  The points go in chunks of as many as
+    keep ``SpectralMeasureModel._anchor_pairs`` pairs each within
+    ``kernels.BATCH_PAIRS`` (at least one), one direction build and one
+    sweep per chunk; a chunk of one point sweeps with that point shared by
+    every direction."""
     out = []
-    for part in _anchor_chunks(model, len(points)):
-        chunk = points[part]
+    step = max(1, kernels.BATCH_PAIRS // model._anchor_pairs)
+    for start in range(0, len(points), step):
+        chunk = points[start : start + step]
         vx, vy, row = critical_directions(model, chunk)
         anchor = chunk[0] if len(chunk) == 1 else np.array(chunk, dtype=complex)[row]
         sweep = direction_sweep(model, anchor, vx, vy)
@@ -308,7 +321,7 @@ def _level_check(model: SpectralMeasureModel, k: int, points: list[complex]) -> 
     """Per point z, what the model's k-th support level table proves:
     ``Verdict.IN``; the index j of a table direction whose line through z
     is expected to decide OUT (:func:`_table_out` sweeps it); or None, for
-    a point left to :func:`_decide`.  With the margin m = min_j [h_k(xi_j)
+    a point left to the sweep.  With the margin m = min_j [h_k(xi_j)
     - Re(e^{i xi_j} z)], z is IN when m exceeds (R + |z|) pi / J +
     4 eps_geom, and gets the first arg-min j when m lies below
     -(4 eps_geom + 1e-11 (R + |z|)).
@@ -324,15 +337,16 @@ def _level_check(model: SpectralMeasureModel, k: int, points: list[complex]) -> 
     through z the k-th level lies beyond the eps band, so the finite point
     masses reaching k fall in the clear side bucket, or a piece, an infinite
     atom or a family limit crosses it and sets that side's mask infinite.
-    Every half closed-half plane then has lo >= k, which is the IN of
-    :func:`sweep_decision`.  The chord bound 2 sin(pi / 2J) falls short of
+    So each open side has lo >= k, and so has every half closed-half and
+    closed plane, which holds one: the IN of :func:`sweep_decision` for
+    every set of flavors.  The chord bound 2 sin(pi / 2J) falls short of
     pi / J by about 1e-9 (R + |z|), which covers the rounding of the table
     and of the sweep.
 
     OUT.  Let l be the line through z normal to xi_j.  Every p with
     Re(e^{i xi_j} p) <= h_k(xi_j), pieces, infinite atoms and family limits
     included, lies at least |m| from l on one side of it, and the measure
-    above h_k(xi_j) has dimension below k.  :func:`_decide` sweeps the
+    above h_k(xi_j) has dimension below k.  The sweep takes the
     breakpoints of z (directions toward atoms, prefix points, segment ends,
     region vertices and family limits, arc ends, and tangents to arc
     circles and tail clearance circles) and the midpoint of each cell
@@ -347,18 +361,20 @@ def _level_check(model: SpectralMeasureModel, k: int, points: list[complex]) -> 
     (R + |z|) from it.  The sweep's band is at most 2 eps_geom wide in
     distance: it scales each direction v to a length of at least 1/2 and
     tests |v x (p - z)| against eps_geom |v|, which is eps_geom in
-    distance.  Every such p then falls on the clear far side, and the
-    plane of the other side holds only the measure above h_k(xi_j), with hi
-    below k and, the tails resolved as at l, no fuzzy bound: :func:`_decide`
-    returns OUT too, though its witness may be another plane, of smaller
-    hi.  The 1e-11 (R + |z|) covers the rounding: about 2e-15 (R + |z|) in
-    the table, the projection of z and the sweep's side values, and a few
-    ulps of angle, times R + |z|, from a midpoint (within a few ulps of the
-    bisector at any cell width) or from a line of a cell without one.  The
-    argument covers point masses, finite and infinite, with that rounding,
-    and pieces and family tails in exact arithmetic; the differential tests
-    on the region_wu pool hold the float arithmetic of their masks to
-    :func:`_decide`.
+    distance.  Every such p then falls on the clear far side, and each
+    plane of the other side, half closed-half, closed or open, holds only
+    the measure above h_k(xi_j), with hi below k and, the tails resolved as
+    at l, no fuzzy bound: the sweep returns OUT too for every set, though
+    its witness may be another plane, of smaller hi.  A row that
+    :func:`_table_out` accepts certifies itself anyway: its planes lie
+    through z with exact dimension below k.  The 1e-11 (R + |z|) covers
+    the rounding: about 2e-15 (R + |z|) in the table, the projection of z
+    and the sweep's side values, and a few ulps of angle, times R + |z|,
+    from a midpoint (within a few ulps of the bisector at any cell width)
+    or from a line of a cell without one.  The argument covers point
+    masses, finite and infinite, with that rounding, and pieces and family
+    tails in exact arithmetic; the differential tests on the region_wu pool
+    hold the float arithmetic of their masks to :func:`_decide_by_sweep`.
     """
     tables = model._level_tables
     if k not in tables:
@@ -380,20 +396,16 @@ def _level_check(model: SpectralMeasureModel, k: int, points: list[complex]) -> 
     return out
 
 
-def _table_out(
-    model: SpectralMeasureModel, kf: float, points: list[complex], dirs: list[int]
-) -> list[MembershipVerdict | None]:
-    """Per point z with table direction j (:func:`_level_check`), the OUT
-    verdict of the line through z normal to xi_j, or None where that line
-    does not decide OUT by a plane of exact dimension.  The lines go through
-    one sweep with one anchor per direction, in chunks of at most
-    ``kernels.BATCH_PAIRS`` direction-point pairs, then
-    :func:`sweep_decision` and :func:`hrnr.spectral.flavor_plane` build
-    verdict, witness and ``witness_dim`` as :func:`_decide` does.  A plane
-    whose dimension is only bracketed (a point mass in the eps band of its
-    line) is left to :func:`_decide`, which may find one of exact
-    dimension, so a witness from the table always has the exact dimension
-    ``witness_dim``.
+def _table_out(model: SpectralMeasureModel, kf: float, points: list[complex], dirs: list[int], flavor_sets):
+    """Per point z with table direction j (:func:`_level_check`), the
+    decisions of :func:`_decide` from the line through z normal to xi_j
+    alone, or None where it does not decide every set OUT by a plane of
+    exact dimension: such a plane lies through z with dimension ``dim``
+    below k, so the row certifies itself, and a plane only bracketed (a
+    point mass in the eps band of the line) is left to the sweep.  One
+    sweep with one anchor per line per chunk of at most
+    ``kernels.BATCH_PAIRS`` pairs, then :func:`sweep_decision` and
+    :func:`hrnr.spectral.flavor_plane` as in :func:`_decide_by_sweep`.
     """
     c, s, _, _ = model._level_tables[int(kf)]
     step = max(1, kernels.BATCH_PAIRS // max(1, len(model._point_data[0])))
@@ -403,59 +415,38 @@ def _table_out(
         # the line direction is the normal (cos xi_j, -sin xi_j) turned by pi / 2
         vx, vy = canonical_dirs(s[j], c[j])
         sweep = direction_sweep(model, np.array(chunk, dtype=complex), vx, vy)
-        values, flavor, index = sweep_decision(sweep, _HCHP, kf, np.arange(len(chunk)))
-        out += [
-            MembershipVerdict(value, flavor_plane(sweep, f, i, z), float(sweep.hi[f, i]))
-            if value is Verdict.OUT and sweep.lo[f, i] == sweep.hi[f, i]
-            else None
-            for z, value, f, i in zip(chunk, values, flavor, index)
-        ]
+        row = np.arange(len(chunk))
+        per_set = [sweep_decision(sweep, flavors, kf, row)[:2] for flavors, _ in flavor_sets]
+        for a, z in enumerate(chunk):
+            picks = [flavor[a] for values, flavor in per_set if values[a] is Verdict.OUT]
+            exact = len(picks) == len(per_set) and all(sweep.lo[f, a] == sweep.hi[f, a] for f in picks)
+            out.append(tuple(
+                (Verdict.OUT, flavor_plane(sweep, f, a, z), float(sweep.hi[f, a])) if witness else (Verdict.OUT, None, None)
+                for f, (_, witness) in zip(picks, flavor_sets)
+            ) if exact else None)
     return out
 
 
 def member_many(model: SpectralMeasureModel, k, points) -> list[MembershipVerdict]:
-    """:func:`member` at every point, in order.  The verdict of each point
-    is that of the point alone.
-
-    At a finite rank the model's k-th support level table
-    (:func:`_level_check`) calls IN every point it certifies, and decides
-    OUT, from one kernel row each (:func:`_table_out`), the points it puts
-    well outside; their witness plane has exact dimension ``witness_dim``
-    below k, though not always the least of all planes through the point.  The other points go
-    to :func:`_decide`, in order, with one direction build, one sweep and
-    one decision per chunk of points (see ``kernels.BATCH_PAIRS``); their
-    witnesses are bit for bit those of the point alone.
+    """:func:`member` at every point, in order, from one :func:`_decide`
+    call: the verdict and witness of each point alone, but for a point the
+    level table decides OUT, whose witness has exact dimension
+    ``witness_dim`` below k, not always the least of all planes through it.
     """
     kf = _check_rank(model, k)
     points = [require_finite(z, "point") for z in points]
-    out: list[MembershipVerdict | None] = [None] * len(points)
-    if kf != INF and points:
-        inside, far, dirs = MembershipVerdict(Verdict.IN), [], []
-        for i, check in enumerate(_level_check(model, int(kf), points)):
-            if check is Verdict.IN:
-                out[i] = inside
-            elif check is not None:
-                far.append(i)
-                dirs.append(check)
-        if far:
-            for i, verdict in zip(far, _table_out(model, kf, [points[i] for i in far], dirs)):
-                out[i] = verdict
-    rest = [i for i, verdict in enumerate(out) if verdict is None]
-    if rest:
-        decided = _decide(model, kf, [points[i] for i in rest], [(_HCHP, True)])
-        for i, (hchp,) in zip(rest, decided):
-            out[i] = MembershipVerdict(*hchp)
-    return out
+    return [MembershipVerdict(*hchp) for (hchp,) in _decide(model, kf, points, [(_HCHP, True)])]
 
 
 def member(model: SpectralMeasureModel, k, lam: complex) -> MembershipVerdict:
-    """Decide lambda against the rank-k range: from the level table where it
-    decides (see :func:`member_many`), else by the critical-direction sweep.
-
-    OUT verdicts carry a witness half closed-half plane whose measure
-    dimension ``witness_dim`` is certainly below k.
-    """
-    return member_many(model, k, [lam])[0]
+    """Decide lambda against the rank-k range through :func:`_decide`, as
+    :func:`member_many` does with one point (called directly, since most
+    calls end at the level table).  OUT verdicts carry a witness half
+    closed-half plane whose measure dimension ``witness_dim`` is certainly
+    below k."""
+    kf = _check_rank(model, k)
+    ((hchp,),) = _decide(model, kf, [require_finite(lam, "point")], [(_HCHP, True)])
+    return MembershipVerdict(*hchp)
 
 
 def region(model: SpectralMeasureModel, k: int, n_angles: int) -> RegionEstimate:

@@ -357,8 +357,8 @@ def excluding_certificate(
     multiplicity inside H, and a rotation/bound pair confining the rest.
 
     A witness plane may be supplied (its line must pass through lam and its
-    dimension must be certainly below k); otherwise the critical-direction
-    sweep picks one.
+    dimension must be certainly below k); otherwise ``core._decide`` picks
+    one, from the level table's line or the critical-direction sweep.
     """
     lam = require_finite(lam, "point")
     kf = _check_rank(model, k)
@@ -422,12 +422,12 @@ def wu_check(model: SpectralMeasureModel, k: int, region_est: RegionEstimate) ->
 
     The samples are the polygon's vertices and WU_SAMPLES_PER_EDGE interior
     points of each edge.  Samples within 10 eps_geom of a point mass are
-    skipped and counted.  The rest are swept in chunks, one direction build
-    and one sweep per chunk (see ``kernels.BATCH_PAIRS``), each sample over
-    its critical directions: the half closed-half planes decide whether it
-    is excluded, and the closed half planes of the same sweep give its
-    witness.  Samples whose membership is UNCERTAIN give no evidence and
-    are counted.  ValueError unless the estimate is of rank k.
+    skipped and counted.  The rest go through ``core._decide``: the half
+    closed-half planes decide whether a sample is excluded, and the closed
+    half planes of the same line set give its witness, from the level
+    table's line where that row decides both, else from the sweep over its
+    critical directions.  Samples whose membership is UNCERTAIN give no
+    evidence and are counted.  ValueError unless the estimate is of rank k.
     """
     eps = DEFAULT_TOL.eps_geom
     if model.max_abs() >= 1.0 + eps:

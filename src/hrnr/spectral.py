@@ -249,9 +249,18 @@ class SpectralMeasureModel:
 
     @cached_property
     def _level_tables(self) -> dict:
-        """The k-th support level tables of ``core.member_many``, by rank,
+        """The k-th support level tables of ``core._decide``, by rank,
         each built on its rank's first query."""
         return {}
+
+    @cached_property
+    def _anchor_pairs(self) -> int:
+        """A bound on the direction-point pairs of one anchor's sweep in
+        ``core``, the same for every anchor: up to three tangents per circle
+        beside the template's breakpoints, each breakpoint with at most one
+        midpoint, and each direction against every point mass."""
+        (px, _, _), (fx, _, _), circles = self._direction_template
+        return max(1, 2 * (len(px) + len(fx) + 3 * len(circles))) * max(1, len(self._point_data[0]))
 
     @cached_property
     def _point_data(self):

@@ -5,9 +5,9 @@ import pytest
 
 import hrnr
 from hrnr import core, dilation
-from hrnr.errors import UncertainGeometry
+from hrnr.errors import HrnrError, UncertainGeometry
 from hrnr.geometry import ClosedHalfPlane
-from hrnr.spectral import dim_ran_hchp, direction_sweep
+from hrnr.spectral import CA, CB, dim_ran_closed, dim_ran_hchp, direction_sweep
 
 import critical_directions_oracle
 from geometry_oracle import support_plane
@@ -107,21 +107,49 @@ def dense_member(model, k, lam):
 
 def swept_members(model, k, points):
     """``member_many`` without the level table: every point through
-    ``core._decide``, the sweep over its critical directions."""
+    ``core._decide_by_sweep``, the sweep over its critical directions."""
     kf = core._check_rank(model, k)
-    return [core.MembershipVerdict(*hchp) for (hchp,) in core._decide(model, kf, list(points), [(core._HCHP, True)])]
+    return [core.MembershipVerdict(*hchp) for (hchp,) in core._decide_by_sweep(model, kf, list(points), [(core._HCHP, True)])]
 
 
-def table_decided(model, k, points):
-    """The indices of the points that ``member_many`` decides OUT from the
-    level table (``core._level_check``, then ``core._table_out``)."""
+def swept_region_wu(model, k, n_angles):
+    """``region(model, k, n_angles)`` and ``wu_check`` on it without the
+    level table: every decision through ``core._decide_by_sweep``.  The
+    Wu report is the type and message of the ``HrnrError`` it raises, if
+    it raises one."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_decide", core._decide_by_sweep)
+        patch.setattr(dilation, "_decide", core._decide_by_sweep)
+        est = hrnr.region(model, k, n_angles)
+        return est, outcome(dilation.wu_check, model, k, est)
+
+
+def outcome(fn, *args):
+    """What fn returns, or the type and message of the HrnrError it raises."""
+    try:
+        return fn(*args)
+    except HrnrError as exc:
+        return type(exc), str(exc)
+
+
+# the flavor sets of the Wu check's decisions: membership, then the closed
+# planes whose witness it reads
+WU_SETS = [(core._HCHP, False), ([CA, CB], True)]
+
+
+def table_decided(model, k, points, flavor_sets):
+    """The indices of the points that ``core._decide`` over ``flavor_sets``
+    decides OUT from the level table (``core._level_check``, then
+    ``core._table_out``), where the model is above the table's cut."""
     kf = core._check_rank(model, k)
-    if kf == hrnr.RANK_INF or not points:
+    if kf == hrnr.RANK_INF or model._anchor_pairs <= core._LEVEL_DIRS:
         return set()
     checks = core._level_check(model, int(kf), list(points))
     far = [i for i, check in enumerate(checks) if isinstance(check, int)]
-    rows = core._table_out(model, kf, [points[i] for i in far], [checks[i] for i in far])
-    return {i for i, verdict in zip(far, rows) if verdict is not None}
+    if not far:
+        return set()
+    rows = core._table_out(model, kf, [points[i] for i in far], [checks[i] for i in far], flavor_sets)
+    return {i for i, row in zip(far, rows) if row is not None}
 
 
 def _line_angles(vx, vy):
@@ -184,14 +212,44 @@ def assert_member_many(model, k, points, got, expected):
     table a witness through the point whose dimension is ``witness_dim``,
     below k; on every other point the witness and its normal bit for bit."""
     assert len(got) == len(expected) == len(points)
-    table = table_decided(model, k, points)
+    table = table_decided(model, k, points, [(core._HCHP, True)])
     for i, (new, old) in enumerate(zip(got, expected)):
         assert new.value is old.value
         if i in table:
-            assert new.value is hrnr.Verdict.OUT and new.witness.anchor == complex(points[i])
-            assert dim_ran_hchp(model, new.witness) == new.witness_dim < k
+            assert new.value is hrnr.Verdict.OUT
+            assert_table_witness(model, k, points[i], new.witness, new.witness_dim, dim_ran_hchp)
         else:
             assert (new.witness_dim, new.witness) == (old.witness_dim, old.witness)
+            if new.witness is not None:
+                assert new.witness.normal == old.witness.normal
+    return table
+
+
+def assert_table_witness(model, k, point, witness, dim, measure):
+    """A witness from the level table: anchored at the point, and
+    ``measure`` (``dim_ran_hchp`` or ``dim_ran_closed``) measures it
+    again as ``dim``, below k."""
+    assert witness.anchor == complex(point)
+    assert measure(model, witness) == dim < k
+
+
+def assert_wu_reports(model, k, got, expected):
+    """A Wu report ``got`` against the sweep's ``expected``: the same
+    verdict, skip and uncertain counts, and evidence points and notes; on a
+    sample decided from the level table a closed witness through it whose
+    dimension is ``dim``, below k; on every other sample the witness, its
+    normal and its dimension bit for bit.  Returns the table-decided
+    evidence indices."""
+    assert (got.verdict, got.skipped_near_eigenvalue, got.uncertain_samples) == (
+        expected.verdict, expected.skipped_near_eigenvalue, expected.uncertain_samples
+    )
+    assert [(e.point, e.note) for e in got.evidence] == [(e.point, e.note) for e in expected.evidence]
+    table = table_decided(model, k, [e.point for e in got.evidence], WU_SETS)
+    for i, (new, old) in enumerate(zip(got.evidence, expected.evidence)):
+        if i in table:
+            assert_table_witness(model, k, new.point, new.witness, new.dim, dim_ran_closed)
+        else:
+            assert (new.dim, new.witness) == (old.dim, old.witness)
             if new.witness is not None:
                 assert new.witness.normal == old.witness.normal
     return table

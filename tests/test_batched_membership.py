@@ -11,7 +11,9 @@ angle-based builder and the per-anchor ``member``, ``is_boundary`` and
 closed-plane witness kept in ``critical_directions_oracle``, the directions
 must be the same lines (``conftest.assert_same_lines``) and the verdicts
 and witness dimensions the same, each witness plane passing through its
-point with the dimension it reports (``conftest.assert_witness``).  The
+point with the dimension it reports (``conftest.assert_witness``); an
+exclusion certificate the level table decides has the table line's plane,
+of exact dimension below k (``conftest.assert_table_witness``).  The
 batches go in chunks of bounded size, so the working memory and the number
 of kernel calls are checked too.
 """
@@ -36,7 +38,7 @@ from hrnr.dilation import (
     _edge_samples,
     excluding_certificate,
 )
-from hrnr.errors import AtomNotStrictContraction, HrnrError, InvariantViolation, NoWuWitness
+from hrnr.errors import AtomNotStrictContraction, InvariantViolation, NoWuWitness
 from hrnr.spectral import CA, CB, OA, OB, dim_ran_closed, direction_sweep
 
 import critical_directions_oracle as oracle
@@ -44,10 +46,13 @@ from conftest import (
     assert_member_many,
     assert_same_lines,
     assert_same_verdicts,
+    assert_table_witness,
     assert_witness,
+    outcome,
     random_family,
     random_model,
     swept_members,
+    table_decided,
 )
 
 RANKS = (1, 2, 3, hrnr.RANK_INF)
@@ -100,33 +105,31 @@ def assert_bits(new, old):
     assert np.array_equal(np.signbit(new), np.signbit(old))
 
 
-def _outcome(fn, *args):
-    """What fn returns, or the type and message of the HrnrError it raises."""
-    try:
-        return fn(*args)
-    except HrnrError as exc:
-        return type(exc), str(exc)
-
-
 def assert_same_certificate(model, k, z):
     """``excluding_certificate`` without a supplied plane picks a closed
     witness plane of the oracle's dimension, or finds none where the oracle
-    finds none.  Past the plane, an atom on or beyond the unit circle, or a
-    bracketed witness dimension, may still refuse the certificate."""
+    finds none; where the level table decides the point, the table line's
+    plane, of exact dimension below k.  Past the plane, an atom on or
+    beyond the unit circle, or a bracketed witness dimension, may still
+    refuse the certificate."""
     plane, dim = oracle._closed_witness_sweep(model, z, k, hrnr.DEFAULT_TOL)
     if not isinstance(plane, hrnr.ClosedHalfPlane):
         with pytest.raises(NoWuWitness, match="no critical-direction closed half plane"):
             excluding_certificate(model, k, z)
         return
+    table = table_decided(model, k, [z], [([CA, CB], True)])
     try:
         cert = excluding_certificate(model, k, z)
     except AtomNotStrictContraction:
         return
     except InvariantViolation as exc:
-        assert str(exc).startswith(f"witness dimension {dim} ")
+        assert str(exc).startswith("witness dimension " if table else f"witness dimension {dim} ")
         return
-    assert cert.certified_dim == dim
-    assert_witness(model, z, cert.plane, dim, dim_ran_closed)
+    if table:
+        assert_table_witness(model, k, z, cert.plane, cert.certified_dim, dim_ran_closed)
+    else:
+        assert cert.certified_dim == dim
+        assert_witness(model, z, cert.plane, dim, dim_ran_closed)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -172,7 +175,7 @@ def test_batch_matches_per_anchor_oracles(seed):
             with mock.patch.object(kernels, "BATCH_PAIRS", cap):
                 assert_member_many(model, k, anchors, member_many(model, k, anchors), single)
         for z in anchors:
-            assert _outcome(is_boundary, model, k, z) == _outcome(oracle.is_boundary, model, k, z)
+            assert outcome(is_boundary, model, k, z) == outcome(oracle.is_boundary, model, k, z)
             assert_same_certificate(model, k, z)
 
 

@@ -6,17 +6,19 @@ The oracle builds tangents and midpoints from angles, the library from
 vectors, so directions must match as lines (``conftest.assert_same_lines``:
 breakpoints in order to rounding, midpoints to rounding, and extra
 midpoints only in cells the oracle leaves without one).  The sweep's
-membership verdicts (``core._decide``, which ``member`` uses where its level
-table decides nothing), witness dimensions, and the verdict and every
-evidence field of a ``WuReport`` but the witness plane must match; each
-witness plane must pass through its point and have the dimension it
-reports (``conftest.assert_witness``).
+membership verdicts (``core._decide_by_sweep``, which ``member`` uses where
+its level table decides nothing), witness dimensions, and the verdict and
+every evidence field of a ``WuReport`` but the witness plane must match;
+each witness plane must pass through its point and have the dimension it
+reports (``conftest.assert_witness``).  A sample the level table decides
+may have another witness dimension, below k, which its plane must have
+(``conftest.assert_table_witness``).
 The Wu check's closed verdicts and witness dimensions must also be those of
 a sweep over the critical directions plus dense evenly spaced angles.
 Putting back the merge of lines whose angles agree to 12 decimals must
 change no verdict, witness, region report or Wu report, and each anchor's
-direction count must stay within the bound ``core._anchor_chunks`` sizes
-its chunks by.
+direction count must stay within the bound
+``SpectralMeasureModel._anchor_pairs`` by which the sweep sizes its chunks.
 """
 
 import importlib.util
@@ -37,12 +39,15 @@ from hrnr.spectral import CA, CB, dim_ran_closed, direction_sweep
 import critical_directions_oracle as oracle
 from conftest import (
     DENSE_ANGLES,
+    WU_SETS,
     assert_same_lines,
     assert_same_verdicts,
+    assert_table_witness,
     assert_witness,
     random_family,
     random_model,
     swept_members,
+    table_decided,
 )
 from test_interior_certificate import _lattice_model, _pool_and_presets
 
@@ -120,11 +125,16 @@ def test_wu_reports_match_oracle(pool):
         new, old = hrnr.wu_check(model, k, est), oracle.wu_check(model, k, est)
         assert new.verdict is old.verdict
         assert len(new.evidence) == len(old.evidence)
-        for a, b in zip(new.evidence, old.evidence):
-            assert (a.point, a.dim, a.note) == (b.point, b.dim, b.note)
+        table = table_decided(model, k, [a.point for a in new.evidence], WU_SETS)
+        for i, (a, b) in enumerate(zip(new.evidence, old.evidence)):
+            assert (a.point, a.note) == (b.point, b.note)
             assert (a.witness is None) == (b.witness is None)
-            if a.witness is not None:
-                assert_witness(model, a.point, a.witness, a.dim, dim_ran_closed)
+            if i in table:
+                assert_table_witness(model, k, a.point, a.witness, a.dim, dim_ran_closed)
+            else:
+                assert a.dim == b.dim
+                if a.witness is not None:
+                    assert_witness(model, a.point, a.witness, a.dim, dim_ran_closed)
 
 
 @pytest.mark.parametrize("pool", ["1", "2", "3", "presets"])
@@ -157,12 +167,17 @@ def test_wu_closed_decisions_match_dense_directions(pool):
     # spaced angles
     for model, k in _pool(pool)[:4]:
         est = hrnr.region(model, k, 96)
-        for e in hrnr.wu_check(model, k, est).evidence[::7]:
+        evidence = hrnr.wu_check(model, k, est).evidence[::7]
+        table = table_decided(model, k, [e.point for e in evidence], WU_SETS)
+        for j, e in enumerate(evidence):
             vx, vy = oracle.critical_directions(model, e.point, DENSE_ANGLES)
             sweep = direction_sweep(model, e.point, vx, vy)
             value, f, i = oracle.sweep_decision(sweep, [CA, CB], k)
             assert value is (hrnr.Verdict.OUT if e.witness is not None else CLOSED_NOTES[e.note])
-            assert e.dim == (None if f is None else float(sweep.hi[f, i]))
+            if j in table:
+                assert_table_witness(model, k, e.point, e.witness, e.dim, dim_ran_closed)
+            else:
+                assert e.dim == (None if f is None else float(sweep.hi[f, i]))
 
 
 def _cluster_model():
@@ -195,7 +210,7 @@ def _merge_cases(name):
         ]
     if name == "lattice":
         rng = np.random.default_rng(2033)
-        models = [_lattice_model(rng) for _ in range(12)]
+        models = [_lattice_model(rng, int(rng.integers(4, 11))) for _ in range(12)]
         return [(model, k) for model in models for k in (1, 2, 3) if k <= model.total_dim]
     if name == "clusters":
         return [(_cluster_model(), k) for k in (1, 2, 5, 50)]
@@ -239,13 +254,14 @@ def test_merging_equal_rounded_angles_changes_no_output(pool, monkeypatch):
 
 
 def test_directions_per_anchor_stay_within_the_chunk_budget():
-    # core._anchor_chunks sizes its chunks by this bound before any
+    # core._decide_by_sweep sizes its chunks by this bound before any
     # direction is built; with every direction kept, nothing else limits
     # the memory of a sweep
     rng = np.random.default_rng(41)
     for model in _pool_and_presets():
         (px, _, _), (fx, _, _), circles = model._direction_template
         bound = max(1, 2 * (len(px) + len(fx) + 3 * len(circles)))
+        assert model._anchor_pairs == bound * max(1, len(model._point_data[0]))
         boundary = [z for z, _ in hrnr.region(model, 1, 96).boundary_report]
         anchors = _anchors(model, rng) + boundary + [0j]
         _, _, row = critical_directions(model, anchors)

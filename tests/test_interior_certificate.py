@@ -1,19 +1,21 @@
-"""The level table of ``member_many`` against the full sweep.
+"""The level table of ``core._decide`` against the full sweep.
 
-``member_many`` checks each point against the model's k-th support level
-table (``core._level_check``): a point the table certifies is IN without a
-sweep, and a point well outside it is OUT from one kernel row
-(``core._table_out``).  Every certified point must get IN from
-``core._decide`` as well, and ``member_many`` must give the verdicts of a
-``_decide``-only oracle, UNCERTAIN included, with the oracle's witnesses
-bit for bit on the points not decided from the table, and on those a
-witness whose dimension is ``witness_dim``, below k: on matrix models with
-repeated eigenvalues, on the region_wu model pool and on the presets, and
-on dyadic lattice models at points pushed across the eps band.  The table
-is built once per (model, rank), on the rank's first query; a batch it
-certifies in full, a lone first point included, makes no direction build
-and no kernel call, and a batch it decides OUT in full makes one kernel
-call of one row per point and no direction build.
+Above the table's cut (``SpectralMeasureModel._anchor_pairs`` over
+``core._LEVEL_DIRS``), ``member_many`` checks each point against the
+model's k-th support level table (``core._level_check``): a point the
+table certifies is IN without a sweep, and a point well outside it is OUT
+from one kernel row (``core._table_out``).  Every certified point must get
+IN from the sweep alone (``core._decide_by_sweep``) as well, and
+``member_many`` must give the verdicts of that sweep-only oracle,
+UNCERTAIN included, with the oracle's witnesses bit for bit on the points
+not decided from the table, and on those a witness whose dimension is
+``witness_dim``, below k: on matrix models with repeated eigenvalues, on
+the region_wu model pool and on the presets, and on dyadic lattice models
+at points pushed across the eps band.  The table is built once per
+(model, rank), on the rank's first query; a batch it certifies in full, a
+lone first point included, makes no direction build and no kernel call, a
+batch it decides OUT in full makes one kernel call of one row per point
+and no direction build, and a rank-infinity query never builds it.
 """
 
 import importlib.util
@@ -66,7 +68,8 @@ def _check(model, k, points, seen):
         if check is hrnr.Verdict.IN:
             assert want.value is hrnr.Verdict.IN
     table = assert_member_many(model, k, points, member_many(model, k, points), expected)
-    certified = sum(check is hrnr.Verdict.IN for check in checks)
+    # below the cut member_many does not consult the table
+    certified = sum(check is hrnr.Verdict.IN for check in checks) if model._anchor_pairs > core._LEVEL_DIRS else 0
     seen["certified"] += certified
     seen["table_out"] += len(table)
     seen["swept"] += len(points) - certified - len(table)
@@ -133,10 +136,10 @@ def test_table_out_agrees_with_the_sweep_on_the_region_wu_pool_and_presets():
     assert seen["table_out"] > 0 and seen["swept"] > 0
 
 
-def _lattice_model(rng):
-    """Four to ten atoms on the 1/8 lattice of [-1, 1]^2, multiplicities 1-3:
-    exact collinearities put many region edges on support lines."""
-    cells = rng.choice(17 * 17, size=int(rng.integers(4, 11)), replace=False)
+def _lattice_model(rng, n):
+    """n atoms on the 1/8 lattice of [-1, 1]^2, multiplicities 1-3: exact
+    collinearities put many region edges on support lines."""
+    cells = rng.choice(17 * 17, size=n, replace=False)
     atoms = tuple(
         hrnr.Atom(complex(c % 17 - 8, c // 17 - 8) / 8, int(m))
         for c, m in zip(cells, rng.integers(1, 4, len(cells)))
@@ -150,12 +153,13 @@ BAND_PUSHES = (1e-11, 1e-9, 3e-9, 4e-9, 5e-9, 1e-8, 1e-6, 1e-5)
 def test_table_out_agrees_with_the_sweep_across_the_eps_band():
     # region vertices and edge midpoints pushed outward by about eps_geom:
     # the table may decide OUT only where the sweep does, and a point in the
-    # band stays UNCERTAIN
+    # band stays UNCERTAIN; 24 to 40 atoms put every model above the cut
     rng = np.random.default_rng(2033)
     seen = {"certified": 0, "table_out": 0, "swept": 0}
     uncertain = 0
     for _ in range(12):
-        model = _lattice_model(rng)
+        model = _lattice_model(rng, int(rng.integers(24, 41)))
+        assert model._anchor_pairs > core._LEVEL_DIRS
         for k in (1, 2, 3):
             if k > model.total_dim:
                 continue
@@ -170,10 +174,12 @@ def test_table_out_agrees_with_the_sweep_across_the_eps_band():
 
 
 def _counting(monkeypatch):
-    """Counts of kernel calls, level table builds, direction builds and
-    ``_decide`` calls, as the patched functions are called, and the
-    direction-point pairs of each kernel call."""
-    calls = {"kernel": 0, "levels": 0, "directions": 0, "decide": 0}
+    """Counts of kernel calls, level table builds, direction builds, sweeps
+    (``_decide_by_sweep`` calls) and table rows (``_table_out`` calls), as
+    the patched functions are called, and the direction-point pairs of
+    each kernel call.  Neither a sweep nor the table rows take an empty
+    list of points."""
+    calls = {"kernel": 0, "levels": 0, "directions": 0, "sweep": 0, "rows": 0}
     pairs = []
 
     def counting(key, f):
@@ -181,6 +187,8 @@ def _counting(monkeypatch):
             calls[key] += 1
             if key == "kernel":
                 pairs.append(len(args[0]) * len(args[3]))
+            if key in ("sweep", "rows"):
+                assert args[2]
             return f(*args)
 
         return counted
@@ -188,7 +196,8 @@ def _counting(monkeypatch):
     monkeypatch.setattr(kernels, "atom_side_sweep", counting("kernel", kernels.atom_side_sweep))
     monkeypatch.setattr(core, "support_levels", counting("levels", core.support_levels))
     monkeypatch.setattr(core, "critical_directions", counting("directions", core.critical_directions))
-    monkeypatch.setattr(core, "_decide", counting("decide", core._decide))
+    monkeypatch.setattr(core, "_decide_by_sweep", counting("sweep", core._decide_by_sweep))
+    monkeypatch.setattr(core, "_table_out", counting("rows", core._table_out))
     return calls, pairs
 
 
@@ -202,7 +211,7 @@ def test_interior_points_make_no_kernel_call(monkeypatch):
         # certifies it: no kernel call, no direction build, no decision
         assert hrnr.member(model, k, inner[0]).value is hrnr.Verdict.IN
         swept = dict(calls)
-        assert swept == {"kernel": 0, "levels": k, "directions": 0, "decide": 0}
+        assert swept == {"kernel": 0, "levels": k, "directions": 0, "sweep": 0, "rows": 0}
         # a batch the table certifies in full goes nowhere near the sweep
         for z in inner[1:]:
             assert hrnr.member(model, k, z).value is hrnr.Verdict.IN
@@ -213,7 +222,7 @@ def test_interior_points_make_no_kernel_call(monkeypatch):
     # it goes through the sweep, with the same table
     edge = max(model.atoms, key=lambda a: a.location.real).location
     assert hrnr.member(model, 1, edge).value is hrnr.Verdict.IN
-    assert calls["kernel"] > swept["kernel"] and calls["directions"] == calls["decide"] == 1
+    assert calls["kernel"] > swept["kernel"] and calls["directions"] == calls["sweep"] == 1
     assert calls["levels"] == 2
     # a first call of several points builds the table at once
     swept = dict(calls)
@@ -231,24 +240,29 @@ def test_far_points_take_one_kernel_row_each(monkeypatch):
     results = {}
     for k in (1, 2):
         # a batch the table decides OUT in full: one kernel call of one row
-        # per point, no direction build and no decision
+        # per point, no direction build and no sweep
         before = dict(calls)
         results[k] = member_many(model, k, far)
-        assert calls == {**before, "kernel": before["kernel"] + 1}
+        assert calls == {**before, "kernel": before["kernel"] + 1, "rows": before["rows"] + 1}
         assert pairs[-1] == len(far) * len(model.atoms)
         # rows in chunks of at most BATCH_PAIRS direction-point pairs
         with monkeypatch.context() as patch:
             patch.setattr(kernels, "BATCH_PAIRS", 10 * len(model.atoms))
             assert member_many(model, k, far) == results[k]
         assert pairs[-4:] == [10 * len(model.atoms)] * 4
-    assert calls["directions"] == calls["decide"] == calls["levels"] == 0
+    assert calls["directions"] == calls["sweep"] == calls["levels"] == 0
     for k, got in results.items():
         assert assert_member_many(model, k, far, got, swept_members(model, k, far)) == set(range(len(far)))
 
 
 def test_rank_inf_and_no_points_bypass_the_table(monkeypatch):
+    rng = np.random.default_rng(2034)
+    base = _matrix_model(rng, 200)
+    model = hrnr.SpectralMeasureModel(base.atoms + (hrnr.Atom(0j, hrnr.INF),), (), (), 1.0)
+    assert model._anchor_pairs > core._LEVEL_DIRS
     calls, _ = _counting(monkeypatch)
-    model = presets.bilateral_shift_model()
     assert hrnr.member(model, hrnr.RANK_INF, 0j).value is hrnr.Verdict.IN
+    assert hrnr.member(model, hrnr.RANK_INF, 2j).value is hrnr.Verdict.OUT
+    assert hrnr.is_boundary(model, hrnr.RANK_INF, 0j) is hrnr.BoundaryKind.BOUNDARY_IN
     assert member_many(model, 2, []) == []
     assert calls["levels"] == 0 and model._level_tables == {}

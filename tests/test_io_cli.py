@@ -129,16 +129,21 @@ class TestCli:
         assert out["witness"]["dim"] == 0
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_member_out_from_the_level_table(self, capsys, matrix_file, monkeypatch, k):
-        # far outside the range the level table decides OUT from one kernel
-        # row, with no sweep; the printed witness holds dimension dim < k
-        monkeypatch.setattr(hrnr.core, "_decide", None)
-        assert main(["member", "--input", matrix_file, "-k", str(k), "--point", "1.5,-0.75"]) == 0
+    def test_member_out_from_the_level_table(self, capsys, tmp_path, monkeypatch, k):
+        # far outside the range of a matrix above the table's cut, the level
+        # table decides OUT from one kernel row, with no sweep; the printed
+        # witness holds dimension dim < k
+        eigs = 0.5 * np.exp(2j * np.pi * np.arange(32) / 32)
+        model = hrnr.from_normal_matrix(np.diag(eigs))
+        assert model._anchor_pairs > hrnr.core._LEVEL_DIRS
+        path = tmp_path / "matrix.json"
+        path.write_text(jsonio.dumps(matrix_to_obj(np.diag(eigs))))
+        monkeypatch.setattr(hrnr.core, "_decide_by_sweep", None)
+        assert main(["member", "--input", str(path), "-k", str(k), "--point", "1.5,-0.75"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "out"
         w = out["witness"]
         plane = hrnr.HalfClosedHalfPlane(complex(*w["anchor"]), w["normal_angle"], w["ray_sign"])
-        model = hrnr.from_normal_matrix(np.diag([0.5, -0.5, 0.3j]).astype(complex))
         assert hrnr.dim_ran_hchp(model, plane) == w["dim"] < k
 
     def test_member_inf(self, capsys, model_file):
